@@ -179,10 +179,22 @@ def parse_config(text: str) -> RunConfig:
     for key in ("report", "csv"):
         if key in raw and raw[key] is not None:
             setattr(cfg, key, str(raw[key]))
+    return validate_config(cfg)
+
+
+def validate_config(cfg: RunConfig) -> RunConfig:
+    """Range checks shared by configuration files and command-line flags."""
     if cfg.r is not None and cfg.r <= 0.0:
         raise ConfigError("r must be positive")
     if cfg.quad < 16 or cfg.resolution < 16:
         raise ConfigError("quad and resolution must be at least 16")
+    if cfg.modes is not None and cfg.modes < 1:
+        raise ConfigError("modes must be at least 1")
+    dom = cfg.domain or {}
+    if dom.get("type") == "interval":
+        L = float(dom.get("L", 1.0))
+        if not (math.isfinite(L) and L > 0.0):
+            raise ConfigError("interval length L must be finite and positive")
     return cfg
 
 
@@ -364,6 +376,11 @@ def cmd_heat(cfg: RunConfig) -> int:
         "eta1_diam_sq": scaled,
         "checks": checks,
         "diagonal": diag.to_dict(),
+        "eigensolver": {
+            "path": system.solver,
+            "modes": system.modes_used,
+            "mode_cap": system.mode_cap,
+        },
     }
     write_report(cfg.report, payload)
     if cfg.csv:
@@ -435,9 +452,7 @@ def _load_config(args) -> RunConfig:
         val = getattr(args, key, None)
         if val is not None:
             setattr(cfg, key, val)
-    if cfg.r is not None and cfg.r <= 0.0:
-        raise ConfigError("r must be positive")
-    return cfg
+    return validate_config(cfg)
 
 
 def _add_common(sub):

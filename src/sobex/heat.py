@@ -24,6 +24,7 @@ from __future__ import annotations
 import math
 import warnings
 from dataclasses import dataclass
+from functools import cached_property
 
 import numpy as np
 import scipy.sparse as sp
@@ -37,6 +38,7 @@ from .surfaces import constant_curvature_distance, polar_to_cartesian
 __all__ = [
     "DiscreteDomain",
     "NeumannSystem",
+    "TensorFactors",
     "assemble",
     "heat_kernel",
     "CurvatureField",
@@ -340,14 +342,10 @@ class DiscreteDomain:
 
 def _warp_integral(surface, r_edges):
     """Exact per-cell integrals of the warp factor (cell masses / dtheta)."""
-    k = surface.kappa if surface.kind == "constant" else None
     if surface.kind == "constant":
-        if k > 0.0:
-            anti = -np.cos(math.sqrt(k) * r_edges) / k
-        elif k < 0.0:
-            anti = np.cosh(math.sqrt(-k) * r_edges) / (-k)
-        else:
-            anti = 0.5 * r_edges**2
+        # int_0^r sn = (1 - cn(r)) / kappa = 2 sn(r/2)^2, which unlike the
+        # first form does not cancel catastrophically as kappa -> 0
+        anti = 2.0 * np.asarray(surface.warp(0.5 * r_edges), dtype=float) ** 2
         return np.diff(anti)
     gx, gw = np.polynomial.legendre.leggauss(8)
     lo, hi = r_edges[:-1], r_edges[1:]
@@ -374,32 +372,20 @@ def assemble(domain: DiscreteDomain) -> "NeumannSystem":
     """
     if np.any(domain.weights <= 0.0) or not np.all(np.isfinite(domain.weights)):
         raise AssemblyError("degenerate node weights")
+    factors = None
     if domain.kind == "interval":
         N = domain.size
         h = domain.mesh_width
-        cond = np.full(N - 1, 1.0 / h)
-        A = _edge_laplacian(np.arange(N - 1), np.arange(1, N), cond, N)
+        factors = TensorFactors(np.full(N - 1, 1.0 / h), np.zeros(N), domain.weights, 1)
+        A = factors.stiffness()
     elif domain.kind == "pole_disk":
         n_r, n_t, dr, dt, r_cent, r_edges, _ = domain._grid
         surf = domain.spec.surface
-
-        def node(i, j):
-            return i * n_t + (j % n_t)
-
-        i_idx = np.repeat(np.arange(n_r), n_t)
-        j_idx = np.tile(np.arange(n_t), n_r)
         f_cent = np.asarray(surf.warp(r_cent), dtype=float)
         f_edge = np.asarray(surf.warp(r_edges[1:-1]), dtype=float)
-        rows, cols, vals = [], [], []
-        rows.append(node(i_idx, j_idx)); cols.append(node(i_idx, j_idx + 1))
-        vals.append(dr / (f_cent[i_idx] * dt))
-        m = i_idx < n_r - 1
-        rows.append(node(i_idx[m], j_idx[m])); cols.append(node(i_idx[m] + 1, j_idx[m]))
-        vals.append(f_edge[i_idx[m]] * dt / dr)
-        A = _edge_laplacian(
-            np.concatenate(rows), np.concatenate(cols), np.concatenate(vals),
-            domain.size,
-        )
+        factors = TensorFactors(f_edge * dt / dr, dr / (f_cent * dt),
+                                domain.weights[::n_t], n_t)
+        A = factors.stiffness()
     elif domain.kind == "blob":
         cart = domain.cartesian()
         tris = domain._triangles
@@ -417,7 +403,7 @@ def assemble(domain: DiscreteDomain) -> "NeumannSystem":
         A = _edge_laplacian(rows, cols, vals, domain.size)
     else:
         raise AssemblyError(f"unknown domain kind {domain.kind!r}")
-    return NeumannSystem(A, domain.weights, domain)
+    return NeumannSystem(A, domain.weights, domain, factors)
 
 
 def _edge_laplacian(rows, cols, cond, N):
@@ -425,6 +411,112 @@ def _edge_laplacian(rows, cols, cond, N):
     off = off + off.T
     deg = np.asarray(off.sum(axis=1)).ravel()
     return (sp.diags(deg) - off).tocsr()
+
+
+@dataclass(frozen=True, eq=False)
+class TensorFactors:
+    """Ring-structured Neumann operator with its separable spectrum.
+
+    The stiffness is ``T_r (x) I + diag(a) (x) L_circ`` and the mass
+    ``diag(m) (x) I``: ``b`` holds the ``n_r - 1`` conductances between
+    neighbouring rings (the path Laplacian ``T_r``), ``a`` the ``n_r``
+    conductances between angular neighbours on each ring, ``m`` the
+    ``n_r`` ring masses, and ``L_circ`` is the Laplacian of the
+    ``n_theta``-cycle.  Node ``(i, j)`` (ring ``i``, angle ``j``) has index
+    ``i * n_theta + j``; the interval is the case ``n_theta = 1``.
+
+    ``L_circ`` has eigenvalues ``mu_k = 2 - 2 cos(2 pi k / n_theta)`` on
+    the real cos/sin modes ``e``, so every eigenvector is ``D y (x) e``
+    with ``D = diag(m)^(-1/2)`` and ``y`` an eigenvector of the
+    symmetric tridiagonal radial problem ``D (T_r + mu_k diag(a)) D``.
+    """
+
+    b: np.ndarray
+    a: np.ndarray
+    m: np.ndarray
+    n_theta: int
+
+    def stiffness(self):
+        """The assembled sparse stiffness (CSR)."""
+        n_r, n_t = self.m.shape[0], self.n_theta
+        node = np.arange(n_r * n_t).reshape(n_r, n_t)
+        rows, cols, cond = [node[:-1]], [node[1:]], [np.repeat(self.b, n_t)]
+        if n_t > 1:
+            rows.append(node)
+            cols.append(np.roll(node, -1, axis=1))
+            cond.append(np.repeat(self.a, n_t))
+        return _edge_laplacian(np.concatenate([r.ravel() for r in rows]),
+                               np.concatenate([c.ravel() for c in cols]),
+                               np.concatenate(cond), n_r * n_t)
+
+    @cached_property
+    def _radial(self):
+        """Diagonals of the radial problems for ``k = 0 .. n_theta // 2``."""
+        n_t = self.n_theta
+        mu = 4.0 * np.sin(math.pi * np.arange(n_t // 2 + 1) / n_t) ** 2
+        deg = np.zeros_like(self.m)
+        deg[:-1] += self.b
+        deg[1:] += self.b
+        diag = (deg + mu[:, None] * self.a) / self.m
+        off = -self.b / np.sqrt(self.m[:-1] * self.m[1:])
+        return diag, off
+
+    @cached_property
+    def _modes(self):
+        """All eigenvalues, ascending, as ``(lam, wave, basis, j)``.
+
+        ``wave[b]`` is the wavenumber of angular basis function ``b``
+        (cos before sin); mode ``p`` is radial eigenvector ``j[p]`` of
+        problem ``wave[basis[p]]`` times basis function ``basis[p]``.  The
+        stable sort keeps the listing order among equal eigenvalues, so
+        the cos/sin pairs come out in a fixed order.
+        """
+        from scipy.linalg import eigh_tridiagonal
+
+        diag, off = self._radial
+        lam_k = eigh_tridiagonal(diag, np.broadcast_to(off, (diag.shape[0], off.shape[0])),
+                                 eigvals_only=True, lapack_driver="stemr")
+        # the constant is an exact null vector (rows of T_r sum to zero);
+        # roundoff of order eps * |T_r| here would bias exp(-lam_0 t) at large t
+        lam_k[0, 0] = 0.0
+        n_t = self.n_theta
+        wave = np.array([k for k in range(n_t // 2 + 1)
+                         for _ in range(2 if 0 < 2 * k < n_t else 1)])
+        lam = np.maximum(lam_k[wave].ravel(), 0.0)
+        order = np.argsort(lam, kind="stable")
+        basis, j = np.divmod(order, self.m.shape[0])
+        return lam[order], wave, basis, j
+
+    def _angular(self, wave):
+        """Real orthonormal cos/sin eigenvectors of ``L_circ``, one column per mode."""
+        n_t = self.n_theta
+        sine = np.concatenate([[False], wave[1:] == wave[:-1]])
+        paired = (wave > 0) & (2 * wave < n_t)
+        angle = (_TWO_PI / n_t) * (np.outer(np.arange(n_t), wave) % n_t)
+        return np.where(sine, np.sin(angle), np.cos(angle)) \
+            * np.where(paired, math.sqrt(2.0 / n_t), math.sqrt(1.0 / n_t))
+
+    def eigenpairs(self, keep):
+        """The ``keep`` lowest mass-orthonormal eigenpairs ``(lam, phi)``."""
+        from scipy.linalg import eigh_tridiagonal
+
+        lam, wave, basis, j = self._modes
+        basis, j = basis[:keep], j[:keep]
+        diag, off = self._radial
+        angular = self._angular(wave)
+        scale = 1.0 / np.sqrt(self.m)
+        phi = np.empty((self.m.shape[0] * self.n_theta, basis.shape[0]))
+        for k in np.unique(wave[basis]):
+            cols = np.nonzero(wave[basis] == k)[0]
+            _, Y = eigh_tridiagonal(diag[k], off, select="i",
+                                    select_range=(0, int(j[cols].max())),
+                                    lapack_driver="stemr")
+            if k == 0:  # the exact null vector, to go with lam_0 = 0
+                Y[:, 0] = np.sqrt(self.m / np.sum(self.m))
+            radial = scale[:, None] * Y[:, j[cols]]
+            phi[:, cols] = (radial[:, None, :] * angular[:, basis[cols]][None, :, :]) \
+                .reshape(phi.shape[0], cols.shape[0])
+        return lam[:keep], phi
 
 
 # ---------------------------------------------------------------------------
@@ -436,20 +528,31 @@ class NeumannSystem:
     """Stiffness + diagonal mass with cached eigenpairs and kernel tools.
 
     Eigenpairs are mass-orthonormal; the first eigenvalue is zero with
-    the constant eigenvector.  Dense solves are used up to
-    ``DENSE_LIMIT`` unknowns, Lanczos beyond.
+    the constant eigenvector.  ``solver`` names the eigensolver that
+    runs: ``"separable"`` when ``factors`` (a :class:`TensorFactors`, as
+    :func:`assemble` gives intervals and pole-centred disks) describe
+    the operator, so a Fourier transform in the angle leaves tridiagonal
+    radial problems; otherwise ``"dense"`` (LAPACK ``eigh``) up to
+    ``DENSE_LIMIT`` unknowns and ``"sparse"`` (shift-invert Lanczos)
+    beyond.  ``modes_used`` is the largest :meth:`modes_for` result so far.
     """
 
     DENSE_LIMIT = 4800
 
-    def __init__(self, stiffness, mass, domain=None):
+    def __init__(self, stiffness, mass, domain=None, factors=None):
         self.stiffness = stiffness.tocsr()
         self.mass = np.asarray(mass, dtype=float)
         self.domain = domain
+        self.factors = factors
         self._lam = None
         self._phi = None
+        if factors is not None:
+            self.solver = "separable"
+        else:
+            self.solver = "dense" if self.size <= self.DENSE_LIMIT else "sparse"
         # iterative eigensolves are impractical beyond a few hundred modes
         self.mode_cap = _MODE_CAP if self.size <= self.DENSE_LIMIT else 384
+        self.modes_used = 0
 
     @property
     def size(self):
@@ -469,19 +572,21 @@ class NeumannSystem:
 
     def eigenpairs(self, count):
         """First ``count`` mass-orthonormal eigenpairs (ascending)."""
-        count = int(min(count, self.size if self.size <= self.DENSE_LIMIT
-                        else self.size - 2))
+        dense_sized = self.size <= self.DENSE_LIMIT
+        count = int(min(count, self.size if dense_sized else self.size - 2))
         if self._lam is not None and self._lam.shape[0] >= count:
             return self._lam[:count], self._phi[:, :count]
+        keep = max(count, min(self.size, _MODE_CAP)) if dense_sized else count
         d = 1.0 / np.sqrt(self.mass)
-        if self.size <= self.DENSE_LIMIT:
+        if self.solver == "separable":
+            lam, phi = self.factors.eigenpairs(keep)
+        elif self.solver == "dense":
             from scipy.linalg import eigh
 
             B = (self.stiffness.multiply(d[:, None]).multiply(d[None, :])).toarray()
             B = 0.5 * (B + B.T)
             lam, Y = eigh(B)
             lam = np.maximum(lam, 0.0)
-            keep = max(count, min(self.size, _MODE_CAP))
             lam, phi = lam[:keep], d[:, None] * Y[:, :keep]
         else:
             from scipy.sparse.linalg import eigsh
@@ -489,14 +594,13 @@ class NeumannSystem:
             B = self.stiffness.multiply(d[:, None]).multiply(d[None, :]).tocsc()
             # deterministic start vector: ARPACK would otherwise randomize
             v0 = np.cos(np.arange(self.size, dtype=float))
-            lam, Y = eigsh(B, k=count, sigma=-1e-8, which="LM", v0=v0)
+            lam, Y = eigsh(B, k=keep, sigma=-1e-8, which="LM", v0=v0)
             order = np.argsort(lam)
             lam = np.maximum(lam[order], 0.0)
             phi = d[:, None] * Y[:, order]
         # canonical sign: the largest-magnitude entry of each mode is positive
         peak = np.argmax(np.abs(phi), axis=0)
-        flip = phi[peak, np.arange(phi.shape[1])] < 0.0
-        phi[:, flip] *= -1.0
+        phi *= np.where(phi[peak, np.arange(phi.shape[1])] < 0.0, -1.0, 1.0)
         self._lam, self._phi = lam, phi
         return self._lam[:count], self._phi[:, :count]
 
@@ -515,15 +619,18 @@ class NeumannSystem:
         lam, _ = self.eigenpairs(cap)
         above = np.nonzero(lam > target)[0]
         if above.size:
-            return int(above[0]) + 1
-        if cap >= self.size:
-            return cap  # complete spectrum available: no truncation at all
-        warnings.warn(
-            f"spectral truncation at {cap} modes keeps exp(-lam t) = "
-            f"{math.exp(-float(lam[-1]) * t_min):.2e} at t = {t_min:.3g}",
-            stacklevel=2,
-        )
-        return cap
+            m = int(above[0]) + 1
+        elif cap >= self.size:
+            m = cap  # complete spectrum available: no truncation at all
+        else:
+            warnings.warn(
+                f"spectral truncation at {cap} modes keeps exp(-lam t) = "
+                f"{math.exp(-float(lam[-1]) * t_min):.2e} at t = {t_min:.3g}",
+                stacklevel=2,
+            )
+            m = cap
+        self.modes_used = max(self.modes_used, m)
+        return m
 
     # -- kernel evaluations ------------------------------------------------------
 

@@ -91,7 +91,36 @@ def test_heat_cli(tmp_path):
     data = json.loads(rep.read_text())
     assert all(data["checks"].values())
     assert data["eta1_diam_sq"] == pytest.approx(math.pi**2, rel=1e-2)
+    assert data["eigensolver"]["path"] == "separable"
     assert csv.read_text().startswith("t,")
+
+
+def test_heat_default_resolution_disk(tmp_path):
+    """The unit disk at the default resolution 256 (65 536 nodes) passes every check."""
+    rep = tmp_path / "heat.json"
+    rc = cli.main(["heat", "--domain", '{"type": "disk", "radius": 1.0}',
+                   "--report", str(rep)])
+    data = json.loads(rep.read_text())
+    assert rc == 0
+    assert data["size"] == 256 * 256
+    assert data["checks"] and all(data["checks"].values())
+    assert data["eigensolver"] == {"path": "separable", "modes": 384, "mode_cap": 384}
+
+
+@pytest.mark.parametrize("flags, config", [
+    (["--modes", "0"], {"modes": 0}),
+    (["--resolution", "8"], {"resolution": 8}),
+    (["--domain", '{"type": "interval", "L": -1}'], {"domain": {"type": "interval", "L": -1}}),
+    (["--domain", '{"type": "interval", "L": NaN}'], {"domain": {"type": "interval", "L": math.nan}}),
+])
+def test_heat_rejects_bad_input(tmp_path, capsys, flags, config):
+    cfg_file = tmp_path / "cfg.json"
+    cfg_file.write_text(json.dumps(config))
+    for argv in (["heat"] + flags, ["heat", "--config", str(cfg_file)]):
+        assert cli.main(argv + ["--report", str(tmp_path / "out.json")]) == 2
+        err = capsys.readouterr().err
+        assert err.startswith("error: ") and err.count("\n") == 1
+    assert not (tmp_path / "out.json").exists()
 
 
 def test_report_determinism(tmp_path):

@@ -2,6 +2,7 @@ import math
 
 import numpy as np
 import pytest
+from hypothesis import given, settings, strategies as st
 from scipy.special import jnp_zeros
 
 from sobex import heat as H
@@ -41,6 +42,18 @@ def test_weights_sum_to_volume(interval, disk_system, blob_system, fourier_blob)
     assert dom.volume == pytest.approx(math.pi, rel=1e-12)
     dom, _ = blob_system
     exact = 0.5 * fourier_blob.boundary.squared_integral()
+    assert dom.volume == pytest.approx(exact, rel=1e-12)
+
+
+@pytest.mark.parametrize("kappa", [1e-10, -1e-10, 5e-324, 1.0, -1.0])
+def test_pole_disk_weights_any_curvature(kappa):
+    """Cell masses stay exact as the curvature tends to zero."""
+    surf = ModelSurface.constant_curvature(kappa)
+    radius = 0.9
+    dom = H.DiscreteDomain.disk_like(DomainSpec(surf, GeodesicDisk((0.0, 0.0), radius)), 16, 16)
+    # area of a geodesic disk: 2 pi (1 - cn(R)) / kappa = 4 pi sn(R/2)^2
+    exact = 4.0 * math.pi * float(surf.warp(0.5 * radius)) ** 2
+    assert np.all(dom.weights > 0.0)
     assert dom.volume == pytest.approx(exact, rel=1e-12)
 
 
@@ -279,3 +292,73 @@ def test_li_yau(unit_interval):
     assert np.all(res2.sup_profile <= res.envelope(t_grid) * 1.05 + 1e-9)
     with pytest.raises(ParameterError):
         H.li_yau_check(sys_, dom, -np.ones(dom.size), t_grid)
+
+
+# ---------------------------------------------------------------------------
+# separable eigensolver against the dense oracle
+# ---------------------------------------------------------------------------
+
+
+def _assert_matches_dense(dom):
+    """The separable spectrum of ``dom`` against dense ``eigh`` on the same matrix.
+
+    Grids stay below the mode cap, so both spectra are complete and the
+    kernel sums do not depend on the basis chosen inside a cos/sin pair.
+    """
+    sys_ = H.assemble(dom)
+    oracle = H.NeumannSystem(sys_.stiffness, sys_.mass)
+    assert (sys_.solver, oracle.solver) == ("separable", "dense")
+    N = sys_.size
+    lam, phi = sys_.eigenpairs(N)
+    lam_o, _ = oracle.eigenpairs(N)
+    np.testing.assert_allclose(lam, lam_o, rtol=1e-10, atol=1e-10)
+    for t in (1e-3, 1e-2, 0.1, 1.0):
+        np.testing.assert_allclose(sys_.heat_diag(t), oracle.heat_diag(t), rtol=1e-10)
+        K, K_o = sys_.kernel_matrix(t), oracle.kernel_matrix(t)
+        np.testing.assert_allclose(K, K_o, rtol=1e-10, atol=1e-10 * np.max(K_o))
+    residual = sys_.stiffness @ phi - (sys_.mass[:, None] * phi) * lam
+    assert np.max(np.abs(residual)) < 1e-9
+    gram = phi.T @ (sys_.mass[:, None] * phi)
+    assert np.max(np.abs(gram - np.eye(N))) < 1e-9
+    assert lam[0] == 0.0
+    np.testing.assert_allclose(phi[:, 0], 1.0 / math.sqrt(sys_.volume), rtol=1e-12)
+    return sys_
+
+
+@pytest.mark.parametrize("case", ["flat_disk", "spherical_cap", "warped_disk", "interval"])
+def test_separable_matches_dense(case, unit_disk, spherical_cap):
+    warped = DomainSpec(ModelSurface.warped(poly_cosh_mix_profile([1.0, 0.12, -0.05])),
+                        GeodesicDisk((0.0, 0.0), 0.8))
+    make = {
+        "flat_disk": lambda: H.DiscreteDomain.disk_like(unit_disk, 16, 32),
+        "spherical_cap": lambda: H.DiscreteDomain.disk_like(spherical_cap, 16, 20),
+        "warped_disk": lambda: H.DiscreteDomain.disk_like(warped, 17, 24),
+        "interval": lambda: H.DiscreteDomain.interval(2.0, 300),
+    }[case]
+    sys_ = _assert_matches_dense(make())
+    # reruns are bit-identical, pair order and signs included
+    again = H.assemble(make())
+    lam, phi = sys_.eigenpairs(sys_.size)
+    lam2, phi2 = again.eigenpairs(again.size)
+    assert np.array_equal(lam, lam2) and np.array_equal(phi, phi2)
+
+
+@settings(max_examples=20, deadline=None, derandomize=True)
+@given(n_r=st.integers(16, 24), n_theta=st.integers(16, 25),
+       radius=st.floats(0.3, 1.5), kappa=st.floats(-1.5, 1.5),
+       warped=st.booleans())
+def test_separable_matches_dense_property(n_r, n_theta, radius, kappa, warped):
+    """Flat, curved and warped pole disks, odd and even angular counts."""
+    if warped:
+        surface = ModelSurface.warped(poly_cosh_mix_profile([1.0, 0.12, 0.05 * kappa]))
+    else:
+        surface = ModelSurface.constant_curvature(kappa)
+    spec = DomainSpec(surface, GeodesicDisk((0.0, 0.0), radius))
+    _assert_matches_dense(H.DiscreteDomain.disk_like(spec, n_r, n_theta))
+
+
+def test_solver_names(fourier_blob):
+    blob = H.assemble(H.DiscreteDomain.disk_like(fourier_blob, 16, 32))
+    assert blob.solver == "dense"
+    big = H.DiscreteDomain.interval(1.0, 5000)
+    assert H.NeumannSystem(H.assemble(big).stiffness, big.weights).solver == "sparse"
