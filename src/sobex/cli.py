@@ -5,7 +5,7 @@ Subcommands:
   regularity        sampled regularity certificate for a domain and radius
   verify-extension  operator-norm check of the extension on random fields
   heat              discrete Neumann spectrum / kernel diagnostics
-  sweep             constants over a parameter range (parallel workers)
+  sweep             constants over a parameter range
 
 Reports are JSON with sorted keys and 17-significant-digit floats, so
 identical configurations produce byte-identical files.  Exit codes:
@@ -17,15 +17,20 @@ from __future__ import annotations
 import argparse
 import json
 import math
-import os
 import sys
-from concurrent.futures import ThreadPoolExecutor
 from dataclasses import dataclass, field as dc_field
 
 import numpy as np
 
 from . import comparison, extension, heat
-from .errors import ConfigError, RegularityError, SobexError
+from .errors import (
+    ConfigError,
+    InvalidDomainError,
+    InvalidSurfaceError,
+    ParameterError,
+    RegularityError,
+    SobexError,
+)
 from .fermi import DomainSpec, FermiChart, GeodesicDisk, RadialProfile, check_regularity
 from .surfaces import ModelSurface, cosh_profile, poly_cosh_mix_profile
 
@@ -135,66 +140,113 @@ class RunConfig:
     csv: str | None = None
 
 
-def _reject_unknown(mapping, allowed, where):
-    for key in mapping:
+def _object(value, where, allowed):
+    if not isinstance(value, dict):
+        raise ConfigError(f"{where} must be a JSON object")
+    for key in value:
         if key not in allowed:
             raise ConfigError(f"unknown key {key!r} in {where}")
+    return value
+
+
+def _real(value, where):
+    if isinstance(value, bool) or not isinstance(value, (int, float)):
+        raise ConfigError(f"{where} must be a number")
+    try:
+        value = float(value)
+    except OverflowError:  # an integer beyond the float range
+        value = math.inf
+    if not math.isfinite(value):
+        raise ConfigError(f"{where} must be finite")
+    return value
+
+
+def _reals(value, where):
+    if not isinstance(value, list):
+        raise ConfigError(f"{where} must be a list of numbers")
+    return [_real(v, f"{where}[{k}]") for k, v in enumerate(value)]
+
+
+def _integer(value, where):
+    if isinstance(value, float) and value.is_integer():
+        value = int(value)
+    if isinstance(value, bool) or not isinstance(value, int):
+        raise ConfigError(f"{where} must be an integer")
+    return value
+
+
+def _decode(text, where):
+    try:
+        return json.loads(text)
+    except json.JSONDecodeError as exc:
+        raise ConfigError(f"invalid JSON in {where}: {exc}") from exc
 
 
 def parse_config(text: str) -> RunConfig:
     """Parse and validate a JSON configuration (strict: unknown keys rejected)."""
-    try:
-        raw = json.loads(text)
-    except json.JSONDecodeError as exc:
-        raise ConfigError(f"invalid JSON: {exc}") from exc
-    if not isinstance(raw, dict):
-        raise ConfigError("configuration must be a JSON object")
-    _reject_unknown(raw, _TOP_KEYS, "configuration")
+    return _parse(_decode(text, "configuration"))
+
+
+def _parse(raw) -> RunConfig:
+    """Validate a decoded configuration; files and command-line flags both end here."""
+    raw = _object(raw, "configuration", _TOP_KEYS)
     cfg = RunConfig()
     if "surface" in raw:
-        _reject_unknown(raw["surface"], _SURFACE_KEYS, "surface")
-        if "profile" in raw["surface"]:
-            _reject_unknown(raw["surface"]["profile"], _PROFILE_KEYS, "surface.profile")
-        cfg.surface = raw["surface"]
+        cfg.surface = dict(_object(raw["surface"], "surface", _SURFACE_KEYS))
+        if "kappa" in cfg.surface:
+            cfg.surface["kappa"] = _real(cfg.surface["kappa"], "surface.kappa")
+        if "profile" in cfg.surface:
+            prof = dict(_object(cfg.surface["profile"], "surface.profile", _PROFILE_KEYS))
+            if "coeffs" in prof:
+                prof["coeffs"] = _reals(prof["coeffs"], "surface.profile.coeffs")
+            cfg.surface["profile"] = prof
     if "domain" in raw:
-        _reject_unknown(raw["domain"], _DOMAIN_KEYS, "domain")
-        cfg.domain = raw["domain"]
+        cfg.domain = dom = dict(_object(raw["domain"], "domain", _DOMAIN_KEYS))
+        for key in ("radius", "L"):
+            if key in dom:
+                dom[key] = _real(dom[key], f"domain.{key}")
+        for key in ("center", "coeffs_cos", "coeffs_sin"):
+            if key in dom:
+                dom[key] = _reals(dom[key], f"domain.{key}")
+        if len(dom.get("center", (0.0, 0.0))) != 2:
+            raise ConfigError("domain.center must hold two chart coordinates")
+        if not dom.get("coeffs_cos", (1.0,)):
+            raise ConfigError("domain.coeffs_cos must not be empty")
+        if dom.get("type") == "interval" and dom.get("L", 1.0) <= 0.0:
+            raise ConfigError("interval length L must be positive")
     if "sweep" in raw:
-        for param, spec in raw["sweep"].items():
-            if param not in _SWEEP_PARAMS:
-                raise ConfigError(f"unknown sweep parameter {param!r}")
-            _reject_unknown(spec, _SWEEP_KEYS, f"sweep.{param}")
-            if int(spec.get("steps", 0)) < 1:
-                raise ConfigError(f"sweep.{param}.steps must be a positive integer")
-        cfg.sweep = raw["sweep"]
+        sweep = _object(raw["sweep"], "sweep", _SWEEP_PARAMS)
+        for param, spec in sweep.items():
+            where = f"sweep.{param}"
+            spec = _object(spec, where, _SWEEP_KEYS)
+            if set(spec) != _SWEEP_KEYS:
+                raise ConfigError(f"{where} needs 'from', 'to' and 'steps'")
+            cfg.sweep[param] = {"from": _real(spec["from"], f"{where}.from"),
+                                "to": _real(spec["to"], f"{where}.to"),
+                                "steps": _integer(spec["steps"], f"{where}.steps")}
+            if cfg.sweep[param]["steps"] < 1:
+                raise ConfigError(f"{where}.steps must be a positive integer")
     for key in ("r", "G", "t_min", "t_max", "K", "H"):
-        if key in raw and raw[key] is not None:
-            val = float(raw[key])
-            if not math.isfinite(val):
-                raise ConfigError(f"{key} must be finite")
-            setattr(cfg, key, val)
+        if raw.get(key) is not None:
+            setattr(cfg, key, _real(raw[key], key))
     for key in ("quad", "resolution", "modes", "samples", "seed", "t_steps", "n"):
-        if key in raw and raw[key] is not None:
-            setattr(cfg, key, int(raw[key]))
+        if raw.get(key) is not None:
+            setattr(cfg, key, _integer(raw[key], key))
     for key in ("report", "csv"):
-        if key in raw and raw[key] is not None:
-            setattr(cfg, key, str(raw[key]))
-    return validate_config(cfg)
-
-
-def validate_config(cfg: RunConfig) -> RunConfig:
-    """Range checks shared by configuration files and command-line flags."""
-    if cfg.r is not None and cfg.r <= 0.0:
-        raise ConfigError("r must be positive")
+        if raw.get(key) is not None:
+            if not isinstance(raw[key], str):
+                raise ConfigError(f"{key} must be a path")
+            setattr(cfg, key, raw[key])
+    for key in ("r", "t_min", "t_max"):
+        if getattr(cfg, key) is not None and getattr(cfg, key) <= 0.0:
+            raise ConfigError(f"{key} must be positive")
     if cfg.quad < 16 or cfg.resolution < 16:
         raise ConfigError("quad and resolution must be at least 16")
-    if cfg.modes is not None and cfg.modes < 1:
-        raise ConfigError("modes must be at least 1")
-    dom = cfg.domain or {}
-    if dom.get("type") == "interval":
-        L = float(dom.get("L", 1.0))
-        if not (math.isfinite(L) and L > 0.0):
-            raise ConfigError("interval length L must be finite and positive")
+    for key in ("modes", "samples", "t_steps"):
+        if getattr(cfg, key) is not None and getattr(cfg, key) < 1:
+            raise ConfigError(f"{key} must be at least 1")
+    if cfg.seed < 0:
+        raise ConfigError("seed must be non-negative")
     return cfg
 
 
@@ -202,7 +254,7 @@ def build_surface(cfg: RunConfig) -> ModelSurface:
     spec = cfg.surface or {"kind": "constant", "kappa": 0.0}
     kind = spec.get("kind", "constant")
     if kind == "constant":
-        return ModelSurface.constant_curvature(float(spec.get("kappa", 0.0)), cfg.n)
+        return ModelSurface.constant_curvature(spec.get("kappa", 0.0), cfg.n)
     if kind == "warped":
         prof = spec.get("profile", {})
         ptype = prof.get("type", "poly_cosh_mix")
@@ -215,25 +267,20 @@ def build_surface(cfg: RunConfig) -> ModelSurface:
 
 
 def build_domain(cfg: RunConfig) -> DomainSpec:
-    surface = build_surface(cfg)
+    """The configured domain; one the surface cannot carry is a :class:`ConfigError`."""
     dom = cfg.domain or {"type": "disk", "center": [0.0, 0.0], "radius": 1.0}
     dtype = dom.get("type", "disk")
-    if dtype == "disk":
-        center = tuple(float(v) for v in dom.get("center", (0.0, 0.0)))
-        return DomainSpec(surface, GeodesicDisk(center, float(dom.get("radius", 1.0))))
-    if dtype == "fourier":
-        return DomainSpec(surface, RadialProfile(
-            tuple(float(v) for v in dom.get("coeffs_cos", (1.0,))),
-            tuple(float(v) for v in dom.get("coeffs_sin", ())),
-        ))
+    try:
+        surface = build_surface(cfg)
+        if dtype == "disk":
+            center = tuple(dom.get("center", (0.0, 0.0)))
+            return DomainSpec(surface, GeodesicDisk(center, dom.get("radius", 1.0)))
+        if dtype == "fourier":
+            return DomainSpec(surface, RadialProfile(tuple(dom.get("coeffs_cos", (1.0,))),
+                                                     tuple(dom.get("coeffs_sin", ()))))
+    except (InvalidSurfaceError, InvalidDomainError, ParameterError) as exc:
+        raise ConfigError(str(exc)) from exc
     raise ConfigError(f"unknown domain type {dtype!r} (use 'disk' or 'fourier')")
-
-
-def _worker_count():
-    env = os.environ.get("FE_THREADS", "").strip()
-    if env:
-        return max(1, int(env))
-    return min(8, os.cpu_count() or 1)
 
 
 # ---------------------------------------------------------------------------
@@ -395,32 +442,24 @@ def cmd_sweep(cfg: RunConfig) -> int:
     if len(cfg.sweep) != 1:
         raise ConfigError("sweep supports exactly one parameter at a time")
     param, spec = next(iter(cfg.sweep.items()))
-    values = np.linspace(float(spec["from"]), float(spec["to"]), int(spec["steps"]))
+    values = np.linspace(spec["from"], spec["to"], spec["steps"])
 
     base = dict(K=cfg.K if cfg.K is not None else 0.0,
                 H=cfg.H if cfg.H is not None else 0.0,
                 n=cfg.n, r=cfg.r, G=cfg.G)
 
-    def run_point(item):
-        index, value = item
+    points = []
+    for index, value in enumerate(values):
         kw = dict(base)
         if param == "R0":
             kw["H"] = 1.0 / value
         else:
             kw[param] = value
-        payload, _, _ = _constants_payload(kw["K"], kw["H"], kw["n"], kw["r"], kw["G"])
-        payload.pop("profile_s"), payload.pop("profile_d"), payload.pop("profile_D")
-        return index, value, payload
-
-    with ThreadPoolExecutor(max_workers=_worker_count()) as pool:
-        results = list(pool.map(run_point, enumerate(values)))
-    results.sort(key=lambda t: t[0])
-    payload = {
-        "parameter": param,
-        "points": [
-            {"index": i, "value": float(v), "constants": p} for i, v, p in results
-        ],
-    }
+        constants, _, _ = _constants_payload(kw["K"], kw["H"], kw["n"], kw["r"], kw["G"])
+        for key in ("profile_s", "profile_d", "profile_D"):
+            constants.pop(key)
+        points.append({"index": index, "value": float(value), "constants": constants})
+    payload = {"parameter": param, "points": points}
     write_report(cfg.report, payload)
     return 0
 
@@ -431,28 +470,15 @@ def cmd_sweep(cfg: RunConfig) -> int:
 
 
 def _load_config(args) -> RunConfig:
-    if getattr(args, "config", None):
+    """The config file's entries with the flags that were given laid over them."""
+    raw = {}
+    if args.config:
         with open(args.config, "r", encoding="utf-8") as fh:
-            cfg = parse_config(fh.read())
-    else:
-        cfg = RunConfig()
-    for key in ("r", "G", "K", "H", "t_min", "t_max"):
-        val = getattr(args, key.replace("-", "_"), None)
-        if val is not None:
-            setattr(cfg, key, float(val))
-    for key in ("quad", "resolution", "modes", "samples", "seed", "t_steps", "n"):
-        val = getattr(args, key, None)
-        if val is not None:
-            setattr(cfg, key, int(val))
-    if getattr(args, "domain", None):
-        dom = json.loads(args.domain)
-        _reject_unknown(dom, _DOMAIN_KEYS, "domain")
-        cfg.domain = dom
-    for key in ("report", "csv"):
-        val = getattr(args, key, None)
-        if val is not None:
-            setattr(cfg, key, val)
-    return validate_config(cfg)
+            raw = _object(_decode(fh.read(), args.config), "configuration", _TOP_KEYS)
+    for key, val in vars(args).items():
+        if key not in ("command", "config") and val is not None:
+            raw[key] = _decode(val, "--domain") if key == "domain" else val
+    return _parse(raw)
 
 
 def _add_common(sub):
@@ -516,7 +542,7 @@ def main(argv=None) -> int:
     try:
         cfg = _load_config(args)
         return _COMMANDS[args.command](cfg)
-    except (ConfigError, json.JSONDecodeError, OSError, ValueError) as exc:
+    except (ConfigError, OSError, ValueError) as exc:
         print(f"error: {exc}", file=sys.stderr)
         return 2
     except SobexError as exc:

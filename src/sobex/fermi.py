@@ -20,8 +20,11 @@ from __future__ import annotations
 
 import math
 from dataclasses import dataclass, field as dc_field
+from functools import cached_property
 
 import numpy as np
+from scipy.sparse import coo_matrix
+from scipy.spatial.distance import pdist
 
 from . import comparison
 from .errors import (
@@ -49,6 +52,8 @@ __all__ = [
 ]
 
 _TWO_PI = 2.0 * math.pi
+# (n_r, n_theta) of the graph metric behind distances on warped charts
+_GRAPH_GRID = (192, 384)
 
 
 @dataclass(frozen=True)
@@ -192,8 +197,6 @@ class BoundarySample:
 class _PoleDiskEngine:
     """Pole-centred geodesic disk on any model surface (radial normals)."""
 
-    exact_distance = True
-
     def __init__(self, domain):
         self.surface = domain.surface
         self.a = float(domain.boundary.radius)
@@ -284,11 +287,18 @@ class _PoleDiskEngine:
     def tube_curvature_range(self, r):
         return self.surface.curvature_range(self.a - r, self.a + r)
 
+    @cached_property
+    def graph_metric(self):
+        """Graph metric of the warped chart over ``r < min(4a, 0.98 r_hi)``."""
+        hi = self.surface.r_limits[1]
+        r_max = min(hi * 0.98 if math.isfinite(hi) else 4.0 * self.a, 4.0 * self.a)
+        return WarpedGridMetric(self.surface, r_max, *_GRAPH_GRID)
+
     def distance(self, p, q):
         surf = self.surface
         if surf.kind == "constant":
             return constant_curvature_distance(surf.kappa, p, q)
-        return _warped_graph_distance(surf, self.a).distance(p, q)
+        return self.graph_metric.distance(p, q)
 
     @property
     def distance_slack(self):
@@ -299,7 +309,6 @@ class _PoleDiskEngine:
 class _FlatCurveEngine:
     """Flat chart, boundary given as a closed Cartesian curve c(theta)."""
 
-    exact_distance = True
     distance_slack = 0.0
 
     def __init__(self, domain):
@@ -568,86 +577,63 @@ class _FlatFourierEngine(_FlatCurveEngine):
         theta = np.arange(2048) * (_TWO_PI / 2048)
         c, _, _ = self.curve(theta)
         # the diameter of a compact planar set is attained on the boundary
-        best = 0.0
-        chunk = 256
-        for lo in range(0, 2048, chunk):
-            d = np.linalg.norm(c[lo : lo + chunk, None, :] - c[None, :, :], axis=-1)
-            best = max(best, float(np.max(d)))
-        return best
+        return float(np.max(pdist(c)))
 
 
-class _WarpedGraphMetric:
-    """Dijkstra distances on a fine polar grid, for warped-surface charts."""
+class WarpedGridMetric:
+    """Dijkstra distances on a polar grid of a warped chart.
 
-    def __init__(self, surface, r_max, n_r=192, n_t=384):
-        from scipy.sparse import coo_matrix
+    Nodes sit at the cell centres ``r_i = (i + 1/2) dr`` of ``n_r`` rings
+    of width ``dr = r_max / n_r`` and at ``n_theta`` equally spaced angles;
+    node ``(i, j)`` has index ``i * n_theta + j``.  Edges join angular
+    neighbours (length ``f(r_i) dtheta``), radial neighbours (``dr``) and
+    diagonal neighbours (``hypot(dr, f(r_i + dr/2) dtheta)``).  For
+    ``f(r) = r`` every edge is at least its chord, so graph distances never
+    undershoot the plane's; in general they carry an O(mesh) error.  The
+    grid is invariant under rotations by ``dtheta``, so distances from
+    node sources do not depend on where the angles start.
+    """
+
+    def __init__(self, surface, r_max, n_r, n_theta):
+        self.n_r, self.n_theta = int(n_r), int(n_theta)
+        self.dr = r_max / self.n_r
+        self.dtheta = _TWO_PI / self.n_theta
+        n_t = self.n_theta
+        r = (np.arange(self.n_r) + 0.5) * self.dr
+        f = np.asarray(surface.warp(r), dtype=float)
+        f_mid = np.asarray(surface.warp(r[:-1] + 0.5 * self.dr), dtype=float)
+        node = np.arange(self.n_r * n_t).reshape(self.n_r, n_t)
+        inner, outer = node[:-1], node[1:]
+        diag = np.repeat(np.hypot(self.dr, f_mid * self.dtheta), n_t)
+        edges = [  # (from, to, length): angular, radial and both diagonals
+            (node, np.roll(node, -1, axis=1), np.repeat(f * self.dtheta, n_t)),
+            (inner, outer, np.full(inner.size, self.dr)),
+            (inner, np.roll(outer, -1, axis=1), diag),
+            (inner, np.roll(outer, 1, axis=1), diag),
+        ]
+        rows, cols, lens = (np.concatenate([np.ravel(e[k]) for e in edges])
+                            for k in range(3))
+        g = coo_matrix((lens, (rows, cols)), shape=(node.size, node.size))
+        self._graph = (g + g.T).tocsr()
+
+    def rows(self, idx):
+        """Distances from the nodes ``idx`` to all nodes, shape (len(idx), N)."""
         from scipy.sparse.csgraph import dijkstra
 
-        self.surface = surface
-        self.n_r, self.n_t = n_r, n_t
-        self.dr = r_max * 1.0 / n_r
-        self.dt = _TWO_PI / n_t
-        self.r = (np.arange(n_r) + 0.5) * self.dr
-        rows, cols, lens = [], [], []
-
-        def node(i, j):
-            return i * n_t + (j % n_t)
-
-        f_mid = np.asarray(surface.warp(self.r + 0.5 * self.dr), dtype=float)
-        f_at = np.asarray(surface.warp(self.r), dtype=float)
-        i_idx = np.repeat(np.arange(n_r), n_t)
-        j_idx = np.tile(np.arange(n_t), n_r)
-        # angular edges
-        rows.append(node(i_idx, j_idx))
-        cols.append(node(i_idx, j_idx + 1))
-        lens.append(f_at[i_idx] * self.dt)
-        # radial edges
-        mask = i_idx < n_r - 1
-        rows.append(node(i_idx[mask], j_idx[mask]))
-        cols.append(node(i_idx[mask] + 1, j_idx[mask]))
-        lens.append(np.full(mask.sum(), self.dr))
-        # diagonal edges (both orientations)
-        for dj in (1, -1):
-            rows.append(node(i_idx[mask], j_idx[mask]))
-            cols.append(node(i_idx[mask] + 1, j_idx[mask] + dj))
-            lens.append(np.hypot(self.dr, f_mid[i_idx[mask]] * self.dt))
-        rows = np.concatenate(rows)
-        cols = np.concatenate(cols)
-        lens = np.concatenate(lens)
-        n = n_r * n_t
-        g = coo_matrix((lens, (rows, cols)), shape=(n, n))
-        self._graph = (g + g.T).tocsr()
-        self._dijkstra = dijkstra
+        return dijkstra(self._graph, directed=False, indices=np.atleast_1d(idx))
 
     def _snap(self, pts):
         pts = np.asarray(pts, dtype=float).reshape(-1, 2)
         i = np.clip(np.round(pts[:, 0] / self.dr - 0.5).astype(int), 0, self.n_r - 1)
-        j = np.mod(np.round(pts[:, 1] / self.dt).astype(int), self.n_t)
-        return i * self.n_t + j
+        j = np.mod(np.round(pts[:, 1] / self.dtheta).astype(int), self.n_theta)
+        return i * self.n_theta + j
 
     def distance(self, p, q):
+        """Graph distance between chart points, each snapped to its nearest node."""
         P, Q = np.broadcast_arrays(np.asarray(p, dtype=float), np.asarray(q, dtype=float))
-        shape = P.shape[:-1]
-        pi = self._snap(P)
-        qi = self._snap(Q)
-        sources = np.unique(pi)
-        dist = self._dijkstra(self._graph, directed=False, indices=sources)
-        lookup = {s: k for k, s in enumerate(sources)}
-        rows = np.array([lookup[s] for s in pi])
-        out = dist[rows, qi].reshape(shape)
+        sources, row = np.unique(self._snap(P), return_inverse=True)
+        out = self.rows(sources)[row, self._snap(Q)].reshape(P.shape[:-1])
         return float(out) if out.ndim == 0 else out
-
-
-_warped_graphs = {}
-
-
-def _warped_graph_distance(surface, a):
-    key = (id(surface), round(a, 12))
-    if key not in _warped_graphs:
-        lo, hi = surface.r_limits
-        r_max = min(hi * 0.98 if math.isfinite(hi) else 4.0 * a, 4.0 * a)
-        _warped_graphs[key] = _WarpedGraphMetric(surface, r_max)
-    return _warped_graphs[key]
 
 
 def _make_engine(domain: DomainSpec):

@@ -30,9 +30,10 @@ import numpy as np
 import scipy.sparse as sp
 from scipy.integrate import quad as _quad1d
 from scipy.optimize import linprog
+from scipy.spatial.distance import cdist
 
 from .errors import AssemblyError, ParameterError
-from .fermi import DomainSpec, GeodesicDisk, RadialProfile
+from .fermi import DomainSpec, GeodesicDisk, RadialProfile, WarpedGridMetric
 from .surfaces import constant_curvature_distance, polar_to_cartesian
 
 __all__ = [
@@ -85,7 +86,6 @@ class DiscreteDomain:
         self.spec = None           # DomainSpec for disk-like domains
         self.mesh_width = None
         self._cart = None
-        self._graph = None
         self._params = None
 
     # -- constructors --------------------------------------------------------
@@ -233,52 +233,18 @@ class DiscreteDomain:
         if surf.kind == "constant":
             if surf.kappa == 0.0:
                 c = self.cartesian()
-                return np.linalg.norm(c[idx][:, None, :] - c[None, :, :], axis=-1)
+                return cdist(c[idx], c)
             return constant_curvature_distance(
                 surf.kappa, self.nodes[idx][:, None, :], self.nodes[None, :, :]
             )
-        return self._graph_distance_rows(idx)
+        return self._graph_metric.rows(idx)
 
-    def _graph_distance_rows(self, idx):
-        from scipy.sparse.csgraph import dijkstra
-
-        if self._graph is None:
-            n_r, n_t, dr, dt, r_cent, _, _ = self._grid
-            surf = self.spec.surface
-            f = np.asarray(surf.warp(r_cent), dtype=float)
-            f_mid = np.asarray(surf.warp(r_cent[:-1] + 0.5 * dr), dtype=float)
-            rows, cols, lens = [], [], []
-
-            def node(i, j):
-                return i * n_t + (j % n_t)
-
-            i_idx = np.repeat(np.arange(n_r), n_t)
-            j_idx = np.tile(np.arange(n_t), n_r)
-            rows.append(node(i_idx, j_idx)); cols.append(node(i_idx, j_idx + 1))
-            lens.append(f[i_idx] * dt)
-            m = i_idx < n_r - 1
-            rows.append(node(i_idx[m], j_idx[m])); cols.append(node(i_idx[m] + 1, j_idx[m]))
-            lens.append(np.full(m.sum(), dr))
-            for dj in (1, -1):
-                rows.append(node(i_idx[m], j_idx[m]))
-                cols.append(node(i_idx[m] + 1, j_idx[m] + dj))
-                lens.append(np.hypot(dr, f_mid[i_idx[m]] * dt))
-            # across the pole: opposite cells of the first ring
-            j0 = np.arange(n_t)
-            rows.append(node(np.zeros(n_t, dtype=int), j0))
-            cols.append(node(np.zeros(n_t, dtype=int), j0 + n_t // 2))
-            lens.append(np.full(n_t, 2.0 * r_cent[0]))
-            g = sp.coo_matrix(
-                (np.concatenate(lens), (np.concatenate(rows), np.concatenate(cols))),
-                shape=(self.size, self.size),
-            )
-            self._graph = (g + g.T).tocsr()
-        return dijkstra(self._graph, directed=False, indices=np.atleast_1d(idx))
-
-    def ball_volumes(self, idx, radius):
-        """Vol(domain intersected with B(node, radius)) for each node index."""
-        d = self.distance_rows(idx)
-        return (d < float(radius)) @ self.weights
+    @cached_property
+    def _graph_metric(self):
+        """The warped chart's graph metric on this pole disk's own grid."""
+        n_r, n_t, *_ = self._grid
+        return WarpedGridMetric(self.spec.surface, float(self.spec.boundary.radius),
+                                n_r, n_t)
 
     def sample_indices(self, count):
         """A deterministic spread of node indices (for sup-type sweeps)."""

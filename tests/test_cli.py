@@ -2,6 +2,7 @@ import json
 import math
 
 import pytest
+from hypothesis import given, settings, strategies as st
 
 from sobex import cli
 from sobex.errors import ConfigError
@@ -121,6 +122,80 @@ def test_heat_rejects_bad_input(tmp_path, capsys, flags, config):
         err = capsys.readouterr().err
         assert err.startswith("error: ") and err.count("\n") == 1
     assert not (tmp_path / "out.json").exists()
+
+
+_DISK = {"type": "disk", "radius": 1.0}
+
+
+@pytest.mark.parametrize("command, flags, config", [
+    ("constants", ["--K", "1", "--H", "nan"], {"K": 1, "H": math.nan}),
+    ("constants", ["--K", "1", "--H", "1", "--r", "inf"], {"K": 1, "H": 1, "r": math.inf}),
+    ("verify-extension", ["--domain", json.dumps(_DISK), "--r", "0.3", "--G", "nan"],
+     {"domain": _DISK, "r": 0.3, "G": math.nan}),
+    ("heat", ["--resolution", "16", "--t-min", "nan"], {"resolution": 16, "t_min": math.nan}),
+    ("heat", ["--resolution", "16", "--t-steps", "0"], {"resolution": 16, "t_steps": 0}),
+    ("verify-extension", ["--domain", json.dumps(_DISK), "--r", "0.3", "--samples", "0"],
+     {"domain": _DISK, "r": 0.3, "samples": 0}),
+    ("regularity", ["--domain", '{"type": "disk", "radius": -1}', "--r", "0.3"],
+     {"domain": {"type": "disk", "radius": -1}, "r": 0.3}),
+    ("regularity", ["--domain", "5", "--r", "0.3"], {"domain": 5, "r": 0.3}),
+    ("regularity", None, {"surface": 5, "r": 0.3}),
+    ("constants", None, {"K": 1, "H": 1, "sweep": {"r": 5}}),
+    ("sweep", None, {"K": 1, "H": 1, "sweep": {"r": {"to": 0.2, "steps": 3}}}),
+])
+def test_bad_input_exits_2(tmp_path, capsys, command, flags, config):
+    """Flags and config files go through one validation: exit 2, one line, no report."""
+    cfg_file = tmp_path / "cfg.json"
+    cfg_file.write_text(json.dumps(config))
+    runs = [["--config", str(cfg_file)]] + ([flags] if flags is not None else [])
+    for argv in runs:
+        assert cli.main([command] + argv + ["--report", str(tmp_path / "out.json")]) == 2
+        err = capsys.readouterr().err
+        assert err.startswith("error: ") and err.count("\n") == 1
+    assert not (tmp_path / "out.json").exists()
+
+
+_SCALARS = (st.none() | st.booleans() | st.integers(-10**400, 10**400)
+            | st.floats(allow_nan=True, allow_infinity=True) | st.text(max_size=4))
+_VALUES = st.recursive(_SCALARS, lambda inner: st.lists(inner, max_size=4)
+                       | st.dictionaries(st.text(max_size=4), inner, max_size=3),
+                       max_leaves=8)
+_NUMBERS = st.floats(-3.0, 3.0) | st.integers(-3, 300)
+_LISTS = st.lists(_NUMBERS, max_size=4)
+
+
+def _maybe(valid):
+    """Mostly a value of the right shape, sometimes any JSON value."""
+    return st.one_of(valid, valid, _VALUES)
+
+
+def _object(**fields):
+    return st.fixed_dictionaries({}, optional={k: _maybe(v) for k, v in fields.items()})
+
+
+_CONFIGS = _object(
+    surface=_object(kind=st.sampled_from(["constant", "warped"]), kappa=_NUMBERS,
+                    profile=_object(type=st.sampled_from(["poly_cosh_mix", "cosh"]),
+                                    coeffs=_LISTS)),
+    domain=_object(type=st.sampled_from(["disk", "fourier", "interval"]), center=_LISTS,
+                   radius=_NUMBERS, coeffs_cos=_LISTS, coeffs_sin=_LISTS, L=_NUMBERS),
+    sweep=st.dictionaries(st.sampled_from(sorted(cli._SWEEP_PARAMS)),
+                          _object(**{"from": _NUMBERS, "to": _NUMBERS, "steps": _NUMBERS}),
+                          max_size=2),
+    **{key: st.floats(-1.0, 3.0) for key in ("r", "G", "t_min", "t_max", "K", "H")},
+    **{key: st.integers(-1, 80) for key in ("quad", "resolution", "modes", "samples",
+                                            "seed", "t_steps", "n")},
+)
+
+
+@settings(max_examples=300, deadline=None, derandomize=True)
+@given(raw=_CONFIGS)
+def test_parse_and_build_raise_only_config_errors(raw):
+    """Every configuration is either accepted and buildable or a ConfigError."""
+    try:
+        cli.build_domain(cli.parse_config(json.dumps(raw)))
+    except ConfigError:
+        pass
 
 
 def test_report_determinism(tmp_path):
