@@ -24,6 +24,7 @@ import numpy as np
 
 from . import comparison, extension, heat
 from .errors import (
+    AssemblyError,
     ConfigError,
     InvalidDomainError,
     InvalidSurfaceError,
@@ -381,8 +382,11 @@ def cmd_heat(cfg: RunConfig) -> int:
     if dom_cfg.get("type") == "interval":
         domain = heat.DiscreteDomain.interval(float(dom_cfg.get("L", 1.0)), cfg.resolution)
     else:
-        domain = heat.DiscreteDomain.disk_like(build_domain(cfg), cfg.resolution,
-                                               cfg.resolution)
+        try:
+            domain = heat.DiscreteDomain.disk_like(build_domain(cfg), cfg.resolution,
+                                                   cfg.resolution)
+        except AssemblyError as exc:  # a domain the heat grids cannot carry
+            raise ConfigError(str(exc)) from exc
     system = heat.assemble(domain)
     if cfg.modes is not None:
         system.mode_cap = cfg.modes

@@ -98,6 +98,11 @@ def constant_field(c=1.0):
     return ScalarField(ev, grad, label=f"const({c})")
 
 
+def _powers(x, n):
+    """``[x**0, ..., x**(n-1)]``, each power taken once per call."""
+    return [x**k for k in range(n)]
+
+
 def polynomial_field(coeffs):
     """Polynomial in the embedded coordinates ``(r cos t, r sin t)``.
 
@@ -105,29 +110,32 @@ def polynomial_field(coeffs):
     pole, hence usable on every supported domain.
     """
     coeffs = np.asarray(coeffs, dtype=float)
+    n_x, n_y = coeffs.shape
 
     def ev(points):
         r, th, x, y = _embedded(points)
+        xp, yp = _powers(x, n_x), _powers(y, n_y)
         out = np.zeros_like(x)
-        for i in range(coeffs.shape[0]):
-            for j in range(coeffs.shape[1]):
+        for i in range(n_x):
+            for j in range(n_y):
                 if coeffs[i, j] != 0.0:
-                    out += coeffs[i, j] * x**i * y**j
+                    out += coeffs[i, j] * xp[i] * yp[j]
         return out
 
     def grad(points):
         r, th, x, y = _embedded(points)
+        xp, yp = _powers(x, n_x), _powers(y, n_y)
         ux = np.zeros_like(x)
         uy = np.zeros_like(x)
-        for i in range(coeffs.shape[0]):
-            for j in range(coeffs.shape[1]):
+        for i in range(n_x):
+            for j in range(n_y):
                 c = coeffs[i, j]
                 if c == 0.0:
                     continue
                 if i > 0:
-                    ux += c * i * x ** (i - 1) * y**j
+                    ux += c * i * xp[i - 1] * yp[j]
                 if j > 0:
-                    uy += c * j * x**i * y ** (j - 1)
+                    uy += c * j * xp[i] * yp[j - 1]
         ct, st = np.cos(th), np.sin(th)
         dr = ux * ct + uy * st
         dth = ux * (-r * st) + uy * (r * ct)
@@ -306,6 +314,10 @@ def extend_1d(trace, cutoff_profile, s):
 # ---------------------------------------------------------------------------
 
 
+def _cutoff_breaks(r, cutoff):
+    return (0.5 * r, min(cutoff.t_end, 1.0) * r)
+
+
 class ExtendedField:
     """Pointwise evaluator of the extended field over the whole chart.
 
@@ -324,7 +336,7 @@ class ExtendedField:
     @property
     def s_breakpoints(self):
         """Depths where the cutoff (hence the integrand) loses smoothness."""
-        return (0.5 * self.r, min(self.cutoff.t_end, 1.0) * self.r)
+        return _cutoff_breaks(self.r, self.cutoff)
 
     def depth_cutoff(self, s):
         return self.cutoff.eta(np.asarray(s, dtype=float) / self.r)
@@ -333,8 +345,11 @@ class ExtendedField:
         """Extended values at known tube coordinates (no inversion needed)."""
         s = np.asarray(s, dtype=float)
         theta = np.asarray(theta, dtype=float)
-        p_full = self.chart.map_unchecked(-s, theta)
-        p_half = self.chart.map_unchecked(-0.5 * s, theta)
+        return self.reflection(s, self.chart.map_unchecked(-s, theta),
+                               self.chart.map_unchecked(-0.5 * s, theta))
+
+    def reflection(self, s, p_full, p_half):
+        """Extended values at depths ``s`` from the mapped points at ``-s``, ``-s/2``."""
         shape = p_full.shape[:-1]
         vals = (
             -3.0 * self.source.evaluate(p_full.reshape(-1, 2)).reshape(shape)
@@ -460,6 +475,60 @@ def _tube_grid(chart: FermiChart, quad: int, s_breaks):
     return grid
 
 
+def _tube_stencil(chart: FermiChart, quad: int, s_breaks, h):
+    """Every tube point the finite differences of :func:`h1_norm` read, once per chart.
+
+    The blocks of the flat ``s``/``theta`` arrays, named by ``slices``:
+    the grid, ``s +/- h`` where both stay inside ``[2h, r - 2h]``,
+    ``s + h, s + 2h`` near depth 0, ``s - h, s - 2h`` near depth ``r``,
+    and ``theta +/- h``.  ``sources`` (filled on first use) holds the
+    chart points at depths ``-s`` and ``-s/2`` that the reflection reads.
+    """
+    key = ("stencil", quad, tuple(np.round(s_breaks, 15)), h)
+    cached = chart._quad_cache.get(key)
+    if cached is not None:
+        return cached
+    grid = _tube_grid(chart, quad, s_breaks)
+    S, T = grid["S"], grid["T"]
+    r = chart.r
+    lo = S < 2.0 * h
+    hi = S > r - 2.0 * h
+    mid = ~(lo | hi)
+    blocks = {
+        "grid": (S, T),
+        "mid+": (S[mid] + h, T[mid]),
+        "mid-": (S[mid] - h, T[mid]),
+        "lo+1": (S[lo] + h, T[lo]),
+        "lo+2": (S[lo] + 2 * h, T[lo]),
+        "hi-1": (S[hi] - h, T[hi]),
+        "hi-2": (S[hi] - 2 * h, T[hi]),
+        "theta+": (S, T + h),
+        "theta-": (S, T - h),
+    }
+    sizes = np.cumsum([0] + [b[0].size for b in blocks.values()])
+    stencil = dict(
+        s=np.concatenate([b[0].ravel() for b in blocks.values()]),
+        theta=np.concatenate([b[1].ravel() for b in blocks.values()]),
+        slices={name: slice(a, b) for name, a, b in zip(blocks, sizes[:-1], sizes[1:])},
+        lo=lo, hi=hi, mid=mid, sources=None,
+    )
+    chart._quad_cache[key] = stencil
+    return stencil
+
+
+def _stencil_values(evaluator, chart: FermiChart, stencil, part):
+    """The evaluator on ``part`` of the stencil, in one batched call."""
+    s, theta = stencil["s"][part], stencil["theta"][part]
+    if not hasattr(evaluator, "reflection"):
+        return np.asarray(evaluator(chart.map_unchecked(s, theta)), dtype=float)
+    if stencil["sources"] is None:
+        s_all, t_all = stencil["s"], stencil["theta"]
+        stencil["sources"] = (chart.map_unchecked(-s_all, t_all),
+                              chart.map_unchecked(-0.5 * s_all, t_all))
+    p_full, p_half = stencil["sources"]
+    return np.asarray(evaluator.reflection(s, p_full[part], p_half[part]), dtype=float)
+
+
 def _chart_fd_partials(evaluate, pts, surface, boundary_r, step):
     """Central chart-coordinate finite differences with pole reflection."""
     r, th = pts[:, 0], pts[:, 1]
@@ -487,6 +556,10 @@ def _chart_fd_partials(evaluate, pts, surface, boundary_r, step):
     return np.stack([d_r, d_t], axis=-1)
 
 
+def _fd_step(chart: FermiChart, fd_step=None):
+    return fd_step if fd_step is not None else 1e-5 * chart.domain.diameter()
+
+
 def h1_norm(evaluator, region, chart: FermiChart, quad: int = 64,
             gradient=None, s_breaks=(), fd_step=None):
     """Squared L2 and gradient-L2 norms over a chart region.
@@ -507,8 +580,7 @@ def h1_norm(evaluator, region, chart: FermiChart, quad: int = 64,
         a = h1_norm(evaluator, "omega", chart, quad, gradient, s_breaks, fd_step)
         b = h1_norm(evaluator, "tube_exterior", chart, quad, None, s_breaks, fd_step)
         return (a[0] + b[0], a[1] + b[1])
-    diam = chart.domain.diameter()
-    h = fd_step if fd_step is not None else 1e-5 * diam
+    h = _fd_step(chart, fd_step)
 
     if region == "omega":
         grid = _omega_grid(chart, quad)
@@ -530,35 +602,22 @@ def h1_norm(evaluator, region, chart: FermiChart, quad: int = 64,
 
     grid = _tube_grid(chart, quad, s_breaks)
     S, T, W, metric = grid["S"], grid["T"], grid["weights"], grid["metric"]
-
-    if hasattr(evaluator, "tube_profile"):
-        def F(s, t):
-            return np.asarray(evaluator.tube_profile(s, t), dtype=float)
-    else:
-        def F(s, t):
-            pts = chart.map_unchecked(s, t)
-            return np.asarray(evaluator(pts.reshape(-1, 2)), dtype=float).reshape(s.shape)
-
-    vals = F(S, T)
+    stencil = _tube_stencil(chart, quad, s_breaks, h)
+    at = stencil["slices"]
+    values = _stencil_values(evaluator, chart, stencil,
+                             slice(None) if gradient is None else at["grid"])
+    vals = values[at["grid"]].reshape(S.shape)
     if not np.all(np.isfinite(vals)):
         raise EvaluationError("non-finite value at a tube quadrature node")
     if gradient is not None:
         d_s, d_t = gradient(S, T)
     else:
-        r = chart.r
-        lo_side = S < 2.0 * h
-        hi_side = S > r - 2.0 * h
-        mid = ~(lo_side | hi_side)
+        lo, hi, mid = stencil["lo"], stencil["hi"], stencil["mid"]
         d_s = np.empty_like(S)
-        if np.any(mid):
-            d_s[mid] = (F(S[mid] + h, T[mid]) - F(S[mid] - h, T[mid])) / (2 * h)
-        if np.any(lo_side):
-            s0, t0 = S[lo_side], T[lo_side]
-            d_s[lo_side] = (-3 * F(s0, t0) + 4 * F(s0 + h, t0) - F(s0 + 2 * h, t0)) / (2 * h)
-        if np.any(hi_side):
-            s0, t0 = S[hi_side], T[hi_side]
-            d_s[hi_side] = (3 * F(s0, t0) - 4 * F(s0 - h, t0) + F(s0 - 2 * h, t0)) / (2 * h)
-        d_t = (F(S, T + h) - F(S, T - h)) / (2 * h)
+        d_s[mid] = (values[at["mid+"]] - values[at["mid-"]]) / (2 * h)
+        d_s[lo] = (-3 * vals[lo] + 4 * values[at["lo+1"]] - values[at["lo+2"]]) / (2 * h)
+        d_s[hi] = (3 * vals[hi] - 4 * values[at["hi-1"]] + values[at["hi-2"]]) / (2 * h)
+        d_t = ((values[at["theta+"]] - values[at["theta-"]]) / (2 * h)).reshape(S.shape)
     grad_sq = d_s**2 + (d_t / metric) ** 2
     return float(np.sum(W * vals**2)), float(np.sum(W * grad_sq))
 
@@ -598,10 +657,19 @@ def verify_1d_inequality(trace: Trace1D, r: float, G: float, quad: int = 48):
 
 @dataclass
 class OperatorNormResult:
+    """Rayleigh quotients against the bound, and how they were computed.
+
+    ``gradient`` names the gradient method per region (with the tube's
+    finite-difference step); ``quadrature_nodes`` counts the nodes of the
+    domain and tube rules.
+    """
+
     max_ratio: float
     bound: float
     distortion: float
     per_sample: list
+    gradient: dict
+    quadrature_nodes: dict
 
     def to_dict(self):
         return {
@@ -609,6 +677,8 @@ class OperatorNormResult:
             "bound": self.bound,
             "distortion": self.distortion,
             "per_sample": list(self.per_sample),
+            "gradient": dict(self.gradient),
+            "quadrature_nodes": dict(self.quadrature_nodes),
         }
 
 
@@ -633,6 +703,7 @@ def operator_norm_estimate(chart: FermiChart, cutoff: CutoffFamily,
     dist = distortion_factor(prof, data.n, chart.r)
     bound = extension_norm_bound(dist, cutoff.G, chart.r)
 
+    s_breaks = _cutoff_breaks(chart.r, cutoff)
     ratios = []
     for fld in sample_fields:
         ext = ExtendedField(chart, fld, cutoff)
@@ -641,16 +712,21 @@ def operator_norm_estimate(chart: FermiChart, cutoff: CutoffFamily,
         if inner == 0.0:
             ratios.append(0.0)
             continue
-        l2_t, g_t = h1_norm(ext, "tube_exterior", chart, quad,
-                            s_breaks=ext.s_breakpoints)
+        l2_t, g_t = h1_norm(ext, "tube_exterior", chart, quad, s_breaks=s_breaks)
         ratios.append((inner + l2_t + g_t) / inner)
     max_ratio = max(ratios) if ratios else 0.0
     if max_ratio > bound:
         raise RegularityError(
             f"observed ratio {max_ratio} exceeds the certified bound {bound}"
         )
-    return OperatorNormResult(max_ratio=float(max_ratio), bound=float(bound),
-                              distortion=float(dist), per_sample=ratios)
+    return OperatorNormResult(
+        max_ratio=float(max_ratio), bound=float(bound), distortion=float(dist),
+        per_sample=ratios,
+        gradient={"omega": "analytic", "tube": "finite-difference",
+                  "fd_step": _fd_step(chart)},
+        quadrature_nodes={"omega": _omega_grid(chart, quad)["weights"].size,
+                          "tube": _tube_grid(chart, quad, s_breaks)["weights"].size},
+    )
 
 
 def c1_matching_error(chart: FermiChart, fld: ScalarField, cutoff: CutoffFamily,

@@ -574,6 +574,10 @@ class _FlatFourierEngine(_FlatCurveEngine):
         return 0.5 * self.profile.squared_integral()
 
     def diameter(self):
+        return self._diameter
+
+    @cached_property
+    def _diameter(self):
         theta = np.arange(2048) * (_TWO_PI / 2048)
         c, _, _ = self.curve(theta)
         # the diameter of a compact planar set is attained on the boundary

@@ -551,7 +551,8 @@ class NeumannSystem:
 
             B = (self.stiffness.multiply(d[:, None]).multiply(d[None, :])).toarray()
             B = 0.5 * (B + B.T)
-            lam, Y = eigh(B)
+            # B is exactly symmetric, so B.T is B in Fortran order: LAPACK works in place
+            lam, Y = eigh(B.T, driver="evd", overwrite_a=True, check_finite=False)
             lam = np.maximum(lam, 0.0)
             lam, phi = lam[:keep], d[:, None] * Y[:, :keep]
         else:

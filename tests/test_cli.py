@@ -80,6 +80,11 @@ def test_verify_extension_cli(tmp_path):
     data = json.loads(rep.read_text())
     assert data["passed"] is True
     assert data["max_ratio"] <= data["bound"]
+    # how it was computed: the step is 1e-5 * diameter; 20 radial nodes per
+    # segment (one in the domain, two in the tube) times 64 angles
+    assert data["gradient"] == {"omega": "analytic", "tube": "finite-difference",
+                                "fd_step": 2e-5}
+    assert data["quadrature_nodes"] == {"omega": 20 * 64, "tube": 2 * 20 * 64}
 
 
 def test_heat_cli(tmp_path):
@@ -142,6 +147,8 @@ _DISK = {"type": "disk", "radius": 1.0}
     ("regularity", None, {"surface": 5, "r": 0.3}),
     ("constants", None, {"K": 1, "H": 1, "sweep": {"r": 5}}),
     ("sweep", None, {"K": 1, "H": 1, "sweep": {"r": {"to": 0.2, "steps": 3}}}),
+    ("heat", ["--domain", '{"type": "disk", "center": [0.1, 0], "radius": 0.5}'],
+     {"domain": {"type": "disk", "center": [0.1, 0], "radius": 0.5}}),
 ])
 def test_bad_input_exits_2(tmp_path, capsys, command, flags, config):
     """Flags and config files go through one validation: exit 2, one line, no report."""

@@ -7,8 +7,10 @@ import weakref
 import numpy as np
 import pytest
 
-from sobex import heat as H
-from sobex.fermi import DomainSpec, GeodesicDisk
+from scipy.spatial.distance import pdist
+
+from sobex import fermi, heat as H
+from sobex.fermi import DomainSpec, GeodesicDisk, RadialProfile
 from sobex.surfaces import ModelSurface, constant_curvature_distance, poly_cosh_mix_profile
 
 
@@ -38,13 +40,33 @@ def test_warped_engine_does_not_keep_its_surface_alive():
     assert ref() is None
 
 
-def test_blob_diameter_is_the_largest_boundary_chord(fourier_blob):
+def _largest_chord(domain):
     theta = np.arange(2048) * (2.0 * math.pi / 2048)
-    c, _, _ = fourier_blob._engine().curve(theta)
-    brute = max(float(np.max(np.linalg.norm(c[lo:lo + 256, None, :] - c[None, :, :],
-                                            axis=-1)))
-                for lo in range(0, 2048, 256))
-    assert fourier_blob.diameter() == brute
+    c, _, _ = domain._engine().curve(theta)
+    return max(float(np.max(np.linalg.norm(c[lo:lo + 256, None, :] - c[None, :, :],
+                                           axis=-1)))
+               for lo in range(0, 2048, 256))
+
+
+def test_blob_diameter_is_the_largest_boundary_chord(fourier_blob):
+    assert fourier_blob.diameter() == _largest_chord(fourier_blob)
+
+
+def test_blob_diameter_is_computed_once_per_engine(flat, monkeypatch):
+    calls = []
+
+    def counting_pdist(*args, **kwargs):
+        calls.append(1)
+        return pdist(*args, **kwargs)
+
+    monkeypatch.setattr(fermi, "pdist", counting_pdist)
+    blob = DomainSpec(flat, RadialProfile(cos_coeffs=(1.0, 0.0, 0.15)))
+    values = {blob.diameter() for _ in range(3)}
+    assert len(calls) == 1
+    assert values == {_largest_chord(blob)}
+    # an equal spec shares nothing: its own engine, its own single sweep
+    assert DomainSpec(flat, blob.boundary).diameter() == blob.diameter()
+    assert len(calls) == 2
 
 
 @pytest.mark.parametrize("name", ["unit_disk", "fourier_blob"])

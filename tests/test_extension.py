@@ -224,3 +224,96 @@ def test_fermi_partials_cross_check(blob_chart, rng):
     dt_fd = (ext.tube_profile(s, th + h) - ext.tube_profile(s, th - h)) / (2 * h)
     assert np.max(np.abs(d_s - ds_fd)) < 1e-4
     assert np.max(np.abs(d_t - dt_fd)) < 1e-4
+
+
+def _tube_fd_oracle(evaluator, chart, quad, s_breaks, h):
+    """The tube norms with one evaluator call per stencil subset (reference)."""
+    grid = E._tube_grid(chart, quad, s_breaks)
+    S, T, W, metric = grid["S"], grid["T"], grid["weights"], grid["metric"]
+
+    if hasattr(evaluator, "tube_profile"):
+        def F(s, t):
+            return np.asarray(evaluator.tube_profile(s, t), dtype=float)
+    else:
+        def F(s, t):
+            pts = chart.map_unchecked(s, t)
+            return np.asarray(evaluator(pts.reshape(-1, 2)), dtype=float).reshape(s.shape)
+
+    vals = F(S, T)
+    r = chart.r
+    lo_side = S < 2.0 * h
+    hi_side = S > r - 2.0 * h
+    mid = ~(lo_side | hi_side)
+    d_s = np.empty_like(S)
+    if np.any(mid):
+        d_s[mid] = (F(S[mid] + h, T[mid]) - F(S[mid] - h, T[mid])) / (2 * h)
+    if np.any(lo_side):
+        s0, t0 = S[lo_side], T[lo_side]
+        d_s[lo_side] = (-3 * F(s0, t0) + 4 * F(s0 + h, t0) - F(s0 + 2 * h, t0)) / (2 * h)
+    if np.any(hi_side):
+        s0, t0 = S[hi_side], T[hi_side]
+        d_s[hi_side] = (3 * F(s0, t0) - 4 * F(s0 - h, t0) + F(s0 - 2 * h, t0)) / (2 * h)
+    d_t = (F(S, T + h) - F(S, T - h)) / (2 * h)
+    grad_sq = d_s**2 + (d_t / metric) ** 2
+    return float(np.sum(W * vals**2)), float(np.sum(W * grad_sq))
+
+
+@pytest.mark.parametrize("domain, r", [("unit_disk", 0.45), ("spherical_cap", 0.3),
+                                       ("fourier_blob", 0.3)])
+def test_tube_norm_batched_stencil_is_exact(domain, r, request, rng):
+    """One mapped stencil per chart, one batch per field: the same bits as the
+    per-subset formulas, on the first call and from the cache."""
+    chart = FermiChart(request.getfixturevalue(domain), r)
+    cut = E.smoothstep_cutoff(4.0)
+    default = 1e-5 * chart.domain.diameter()
+    for fld in [x_field()] + E.random_smooth_fields(rng, 3):
+        ext = E.ExtendedField(chart, fld, cut)
+        # the default step leaves the one-sided rows empty; 2e-3 fills them
+        for h, fd_step in ((default, None), (2e-3, 2e-3)):
+            oracle = _tube_fd_oracle(ext, chart, 24, ext.s_breakpoints, h)
+            for _ in range(2):
+                assert E.h1_norm(ext, "tube_exterior", chart, 24, s_breaks=ext.s_breakpoints,
+                                 fd_step=fd_step) == oracle
+
+
+@pytest.mark.parametrize("quad", [16, 24])
+def test_tube_norm_generic_evaluator_is_exact(blob_chart, quad, rng):
+    chart = FermiChart(blob_chart.domain, blob_chart.r)
+    fld = E.random_smooth_fields(rng, 1, trig_share=0.0)[0]
+
+    def evaluator(points):
+        return fld.evaluate(points)
+
+    for h, fd_step in ((1e-5 * chart.domain.diameter(), None), (2e-3, 2e-3)):
+        oracle = _tube_fd_oracle(evaluator, chart, quad, (0.1,), h)
+        for _ in range(2):
+            assert E.h1_norm(evaluator, "tube_exterior", chart, quad, s_breaks=(0.1,),
+                             fd_step=fd_step) == oracle
+
+
+def test_polynomial_field_matches_the_naive_sum(rng):
+    coeffs = rng.normal(size=(5, 4))
+    coeffs[1, 2] = coeffs[3, 0] = 0.0
+    pts = np.stack([rng.uniform(0.0, 1.5, 300), rng.uniform(0.0, 2 * math.pi, 300)],
+                   axis=-1)
+    r, th = pts[:, 0], pts[:, 1]
+    x, y = r * np.cos(th), r * np.sin(th)
+    val = np.zeros_like(x)
+    ux = np.zeros_like(x)
+    uy = np.zeros_like(x)
+    for i in range(coeffs.shape[0]):
+        for j in range(coeffs.shape[1]):
+            c = coeffs[i, j]
+            if c == 0.0:
+                continue
+            val += c * x**i * y**j
+            if i > 0:
+                ux += c * i * x ** (i - 1) * y**j
+            if j > 0:
+                uy += c * j * x**i * y ** (j - 1)
+    ct, st = np.cos(th), np.sin(th)
+    fld = E.polynomial_field(coeffs)
+    assert np.array_equal(fld.evaluate(pts), val)
+    assert np.array_equal(fld.partials(pts),
+                          np.stack([ux * ct + uy * st, ux * (-r * st) + uy * (r * ct)],
+                                   axis=-1))
