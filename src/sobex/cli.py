@@ -350,14 +350,12 @@ def cmd_verify_extension(cfg: RunConfig) -> int:
     cutoff = extension.smoothstep_cutoff(cfg.G)
     rng = np.random.default_rng(cfg.seed)
     fields = extension.random_smooth_fields(rng, cfg.samples)
-    code = 0
     try:
-        result = extension.operator_norm_estimate(chart, cutoff, fields, quad=cfg.quad)
-        payload = result.to_dict()
-        payload["passed"] = True
+        payload = extension.operator_norm_estimate(chart, cutoff, fields,
+                                                   quad=cfg.quad).to_dict()
     except RegularityError as exc:
         payload = {"passed": False, "reason": str(exc)}
-        code = 1
+    code = 0 if payload["passed"] else 1
     payload["samples"] = cfg.samples
     payload["seed"] = cfg.seed
     payload["quad"] = cfg.quad

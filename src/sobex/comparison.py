@@ -34,7 +34,6 @@ from dataclasses import dataclass, field
 from typing import Callable
 
 import numpy as np
-from scipy.optimize import minimize_scalar
 
 from .errors import ComparisonBreakdownError, DegenerateTubeError, ParameterError
 
@@ -194,11 +193,6 @@ class CurvatureData:
         """Largest outward normal spread over the boundary (= -H_min)."""
         return -self.H_min
 
-    @property
-    def spread_min(self):
-        """Smallest outward normal spread over the boundary (= -H_max)."""
-        return -self.H_max
-
 
 def _exterior_base(data: CurvatureData) -> Callable:
     """Reciprocal of the upper Jacobi profile for outward travel."""
@@ -351,6 +345,8 @@ def distortion_factor(profile: ComparisonProfile, n: int, r: float, grid_size: i
     d_min = d_vals[i_min]
     D_max = D_vals[i_max]
     if 0 < i_min < len(grid) - 1:
+        from scipy.optimize import minimize_scalar
+
         res = minimize_scalar(
             lambda s: float(profile.d_base(s)),
             bounds=(grid[i_min - 1], grid[i_min + 1]),
@@ -359,6 +355,8 @@ def distortion_factor(profile: ComparisonProfile, n: int, r: float, grid_size: i
         )
         d_min = min(d_min, float(res.fun))
     if 0 < i_max < len(grid) - 1:
+        from scipy.optimize import minimize_scalar
+
         res = minimize_scalar(
             lambda s: -float(profile.D_base(s)),
             bounds=(grid[i_max - 1], grid[i_max + 1]),

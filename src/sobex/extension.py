@@ -76,7 +76,6 @@ class ScalarField:
 
     evaluate: Callable = dc_field(repr=False)
     partials: Callable = dc_field(repr=False)
-    smoothness: str = "C2"
     label: str = ""
 
 
@@ -171,21 +170,26 @@ def trig_field(amps, waves, phases):
     return ScalarField(ev, grad, label="trig")
 
 
-def random_smooth_fields(rng, count, degree=4, scale=1.0, trig_share=0.5):
-    """A deterministic sample of smooth test fields (seeded ``rng``)."""
+def random_smooth_fields(rng, count):
+    """A deterministic sample of ``count`` smooth test fields from a seeded ``rng``.
+
+    Each field is, with even odds, a mixture of one to three plane waves
+    or a polynomial of total degree at most 4 whose ``x^i y^j``
+    coefficient is a standard normal draw divided by ``(i + j)!``.
+    """
     fields = []
     for m in range(count):
-        if rng.uniform() < trig_share:
+        if rng.uniform() < 0.5:
             n_waves = int(rng.integers(1, 4))
-            amps = scale * rng.normal(size=n_waves)
+            amps = rng.normal(size=n_waves)
             waves = rng.normal(size=(n_waves, 2)) * 1.5
             phases = rng.uniform(0.0, 2.0 * math.pi, size=n_waves)
             fields.append(trig_field(amps, waves, phases))
         else:
-            c = rng.normal(size=(degree + 1, degree + 1)) * scale
-            for i in range(degree + 1):
-                for j in range(degree + 1):
-                    if i + j > degree:
+            c = rng.normal(size=(5, 5))
+            for i in range(5):
+                for j in range(5):
+                    if i + j > 4:
                         c[i, j] = 0.0
                     else:
                         c[i, j] /= math.factorial(i + j) if i + j else 1.0
@@ -436,7 +440,7 @@ def _omega_grid(chart: FermiChart, quad: int):
         from .surfaces import cartesian_to_polar
 
         pts = cartesian_to_polar(cart.reshape(-1, 2))
-        grid = dict(points=pts, weights=W.ravel(), boundary_r=None)
+        grid = dict(points=pts, weights=W.ravel())
         chart._quad_cache[key] = grid
         return grid
 
@@ -446,11 +450,7 @@ def _omega_grid(chart: FermiChart, quad: int):
     T = np.broadcast_to(theta, R.shape)
     f = np.asarray(chart.surface.warp(R), dtype=float)
     W = np.outer(w01, radius * w_t) * f
-    grid = dict(
-        points=np.stack([R.ravel(), T.ravel()], axis=-1),
-        weights=W.ravel(),
-        boundary_r=np.broadcast_to(radius, R.shape).ravel(),
-    )
+    grid = dict(points=np.stack([R.ravel(), T.ravel()], axis=-1), weights=W.ravel())
     chart._quad_cache[key] = grid
     return grid
 
@@ -481,8 +481,8 @@ def _tube_stencil(chart: FermiChart, quad: int, s_breaks, h):
     The blocks of the flat ``s``/``theta`` arrays, named by ``slices``:
     the grid, ``s +/- h`` where both stay inside ``[2h, r - 2h]``,
     ``s + h, s + 2h`` near depth 0, ``s - h, s - 2h`` near depth ``r``,
-    and ``theta +/- h``.  ``sources`` (filled on first use) holds the
-    chart points at depths ``-s`` and ``-s/2`` that the reflection reads.
+    and ``theta +/- h``.  ``sources`` holds the chart points at depths
+    ``-s`` and ``-s/2`` that the reflection reads.
     """
     key = ("stencil", quad, tuple(np.round(s_breaks, 15)), h)
     cached = chart._quad_cache.get(key)
@@ -506,118 +506,68 @@ def _tube_stencil(chart: FermiChart, quad: int, s_breaks, h):
         "theta-": (S, T - h),
     }
     sizes = np.cumsum([0] + [b[0].size for b in blocks.values()])
+    s = np.concatenate([b[0].ravel() for b in blocks.values()])
+    theta = np.concatenate([b[1].ravel() for b in blocks.values()])
     stencil = dict(
-        s=np.concatenate([b[0].ravel() for b in blocks.values()]),
-        theta=np.concatenate([b[1].ravel() for b in blocks.values()]),
+        s=s,
+        sources=(chart.map_unchecked(-s, theta), chart.map_unchecked(-0.5 * s, theta)),
         slices={name: slice(a, b) for name, a, b in zip(blocks, sizes[:-1], sizes[1:])},
-        lo=lo, hi=hi, mid=mid, sources=None,
+        lo=lo, hi=hi, mid=mid,
     )
     chart._quad_cache[key] = stencil
     return stencil
-
-
-def _stencil_values(evaluator, chart: FermiChart, stencil, part):
-    """The evaluator on ``part`` of the stencil, in one batched call."""
-    s, theta = stencil["s"][part], stencil["theta"][part]
-    if not hasattr(evaluator, "reflection"):
-        return np.asarray(evaluator(chart.map_unchecked(s, theta)), dtype=float)
-    if stencil["sources"] is None:
-        s_all, t_all = stencil["s"], stencil["theta"]
-        stencil["sources"] = (chart.map_unchecked(-s_all, t_all),
-                              chart.map_unchecked(-0.5 * s_all, t_all))
-    p_full, p_half = stencil["sources"]
-    return np.asarray(evaluator.reflection(s, p_full[part], p_half[part]), dtype=float)
-
-
-def _chart_fd_partials(evaluate, pts, surface, boundary_r, step):
-    """Central chart-coordinate finite differences with pole reflection."""
-    r, th = pts[:, 0], pts[:, 1]
-    h = step
-
-    def ev_at(rr, tt):
-        rr = np.asarray(rr, dtype=float)
-        tt = np.asarray(tt, dtype=float)
-        flip = rr < 0.0
-        rr = np.where(flip, -rr, rr)
-        tt = np.where(flip, tt + math.pi, tt)
-        return evaluate(np.stack([rr, np.mod(tt, 2.0 * math.pi)], axis=-1))
-
-    if boundary_r is not None:
-        near = r > boundary_r - 2.0 * h
-    else:
-        near = np.zeros(r.shape, dtype=bool)
-    d_r = np.empty_like(r)
-    if np.any(~near):
-        d_r[~near] = (ev_at(r[~near] + h, th[~near]) - ev_at(r[~near] - h, th[~near])) / (2 * h)
-    if np.any(near):
-        rr, tt = r[near], th[near]
-        d_r[near] = (3 * ev_at(rr, tt) - 4 * ev_at(rr - h, tt) + ev_at(rr - 2 * h, tt)) / (2 * h)
-    d_t = (ev_at(r, th + h) - ev_at(r, th - h)) / (2 * h)
-    return np.stack([d_r, d_t], axis=-1)
 
 
 def _fd_step(chart: FermiChart, fd_step=None):
     return fd_step if fd_step is not None else 1e-5 * chart.domain.diameter()
 
 
-def h1_norm(evaluator, region, chart: FermiChart, quad: int = 64,
-            gradient=None, s_breaks=(), fd_step=None):
-    """Squared L2 and gradient-L2 norms over a chart region.
+def h1_norm(field, region, chart: FermiChart, quad: int = 64, fd_step=None):
+    """Squared L2 and gradient-L2 norms of a field over a chart region.
 
-    ``region`` is one of ``{"omega", "tube_exterior", "all"}``.  The
-    quadrature is Gauss-Legendre radially (composite across the given
-    ``s_breaks`` in the tube, where cutoffs kink) with a uniform
-    periodic rule angularly and the exact metric area weights.  The
-    gradient is taken from ``gradient`` (a points -> (N, 2) partials
-    callable) when given, otherwise by finite differences with step
-    ``1e-5 * diam`` using one-sided stencils near branch interfaces.
+    ``region="omega"`` takes a :class:`ScalarField` and integrates its
+    own ``evaluate`` and analytic ``partials`` over the domain.
+    ``region="tube_exterior"`` takes an :class:`ExtendedField` and
+    integrates it over the exterior tube, with the radial rule composite
+    across the field's ``s_breakpoints`` (where the cutoff kinks) and
+    the gradient taken by finite differences with step ``fd_step``
+    (default ``1e-5 * diam``), one-sided near depths 0 and ``r``.  Both
+    rules are Gauss-Legendre radially and uniform periodic angularly,
+    with the exact metric area weights.  Any other pairing of field and
+    region is a :class:`ParameterError`.
 
     Returns ``(l2_sq, grad_l2_sq)``.
     """
     if quad < 16:
         raise ParameterError("need at least 16 quadrature nodes per axis")
-    if region == "all":
-        a = h1_norm(evaluator, "omega", chart, quad, gradient, s_breaks, fd_step)
-        b = h1_norm(evaluator, "tube_exterior", chart, quad, None, s_breaks, fd_step)
-        return (a[0] + b[0], a[1] + b[1])
-    h = _fd_step(chart, fd_step)
-
-    if region == "omega":
+    if region == "omega" and isinstance(field, ScalarField):
         grid = _omega_grid(chart, quad)
         pts, w = grid["points"], grid["weights"]
-        vals = np.asarray(evaluator(pts), dtype=float)
+        vals = np.asarray(field.evaluate(pts), dtype=float)
         if not np.all(np.isfinite(vals)):
             raise EvaluationError("non-finite value at a quadrature node")
-        if gradient is not None:
-            parts = np.asarray(gradient(pts), dtype=float)
-        else:
-            parts = _chart_fd_partials(evaluator, pts, chart.surface,
-                                       grid["boundary_r"], h)
+        parts = np.asarray(field.partials(pts), dtype=float)
         f = np.asarray(chart.surface.warp(pts[:, 0]), dtype=float)
         grad_sq = parts[:, 0] ** 2 + (parts[:, 1] / f) ** 2
         return float(np.sum(w * vals**2)), float(np.sum(w * grad_sq))
+    if region != "tube_exterior" or not isinstance(field, ExtendedField):
+        raise ParameterError(f"no H1 norm of a {type(field).__name__} on region {region!r}")
 
-    if region != "tube_exterior":
-        raise ParameterError(f"unknown region {region!r}")
-
-    grid = _tube_grid(chart, quad, s_breaks)
-    S, T, W, metric = grid["S"], grid["T"], grid["weights"], grid["metric"]
-    stencil = _tube_stencil(chart, quad, s_breaks, h)
+    h = _fd_step(chart, fd_step)
+    grid = _tube_grid(chart, quad, field.s_breakpoints)
+    S, W, metric = grid["S"], grid["weights"], grid["metric"]
+    stencil = _tube_stencil(chart, quad, field.s_breakpoints, h)
     at = stencil["slices"]
-    values = _stencil_values(evaluator, chart, stencil,
-                             slice(None) if gradient is None else at["grid"])
+    values = np.asarray(field.reflection(stencil["s"], *stencil["sources"]), dtype=float)
     vals = values[at["grid"]].reshape(S.shape)
     if not np.all(np.isfinite(vals)):
         raise EvaluationError("non-finite value at a tube quadrature node")
-    if gradient is not None:
-        d_s, d_t = gradient(S, T)
-    else:
-        lo, hi, mid = stencil["lo"], stencil["hi"], stencil["mid"]
-        d_s = np.empty_like(S)
-        d_s[mid] = (values[at["mid+"]] - values[at["mid-"]]) / (2 * h)
-        d_s[lo] = (-3 * vals[lo] + 4 * values[at["lo+1"]] - values[at["lo+2"]]) / (2 * h)
-        d_s[hi] = (3 * vals[hi] - 4 * values[at["hi-1"]] + values[at["hi-2"]]) / (2 * h)
-        d_t = ((values[at["theta+"]] - values[at["theta-"]]) / (2 * h)).reshape(S.shape)
+    lo, hi, mid = stencil["lo"], stencil["hi"], stencil["mid"]
+    d_s = np.empty_like(S)
+    d_s[mid] = (values[at["mid+"]] - values[at["mid-"]]) / (2 * h)
+    d_s[lo] = (-3 * vals[lo] + 4 * values[at["lo+1"]] - values[at["lo+2"]]) / (2 * h)
+    d_s[hi] = (3 * vals[hi] - 4 * values[at["hi-1"]] + values[at["hi-2"]]) / (2 * h)
+    d_t = ((values[at["theta+"]] - values[at["theta-"]]) / (2 * h)).reshape(S.shape)
     grad_sq = d_s**2 + (d_t / metric) ** 2
     return float(np.sum(W * vals**2)), float(np.sum(W * grad_sq))
 
@@ -659,11 +609,13 @@ def verify_1d_inequality(trace: Trace1D, r: float, G: float, quad: int = 48):
 class OperatorNormResult:
     """Rayleigh quotients against the bound, and how they were computed.
 
+    ``passed`` says whether ``max_ratio`` stays within ``bound``;
     ``gradient`` names the gradient method per region (with the tube's
     finite-difference step); ``quadrature_nodes`` counts the nodes of the
     domain and tube rules.
     """
 
+    passed: bool
     max_ratio: float
     bound: float
     distortion: float
@@ -673,6 +625,7 @@ class OperatorNormResult:
 
     def to_dict(self):
         return {
+            "passed": self.passed,
             "max_ratio": self.max_ratio,
             "bound": self.bound,
             "distortion": self.distortion,
@@ -691,9 +644,10 @@ def operator_norm_estimate(chart: FermiChart, cutoff: CutoffFamily,
     whole chart (domain plus exterior tube; the extension vanishes
     beyond) is divided by the squared H1 norm over the domain.  The
     restriction identity makes the domain part common to both.  The
-    chart must be admissible; the bound is
-    ``extension_norm_bound(distortion, G, r)`` with the distortion
-    from the chart's comparison profile (or a supplied override).
+    chart must be admissible (else :class:`RegularityError`); the bound
+    is ``extension_norm_bound(distortion, G, r)`` with the distortion
+    from the chart's comparison profile (or a supplied override).  A
+    ratio above the bound is reported as ``passed=False``.
     """
     reg = chart.regularity
     if not reg.admissible:
@@ -706,21 +660,16 @@ def operator_norm_estimate(chart: FermiChart, cutoff: CutoffFamily,
     s_breaks = _cutoff_breaks(chart.r, cutoff)
     ratios = []
     for fld in sample_fields:
-        ext = ExtendedField(chart, fld, cutoff)
-        l2_o, g_o = h1_norm(fld.evaluate, "omega", chart, quad, gradient=fld.partials)
+        l2_o, g_o = h1_norm(fld, "omega", chart, quad)
         inner = l2_o + g_o
         if inner == 0.0:
             ratios.append(0.0)
             continue
-        l2_t, g_t = h1_norm(ext, "tube_exterior", chart, quad, s_breaks=s_breaks)
+        l2_t, g_t = h1_norm(ExtendedField(chart, fld, cutoff), "tube_exterior", chart, quad)
         ratios.append((inner + l2_t + g_t) / inner)
     max_ratio = max(ratios) if ratios else 0.0
-    if max_ratio > bound:
-        raise RegularityError(
-            f"observed ratio {max_ratio} exceeds the certified bound {bound}"
-        )
     return OperatorNormResult(
-        max_ratio=float(max_ratio), bound=float(bound), distortion=float(dist),
+        passed=bool(max_ratio <= bound), max_ratio=float(max_ratio), bound=float(bound), distortion=float(dist),
         per_sample=ratios,
         gradient={"omega": "analytic", "tube": "finite-difference",
                   "fd_step": _fd_step(chart)},

@@ -765,9 +765,6 @@ class FermiChart:
             n=self.surface.dimension,
         )
 
-    def comparison_profile(self) -> comparison.ComparisonProfile:
-        return comparison.ComparisonProfile.from_curvature(self.curvature_data(), self.r)
-
     @property
     def regularity(self):
         if self._regularity is None:
@@ -858,8 +855,7 @@ def check_regularity(domain: DomainSpec, r: float, n_theta: int = 256,
     if not chart_ok:
         notes.append(f"tube radius reaches a focal point (reach {reach:.6g})")
 
-    slack = getattr(engine, "distance_slack", 0.0)
-    tol = max(1e-9 * (1.0 + r), slack * r)
+    tol = max(1e-9 * (1.0 + r), engine.distance_slack * r)
 
     centers_theta = theta if not engine.symmetric else theta[:1]
     dense_theta = np.arange(n_dense) * (_TWO_PI / n_dense)

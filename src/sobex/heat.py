@@ -28,8 +28,6 @@ from functools import cached_property
 
 import numpy as np
 import scipy.sparse as sp
-from scipy.integrate import quad as _quad1d
-from scipy.optimize import linprog
 from scipy.spatial.distance import cdist
 
 from .errors import AssemblyError, ParameterError
@@ -187,7 +185,11 @@ class DiscreteDomain:
         self.weights = w
         self.mesh_width = max(float(np.max(rho)) * dxi, float(np.max(rho)) * dt)
         self._grid = (n_r, n_t, dxi, dt, xi, theta, rho)
-        self._triangles = self._triangulate(n_r, n_t)
+        self._triangles = tris = self._triangulate(n_r, n_t)
+        p0, p1, p2 = cart[tris[:, 0]], cart[tris[:, 1]], cart[tris[:, 2]]
+        e0, e1, e2 = p2 - p1, p0 - p2, p1 - p0
+        # the edge opposite each vertex and twice each triangle's signed area
+        self._edges = (e0, e1, e2, e2[:, 0] * (-e1[:, 1]) - e2[:, 1] * (-e1[:, 0]))
 
     @staticmethod
     def _triangulate(n_r, n_t):
@@ -285,11 +287,8 @@ class DiscreteDomain:
         return self._blob_gradient(v)
 
     def _blob_gradient(self, v):
-        cart = self.cartesian()
         tris = self._triangles
-        p0, p1, p2 = cart[tris[:, 0]], cart[tris[:, 1]], cart[tris[:, 2]]
-        e0, e1, e2 = p2 - p1, p0 - p2, p1 - p0
-        area2 = e2[:, 0] * (-e1[:, 1]) - e2[:, 1] * (-e1[:, 0])
+        e0, e1, e2, area2 = self._edges
         # P1 gradient: sum_i v_i * rot(e_i) / (2 A)
         rot = lambda e: np.stack([-e[:, 1], e[:, 0]], axis=-1)
         g = (
@@ -353,11 +352,8 @@ def assemble(domain: DiscreteDomain) -> "NeumannSystem":
                                 domain.weights[::n_t], n_t)
         A = factors.stiffness()
     elif domain.kind == "blob":
-        cart = domain.cartesian()
         tris = domain._triangles
-        p0, p1, p2 = cart[tris[:, 0]], cart[tris[:, 1]], cart[tris[:, 2]]
-        e0, e1, e2 = p2 - p1, p0 - p2, p1 - p0
-        area2 = e2[:, 0] * (-e1[:, 1]) - e2[:, 1] * (-e1[:, 0])
+        e0, e1, e2, area2 = domain._edges
         a4 = 2.0 * area2
         # cotangent edge weights, assembled per triangle
         w01 = -np.sum(e0 * e1, axis=-1) / a4   # cot at vertex 2 -> edge (0,1)
@@ -571,18 +567,16 @@ class NeumannSystem:
         self._lam, self._phi = lam, phi
         return self._lam[:count], self._phi[:, :count]
 
-    def modes_for(self, t_min, cap=None):
+    def modes_for(self, t_min):
         """Mode count for relative spectral truncation below 1e-12 at ``t_min``.
 
         Returns the smallest ``m`` with ``exp(-lambda_m t_min) < 1e-12``,
-        capped at ``min(N, cap)`` (``cap`` defaults to the system's
-        ``mode_cap``); a warning reports the truncation level if the
-        cap bites.
+        capped at ``min(N, mode_cap)``; a warning reports the truncation
+        level if the cap bites.
         """
-        if cap is None:
-            cap = self.mode_cap
         target = _LOG_TRUNC / float(t_min)
-        cap = int(min(self.size if self.size <= self.DENSE_LIMIT else self.size - 2, cap))
+        cap = int(min(self.size if self.size <= self.DENSE_LIMIT else self.size - 2,
+                      self.mode_cap))
         lam, _ = self.eigenpairs(cap)
         above = np.nonzero(lam > target)[0]
         if above.size:
@@ -601,30 +595,26 @@ class NeumannSystem:
 
     # -- kernel evaluations ------------------------------------------------------
 
-    def heat_kernel(self, t, i, j, modes=None):
+    def heat_kernel(self, t, i, j):
         """Kernel value(s) ``h_t(i, j)`` by spectral summation."""
         if t <= 0.0:
             raise ParameterError("time must be positive")
-        m = modes if modes is not None else self.modes_for(t)
-        lam, phi = self.eigenpairs(m)
+        lam, phi = self.eigenpairs(self.modes_for(t))
         e = np.exp(-lam * t)
         out = np.einsum("...k,...k->...", phi[i] * e, phi[j])
         return out
 
-    def kernel_matrix(self, t, modes=None):
-        m = modes if modes is not None else self.modes_for(t)
-        lam, phi = self.eigenpairs(m)
+    def kernel_matrix(self, t):
+        lam, phi = self.eigenpairs(self.modes_for(t))
         return (phi * np.exp(-lam * t)) @ phi.T
 
-    def heat_diag(self, t, idx=None, modes=None):
-        m = modes if modes is not None else self.modes_for(t)
-        lam, phi = self.eigenpairs(m)
+    def heat_diag(self, t, idx=None):
+        lam, phi = self.eigenpairs(self.modes_for(t))
         block = phi if idx is None else phi[np.atleast_1d(idx)]
         return (block**2) @ np.exp(-lam * t)
 
-    def semigroup_apply(self, t, vec, modes=None):
-        m = modes if modes is not None else self.modes_for(t)
-        lam, phi = self.eigenpairs(m)
+    def semigroup_apply(self, t, vec):
+        lam, phi = self.eigenpairs(self.modes_for(t))
         coeff = phi.T @ (self.mass * np.asarray(vec, dtype=float))
         return phi @ (np.exp(-lam * t) * coeff)
 
@@ -811,7 +801,7 @@ def gn_check(domain: DiscreteDomain, system: NeumannSystem, q, r_grid,
 _VEV_PAIRS = {(1.0, 2.0), (1.0, math.inf), (2.0, math.inf), (math.inf, math.inf)}
 
 
-def vev_norm(system: NeumannSystem, v, p, q, gamma, t, modes=None):
+def vev_norm(system: NeumannSystem, v, p, q, gamma, t):
     """Exact weighted-semigroup operator norm ``|| v^g e^(-tA) v^d ||_{p,q}``.
 
     ``d`` is fixed by ``g + d = 1/p - 1/q``.  Norms are with respect to
@@ -829,7 +819,7 @@ def vev_norm(system: NeumannSystem, v, p, q, gamma, t, modes=None):
     inv_p = 0.0 if math.isinf(p) else 1.0 / p
     inv_q = 0.0 if math.isinf(q) else 1.0 / q
     delta = inv_p - inv_q - gamma
-    H = system.kernel_matrix(t, modes=modes)
+    H = system.kernel_matrix(t)
     K = (v**gamma)[:, None] * H * (v**delta)[None, :]
     w = system.mass
     if (p, q) == (1.0, math.inf):
@@ -888,7 +878,7 @@ def integral_ricci(domain: DiscreteDomain, rho_field: CurvatureField,
     return float(np.max((num / den) ** (1.0 / p)))
 
 
-def kato_quantity(system: NeumannSystem, rho_minus, T, modes=None):
+def kato_quantity(system: NeumannSystem, rho_minus, T):
     """Time integral of the sup norm of the heat semigroup on ``rho_minus``.
 
     ``int_0^T max_x (e^(-tA) rho_minus)(x) dt`` by adaptive quadrature
@@ -899,15 +889,16 @@ def kato_quantity(system: NeumannSystem, rho_minus, T, modes=None):
     rm = np.asarray(rho_minus, dtype=float)
     if not np.any(rm):
         return 0.0
-    m = modes if modes is not None else system.modes_for(T / 1e4)
-    lam, phi = system.eigenpairs(m)
+    from scipy.integrate import quad
+
+    lam, phi = system.eigenpairs(system.modes_for(T / 1e4))
     coeff = phi.T @ (system.mass * rm)
 
     def g(t):
         return float(np.max(phi @ (np.exp(-lam * t) * coeff))) if t > 0.0 \
             else float(np.max(rm))
 
-    val, _err = _quad1d(g, 0.0, float(T), limit=200, epsabs=1e-13, epsrel=1e-12)
+    val, _err = quad(g, 0.0, float(T), limit=200, epsabs=1e-13, epsrel=1e-12)
     return float(val)
 
 
@@ -942,20 +933,28 @@ class LiYauResult:
 
 
 def fit_inverse_time_envelope(t_grid, profile):
-    """Minimal nonnegative ``(a, b)`` with ``profile <= a + b / t`` on the grid."""
+    """Minimal nonnegative ``(a, b)`` with ``profile <= a + b / t`` on the grid.
+
+    Minimizes ``a + b * mean(1/t)``.  For fixed ``b`` the least ``a`` is
+    ``max(0, max_k p_k - b / t_k)``, convex and piecewise linear in
+    ``b``, so the optimum lies at ``b = 0`` or at a kink, where a line
+    ``p_k - b / t_k`` crosses zero or another line; the objective is
+    evaluated exactly at every such candidate.
+    """
     t_grid = np.asarray(t_grid, dtype=float)
     profile = np.asarray(profile, dtype=float)
+    if not np.all(np.isfinite(profile)):
+        raise ParameterError("envelope fit failed: non-finite profile")
     inv = 1.0 / t_grid
-    res = linprog(
-        c=[1.0, float(np.mean(inv))],
-        A_ub=np.stack([-np.ones_like(inv), -inv], axis=-1),
-        b_ub=-profile,
-        bounds=[(0.0, None), (0.0, None)],
-        method="highs",
-    )
-    if not res.success:
-        raise ParameterError("envelope fit failed")
-    return float(res.x[0]), float(res.x[1])
+    with np.errstate(divide="ignore", invalid="ignore"):
+        cross = (profile[:, None] - profile[None, :]) / (inv[:, None] - inv[None, :])
+    b = np.concatenate([[0.0], profile / inv, cross.ravel()])
+    b = np.unique(b[np.isfinite(b) & (b >= 0.0)])
+    a = np.zeros_like(b)
+    for p_k, inv_k in zip(profile, inv):
+        np.maximum(a, p_k - b * inv_k, out=a)
+    k = int(np.argmin(a + b * float(np.mean(inv))))
+    return float(a[k]), float(b[k])
 
 
 def li_yau_check(system: NeumannSystem, domain: DiscreteDomain, u0, t_grid,
@@ -973,8 +972,7 @@ def li_yau_check(system: NeumannSystem, domain: DiscreteDomain, u0, t_grid,
     if np.any(u0 <= 0.0):
         raise ParameterError("initial data must be positive")
     t_grid = np.asarray(t_grid, dtype=float)
-    m = system.modes_for(float(np.min(t_grid)))
-    lam, phi = system.eigenpairs(m)
+    lam, phi = system.eigenpairs(system.modes_for(float(np.min(t_grid))))
     coeff = phi.T @ (system.mass * u0)
     interior = domain.interior_mask()
     clipped = False

@@ -1,13 +1,23 @@
 """Gauss-Legendre quadrature helpers used by the norm and bound computations."""
 
+from functools import lru_cache
+
 import numpy as np
+
+
+@lru_cache(maxsize=64)
+def _reference_rule(n):
+    """The n-point rule on [-1, 1], computed once per ``n`` and read-only."""
+    x, w = np.polynomial.legendre.leggauss(n)
+    x.flags.writeable = w.flags.writeable = False
+    return x, w
 
 
 def gauss_legendre(n, a, b):
     """Nodes and weights of the n-point Gauss-Legendre rule on [a, b]."""
     if n < 1:
         raise ValueError("need at least one quadrature node")
-    x, w = np.polynomial.legendre.leggauss(int(n))
+    x, w = _reference_rule(int(n))
     half = 0.5 * (b - a)
     return a + half * (x + 1.0), half * w
 

@@ -27,7 +27,6 @@ from dataclasses import dataclass, field as dc_field
 from typing import Callable
 
 import numpy as np
-from scipy.integrate import solve_ivp
 
 from .errors import (
     ChartDomainError,
@@ -325,6 +324,22 @@ def _geodesic_rhs(surface):
     return rhs
 
 
+def _jacobi_rhs(surface, trajectory):
+    """Right-hand side of ``J'' + K(gamma(s)) J = 0`` along ``trajectory``."""
+    if surface.kind == "constant":
+        def curv(_):
+            return surface.kappa
+    else:
+        def curv(t):
+            r, _ = trajectory.position_at(t)
+            return surface.gauss_curvature(float(r))
+
+    def rhs(t, y):
+        return [y[1], -curv(t) * y[0]]
+
+    return rhs
+
+
 def integrate_geodesic(surface, start: GeodesicState, length, tol=1e-10):
     """Integrate the geodesic flow from ``start`` for a given arclength.
 
@@ -358,6 +373,8 @@ def integrate_geodesic(surface, start: GeodesicState, length, tol=1e-10):
 
     exit_high.terminal = True
     exit_high.direction = -1.0
+
+    from scipy.integrate import solve_ivp
 
     y0 = [start.position[0], start.position[1], start.velocity[0], start.velocity[1]]
     solver_tol = max(tol * 1e-2, 1e-13)
@@ -393,22 +410,12 @@ def jacobi_transport(surface, trajectory: Trajectory, initial: JacobiValue,
     s_end = trajectory.length if s is None else float(s)
     if s_end < 0.0 or s_end > trajectory.length + 1e-12:
         raise ParameterError("requested arclength outside the trajectory")
-
-    if surface.kind == "constant":
-        def curv(_):
-            return surface.kappa
-    else:
-        def curv(t):
-            r, _ = trajectory.position_at(t)
-            return surface.gauss_curvature(float(r))
-
-    def rhs(t, y):
-        return [y[1], -curv(t) * y[0]]
-
     if s_end == 0.0:
         return JacobiValue(initial.value, initial.derivative)
+    from scipy.integrate import solve_ivp
+
     sol = solve_ivp(
-        rhs,
+        _jacobi_rhs(surface, trajectory),
         (0.0, s_end),
         [initial.value, initial.derivative],
         method="DOP853",
@@ -423,20 +430,11 @@ def jacobi_transport(surface, trajectory: Trajectory, initial: JacobiValue,
 def jacobi_values(surface, trajectory: Trajectory, initial: JacobiValue, s_grid,
                   tol=1e-12):
     """Jacobi field values on a grid of arclengths (one integration pass)."""
+    from scipy.integrate import solve_ivp
+
     s_grid = np.asarray(s_grid, dtype=float)
-    if surface.kind == "constant":
-        def curv(_):
-            return surface.kappa
-    else:
-        def curv(t):
-            r, _ = trajectory.position_at(t)
-            return surface.gauss_curvature(float(r))
-
-    def rhs(t, y):
-        return [y[1], -curv(t) * y[0]]
-
     sol = solve_ivp(
-        rhs,
+        _jacobi_rhs(surface, trajectory),
         (0.0, float(s_grid[-1])),
         [initial.value, initial.derivative],
         method="DOP853",

@@ -1,10 +1,17 @@
 import json
 import math
+import os
+import pathlib
+import subprocess
+import sys
+import tempfile
+import warnings
 
 import pytest
 from hypothesis import given, settings, strategies as st
 
-from sobex import cli
+import sobex
+from sobex import cli, extension
 from sobex.errors import ConfigError
 
 
@@ -85,6 +92,29 @@ def test_verify_extension_cli(tmp_path):
     assert data["gradient"] == {"omega": "analytic", "tube": "finite-difference",
                                 "fd_step": 2e-5}
     assert data["quadrature_nodes"] == {"omega": 20 * 64, "tube": 2 * 20 * 64}
+
+
+def test_verify_extension_bound_violation_keeps_report(tmp_path, monkeypatch):
+    monkeypatch.setattr(extension, "extension_norm_bound", lambda *args: 1.0)
+    rep = tmp_path / "vx.json"
+    rc = cli.main(["verify-extension", "--domain", '{"type": "disk", "radius": 1.0}',
+                   "--r", "0.4", "--samples", "2", "--quad", "16", "--report", str(rep)])
+    assert rc == 1
+    data = json.loads(rep.read_text())
+    assert data["passed"] is False and data["bound"] == 1.0
+    assert len(data["per_sample"]) == 2 and data["max_ratio"] == max(data["per_sample"]) > 1.0
+    assert data["quadrature_nodes"] == {"omega": 16 * 64, "tube": 2 * 16 * 64}
+
+
+def test_import_leaves_optimize_and_integrate_unloaded():
+    """``scipy.optimize`` and ``scipy.integrate`` load only where they are used."""
+    code = ("import sys, sobex, sobex.cli; "
+            "print(sorted(m for m in ('scipy.optimize', 'scipy.integrate') if m in sys.modules))")
+    src = str(pathlib.Path(sobex.__file__).resolve().parents[1])
+    env = {**os.environ, "PYTHONPATH": os.pathsep.join([src, os.environ.get("PYTHONPATH", "")])}
+    out = subprocess.run([sys.executable, "-c", code], env=env, capture_output=True, text=True,
+                         check=True)
+    assert out.stdout.strip() == "[]"
 
 
 def test_heat_cli(tmp_path):
@@ -203,6 +233,63 @@ def test_parse_and_build_raise_only_config_errors(raw):
         cli.build_domain(cli.parse_config(json.dumps(raw)))
     except ConfigError:
         pass
+
+
+_JUNK = st.none() | st.booleans() | st.text(max_size=4) | st.lists(_NUMBERS, max_size=2)
+_DOMAINS = st.fixed_dictionaries({"type": st.sampled_from(["disk", "fourier", "interval"])}, optional={
+    "center": st.lists(st.floats(-0.5, 0.5), min_size=2, max_size=2), "radius": _NUMBERS,
+    "coeffs_cos": st.lists(st.floats(-1.0, 2.0), min_size=1, max_size=4),
+    "coeffs_sin": st.lists(st.floats(-0.5, 0.5), max_size=3), "L": _NUMBERS})
+_SURFACES = st.fixed_dictionaries({"kind": st.sampled_from(["constant", "warped"])}, optional={
+    "kappa": st.floats(-2.0, 2.0),
+    "profile": st.fixed_dictionaries({"type": st.sampled_from(["poly_cosh_mix", "cosh"])},
+                                     optional={"coeffs": st.lists(st.floats(-1.0, 2.0), max_size=3)})})
+# every size is small, so no run builds a large grid
+_SIZES = {"resolution": st.integers(16, 24), "samples": st.integers(1, 2), "quad": st.just(16),
+          "t_steps": st.integers(1, 6), "modes": st.integers(1, 40), "n": st.integers(2, 3),
+          "seed": st.integers(0, 2**64)}
+_VALID_RUNS = st.fixed_dictionaries(
+    {"r": st.floats(0.05, 1.0), "K": st.floats(0.0, 2.0), "H": st.floats(0.0, 3.0),
+     "resolution": _SIZES["resolution"], "samples": _SIZES["samples"], "quad": _SIZES["quad"],
+     "t_steps": _SIZES["t_steps"]},
+    optional={"surface": _SURFACES, "domain": _DOMAINS, "G": st.floats(3.0, 8.0),
+              "modes": _SIZES["modes"], "seed": _SIZES["seed"], "n": _SIZES["n"],
+              "t_min": st.floats(1e-4, 1.0), "t_max": st.floats(1e-3, 10.0),
+              "sweep": st.dictionaries(
+                  st.sampled_from(sorted(cli._SWEEP_PARAMS)),
+                  st.fixed_dictionaries({"from": st.floats(0.05, 2.0), "to": st.floats(0.05, 2.0),
+                                         "steps": st.integers(1, 4)}),
+                  min_size=1, max_size=1)})
+
+
+@st.composite
+def _runs(draw):
+    """A valid configuration; half the time one entry is any JSON value instead.
+
+    A size is only ever replaced by a value that is not an integer.
+    """
+    raw = draw(_VALID_RUNS)
+    if draw(st.booleans()):
+        key = draw(st.sampled_from(sorted(cli._TOP_KEYS - {"report", "csv"})))
+        raw[key] = draw(_JUNK if key in _SIZES else _VALUES)
+    return raw
+
+
+@settings(max_examples=100, deadline=None, derandomize=True)
+@given(command=st.sampled_from(sorted(cli._COMMANDS)), raw=_runs(),
+       domain_flag=st.none() | _DOMAINS | _VALUES)
+def test_main_exits_0_1_or_2(command, raw, domain_flag):
+    """Any configuration, through any subcommand: an exit code, never a traceback."""
+    with tempfile.TemporaryDirectory() as tmp:
+        out = pathlib.Path(tmp)
+        (out / "cfg.json").write_text(json.dumps(raw))
+        argv = [command, "--config", str(out / "cfg.json"), "--report", str(out / "out.json"),
+                "--csv", str(out / "out.csv")]
+        if domain_flag is not None and command in ("regularity", "verify-extension", "heat"):
+            argv += ["--domain", json.dumps(domain_flag)]
+        with warnings.catch_warnings():
+            warnings.simplefilter("ignore")
+            assert cli.main(argv) in (0, 1, 2)
 
 
 def test_report_determinism(tmp_path):

@@ -116,11 +116,11 @@ def test_c1_matching(chart_name, request, rng):
 
 def test_h1_norm_closed_forms(disk_chart):
     one = E.constant_field(1.0)
-    l2, g2 = E.h1_norm(one.evaluate, "omega", disk_chart, 32, gradient=one.partials)
+    l2, g2 = E.h1_norm(one, "omega", disk_chart, 32)
     assert l2 == pytest.approx(math.pi, rel=1e-12)
     assert g2 == pytest.approx(0.0, abs=1e-12)
     fx = x_field()
-    l2, g2 = E.h1_norm(fx.evaluate, "omega", disk_chart, 32, gradient=fx.partials)
+    l2, g2 = E.h1_norm(fx, "omega", disk_chart, 32)
     assert l2 == pytest.approx(math.pi / 4.0, rel=1e-12)
     assert g2 == pytest.approx(math.pi, rel=1e-12)
 
@@ -130,7 +130,7 @@ def test_h1_norm_degree8_polynomial(disk_chart):
     coeffs = np.zeros((5, 5))
     coeffs[4, 4] = 1.0
     fld = E.polynomial_field(coeffs)
-    l2, g2 = E.h1_norm(fld.evaluate, "omega", disk_chart, 64, gradient=fld.partials)
+    l2, g2 = E.h1_norm(fld, "omega", disk_chart, 64)
     l2_oracle = 3.0 * math.pi / 640.0 / 2.0  # int r^9 dr * int cos^4 sin^4 = (1/10)(3pi/64)
     val, _ = dblquad(lambda t, r: r * (r**8 * math.cos(t) ** 4 * math.sin(t) ** 4) ** 2,
                      0.0, 1.0, 0.0, 2.0 * math.pi, epsabs=1e-13, epsrel=1e-13)
@@ -140,16 +140,12 @@ def test_h1_norm_degree8_polynomial(disk_chart):
                           + (4 * (r * math.cos(t)) ** 4 * (r * math.sin(t)) ** 3) ** 2),
         0.0, 1.0, 0.0, 2.0 * math.pi, epsabs=1e-13, epsrel=1e-13)
     assert g2 == pytest.approx(grad_oracle, rel=1e-9)
-    # the finite-difference gradient path stays within the 1e-6 contract
-    l2_fd, g2_fd = E.h1_norm(fld.evaluate, "omega", disk_chart, 64)
-    assert g2_fd == pytest.approx(grad_oracle, rel=1e-6)
 
 
 def test_h1_norm_extension_bounded_by_area(disk_chart):
     cut = E.smoothstep_cutoff(3.0)
     ext = E.ExtendedField(disk_chart, E.constant_field(1.0), cut)
-    l2, _ = E.h1_norm(ext, "tube_exterior", disk_chart, 32,
-                      s_breaks=ext.s_breakpoints)
+    l2, _ = E.h1_norm(ext, "tube_exterior", disk_chart, 32)
     r = disk_chart.r
     tube_area = math.pi * ((1.0 + r) ** 2 - 1.0)
     assert 0.0 < l2 <= tube_area
@@ -177,7 +173,7 @@ def test_operator_norm_disk(disk_chart, rng):
     cut = E.smoothstep_cutoff(3.0)
     fields = [E.constant_field(1.0), x_field()] + E.random_smooth_fields(rng, 4)
     res = E.operator_norm_estimate(disk_chart, cut, fields, quad=32)
-    assert res.max_ratio <= res.bound
+    assert res.passed and res.max_ratio <= res.bound
     assert res.per_sample[0] > 1.0
     zero = E.constant_field(0.0)
     res0 = E.operator_norm_estimate(disk_chart, cut, [zero], quad=24)
@@ -207,7 +203,26 @@ def test_h1_norm_rejects_nonfinite(disk_chart):
         return out
 
     with pytest.raises(EvaluationError):
-        E.h1_norm(bad, "omega", disk_chart, 16)
+        E.h1_norm(E.ScalarField(bad, lambda p: np.zeros((len(p), 2))), "omega", disk_chart, 16)
+
+
+def test_h1_norm_takes_one_field_type_per_region(disk_chart):
+    # the domain norm reads a ScalarField's own partials, the tube norm an
+    # ExtendedField's reflection; nothing else has a gradient to integrate
+    fld = x_field()
+    ext = E.ExtendedField(disk_chart, fld, E.smoothstep_cutoff(3.0))
+    for field, region in ((fld.evaluate, "omega"), (ext, "omega"), (fld, "tube_exterior"),
+                          (fld, "all"), (ext, "all")):
+        with pytest.raises(ParameterError):
+            E.h1_norm(field, region, disk_chart, 16)
+
+
+def test_operator_norm_reports_a_bound_violation(disk_chart, rng, monkeypatch):
+    monkeypatch.setattr(E, "extension_norm_bound", lambda *args: 1.0)
+    cut = E.smoothstep_cutoff(3.0)
+    res = E.operator_norm_estimate(disk_chart, cut, E.random_smooth_fields(rng, 3), quad=24)
+    assert not res.passed and res.bound == 1.0
+    assert len(res.per_sample) == 3 and res.max_ratio == max(res.per_sample) > 1.0
 
 
 def test_fermi_partials_cross_check(blob_chart, rng):
@@ -226,18 +241,13 @@ def test_fermi_partials_cross_check(blob_chart, rng):
     assert np.max(np.abs(d_t - dt_fd)) < 1e-4
 
 
-def _tube_fd_oracle(evaluator, chart, quad, s_breaks, h):
-    """The tube norms with one evaluator call per stencil subset (reference)."""
+def _tube_fd_oracle(ext, chart, quad, s_breaks, h):
+    """The tube norms with one extension call per stencil subset (reference)."""
     grid = E._tube_grid(chart, quad, s_breaks)
     S, T, W, metric = grid["S"], grid["T"], grid["weights"], grid["metric"]
 
-    if hasattr(evaluator, "tube_profile"):
-        def F(s, t):
-            return np.asarray(evaluator.tube_profile(s, t), dtype=float)
-    else:
-        def F(s, t):
-            pts = chart.map_unchecked(s, t)
-            return np.asarray(evaluator(pts.reshape(-1, 2)), dtype=float).reshape(s.shape)
+    def F(s, t):
+        return np.asarray(ext.tube_profile(s, t), dtype=float)
 
     vals = F(S, T)
     r = chart.r
@@ -272,23 +282,7 @@ def test_tube_norm_batched_stencil_is_exact(domain, r, request, rng):
         for h, fd_step in ((default, None), (2e-3, 2e-3)):
             oracle = _tube_fd_oracle(ext, chart, 24, ext.s_breakpoints, h)
             for _ in range(2):
-                assert E.h1_norm(ext, "tube_exterior", chart, 24, s_breaks=ext.s_breakpoints,
-                                 fd_step=fd_step) == oracle
-
-
-@pytest.mark.parametrize("quad", [16, 24])
-def test_tube_norm_generic_evaluator_is_exact(blob_chart, quad, rng):
-    chart = FermiChart(blob_chart.domain, blob_chart.r)
-    fld = E.random_smooth_fields(rng, 1, trig_share=0.0)[0]
-
-    def evaluator(points):
-        return fld.evaluate(points)
-
-    for h, fd_step in ((1e-5 * chart.domain.diameter(), None), (2e-3, 2e-3)):
-        oracle = _tube_fd_oracle(evaluator, chart, quad, (0.1,), h)
-        for _ in range(2):
-            assert E.h1_norm(evaluator, "tube_exterior", chart, quad, s_breaks=(0.1,),
-                             fd_step=fd_step) == oracle
+                assert E.h1_norm(ext, "tube_exterior", chart, 24, fd_step=fd_step) == oracle
 
 
 def test_polynomial_field_matches_the_naive_sum(rng):

@@ -292,6 +292,27 @@ def test_li_yau(unit_interval):
     assert np.all(res2.sup_profile <= res.envelope(t_grid) * 1.05 + 1e-9)
     with pytest.raises(ParameterError):
         H.li_yau_check(sys_, dom, -np.ones(dom.size), t_grid)
+    with pytest.raises(ParameterError):
+        H.fit_inverse_time_envelope(t_grid, np.full(t_grid.shape, np.nan))
+
+
+@settings(max_examples=200, deadline=None, derandomize=True)
+@given(data=st.lists(st.tuples(st.floats(1e-3, 10.0), st.floats(-100.0, 100.0)),
+                     min_size=1, max_size=24))
+def test_envelope_fit_is_the_linear_program_optimum(data):
+    """The exact vertex solve reaches HiGHS's optimum and covers the profile."""
+    from scipy.optimize import linprog
+
+    t_grid = np.array([t for t, _ in data])
+    profile = np.array([p for _, p in data])
+    inv = 1.0 / t_grid
+    a, b = H.fit_inverse_time_envelope(t_grid, profile)
+    assert a >= 0.0 and b >= 0.0
+    assert np.all(profile <= a + b * inv + 1e-12 * (1.0 + np.abs(profile)))
+    ref = linprog(c=[1.0, float(np.mean(inv))], A_ub=np.stack([-np.ones_like(inv), -inv], axis=-1),
+                  b_ub=-profile, bounds=[(0.0, None), (0.0, None)], method="highs")
+    assert ref.success
+    assert a + b * np.mean(inv) == pytest.approx(ref.fun, rel=1e-12, abs=1e-12)
 
 
 # ---------------------------------------------------------------------------
