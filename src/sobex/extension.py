@@ -98,74 +98,74 @@ def constant_field(c=1.0):
 
 
 def _powers(x, n):
-    """``[x**0, ..., x**(n-1)]``, each power taken once per call."""
-    return [x**k for k in range(n)]
+    """Rows ``x**0, ..., x**(n-1)`` of one ``(n, N)`` array, by running products."""
+    out = np.ones((n,) + x.shape)
+    for k in range(1, n):
+        np.multiply(out[k - 1], x, out=out[k])
+    return out
+
+
+def _chart_partials(r, th, ux, uy):
+    """``(d/dr, d/dtheta)`` from the embedded gradient ``(ux, uy)``."""
+    ct, st = np.cos(th), np.sin(th)
+    return np.stack([ux * ct + uy * st, ux * (-r * st) + uy * (r * ct)], axis=-1)
 
 
 def polynomial_field(coeffs):
     """Polynomial in the embedded coordinates ``(r cos t, r sin t)``.
 
-    ``coeffs[i, j]`` multiplies ``x^i y^j``.  Smooth across the chart
-    pole, hence usable on every supported domain.
+    ``coeffs[i, j]`` multiplies ``x^i y^j``; anything but a finite
+    non-empty 2-D array is a :class:`ParameterError`.  Smooth across the
+    chart pole, hence usable on every supported domain.  The powers are
+    running products, and the value and each partial are one contraction
+    ``sum_i x^i (C @ y^.)_i`` with ``C`` the coefficients or their
+    derivative coefficients ``i c_ij``, ``j c_ij``.
     """
     coeffs = np.asarray(coeffs, dtype=float)
+    if coeffs.ndim != 2 or coeffs.size == 0 or not np.all(np.isfinite(coeffs)):
+        raise ParameterError("polynomial coefficients must be a finite non-empty 2-D array")
     n_x, n_y = coeffs.shape
+    c_x = coeffs[1:] * np.arange(1, n_x)[:, None]
+    c_y = coeffs[:, 1:] * np.arange(1, n_y)
+
+    def contract(c, xp, yp):
+        return np.sum(xp[:c.shape[0]] * (c @ yp[:c.shape[1]]), axis=0)
 
     def ev(points):
         r, th, x, y = _embedded(points)
-        xp, yp = _powers(x, n_x), _powers(y, n_y)
-        out = np.zeros_like(x)
-        for i in range(n_x):
-            for j in range(n_y):
-                if coeffs[i, j] != 0.0:
-                    out += coeffs[i, j] * xp[i] * yp[j]
-        return out
+        return contract(coeffs, _powers(x, n_x), _powers(y, n_y))
 
     def grad(points):
         r, th, x, y = _embedded(points)
         xp, yp = _powers(x, n_x), _powers(y, n_y)
-        ux = np.zeros_like(x)
-        uy = np.zeros_like(x)
-        for i in range(n_x):
-            for j in range(n_y):
-                c = coeffs[i, j]
-                if c == 0.0:
-                    continue
-                if i > 0:
-                    ux += c * i * xp[i - 1] * yp[j]
-                if j > 0:
-                    uy += c * j * xp[i] * yp[j - 1]
-        ct, st = np.cos(th), np.sin(th)
-        dr = ux * ct + uy * st
-        dth = ux * (-r * st) + uy * (r * ct)
-        return np.stack([dr, dth], axis=-1)
+        return _chart_partials(r, th, contract(c_x, xp, yp), contract(c_y, xp, yp))
 
     return ScalarField(ev, grad, label="poly")
 
 
 def trig_field(amps, waves, phases):
-    """Plane-wave mixture ``sum_m a_m sin(k_m . (x, y) + p_m)``."""
-    amps = np.asarray(amps, dtype=float)
-    waves = np.asarray(waves, dtype=float)  # (M, 2)
-    phases = np.asarray(phases, dtype=float)
+    """Plane-wave mixture ``sum_m a_m sin(k_m . (x, y) + p_m)``.
+
+    ``waves`` is ``(M, 2)`` and ``amps``, ``phases`` are ``(M,)``, else
+    :class:`ParameterError`.  All waves go in one broadcast: the value
+    is ``amps @ sin(K (x, y) + p)``, the gradient ``(amps K)^T @ cos(...)``.
+    """
+    amps, waves, phases = (np.asarray(a, dtype=float) for a in (amps, waves, phases))
+    m = waves.shape[:1]
+    if waves.shape != m + (2,) or amps.shape != m or phases.shape != m:
+        raise ParameterError("plane waves need waves (M, 2), amps (M,) and phases (M,)")
+    slopes = (amps[:, None] * waves).T
+
+    def angles(points):
+        r, th, x, y = _embedded(points)
+        return r, th, waves @ np.stack([x, y]) + phases[:, None]
 
     def ev(points):
-        r, th, x, y = _embedded(points)
-        out = np.zeros_like(x)
-        for a, k, p in zip(amps, waves, phases):
-            out += a * np.sin(k[0] * x + k[1] * y + p)
-        return out
+        return amps @ np.sin(angles(points)[2])
 
     def grad(points):
-        r, th, x, y = _embedded(points)
-        ux = np.zeros_like(x)
-        uy = np.zeros_like(x)
-        for a, k, p in zip(amps, waves, phases):
-            c = a * np.cos(k[0] * x + k[1] * y + p)
-            ux += c * k[0]
-            uy += c * k[1]
-        ct, st = np.cos(th), np.sin(th)
-        return np.stack([ux * ct + uy * st, -ux * r * st + uy * r * ct], axis=-1)
+        r, th, k_xy = angles(points)
+        return _chart_partials(r, th, *(slopes @ np.cos(k_xy)))
 
     return ScalarField(ev, grad, label="trig")
 
@@ -186,14 +186,9 @@ def random_smooth_fields(rng, count):
             phases = rng.uniform(0.0, 2.0 * math.pi, size=n_waves)
             fields.append(trig_field(amps, waves, phases))
         else:
-            c = rng.normal(size=(5, 5))
-            for i in range(5):
-                for j in range(5):
-                    if i + j > 4:
-                        c[i, j] = 0.0
-                    else:
-                        c[i, j] /= math.factorial(i + j) if i + j else 1.0
-            fields.append(polynomial_field(c))
+            degree = np.add.outer(np.arange(5), np.arange(5))
+            c = rng.normal(size=(5, 5)) / np.vectorize(math.factorial)(degree)
+            fields.append(polynomial_field(np.where(degree > 4, 0.0, c)))
     return fields
 
 

@@ -22,6 +22,8 @@ sum node weights over nodes within the closed-form (or graph) distance.
 from __future__ import annotations
 
 import math
+import os
+import sys
 import warnings
 from dataclasses import dataclass
 from functools import cached_property
@@ -61,6 +63,15 @@ __all__ = [
 _TWO_PI = 2.0 * math.pi
 _LOG_TRUNC = -math.log(1e-12)  # spectral truncation threshold
 _MODE_CAP = 2000
+_PACKAGE_DIR = os.path.dirname(__file__) + os.sep
+
+
+def _outside_stacklevel():
+    """``warnings.warn`` stack level, for its caller, of the first frame outside sobex."""
+    frame, level = sys._getframe(1), 1
+    while frame is not None and frame.f_code.co_filename.startswith(_PACKAGE_DIR):
+        frame, level = frame.f_back, level + 1
+    return level
 
 
 # ---------------------------------------------------------------------------
@@ -587,7 +598,7 @@ class NeumannSystem:
             warnings.warn(
                 f"spectral truncation at {cap} modes keeps exp(-lam t) = "
                 f"{math.exp(-float(lam[-1]) * t_min):.2e} at t = {t_min:.3g}",
-                stacklevel=2,
+                stacklevel=_outside_stacklevel(),
             )
             m = cap
         self.modes_used = max(self.modes_used, m)

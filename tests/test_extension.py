@@ -1,7 +1,9 @@
 import math
+from fractions import Fraction
 
 import numpy as np
 import pytest
+from hypothesis import given, settings, strategies as st
 from scipy.integrate import dblquad
 
 from sobex import extension as E
@@ -285,29 +287,118 @@ def test_tube_norm_batched_stencil_is_exact(domain, r, request, rng):
                 assert E.h1_norm(ext, "tube_exterior", chart, 24, fd_step=fd_step) == oracle
 
 
-def test_polynomial_field_matches_the_naive_sum(rng):
-    coeffs = rng.normal(size=(5, 4))
-    coeffs[1, 2] = coeffs[3, 0] = 0.0
-    pts = np.stack([rng.uniform(0.0, 1.5, 300), rng.uniform(0.0, 2 * math.pi, 300)],
-                   axis=-1)
+EPS = np.finfo(float).eps
+_COEFF = st.one_of(st.just(0.0), st.floats(0.01, 10.0), st.floats(-10.0, -0.01))
+# 0 or at least 1e-3, so no power of x or y underflows
+_POINTS = st.lists(st.tuples(st.one_of(st.just(0.0), st.floats(1e-3, 1.5)),
+                             st.one_of(st.just(0.0), st.floats(1e-3, 2 * math.pi))),
+                   min_size=1, max_size=8)
+
+
+def _assert_partials_within(parts, r, th, ux, uy, ax, ay, k):
+    """``parts`` against the chain rule of the oracle gradient ``(ux, uy)``.
+
+    ``ax``, ``ay`` bound the magnitudes the computed ``ux``, ``uy`` are
+    rounded from; ``k`` is the allowed multiple of ``eps``.
+    """
+    ct, st_ = np.cos(th), np.sin(th)
+    for n in range(r.size):
+        c, s, rn = Fraction(ct[n]), Fraction(st_[n]), Fraction(r[n])
+        d_r = ux[n] * c + uy[n] * s
+        d_t = -ux[n] * rn * s + uy[n] * rn * c
+        tol_r = k * EPS * (ax[n] * abs(ct[n]) + ay[n] * abs(st_[n]))
+        tol_t = k * EPS * r[n] * (ax[n] * abs(st_[n]) + ay[n] * abs(ct[n]))
+        assert abs(Fraction(parts[n, 0]) - d_r) <= tol_r
+        assert abs(Fraction(parts[n, 1]) - d_t) <= tol_t
+
+
+def _exact_partial(coeffs, x, y, di, dj):
+    """The ``(di, dj)`` partial of ``sum c_ij x^i y^j`` in rational arithmetic
+    at the floats ``x, y``, and the sum of its terms' magnitudes."""
+    X, Y = Fraction(x), Fraction(y)
+    n_x, n_y = coeffs.shape
+    terms = [math.perm(i, di) * math.perm(j, dj) * Fraction(coeffs[i, j])
+             * X ** (i - di) * Y ** (j - dj)
+             for i in range(di, n_x) for j in range(dj, n_y)]
+    return sum(terms, Fraction(0)), float(sum(abs(t) for t in terms))
+
+
+@settings(max_examples=200, deadline=None, derandomize=True)
+@given(data=st.data())
+def test_polynomial_field_matches_the_exact_sum(data):
+    """Values and partials against exact rational arithmetic at the same
+    float ``(x, y)``, to a few ``eps`` of the sum of the terms' magnitudes.
+
+    Shapes 1x1 to 6x6 with zeroed rows and columns; with one row or one
+    column a partial is identically zero and must come out exactly 0.
+    """
+    n_x, n_y = data.draw(st.integers(1, 6)), data.draw(st.integers(1, 6))
+    coeffs = np.array(data.draw(st.lists(_COEFF, min_size=n_x * n_y, max_size=n_x * n_y)))
+    coeffs = coeffs.reshape(n_x, n_y)
+    coeffs[sorted(data.draw(st.sets(st.integers(0, n_x - 1))))] = 0.0
+    coeffs[:, sorted(data.draw(st.sets(st.integers(0, n_y - 1))))] = 0.0
+    pts = np.array(data.draw(_POINTS))
     r, th = pts[:, 0], pts[:, 1]
     x, y = r * np.cos(th), r * np.sin(th)
-    val = np.zeros_like(x)
-    ux = np.zeros_like(x)
-    uy = np.zeros_like(x)
-    for i in range(coeffs.shape[0]):
-        for j in range(coeffs.shape[1]):
-            c = coeffs[i, j]
-            if c == 0.0:
-                continue
-            val += c * x**i * y**j
-            if i > 0:
-                ux += c * i * x ** (i - 1) * y**j
-            if j > 0:
-                uy += c * j * x**i * y ** (j - 1)
-    ct, st = np.cos(th), np.sin(th)
     fld = E.polynomial_field(coeffs)
-    assert np.array_equal(fld.evaluate(pts), val)
-    assert np.array_equal(fld.partials(pts),
-                          np.stack([ux * ct + uy * st, ux * (-r * st) + uy * (r * ct)],
-                                   axis=-1))
+    val, parts = fld.evaluate(pts), fld.partials(pts)
+    k = 2 * (n_x + n_y) + 4
+    for n in range(r.size):
+        value, size = _exact_partial(coeffs, x[n], y[n], 0, 0)
+        assert abs(Fraction(val[n]) - value) <= k * EPS * size
+    ux, ax = zip(*(_exact_partial(coeffs, x[n], y[n], 1, 0) for n in range(r.size)))
+    uy, ay = zip(*(_exact_partial(coeffs, x[n], y[n], 0, 1) for n in range(r.size)))
+    _assert_partials_within(parts, r, th, ux, uy, ax, ay, k + 4)
+
+
+@settings(max_examples=200, deadline=None, derandomize=True)
+@given(data=st.data())
+def test_trig_field_matches_the_per_wave_sum(data):
+    """Values and partials against an ``fsum`` of the waves one at a time."""
+    m = data.draw(st.integers(0, 4))
+    wave = st.one_of(st.just(0.0), st.floats(0.01, 3.0), st.floats(-3.0, -0.01))
+    amps = np.array(data.draw(st.lists(wave, min_size=m, max_size=m)))
+    waves = np.array(data.draw(st.lists(st.tuples(wave, wave), min_size=m, max_size=m)))
+    waves = waves.reshape(m, 2)
+    phases = np.array(data.draw(st.lists(st.floats(0.0, 2 * math.pi),
+                                         min_size=m, max_size=m)))
+    pts = np.array(data.draw(_POINTS))
+    r, th = pts[:, 0], pts[:, 1]
+    x, y = r * np.cos(th), r * np.sin(th)
+    fld = E.trig_field(amps, waves, phases)
+    val, parts = fld.evaluate(pts), fld.partials(pts)
+    k = 16
+    ux, uy, ax, ay = [], [], [], []
+    for n in range(r.size):
+        angle = [waves[w, 0] * x[n] + waves[w, 1] * y[n] + phases[w] for w in range(m)]
+        # rounding of the angle moves sin and cos by at most its magnitude times eps
+        size = [1.0 + abs(waves[w, 0] * x[n]) + abs(waves[w, 1] * y[n]) + phases[w]
+                for w in range(m)]
+        exact = math.fsum(amps[w] * math.sin(angle[w]) for w in range(m))
+        tol = k * EPS * math.fsum(abs(amps[w]) * size[w] for w in range(m))
+        assert abs(val[n] - exact) <= tol
+        for axis, u, a in ((0, ux, ax), (1, uy, ay)):
+            u.append(Fraction(math.fsum(amps[w] * waves[w, axis] * math.cos(angle[w])
+                                        for w in range(m))))
+            a.append(math.fsum(abs(amps[w] * waves[w, axis]) * size[w] for w in range(m)))
+    _assert_partials_within(parts, r, th, ux, uy, ax, ay, k)
+
+
+@pytest.mark.parametrize("coeffs", [[1.0, 2.0], 3.0, [], [[]], [[[1.0]]],
+                                    [[1.0, math.nan]], [[math.inf, 0.0]]])
+def test_polynomial_field_rejects_malformed_coefficients(coeffs):
+    with pytest.raises(ParameterError):
+        E.polynomial_field(coeffs)
+
+
+@pytest.mark.parametrize("amps, waves, phases", [
+    ([1.0, 2.0, 3.0], [[1.0, 0.0], [0.0, 1.0]], [0.0, 0.0, 0.0]),  # a wave short
+    ([1.0, 2.0], [[1.0, 0.0], [0.0, 1.0]], [0.0]),
+    ([1.0], [1.0, 0.0], [0.0]),
+    ([1.0], [[1.0, 0.0, 0.0]], [0.0]),
+    ([[1.0]], [[1.0, 0.0]], [0.0]),
+    (1.0, 1.0, 0.0),
+])
+def test_trig_field_rejects_mismatched_waves(amps, waves, phases):
+    with pytest.raises(ParameterError):
+        E.trig_field(amps, waves, phases)

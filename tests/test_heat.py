@@ -383,3 +383,16 @@ def test_solver_names(fourier_blob):
     assert blob.solver == "dense"
     big = H.DiscreteDomain.interval(1.0, 5000)
     assert H.NeumannSystem(H.assemble(big).stiffness, big.weights).solver == "sparse"
+
+
+def test_truncation_warning_names_the_caller():
+    """The spectral-truncation warning points at the first frame outside
+    sobex, whether the sum is called directly or through a diagnostic."""
+    dom = H.DiscreteDomain.interval(1.0, 200)
+    system = H.assemble(dom)
+    system.mode_cap = 20
+    for call in (lambda: system.heat_diag(1e-4, np.arange(5)),
+                 lambda: H.diagonal_bound_check(dom, system, [1e-4], np.arange(5))):
+        with pytest.warns(UserWarning, match="spectral truncation") as caught:
+            call()
+        assert [w.filename for w in caught] == [__file__]
