@@ -10,6 +10,12 @@ element of the distance hypersurfaces through scalar normal Jacobi
 fields, and :func:`check_regularity` certifies the rolling-ball,
 curvature and injectivity conditions numerically.
 
+On flat charts (Fourier blobs, off-centre disks) the tube geometry is
+formed in one place, ``_FlatCurveEngine._frame``: one evaluation of the
+boundary curve gives the point, velocity, outward normal, spread and
+speed, and the map, both Jacobians, the volume ratio, the focal reach
+and the foot-point Newton steps read that frame.
+
 Sign convention: ``second_fundamental`` (II) is reported with respect
 to the outward normal and anchored so that the unit disk carries
 ``II = -1``; the outward normal spread used by the Jacobi fields is
@@ -19,8 +25,9 @@ to the outward normal and anchored so that the unit disk carries
 from __future__ import annotations
 
 import math
-from dataclasses import dataclass, field as dc_field
+from dataclasses import asdict, dataclass, field as dc_field
 from functools import cached_property
+from typing import NamedTuple
 
 import numpy as np
 from scipy.sparse import coo_matrix
@@ -54,6 +61,8 @@ __all__ = [
 _TWO_PI = 2.0 * math.pi
 # (n_r, n_theta) of the graph metric behind distances on warped charts
 _GRAPH_GRID = (192, 384)
+# damped Newton steps of the flat foot-point search
+_NEWTON_STEPS = 60
 
 
 @dataclass(frozen=True)
@@ -81,34 +90,22 @@ class RadialProfile:
         return a, b
 
     def rho(self, theta):
-        theta = np.asarray(theta, dtype=float)
-        a, b = self._modes()
-        out = np.full_like(theta, a[0], dtype=float)
-        for k in range(1, len(a)):
-            out = out + a[k] * np.cos(k * theta)
-        for k in range(1, len(b) + 1):
-            out = out + b[k - 1] * np.sin(k * theta)
-        return out
+        return self.derivatives(theta)[0]
 
-    def drho(self, theta):
+    def derivatives(self, theta):
+        """``(rho, rho', rho'')`` at ``theta``; each ``cos k theta``, ``sin k theta`` once."""
         theta = np.asarray(theta, dtype=float)
         a, b = self._modes()
-        out = np.zeros_like(theta, dtype=float)
-        for k in range(1, len(a)):
-            out = out - k * a[k] * np.sin(k * theta)
-        for k in range(1, len(b) + 1):
-            out = out + k * b[k - 1] * np.cos(k * theta)
-        return out
-
-    def d2rho(self, theta):
-        theta = np.asarray(theta, dtype=float)
-        a, b = self._modes()
-        out = np.zeros_like(theta, dtype=float)
-        for k in range(1, len(a)):
-            out = out - k * k * a[k] * np.cos(k * theta)
-        for k in range(1, len(b) + 1):
-            out = out - k * k * b[k - 1] * np.sin(k * theta)
-        return out
+        rho = np.full_like(theta, a[0])
+        d1, d2 = np.zeros_like(theta), np.zeros_like(theta)
+        for k in range(1, max(len(a) - 1, len(b)) + 1):
+            ck, sk = np.cos(k * theta), np.sin(k * theta)
+            if k < len(a):
+                rho, d1, d2 = rho + a[k] * ck, d1 - k * a[k] * sk, d2 - k * k * a[k] * ck
+            if k <= len(b):
+                bk = b[k - 1]
+                rho, d1, d2 = rho + bk * sk, d1 + k * bk * ck, d2 - k * k * bk * sk
+        return rho, d1, d2
 
     def squared_integral(self):
         """Exact value of ``int_0^{2pi} rho(theta)^2 dtheta``."""
@@ -127,11 +124,18 @@ class DomainSpec:
         if isinstance(self.boundary, RadialProfile):
             if not (self.surface.kind == "constant" and self.surface.kappa == 0.0):
                 raise InvalidDomainError("radial profiles live in the flat chart only")
+            a, b = self.boundary._modes()
+            if a.size == 0 or not (np.all(np.isfinite(a)) and np.all(np.isfinite(b))):
+                raise InvalidDomainError(
+                    "radial profile needs a constant term and finite coefficients"
+                )
             theta = np.linspace(0.0, _TWO_PI, 4096, endpoint=False)
             if np.any(self.boundary.rho(theta) <= 0.0):
                 raise InvalidDomainError("radial profile must be positive")
         elif isinstance(self.boundary, GeodesicDisk):
             cx, cy = self.boundary.center
+            if not (math.isfinite(cx) and math.isfinite(cy)):
+                raise InvalidDomainError("disk centre must be finite")
             off_pole = (cx != 0.0) or (cy != 0.0)
             flat = self.surface.kind == "constant" and self.surface.kappa == 0.0
             if off_pole and not flat:
@@ -306,17 +310,37 @@ class _PoleDiskEngine:
         return 0.0 if self.surface.kind == "constant" else 0.1
 
 
+class _Frame(NamedTuple):
+    """Point, velocity ``c'``, outward normal, spread and speed of a flat curve.
+
+    In the plane ``dn/dtheta = spread * c'``, so the tube point
+    ``c + s n`` moves with ``c' (1 + spread s)`` along the curve.
+    """
+
+    point: np.ndarray
+    velocity: np.ndarray
+    normal: np.ndarray
+    spread: np.ndarray
+    speed: np.ndarray
+
+    def at(self, s):
+        """Cartesian tube point at depth ``s``."""
+        return self.point + s[..., None] * self.normal
+
+    def theta_velocity(self, s):
+        """d/dtheta of the tube point at depth ``s``: ``c' (1 + spread s)``."""
+        return self.velocity * (1.0 + self.spread * s)[..., None]
+
+
 class _FlatCurveEngine:
-    """Flat chart, boundary given as a closed Cartesian curve c(theta)."""
+    """Flat chart, boundary a closed Cartesian curve: subclasses define
+    ``curve(theta) -> (c, c', c'')``, ``contains`` and ``area``."""
 
     distance_slack = 0.0
+    symmetric = False
 
     def __init__(self, domain):
         self.surface = domain.surface
-        self.symmetric = False
-        self._dense = None
-
-    # subclasses define: curve(theta) -> c, dc, d2c  and contains/area
 
     def _frame(self, theta):
         c, dc, d2c = self.curve(theta)
@@ -325,85 +349,59 @@ class _FlatCurveEngine:
         normal = np.stack([tangent[..., 1], -tangent[..., 0]], axis=-1)
         cross = dc[..., 0] * d2c[..., 1] - dc[..., 1] * d2c[..., 0]
         sigma = cross / speed**3  # signed curvature = outward spread (circle: +1/R)
-        return c, normal, sigma, speed
+        return _Frame(c, dc, normal, sigma, speed)
+
+    def _tube(self, s, theta):
+        s, theta = np.broadcast_arrays(
+            np.asarray(s, dtype=float), np.asarray(theta, dtype=float)
+        )
+        f = self._frame(theta)
+        return s, f, f.at(s)
 
     def boundary(self, theta):
         theta = np.atleast_1d(np.asarray(theta, dtype=float))
-        c, normal, sigma, speed = self._frame(theta)
+        f = self._frame(theta)
         return BoundarySample(
-            theta, cartesian_to_polar(c), normal, -sigma, sigma, speed
+            theta, cartesian_to_polar(f.point), f.normal, -f.spread, f.spread, f.speed
         )
 
     def map(self, s, theta):
-        s, theta = np.broadcast_arrays(
-            np.asarray(s, dtype=float), np.asarray(theta, dtype=float)
-        )
-        c, normal, _, _ = self._frame(theta)
-        return cartesian_to_polar(c + s[..., None] * normal)
+        return cartesian_to_polar(self._tube(s, theta)[2])
 
     def theta_jacobian(self, s, theta):
         """d(map)/d(theta) in chart (polar) components."""
-        s = np.asarray(s, dtype=float)
-        theta = np.asarray(theta, dtype=float)
-        c, dc, d2c = self.curve(theta)
-        speed = np.linalg.norm(dc, axis=-1)
-        tangent = dc / speed[..., None]
-        normal = np.stack([tangent[..., 1], -tangent[..., 0]], axis=-1)
-        dnormal = self._dnormal(theta, dc, d2c, speed, normal)
-        dxy = dc + s[..., None] * dnormal
-        pos = c + s[..., None] * normal
-        r = np.linalg.norm(pos, axis=-1)
-        e_r = pos / r[..., None]
-        e_t = np.stack([-e_r[..., 1], e_r[..., 0]], axis=-1)
-        dr = np.sum(dxy * e_r, axis=-1)
-        dth = np.sum(dxy * e_t, axis=-1) / r
-        return np.stack([dr, dth], axis=-1)
-
-    def _dnormal(self, theta, dc, d2c, speed, normal):
-        d2_rot = np.stack([d2c[..., 1], -d2c[..., 0]], axis=-1)
-        proj = np.sum(d2_rot * normal, axis=-1)
-        return (d2_rot - proj[..., None] * normal) / speed[..., None]
+        s, f, pos = self._tube(s, theta)
+        return _polar_components(pos, f.theta_velocity(s))
 
     def s_jacobian(self, s, theta):
         """Chart (polar) components of d(map)/ds = the outward normal."""
-        s, theta = np.broadcast_arrays(
-            np.asarray(s, dtype=float), np.asarray(theta, dtype=float)
-        )
-        c, normal, _, _ = self._frame(theta)
-        pos = c + s[..., None] * normal
-        r = np.linalg.norm(pos, axis=-1)
-        e_r = pos / r[..., None]
-        e_t = np.stack([-e_r[..., 1], e_r[..., 0]], axis=-1)
-        dr = np.sum(normal * e_r, axis=-1)
-        dth = np.sum(normal * e_t, axis=-1) / r
-        return np.stack([dr, dth], axis=-1)
+        _, f, pos = self._tube(s, theta)
+        return _polar_components(pos, f.normal)
 
     def radial_extent(self, theta):
         return None
 
     def ratio(self, theta, s):
-        _, _, sigma, _ = self._frame(np.asarray(theta, dtype=float))
+        sigma = self._frame(np.asarray(theta, dtype=float)).spread
         return 1.0 + sigma * np.asarray(s, dtype=float)
 
     def log_ratio_slope(self, theta, s):
-        _, _, sigma, _ = self._frame(np.asarray(theta, dtype=float))
+        sigma = self._frame(np.asarray(theta, dtype=float)).spread
         return sigma / (1.0 + sigma * np.asarray(s, dtype=float))
 
-    def _dense_table(self, n=2048):
-        if self._dense is None or self._dense[0].shape[0] != n:
-            theta = np.arange(n) * (_TWO_PI / n)
-            c, _, _, _ = self._frame(theta)
-            self._dense = (theta, c)
-        return self._dense
+    @cached_property
+    def _dense_table(self):
+        theta = np.arange(2048) * (_TWO_PI / 2048)
+        return theta, self.curve(theta)[0]
 
-    def invert(self, points, tol=1e-9, max_iter=60):
+    def invert(self, points, tol=1e-9):
         pts_polar = np.atleast_2d(np.asarray(points, dtype=float))
         x = polar_to_cartesian(pts_polar)
         n_pts = x.shape[0]
-        theta_tab, c_tab = self._dense_table()
+        theta_tab, c_tab = self._dense_table
 
         # nearest dense boundary sample initializes the Newton iteration
-        theta0 = np.empty(n_pts)
+        theta = np.empty(n_pts)
         d_best = np.empty(n_pts)
         amb = np.zeros(n_pts, dtype=bool)
         chunk = 2048
@@ -414,56 +412,44 @@ class _FlatCurveEngine:
                 + (x[lo:hi, 1, None] - c_tab[None, :, 1]) ** 2
             )
             idx = np.argmin(d2, axis=1)
-            theta0[lo:hi] = theta_tab[idx]
+            theta[lo:hi] = theta_tab[idx]
             d_best[lo:hi] = np.sqrt(d2[np.arange(hi - lo), idx])
             amb[lo:hi] = _ambiguous_feet(d2, idx)
 
-        theta = theta0.copy()
-        c, normal, _, _ = self._frame(theta)
-        s = np.sum((x - c) * normal, axis=-1)
+        f = self._frame(theta)
+        s = np.sum((x - f.point) * f.normal, axis=-1)
         active = np.ones(n_pts, dtype=bool)
         scale = max(1.0, float(np.max(np.linalg.norm(x, axis=-1), initial=1.0)))
-        for _ in range(max_iter):
+        for _ in range(_NEWTON_STEPS):
             if not np.any(active):
                 break
             th_a, s_a, x_a = theta[active], s[active], x[active]
-            c, dc, d2c = self.curve(th_a)
-            speed = np.linalg.norm(dc, axis=-1)
-            tangent = dc / speed[..., None]
-            normal = np.stack([tangent[..., 1], -tangent[..., 0]], axis=-1)
-            res = c + s_a[..., None] * normal - x_a
+            f = self._frame(th_a)
+            res = f.at(s_a) - x_a
             res_norm = np.linalg.norm(res, axis=-1)
             done = res_norm < tol * scale
-            dnormal = self._dnormal(th_a, dc, d2c, speed, normal)
-            j_theta = dc + s_a[..., None] * dnormal
-            det = j_theta[..., 0] * normal[..., 1] - j_theta[..., 1] * normal[..., 0]
-            det = np.where(np.abs(det) < 1e-300, 1e-300, det)
-            dth = (-res[..., 0] * normal[..., 1] + res[..., 1] * normal[..., 0]) / det
-            ds = (-j_theta[..., 0] * res[..., 1] + j_theta[..., 1] * res[..., 0]) / det
+            # the Jacobian's columns d/dtheta and d/ds = n are orthogonal
+            j_theta = f.theta_velocity(s_a)
+            j_sq = np.maximum(np.sum(j_theta * j_theta, axis=-1), 1e-300)
+            dth = -np.sum(res * j_theta, axis=-1) / j_sq
+            ds = -np.sum(res * f.normal, axis=-1)
             # damped update: halve the step until the residual decreases
             step = np.ones_like(dth)
             for _damp in range(25):
                 th_new = th_a + step * dth
                 s_new = s_a + step * ds
-                c_n, dc_n, _ = self.curve(th_new)
-                sp_n = np.linalg.norm(dc_n, axis=-1)
-                t_n = dc_n / sp_n[..., None]
-                n_n = np.stack([t_n[..., 1], -t_n[..., 0]], axis=-1)
-                res_new = np.linalg.norm(c_n + s_new[..., None] * n_n - x_a, axis=-1)
+                res_new = np.linalg.norm(self._frame(th_new).at(s_new) - x_a, axis=-1)
                 worse = res_new > res_norm
                 if not np.any(worse & ~done):
                     break
                 step = np.where(worse, 0.5 * step, step)
-            theta_active = np.where(done, th_a, th_a + step * dth)
-            s_active = np.where(done, s_a, s_a + step * ds)
-            theta[active] = theta_active
-            s[active] = s_active
+            theta[active] = np.where(done, th_a, th_a + step * dth)
+            s[active] = np.where(done, s_a, s_a + step * ds)
             still = np.zeros(n_pts, dtype=bool)
             still[active] = ~done
             active = still
 
-        c, normal, _, _ = self._frame(theta)
-        resid = np.linalg.norm(c + s[..., None] * normal - x, axis=-1)
+        resid = np.linalg.norm(self._frame(theta).at(s) - x, axis=-1)
         ok = resid < 10.0 * tol * scale
         # for ambiguous points report the conservative (dense-table) signed
         # distance, so callers can still classify them as in/out of a tube
@@ -478,17 +464,20 @@ class _FlatCurveEngine:
         return constant_curvature_distance(0.0, p, q)
 
     def focal_reach(self):
-        theta = np.arange(4096) * (_TWO_PI / 4096)
-        _, _, sigma, _ = self._frame(theta)
-        reach = math.inf
-        for sg in (np.max(sigma), np.min(sigma)):
-            for direction in (sg, -sg):
-                z = comparison.jacobi_factor_zero(0.0, direction)
-                reach = min(reach, z)
-        return reach
+        """``1 / max |spread|``: where ``1 + spread s`` first vanishes either way."""
+        sigma = self._frame(np.arange(4096) * (_TWO_PI / 4096)).spread
+        return 1.0 / float(np.max(np.abs(sigma)))
 
     def tube_curvature_range(self, r):
         return (0.0, 0.0)
+
+
+def _polar_components(pos, v):
+    """Polar chart components ``(dr, dtheta)`` of the Cartesian vector ``v`` at ``pos``."""
+    r = np.linalg.norm(pos, axis=-1)
+    e_r = pos / r[..., None]
+    e_t = np.stack([-e_r[..., 1], e_r[..., 0]], axis=-1)
+    return np.stack([np.sum(v * e_r, axis=-1), np.sum(v * e_t, axis=-1) / r], axis=-1)
 
 
 def _ambiguous_feet(d2, idx, abs_tol=1e-6, separation=8):
@@ -507,12 +496,13 @@ def _ambiguous_feet(d2, idx, abs_tol=1e-6, separation=8):
 class _FlatCircleEngine(_FlatCurveEngine):
     """Circle of radius ``a`` about an arbitrary flat-chart centre."""
 
+    symmetric = True
+
     def __init__(self, domain):
         super().__init__(domain)
         self.a = float(domain.boundary.radius)
         # the centre is a chart (polar) point like everything else
         self.c0 = polar_to_cartesian(np.asarray(domain.boundary.center, dtype=float))
-        self.symmetric = True
 
     def curve(self, theta):
         theta = np.asarray(theta, dtype=float)
@@ -552,9 +542,7 @@ class _FlatFourierEngine(_FlatCurveEngine):
 
     def curve(self, theta):
         theta = np.asarray(theta, dtype=float)
-        rho = self.profile.rho(theta)
-        dr = self.profile.drho(theta)
-        d2r = self.profile.d2rho(theta)
+        rho, dr, d2r = self.profile.derivatives(theta)
         ct, st = np.cos(theta), np.sin(theta)
         e = np.stack([ct, st], axis=-1)
         de = np.stack([-st, ct], axis=-1)
@@ -578,10 +566,8 @@ class _FlatFourierEngine(_FlatCurveEngine):
 
     @cached_property
     def _diameter(self):
-        theta = np.arange(2048) * (_TWO_PI / 2048)
-        c, _, _ = self.curve(theta)
         # the diameter of a compact planar set is attained on the boundary
-        return float(np.max(pdist(c)))
+        return float(np.max(pdist(self._dense_table[1])))
 
 
 class WarpedGridMetric:
@@ -806,24 +792,7 @@ class RegularityReport:
     notes: list = dc_field(default_factory=list)
 
     def to_dict(self):
-        return {
-            "admissible": self.admissible,
-            "interior_ball_ok": self.interior_ball_ok,
-            "exterior_ball_ok": self.exterior_ball_ok,
-            "injectivity_ok": self.injectivity_ok,
-            "radius_ok": self.radius_ok,
-            "H": self.H,
-            "K": self.K,
-            "r0": self.r0,
-            "r": self.r,
-            "interior_margin": self.interior_margin,
-            "exterior_margin": self.exterior_margin,
-            "roundtrip_error": self.roundtrip_error,
-            "ambiguous_points": self.ambiguous_points,
-            "n_theta": self.n_theta,
-            "n_dense": self.n_dense,
-            "notes": list(self.notes),
-        }
+        return asdict(self)
 
 
 def check_regularity(domain: DomainSpec, r: float, n_theta: int = 256,

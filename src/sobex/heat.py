@@ -34,6 +34,7 @@ from scipy.spatial.distance import cdist
 
 from .errors import AssemblyError, ParameterError
 from .fermi import DomainSpec, GeodesicDisk, RadialProfile, WarpedGridMetric
+from .quadrature import _reference_rule
 from .surfaces import constant_curvature_distance, polar_to_cartesian
 
 __all__ = [
@@ -181,12 +182,10 @@ class DiscreteDomain:
 
         # exact dual-cell masses in (xi, theta): the cells tile the blob
         theta_edges = (np.arange(n_t + 1) - 0.5) * dt
-        rho_sq_cell = np.empty(n_t)
-        gx, gw = np.polynomial.legendre.leggauss(16)
-        for j in range(n_t):
-            mid = 0.5 * (theta_edges[j] + theta_edges[j + 1])
-            half = 0.5 * dt
-            rho_sq_cell[j] = half * np.sum(gw * prof.rho(mid + half * gx) ** 2)
+        gx, gw = _reference_rule(16)
+        mid = 0.5 * (theta_edges[:-1] + theta_edges[1:])
+        half = 0.5 * dt
+        rho_sq_cell = half * np.sum(gw * prof.rho(mid[:, None] + half * gx) ** 2, axis=1)
         xi_lo = np.maximum(xi - 0.5 * dxi, 0.0)
         xi_hi = np.minimum(xi + 0.5 * dxi, 1.0)
         ring_frac = 0.5 * (xi_hi**2 - xi_lo**2)         # (n_r,)
@@ -323,7 +322,7 @@ def _warp_integral(surface, r_edges):
         # first form does not cancel catastrophically as kappa -> 0
         anti = 2.0 * np.asarray(surface.warp(0.5 * r_edges), dtype=float) ** 2
         return np.diff(anti)
-    gx, gw = np.polynomial.legendre.leggauss(8)
+    gx, gw = _reference_rule(8)
     lo, hi = r_edges[:-1], r_edges[1:]
     mid = 0.5 * (lo + hi)[:, None]
     half = 0.5 * (hi - lo)[:, None]

@@ -158,6 +158,8 @@ class ModelSurface:
             raise InvalidSurfaceError(f"unknown surface kind {self.kind!r}")
         if self.kind == "warped" and self.profile is None:
             raise InvalidSurfaceError("warped surface needs a profile")
+        if not math.isfinite(self.kappa):
+            raise InvalidSurfaceError("curvature kappa must be finite")
         if self.dimension not in (2, 3):
             raise InvalidSurfaceError("dimension must be 2 or 3")
         if self.dimension == 3 and self.kind != "constant":

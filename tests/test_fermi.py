@@ -2,9 +2,15 @@ import math
 
 import numpy as np
 import pytest
+from hypothesis import given, settings, strategies as st
 
 from sobex.comparison import jacobi_factor, mean_curvature_bound
-from sobex.errors import FocalPointError, InvalidDomainError, OutOfTubeError
+from sobex.errors import (
+    FocalPointError,
+    InvalidDomainError,
+    InvalidSurfaceError,
+    OutOfTubeError,
+)
 from sobex.fermi import (
     DomainSpec,
     FermiChart,
@@ -12,7 +18,14 @@ from sobex.fermi import (
     RadialProfile,
     check_regularity,
 )
-from sobex.surfaces import GeodesicState, JacobiValue, integrate_geodesic, jacobi_transport
+from sobex.surfaces import (
+    GeodesicState,
+    JacobiValue,
+    ModelSurface,
+    integrate_geodesic,
+    jacobi_transport,
+    polar_to_cartesian,
+)
 
 
 def test_boundary_point_disk(unit_disk):
@@ -47,6 +60,33 @@ def test_circle_profile_matches_disk(flat, unit_disk):
 def test_rho_positive_required(flat):
     with pytest.raises(InvalidDomainError):
         DomainSpec(flat, RadialProfile(cos_coeffs=(0.5, 0.0, 0.6)))
+
+
+_FLAT = ModelSurface.constant_curvature(0.0)
+EPS = np.finfo(float).eps
+
+
+@pytest.mark.parametrize("build, error", [
+    pytest.param(lambda: DomainSpec(_FLAT, RadialProfile((math.nan,))),
+                 InvalidDomainError, id="profile-nan"),
+    pytest.param(lambda: DomainSpec(_FLAT, RadialProfile((math.inf,))),
+                 InvalidDomainError, id="profile-inf"),
+    pytest.param(lambda: DomainSpec(_FLAT, RadialProfile((1.0, 0.1), (-math.inf,))),
+                 InvalidDomainError, id="profile-sine-inf"),
+    pytest.param(lambda: DomainSpec(_FLAT, GeodesicDisk((math.nan, 0.0), 1.0)),
+                 InvalidDomainError, id="centre-nan"),
+    pytest.param(lambda: DomainSpec(_FLAT, GeodesicDisk((0.5, math.inf), 1.0)),
+                 InvalidDomainError, id="centre-inf"),
+    pytest.param(lambda: ModelSurface.constant_curvature(math.nan),
+                 InvalidSurfaceError, id="kappa-nan"),
+    pytest.param(lambda: ModelSurface.constant_curvature(math.inf),
+                 InvalidSurfaceError, id="kappa-inf"),
+    pytest.param(lambda: ModelSurface.constant_curvature(-math.inf),
+                 InvalidSurfaceError, id="kappa-minus-inf"),
+])
+def test_non_finite_inputs_rejected(build, error):
+    with pytest.raises(error):
+        build()
 
 
 def test_fermi_map_examples(disk_chart, cap_chart):
@@ -232,3 +272,79 @@ def test_off_center_flat_disk(flat):
     assert th == pytest.approx(0.9, abs=1e-12)
     rep = check_regularity(off, 0.3)
     assert rep.admissible
+
+
+# the flat engines' frames: a blob with sine terms, a blob whose inward
+# dents curve more sharply than its lobes, and an off-centre circle
+_FRAME_BOUNDARIES = {
+    "sine_blob": RadialProfile((1.0, 0.07, 0.15, -0.02), (0.05, 0.03)),
+    "dented_blob": RadialProfile((1.0, 0.0, 0.25, 0.0, -0.05)),
+    "off_centre_circle": GeodesicDisk((0.3, 1.0), 0.8),
+}
+
+
+def _polar_to_cartesian_vector(p, v):
+    """Cartesian vector with polar components ``v = (dr, dtheta)`` at ``p``."""
+    r, th = p[..., 0], p[..., 1]
+    e_r = np.stack([np.cos(th), np.sin(th)], axis=-1)
+    e_t = np.stack([-np.sin(th), np.cos(th)], axis=-1)
+    return v[..., :1] * e_r + (r * v[..., 1])[..., None] * e_t
+
+
+@pytest.mark.parametrize("name", sorted(_FRAME_BOUNDARIES))
+def test_flat_frame_jacobians_match_differences_of_the_map(name):
+    # central differences of the map, taken in Cartesian coordinates so
+    # that the polar angle's wrap at 2 pi does not enter
+    eng = DomainSpec(_FLAT, _FRAME_BOUNDARIES[name])._engine()
+    th = np.linspace(0.0, 2.0 * math.pi, 37, endpoint=False)
+    S, T = np.meshgrid(np.linspace(-0.25, 0.25, 7), th, indexing="ij")
+    h = 1e-5
+
+    def cart(s, t):
+        return polar_to_cartesian(eng.map(s, t))
+
+    d_theta = (cart(S, T + h) - cart(S, T - h)) / (2.0 * h)
+    d_s = (cart(S + h, T) - cart(S - h, T)) / (2.0 * h)
+    p = eng.map(S, T)
+    assert np.allclose(_polar_to_cartesian_vector(p, eng.theta_jacobian(S, T)),
+                       d_theta, rtol=0.0, atol=1e-8)
+    assert np.allclose(_polar_to_cartesian_vector(p, eng.s_jacobian(S, T)),
+                       d_s, rtol=0.0, atol=1e-8)
+    # the flat volume ratio 1 + sigma s is the stretch of the tube's level curves
+    speed = eng.boundary(th).speed[None, :]
+    assert np.allclose(eng.ratio(T, S) * speed, np.linalg.norm(d_theta, axis=-1),
+                       rtol=0.0, atol=1e-8)
+
+
+@pytest.mark.parametrize("name", sorted(_FRAME_BOUNDARIES))
+def test_flat_focal_reach_is_the_inverse_largest_spread(name):
+    eng = DomainSpec(_FLAT, _FRAME_BOUNDARIES[name])._engine()
+    spread = eng.boundary(np.arange(4096) * (2.0 * math.pi / 4096)).spread
+    assert eng.focal_reach() == 1.0 / np.max(np.abs(spread))
+
+
+_COEFF = st.floats(-1.0, 1.0)
+
+
+@settings(max_examples=200, deadline=None, derandomize=True)
+@given(a=st.lists(_COEFF, min_size=1, max_size=6), b=st.lists(_COEFF, max_size=6),
+       theta=st.lists(st.floats(-10.0, 10.0), min_size=1, max_size=6))
+def test_profile_derivatives_match_the_per_mode_sum(a, b, theta):
+    """``(rho, rho', rho'')`` against an ``fsum`` of the modes one at a time,
+    to a few ``eps`` of the sum of the terms' magnitudes."""
+    got = RadialProfile(tuple(a), tuple(b)).derivatives(np.array(theta))
+    for i, t in enumerate(theta):
+        terms = ([a[0]], [], [])
+        for k, ak in enumerate(a[1:], 1):
+            c, s = math.cos(k * t), math.sin(k * t)
+            terms[0].append(ak * c)
+            terms[1].append(-k * ak * s)
+            terms[2].append(-k * k * ak * c)
+        for k, bk in enumerate(b, 1):
+            c, s = math.cos(k * t), math.sin(k * t)
+            terms[0].append(bk * s)
+            terms[1].append(k * bk * c)
+            terms[2].append(-k * k * bk * s)
+        for value, parts in zip(got, terms):
+            size = math.fsum(abs(x) for x in parts)
+            assert abs(value[i] - math.fsum(parts)) <= (len(parts) + 4) * EPS * size

@@ -7,7 +7,7 @@ from scipy.special import jnp_zeros
 
 from sobex import heat as H
 from sobex.errors import AssemblyError, ParameterError
-from sobex.fermi import DomainSpec, GeodesicDisk
+from sobex.fermi import DomainSpec, GeodesicDisk, RadialProfile
 from sobex.surfaces import ModelSurface, poly_cosh_mix_profile
 
 
@@ -43,6 +43,21 @@ def test_weights_sum_to_volume(interval, disk_system, blob_system, fourier_blob)
     dom, _ = blob_system
     exact = 0.5 * fourier_blob.boundary.squared_integral()
     assert dom.volume == pytest.approx(exact, rel=1e-12)
+
+
+@pytest.mark.parametrize("n_t", [34, 68, 96])
+def test_blob_cell_masses_match_the_per_cell_rule(flat, n_t):
+    # the angular cell integrals of rho^2, one 16-point Gauss rule per cell
+    prof = RadialProfile((1.0, 0.07, 0.15, -0.02), (0.05, 0.03))
+    dom = H.DiscreteDomain.disk_like(DomainSpec(flat, prof), 16, n_t)
+    dt = 2.0 * math.pi / n_t
+    edges = (np.arange(n_t + 1) - 0.5) * dt
+    gx, gw = np.polynomial.legendre.leggauss(16)
+    cells = np.array([0.5 * dt * np.sum(gw * prof.rho(0.5 * (lo + hi) + 0.5 * dt * gx) ** 2)
+                      for lo, hi in zip(edges[:-1], edges[1:])])
+    xi = (np.arange(16) + 1) * (1.0 / 16)
+    ring = 0.5 * (np.minimum(xi + 0.5 / 16, 1.0) ** 2 - (xi - 0.5 / 16) ** 2)
+    assert np.array_equal(dom.weights[1:], (ring[:, None] * cells[None, :]).ravel())
 
 
 @pytest.mark.parametrize("kappa", [1e-10, -1e-10, 5e-324, 1.0, -1.0])
