@@ -358,6 +358,9 @@ class ExtendedField:
 
     def __call__(self, points):
         pts = np.atleast_2d(np.asarray(points, dtype=float))
+        if not np.all(np.isfinite(pts)):
+            # a non-finite angle inside a pole-centred disk never reaches the inversion
+            raise ParameterError("chart points must be finite")
         vals = np.zeros(pts.shape[0])
         inside = self.chart.domain.contains(pts)
         if np.any(inside):

@@ -14,7 +14,10 @@ On flat charts (Fourier blobs, off-centre disks) the tube geometry is
 formed in one place, ``_FlatCurveEngine._frame``: one evaluation of the
 boundary curve gives the point, velocity, outward normal, spread and
 speed, and the map, both Jacobians, the volume ratio, the focal reach
-and the foot-point Newton steps read that frame.
+and the foot-point Newton steps read that frame.  Newton starts at the
+nearest of 2048 boundary samples, found by one KD-tree query of the 18
+nearest; a point has two feet (is ambiguous) when one of those more than
+8 samples away from the nearest is within ``1e-6`` of as near.
 
 Sign convention: ``second_fundamental`` (II) is reported with respect
 to the outward normal and anchored so that the unit disk carries
@@ -31,6 +34,7 @@ from typing import NamedTuple
 
 import numpy as np
 from scipy.sparse import coo_matrix
+from scipy.spatial import cKDTree
 from scipy.spatial.distance import pdist
 
 from . import comparison
@@ -61,8 +65,12 @@ __all__ = [
 _TWO_PI = 2.0 * math.pi
 # (n_r, n_theta) of the graph metric behind distances on warped charts
 _GRAPH_GRID = (192, 384)
-# damped Newton steps of the flat foot-point search
-_NEWTON_STEPS = 60
+# the flat foot-point search: damped Newton steps from the nearest of
+# _N_DENSE_FEET boundary samples; feet more than _SEPARATION samples apart
+# and within _FOOT_TIE of equally near make a point ambiguous
+_NEWTON_STEPS, _N_DENSE_FEET, _SEPARATION, _FOOT_TIE = 60, 2048, 8, 1e-6
+# boundary samples of a chart and of the regularity certificate's balls
+_N_THETA, _N_DENSE = 256, 512
 
 
 @dataclass(frozen=True)
@@ -390,36 +398,31 @@ class _FlatCurveEngine:
         return sigma / (1.0 + sigma * np.asarray(s, dtype=float))
 
     @cached_property
-    def _dense_table(self):
-        theta = np.arange(2048) * (_TWO_PI / 2048)
-        return theta, self.curve(theta)[0]
+    def _dense_tree(self):
+        """KD-tree over the boundary at angles ``k 2 pi / _N_DENSE_FEET``."""
+        return cKDTree(self.curve(np.arange(_N_DENSE_FEET) * (_TWO_PI / _N_DENSE_FEET))[0])
+
+    def _dense_feet(self, x):
+        """Nearest dense sample of Cartesian points, its distance, and the two-feet flag."""
+        d, idx = self._dense_tree.query(x, k=2 * _SEPARATION + 2)
+        # overflowing distances find no neighbour (index n): they tie everywhere
+        idx %= _N_DENSE_FEET
+        offs = (idx[:, 1:] - idx[:, :1]) % _N_DENSE_FEET
+        far = (offs > _SEPARATION) & (offs < _N_DENSE_FEET - _SEPARATION)
+        amb = np.any(far & (d[:, 1:] <= d[:, :1] + _FOOT_TIE), axis=1)
+        return idx[:, 0], d[:, 0], amb | np.isinf(d[:, 0])
 
     def invert(self, points, tol=1e-9):
         pts_polar = np.atleast_2d(np.asarray(points, dtype=float))
         x = polar_to_cartesian(pts_polar)
-        n_pts = x.shape[0]
-        theta_tab, c_tab = self._dense_table
-
-        # nearest dense boundary sample initializes the Newton iteration
-        theta = np.empty(n_pts)
-        d_best = np.empty(n_pts)
-        amb = np.zeros(n_pts, dtype=bool)
-        chunk = 2048
-        for lo in range(0, n_pts, chunk):
-            hi = min(lo + chunk, n_pts)
-            d2 = (
-                (x[lo:hi, 0, None] - c_tab[None, :, 0]) ** 2
-                + (x[lo:hi, 1, None] - c_tab[None, :, 1]) ** 2
-            )
-            idx = np.argmin(d2, axis=1)
-            theta[lo:hi] = theta_tab[idx]
-            d_best[lo:hi] = np.sqrt(d2[np.arange(hi - lo), idx])
-            amb[lo:hi] = _ambiguous_feet(d2, idx)
+        idx, d_best, amb = self._dense_feet(x)
+        theta = idx * (_TWO_PI / _N_DENSE_FEET)
 
         f = self._frame(theta)
         s = np.sum((x - f.point) * f.normal, axis=-1)
-        active = np.ones(n_pts, dtype=bool)
-        scale = max(1.0, float(np.max(np.linalg.norm(x, axis=-1), initial=1.0)))
+        active = np.ones(x.shape[0], dtype=bool)
+        # each point converges relative to its own size
+        scale = np.maximum(1.0, np.linalg.norm(x, axis=-1))
         for _ in range(_NEWTON_STEPS):
             if not np.any(active):
                 break
@@ -427,7 +430,7 @@ class _FlatCurveEngine:
             f = self._frame(th_a)
             res = f.at(s_a) - x_a
             res_norm = np.linalg.norm(res, axis=-1)
-            done = res_norm < tol * scale
+            done = res_norm < tol * scale[active]
             # the Jacobian's columns d/dtheta and d/ds = n are orthogonal
             j_theta = f.theta_velocity(s_a)
             j_sq = np.maximum(np.sum(j_theta * j_theta, axis=-1), 1e-300)
@@ -445,17 +448,16 @@ class _FlatCurveEngine:
                 step = np.where(worse, 0.5 * step, step)
             theta[active] = np.where(done, th_a, th_a + step * dth)
             s[active] = np.where(done, s_a, s_a + step * ds)
-            still = np.zeros(n_pts, dtype=bool)
+            still = np.zeros(x.shape[0], dtype=bool)
             still[active] = ~done
             active = still
 
         resid = np.linalg.norm(self._frame(theta).at(s) - x, axis=-1)
         ok = resid < 10.0 * tol * scale
-        # for ambiguous points report the conservative (dense-table) signed
+        # for ambiguous points report the conservative (dense-sample) signed
         # distance, so callers can still classify them as in/out of a tube
         if np.any(amb):
             sign = np.where(self.contains(pts_polar[amb]), -1.0, 1.0)
-            s = s.copy()
             s[amb] = sign * d_best[amb]
             ok = ok | amb
         return s, np.mod(theta, _TWO_PI), ok, amb
@@ -478,19 +480,6 @@ def _polar_components(pos, v):
     e_r = pos / r[..., None]
     e_t = np.stack([-e_r[..., 1], e_r[..., 0]], axis=-1)
     return np.stack([np.sum(v * e_r, axis=-1), np.sum(v * e_t, axis=-1) / r], axis=-1)
-
-
-def _ambiguous_feet(d2, idx, abs_tol=1e-6, separation=8):
-    """Detect two almost-equally-near boundary feet from a dense distance table."""
-    n = d2.shape[1]
-    d = np.sqrt(d2)
-    best = d[np.arange(d.shape[0]), idx]
-    offs = (np.arange(n)[None, :] - idx[:, None]) % n
-    far = (offs > separation) & (offs < n - separation)
-    d_far = np.where(far, d, np.inf)
-    # a competing near-minimum angularly separated from the best foot
-    runner = np.min(d_far, axis=1)
-    return runner <= best + abs_tol
 
 
 class _FlatCircleEngine(_FlatCurveEngine):
@@ -567,7 +556,7 @@ class _FlatFourierEngine(_FlatCurveEngine):
     @cached_property
     def _diameter(self):
         # the diameter of a compact planar set is attained on the boundary
-        return float(np.max(pdist(self._dense_table[1])))
+        return float(np.max(pdist(self._dense_tree.data)))
 
 
 class WarpedGridMetric:
@@ -653,19 +642,18 @@ class FermiChart:
     direction), which is verified at build time.
     """
 
-    def __init__(self, domain: DomainSpec, r: float, n_theta: int = 256):
+    def __init__(self, domain: DomainSpec, r: float):
         if r <= 0.0:
             raise ParameterError("tube radius must be positive")
         self.domain = domain
         self.r = float(r)
-        self.n_theta = int(n_theta)
         self.engine = domain._engine()
         reach = self.engine.focal_reach()
         if self.r >= reach:
             raise FocalPointError(
                 f"tube radius {r} reaches a focal point (reach {reach:.6g})"
             )
-        theta = np.arange(self.n_theta) * (_TWO_PI / self.n_theta)
+        theta = np.arange(_N_THETA) * (_TWO_PI / _N_THETA)
         self.samples = self.engine.boundary(theta)
         self._quad_cache = {}
         self._regularity = None
@@ -697,12 +685,12 @@ class FermiChart:
     def fermi_invert(self, points, tol: float = 1e-9):
         """Signed distance and foot parameter of tube points.
 
-        Raises :class:`OutOfTubeError` for points outside the open tube
-        and :class:`FootAmbiguityError` when two boundary feet are
-        within tolerance of being equally close (a regularity
-        violation).
+        Raises :class:`ParameterError` for non-finite points,
+        :class:`OutOfTubeError` for points outside the open tube and
+        :class:`FootAmbiguityError` when two boundary feet are within
+        tolerance of being equally close (a regularity violation).
         """
-        s, theta, ok, amb = self.engine.invert(points, tol=tol)
+        s, theta, ok, amb = self.invert_soft(points, tol=tol)
         if np.any(amb):
             raise FootAmbiguityError("two boundary feet are equally close")
         if np.any(~ok):
@@ -714,7 +702,12 @@ class FermiChart:
         return s, theta
 
     def invert_soft(self, points, tol: float = 1e-9):
-        """Batch inversion returning masks instead of raising (internal)."""
+        """Batch inversion returning masks instead of raising (internal).
+
+        Only a non-finite point raises (:class:`ParameterError`).
+        """
+        if not np.all(np.isfinite(points)):
+            raise ParameterError("chart points must be finite")
         return self.engine.invert(points, tol=tol)
 
     def volume_element_ratio(self, theta, s):
@@ -754,8 +747,7 @@ class FermiChart:
     @property
     def regularity(self):
         if self._regularity is None:
-            self._regularity = check_regularity(self.domain, self.r,
-                                                n_theta=self.n_theta)
+            self._regularity = check_regularity(self.domain, self.r)
         return self._regularity
 
 
@@ -795,8 +787,7 @@ class RegularityReport:
         return asdict(self)
 
 
-def check_regularity(domain: DomainSpec, r: float, n_theta: int = 256,
-                     n_dense: int = 512) -> RegularityReport:
+def check_regularity(domain: DomainSpec, r: float) -> RegularityReport:
     """Certify the rolling-ball, curvature and injectivity conditions.
 
     Never raises for geometric failures; the report carries them.  The
@@ -810,7 +801,7 @@ def check_regularity(domain: DomainSpec, r: float, n_theta: int = 256,
     """
     notes = []
     engine = domain._engine()
-    theta = np.arange(n_theta) * (_TWO_PI / n_theta)
+    theta = np.arange(_N_THETA) * (_TWO_PI / _N_THETA)
     bnd = engine.boundary(theta)
     sigma = bnd.spread
     H = float(np.max(np.abs(sigma)))
@@ -827,8 +818,7 @@ def check_regularity(domain: DomainSpec, r: float, n_theta: int = 256,
     tol = max(1e-9 * (1.0 + r), engine.distance_slack * r)
 
     centers_theta = theta if not engine.symmetric else theta[:1]
-    dense_theta = np.arange(n_dense) * (_TWO_PI / n_dense)
-    dense_pts = engine.boundary(dense_theta).point
+    dense_pts = engine.boundary(np.arange(_N_DENSE) * (_TWO_PI / _N_DENSE)).point
 
     interior_margin = math.inf
     exterior_margin = math.inf
@@ -839,12 +829,8 @@ def check_regularity(domain: DomainSpec, r: float, n_theta: int = 256,
             centers = engine.map(np.full(centers_theta.shape, sign * r), centers_theta)
             inside = engine.contains(centers)
             side_ok = bool(np.all(inside)) if sign < 0 else bool(not np.any(inside))
-            margin = math.inf
-            chunk = 64
-            for lo in range(0, centers.shape[0], chunk):
-                block = centers[lo : lo + chunk]
-                d = engine.distance(block[:, None, :], dense_pts[None, :, :])
-                margin = min(margin, float(np.min(d) - r))
+            d = engine.distance(centers[:, None, :], dense_pts[None, :, :])
+            margin = float(np.min(d) - r)
             side_ok = side_ok and margin >= -tol
             if sign < 0:
                 interior_ok, interior_margin = side_ok, margin
@@ -860,7 +846,7 @@ def check_regularity(domain: DomainSpec, r: float, n_theta: int = 256,
     injective = chart_ok
     if chart_ok:
         s_grid = np.linspace(-0.95 * r, 0.95 * r, 9)
-        th_grid = theta[:: max(1, n_theta // 64)]
+        th_grid = theta[:: _N_THETA // 64]
         S, T = np.meshgrid(s_grid, th_grid, indexing="ij")
         pts = engine.map(S.ravel(), T.ravel())
         s_back, th_back, ok, amb = engine.invert(pts)
@@ -893,7 +879,7 @@ def check_regularity(domain: DomainSpec, r: float, n_theta: int = 256,
         exterior_margin=float(exterior_margin),
         roundtrip_error=float(roundtrip),
         ambiguous_points=ambiguous,
-        n_theta=int(n_theta),
-        n_dense=int(n_dense),
+        n_theta=_N_THETA,
+        n_dense=_N_DENSE,
         notes=notes,
     )

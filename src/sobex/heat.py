@@ -506,7 +506,10 @@ class NeumannSystem:
     the operator, so a Fourier transform in the angle leaves tridiagonal
     radial problems; otherwise ``"dense"`` (LAPACK ``eigh``) up to
     ``DENSE_LIMIT`` unknowns and ``"sparse"`` (shift-invert Lanczos)
-    beyond.  ``modes_used`` is the largest :meth:`modes_for` result so far.
+    beyond.  ``mode_cap`` is 2000 up to ``DENSE_LIMIT`` unknowns and 384
+    beyond, for the separable solver too, which forms the ``N x m``
+    eigenvector matrix.  ``modes_used`` is the largest :meth:`modes_for`
+    result so far.
     """
 
     DENSE_LIMIT = 4800
@@ -522,7 +525,9 @@ class NeumannSystem:
             self.solver = "separable"
         else:
             self.solver = "dense" if self.size <= self.DENSE_LIMIT else "sparse"
-        # iterative eigensolves are impractical beyond a few hundred modes
+        # above DENSE_LIMIT every solver keeps a few hundred modes: shift-invert
+        # Lanczos is impractical beyond that, and the separable solver still
+        # forms the N x m eigenvector matrix (200 MB at 65 536 nodes)
         self.mode_cap = _MODE_CAP if self.size <= self.DENSE_LIMIT else 384
         self.modes_used = 0
 

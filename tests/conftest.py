@@ -2,9 +2,15 @@ import math
 
 import numpy as np
 import pytest
+from hypothesis import settings
 
 from sobex.fermi import DomainSpec, FermiChart, GeodesicDisk, RadialProfile
 from sobex.surfaces import ModelSurface
+
+# every property test: reproducible examples, no per-example time limit;
+# each test sets its own max_examples
+settings.register_profile("sobex", deadline=None, derandomize=True)
+settings.load_profile("sobex")
 
 
 @pytest.fixture(scope="session")

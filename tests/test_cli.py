@@ -225,7 +225,7 @@ _CONFIGS = _object(
 )
 
 
-@settings(max_examples=300, deadline=None, derandomize=True)
+@settings(max_examples=300)
 @given(raw=_CONFIGS)
 def test_parse_and_build_raise_only_config_errors(raw):
     """Every configuration is either accepted and buildable or a ConfigError."""
@@ -275,7 +275,7 @@ def _runs(draw):
     return raw
 
 
-@settings(max_examples=100, deadline=None, derandomize=True)
+@settings(max_examples=100)
 @given(command=st.sampled_from(sorted(cli._COMMANDS)), raw=_runs(),
        domain_flag=st.none() | _DOMAINS | _VALUES)
 def test_main_exits_0_1_or_2(command, raw, domain_flag):

@@ -1,4 +1,5 @@
 import math
+import tracemalloc
 
 import numpy as np
 import pytest
@@ -10,6 +11,7 @@ from sobex.errors import (
     InvalidDomainError,
     InvalidSurfaceError,
     OutOfTubeError,
+    ParameterError,
 )
 from sobex.fermi import (
     DomainSpec,
@@ -326,7 +328,7 @@ def test_flat_focal_reach_is_the_inverse_largest_spread(name):
 _COEFF = st.floats(-1.0, 1.0)
 
 
-@settings(max_examples=200, deadline=None, derandomize=True)
+@settings(max_examples=200)
 @given(a=st.lists(_COEFF, min_size=1, max_size=6), b=st.lists(_COEFF, max_size=6),
        theta=st.lists(st.floats(-10.0, 10.0), min_size=1, max_size=6))
 def test_profile_derivatives_match_the_per_mode_sum(a, b, theta):
@@ -348,3 +350,75 @@ def test_profile_derivatives_match_the_per_mode_sum(a, b, theta):
         for value, parts in zip(got, terms):
             size = math.fsum(abs(x) for x in parts)
             assert abs(value[i] - math.fsum(parts)) <= (len(parts) + 4) * EPS * size
+
+
+def _dense_table_feet(eng, x, n=2048, separation=8, tie=1e-6):
+    """Oracle for the flat foot search: the argmin of the full table of squared
+    distances to ``n`` boundary samples, and the runner-up more than
+    ``separation`` samples away.  Also flags exact ties for the nearest sample."""
+    c = eng.curve(np.arange(n) * (2.0 * math.pi / n))[0]
+    d2 = (x[:, 0, None] - c[None, :, 0]) ** 2 + (x[:, 1, None] - c[None, :, 1]) ** 2
+    rows, idx = np.arange(x.shape[0]), np.argmin(d2, axis=1)
+    d = np.sqrt(d2)
+    offs = (np.arange(n)[None, :] - idx[:, None]) % n
+    far = (offs > separation) & (offs < n - separation)
+    runner = np.min(np.where(far, d, np.inf), axis=1)
+    ties = np.count_nonzero(d2 == d2[rows, idx][:, None], axis=1) > 1
+    return idx, d[rows, idx], runner <= d[rows, idx] + tie, ties
+
+
+_SMALL = st.floats(-0.15, 0.15)
+_POINT = st.tuples(st.floats(-2.0, 2.0), st.floats(-2.0, 2.0))
+
+
+@settings(max_examples=60)
+@given(a=st.lists(_SMALL, min_size=1, max_size=3), b=st.lists(_SMALL, min_size=1, max_size=3),
+       box=st.lists(_POINT, min_size=1, max_size=20),
+       tube=st.lists(st.tuples(st.floats(-0.5, 0.5), st.floats(0.0, 2.0 * math.pi)),
+                     min_size=1, max_size=20))
+def test_flat_feet_match_the_dense_table(a, b, box, tube):
+    """Nearest sample, its distance and the two-feet flag of the KD-tree
+    query equal the full table's on box points and mapped tube points."""
+    eng = DomainSpec(_FLAT, RadialProfile((1.0, *a), tuple(b)))._engine()  # rho >= 1 - 6 * 0.15
+    s, t = np.array(tube).T
+    x = np.concatenate([np.array(box), polar_to_cartesian(eng.map(s, t)), [[0.0, 0.0]]])
+    idx, d_best, amb = eng._dense_feet(x)
+    o_idx, o_best, o_amb, ties = _dense_table_feet(eng, x)
+    assert np.array_equal(idx[~ties], o_idx[~ties])
+    assert np.array_equal(d_best[~ties], o_best[~ties])
+    assert np.array_equal(amb[~ties], o_amb[~ties])
+
+
+def test_invert_tolerance_is_per_point(blob_chart):
+    # a far point in the same batch must not loosen another point's Newton stop
+    p = blob_chart.fermi_map(0.2, 0.37)
+    s1, th1, ok1, amb1 = blob_chart.invert_soft(p[None])
+    s2, th2, ok2, amb2 = blob_chart.invert_soft(np.stack([p, [1e7, 0.0]]))
+    assert ok1[0] and ok2[0] and not (amb1[0] or amb2[0])
+    assert s2[0] == pytest.approx(s1[0], abs=1e-12)
+    assert th2[0] == pytest.approx(th1[0], abs=1e-12)
+    assert th1[0] == pytest.approx(0.37, abs=1e-9)
+
+
+def test_overflowing_point_is_ambiguous_and_outside(blob_chart):
+    # squared distances overflow: every boundary sample ties at +inf
+    with np.errstate(all="ignore"):
+        s, _, ok, amb = blob_chart.invert_soft(np.array([1e300, 0.1]))
+    assert amb[0] and ok[0] and s[0] == math.inf
+
+
+def test_invert_memory_stays_small(blob_chart):
+    # 8192 tube points: the search holds 18 neighbours a point, not 2048
+    S, T = np.meshgrid(np.linspace(-0.95 * blob_chart.r, 0.95 * blob_chart.r, 8),
+                       np.arange(1024) * (2.0 * math.pi / 1024), indexing="ij")
+    pts = blob_chart.map_unchecked(S.ravel(), T.ravel())
+    blob_chart.invert_soft(pts[:1])  # build the cached boundary samples first
+    tracemalloc.start()
+    try:
+        s, th, ok, amb = blob_chart.invert_soft(pts)
+        peak = tracemalloc.get_traced_memory()[1]
+    finally:
+        tracemalloc.stop()
+    assert np.all(ok) and not np.any(amb)
+    assert np.max(np.abs(s - S.ravel())) < 1e-8
+    assert peak < 16 * 2**20

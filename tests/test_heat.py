@@ -311,7 +311,7 @@ def test_li_yau(unit_interval):
         H.fit_inverse_time_envelope(t_grid, np.full(t_grid.shape, np.nan))
 
 
-@settings(max_examples=200, deadline=None, derandomize=True)
+@settings(max_examples=200)
 @given(data=st.lists(st.tuples(st.floats(1e-3, 10.0), st.floats(-100.0, 100.0)),
                      min_size=1, max_size=24))
 def test_envelope_fit_is_the_linear_program_optimum(data):
@@ -379,7 +379,7 @@ def test_separable_matches_dense(case, unit_disk, spherical_cap):
     assert np.array_equal(lam, lam2) and np.array_equal(phi, phi2)
 
 
-@settings(max_examples=20, deadline=None, derandomize=True)
+@settings(max_examples=20)
 @given(n_r=st.integers(16, 24), n_theta=st.integers(16, 25),
        radius=st.floats(0.3, 1.5), kappa=st.floats(-1.5, 1.5),
        warped=st.booleans())
