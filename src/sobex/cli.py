@@ -401,13 +401,10 @@ def cmd_heat(cfg: RunConfig) -> int:
     probe = min(system.size, 400)
     idx = domain.sample_indices(probe)
     t_probe = float(t_grid[len(t_grid) // 2])
-    m = system.modes_for(t_probe)
-    lam_m, phi_m = system.eigenpairs(m)
-    block = phi_m[idx]
-    Hmat = (block * np.exp(-lam_m * t_probe)) @ phi_m.T
-    rowsums = Hmat @ system.mass
+    # the kernel's row sums at the probes are the semigroup applied to 1
+    rowsums = system.semigroup_apply(t_probe, np.ones(system.size))[idx]
     checks["stochastic"] = bool(np.max(np.abs(rowsums - 1.0)) < 1e-9)
-    sym = (block * np.exp(-lam_m * t_probe)) @ block.T
+    sym = system.heat_kernel(t_probe, idx[:, None], idx[None, :])
     checks["symmetric"] = bool(np.max(np.abs(sym - sym.T)) < 1e-12)
     equil = system.heat_kernel(10.0 * diam**2, int(idx[0]), int(idx[-1]))
     checks["equilibrium"] = bool(abs(equil - 1.0 / system.volume) < 1e-10)
@@ -429,6 +426,7 @@ def cmd_heat(cfg: RunConfig) -> int:
             "path": system.solver,
             "modes": system.modes_used,
             "mode_cap": system.mode_cap,
+            "truncation": system.truncation,
         },
     }
     write_report(cfg.report, payload)

@@ -420,9 +420,13 @@ class _FlatCurveEngine:
 
         f = self._frame(theta)
         s = np.sum((x - f.point) * f.normal, axis=-1)
-        active = np.ones(x.shape[0], dtype=bool)
+        # a point whose distances overflow is ambiguous and keeps its dense
+        # foot: Newton would square its coordinates past the float range
+        finite = np.isfinite(d_best)
+        active = finite.copy()
         # each point converges relative to its own size
-        scale = np.maximum(1.0, np.linalg.norm(x, axis=-1))
+        scale = np.ones(x.shape[0])
+        scale[finite] = np.maximum(1.0, np.linalg.norm(x[finite], axis=-1))
         for _ in range(_NEWTON_STEPS):
             if not np.any(active):
                 break
@@ -452,8 +456,9 @@ class _FlatCurveEngine:
             still[active] = ~done
             active = still
 
-        resid = np.linalg.norm(self._frame(theta).at(s) - x, axis=-1)
-        ok = resid < 10.0 * tol * scale
+        resid = np.linalg.norm(self._frame(theta[finite]).at(s[finite]) - x[finite], axis=-1)
+        ok = np.zeros(x.shape[0], dtype=bool)
+        ok[finite] = resid < 10.0 * tol * scale[finite]
         # for ambiguous points report the conservative (dense-sample) signed
         # distance, so callers can still classify them as in/out of a tube
         if np.any(amb):

@@ -7,13 +7,15 @@ and the heat kernel
 
     h_t(x, y) = sum_k exp(-lambda_k t) phi_k(x) phi_k(y),
 
-and measures the quantities appearing in the localized heat-kernel
-theory: the diagonal product ``h_t(x,x) Vol(B(x, sqrt(t)))``, volume
-doubling constants, localized Gagliardo-Nirenberg constants, weighted
-semigroup operator norms with their Dunford-Pettis identities,
-integral curvature means, the Kato quantity, the first nonzero
-eigenvalue scaling and the inverse-time gradient (Li-Yau style)
-envelope for positive solutions.
+summed over a factored spectrum (:class:`Spectrum`: radial vectors
+times angular cos/sin vectors, which on separable grids never form the
+full eigenvector matrix), and measures the quantities appearing in the
+localized heat-kernel theory: the diagonal product
+``h_t(x,x) Vol(B(x, sqrt(t)))``, volume doubling constants, localized
+Gagliardo-Nirenberg constants, weighted semigroup operator norms with
+their Dunford-Pettis identities, integral curvature means, the Kato
+quantity, the first nonzero eigenvalue scaling and the inverse-time
+gradient (Li-Yau style) envelope for positive solutions.
 
 Balls are ambient metric balls intersected with the domain: volumes
 sum node weights over nodes within the closed-form (or graph) distance.
@@ -40,6 +42,7 @@ from .surfaces import constant_curvature_distance, polar_to_cartesian
 __all__ = [
     "DiscreteDomain",
     "NeumannSystem",
+    "Spectrum",
     "TensorFactors",
     "assemble",
     "heat_kernel",
@@ -468,27 +471,120 @@ class TensorFactors:
         return np.where(sine, np.sin(angle), np.cos(angle)) \
             * np.where(paired, math.sqrt(2.0 / n_t), math.sqrt(1.0 / n_t))
 
-    def eigenpairs(self, keep):
-        """The ``keep`` lowest mass-orthonormal eigenpairs ``(lam, phi)``."""
+    def spectrum(self, keep):
+        """The ``keep`` lowest mass-orthonormal eigenpairs as a :class:`Spectrum`.
+
+        Wavenumber ``k`` gets one radial block ``D Y``, with ``Y`` the
+        radial eigenvectors ``0 .. j_max`` of its problem that the
+        ``keep`` modes use; its cos and sin modes share the block.
+        """
         from scipy.linalg import eigh_tridiagonal
 
         lam, wave, basis, j = self._modes
         basis, j = basis[:keep], j[:keep]
         diag, off = self._radial
-        angular = self._angular(wave)
         scale = 1.0 / np.sqrt(self.m)
-        phi = np.empty((self.m.shape[0] * self.n_theta, basis.shape[0]))
+        blocks, offset, width = [], np.zeros(wave.max() + 1, dtype=int), 0
         for k in np.unique(wave[basis]):
-            cols = np.nonzero(wave[basis] == k)[0]
             _, Y = eigh_tridiagonal(diag[k], off, select="i",
-                                    select_range=(0, int(j[cols].max())),
+                                    select_range=(0, int(j[wave[basis] == k].max())),
                                     lapack_driver="stemr")
             if k == 0:  # the exact null vector, to go with lam_0 = 0
                 Y[:, 0] = np.sqrt(self.m / np.sum(self.m))
-            radial = scale[:, None] * Y[:, j[cols]]
-            phi[:, cols] = (radial[:, None, :] * angular[:, basis[cols]][None, :, :]) \
-                .reshape(phi.shape[0], cols.shape[0])
-        return lam[:keep], phi
+            blocks.append(scale[:, None] * Y)
+            offset[k], width = width, width + Y.shape[1]
+        return Spectrum(lam[:keep], basis, offset[wave[basis]] + j, np.hstack(blocks),
+                        self._angular(wave))
+
+
+@dataclass(frozen=True, eq=False)
+class Spectrum:
+    """The lowest mass-orthonormal eigenpairs of a Neumann system, in factored form.
+
+    Node ``i * n_theta + a`` has radial index ``i`` and angular index
+    ``a``.  Mode ``p`` has eigenvalue ``lam[p]`` (ascending) and
+    eigenvector ``radial[:, column[p]] (x) angular[:, basis[p]]``.  The
+    modes of one angular basis function occupy adjacent radial columns
+    in ascending order, so those among the first ``m`` modes are a run
+    of columns.  A separable spectrum keeps one radial block per
+    wavenumber, shared by its cos and sin; a dense or sparse one is the
+    case ``n_theta = 1`` with ``angular = [[1.0]]`` and the eigenvectors
+    as ``radial``.  Signs are as the solver left them: every kernel sum
+    is blind to them.
+    """
+
+    lam: np.ndarray
+    basis: np.ndarray
+    column: np.ndarray
+    radial: np.ndarray
+    angular: np.ndarray
+
+    @classmethod
+    def unfactored(cls, lam, phi):
+        """The spectrum of a non-separable solve: eigenvectors ``phi`` as they are."""
+        return cls(lam, np.zeros(lam.shape[0], dtype=int), np.arange(lam.shape[0]), phi,
+                   np.ones((1, 1)))
+
+    def _groups(self, m):
+        """``(b, radial columns, modes)`` of each angular basis function ``b``
+        among the first ``m`` modes, the modes in ascending order."""
+        basis = self.basis[:m]
+        modes = np.argsort(basis, kind="stable")
+        counts = np.bincount(basis, minlength=self.angular.shape[1])
+        start = 0
+        for b in np.flatnonzero(counts):
+            n = int(counts[b])
+            first = int(self.column[modes[start]])
+            yield b, slice(first, first + n), modes[start:start + n]
+            start += n
+
+    def _split(self, nodes):
+        """Radial and angular indices of node indices."""
+        return np.divmod(np.asarray(nodes, dtype=int), self.angular.shape[0])
+
+    def values(self, nodes, m):
+        """The first ``m`` eigenvectors at ``nodes``, shape ``nodes.shape + (m,)``."""
+        ring, angle = self._split(nodes)
+        return self.radial[ring[..., None], self.column[:m]] \
+            * self.angular[angle[..., None], self.basis[:m]]
+
+    def diagonal(self, weights, nodes):
+        """``sum_p weights[p] phi_p(x)^2`` at ``nodes``, over the first ``len(weights)`` modes."""
+        m = weights.shape[0]
+        ring, angle = self._split(nodes)
+        rings, ring_of = np.unique(ring, return_inverse=True)
+        # mode p adds weights[p] radial^2 to its basis function's column
+        by_basis = np.zeros((m, self.angular.shape[1]))
+        by_basis[np.arange(m), self.basis[:m]] = weights
+        radial_sq = self.radial[rings][:, self.column[:m]] ** 2
+        return ((radial_sq @ by_basis) @ (self.angular**2).T)[ring_of, angle]
+
+    def matrix(self, weights):
+        """``sum_p weights[p] phi_p phi_p^T`` on all nodes, over the first ``len(weights)``."""
+        n_r, n_t = self.radial.shape[0], self.angular.shape[0]
+        out = np.zeros((n_r, n_t, n_r, n_t))
+        for b, cols, modes in self._groups(weights.shape[0]):
+            R = self.radial[:, cols]
+            E = self.angular[:, b]
+            out += ((R * weights[modes]) @ R.T)[:, None, :, None] \
+                * np.outer(E, E)[None, :, None, :]
+        return out.reshape(n_r * n_t, n_r * n_t)
+
+    def coefficients(self, values, m):
+        """``c_p = sum_x phi_p(x) values(x)`` for the first ``m`` modes."""
+        projected = np.asarray(values, dtype=float).reshape(self.radial.shape[0], -1) \
+            @ self.angular
+        out = np.empty(m)
+        for b, cols, modes in self._groups(m):
+            out[modes] = self.radial[:, cols].T @ projected[:, b]
+        return out
+
+    def synthesize(self, coeff):
+        """``sum_p coeff[p] phi_p`` on all nodes, over the first ``len(coeff)`` modes."""
+        radial = np.zeros((self.radial.shape[0], self.angular.shape[1]))
+        for b, cols, modes in self._groups(coeff.shape[0]):
+            radial[:, b] = self.radial[:, cols] @ coeff[modes]
+        return (radial @ self.angular.T).ravel()
 
 
 # ---------------------------------------------------------------------------
@@ -506,10 +602,14 @@ class NeumannSystem:
     the operator, so a Fourier transform in the angle leaves tridiagonal
     radial problems; otherwise ``"dense"`` (LAPACK ``eigh``) up to
     ``DENSE_LIMIT`` unknowns and ``"sparse"`` (shift-invert Lanczos)
-    beyond.  ``mode_cap`` is 2000 up to ``DENSE_LIMIT`` unknowns and 384
-    beyond, for the separable solver too, which forms the ``N x m``
-    eigenvector matrix.  ``modes_used`` is the largest :meth:`modes_for`
-    result so far.
+    beyond.  ``spectrum`` holds the eigenpairs solved so far as a
+    :class:`Spectrum`, and every kernel sum contracts its factors: a
+    separable system never forms its ``N x m`` eigenvector matrix, and
+    :meth:`eigenpairs` builds only the columns it returns.  ``mode_cap``
+    is 2000 up to ``DENSE_LIMIT`` unknowns and 384 beyond.
+    ``modes_used`` is the largest :meth:`modes_for` result so far and
+    ``truncation`` the largest truncation level it warned about (0.0
+    if no sum was truncated).
     """
 
     DENSE_LIMIT = 4800
@@ -519,17 +619,17 @@ class NeumannSystem:
         self.mass = np.asarray(mass, dtype=float)
         self.domain = domain
         self.factors = factors
-        self._lam = None
-        self._phi = None
+        self.spectrum = None
         if factors is not None:
             self.solver = "separable"
         else:
             self.solver = "dense" if self.size <= self.DENSE_LIMIT else "sparse"
-        # above DENSE_LIMIT every solver keeps a few hundred modes: shift-invert
-        # Lanczos is impractical beyond that, and the separable solver still
-        # forms the N x m eigenvector matrix (200 MB at 65 536 nodes)
+        # above DENSE_LIMIT every solver keeps a few hundred modes, because
+        # shift-invert Lanczos is impractical beyond that; the separable
+        # solver keeps them as radial blocks, n_r x (modes per wavenumber)
         self.mode_cap = _MODE_CAP if self.size <= self.DENSE_LIMIT else 384
         self.modes_used = 0
+        self.truncation = 0.0
 
     @property
     def size(self):
@@ -539,6 +639,11 @@ class NeumannSystem:
     def volume(self):
         return float(np.sum(self.mass))
 
+    @property
+    def _lam(self):
+        """Eigenvalues of the current spectrum; a new array on each solve."""
+        return None if self.spectrum is None else self.spectrum.lam
+
     def energy(self, f):
         """Dirichlet energy ``f^T A f`` (the squared half-Laplacian norm)."""
         f = np.asarray(f, dtype=float)
@@ -547,17 +652,33 @@ class NeumannSystem:
 
     # -- eigensolves -----------------------------------------------------------
 
-    def eigenpairs(self, count):
-        """First ``count`` mass-orthonormal eigenpairs (ascending)."""
+    def eigenpairs(self, count, vectors=True):
+        """First ``count`` mass-orthonormal eigenpairs (ascending).
+
+        Each returned eigenvector has its largest-magnitude entry
+        positive.  With ``vectors=False`` only the eigenvalues are
+        returned (``phi`` is ``None``) and no eigenvector is formed.
+        """
         dense_sized = self.size <= self.DENSE_LIMIT
         count = int(min(count, self.size if dense_sized else self.size - 2))
-        if self._lam is not None and self._lam.shape[0] >= count:
-            return self._lam[:count], self._phi[:, :count]
-        keep = max(count, min(self.size, _MODE_CAP)) if dense_sized else count
-        d = 1.0 / np.sqrt(self.mass)
+        if self._lam is None or self._lam.shape[0] < count:
+            keep = max(count, min(self.size, _MODE_CAP)) if dense_sized else count
+            self.spectrum = self._solve(keep)
+        lam = self._lam[:count]
+        if not vectors:
+            return lam, None
+        phi = self.spectrum.values(np.arange(self.size), count)
+        # canonical sign: the largest-magnitude entry of each mode is positive
+        peak = np.argmax(np.abs(phi), axis=0)
+        phi *= np.where(phi[peak, np.arange(count)] < 0.0, -1.0, 1.0)
+        return lam, phi
+
+    def _solve(self, keep):
+        """The ``keep`` lowest eigenpairs from this system's solver."""
         if self.solver == "separable":
-            lam, phi = self.factors.eigenpairs(keep)
-        elif self.solver == "dense":
+            return self.factors.spectrum(keep)
+        d = 1.0 / np.sqrt(self.mass)
+        if self.solver == "dense":
             from scipy.linalg import eigh
 
             B = (self.stiffness.multiply(d[:, None]).multiply(d[None, :])).toarray()
@@ -565,73 +686,78 @@ class NeumannSystem:
             # B is exactly symmetric, so B.T is B in Fortran order: LAPACK works in place
             lam, Y = eigh(B.T, driver="evd", overwrite_a=True, check_finite=False)
             lam = np.maximum(lam, 0.0)
-            lam, phi = lam[:keep], d[:, None] * Y[:, :keep]
-        else:
-            from scipy.sparse.linalg import eigsh
+            return Spectrum.unfactored(lam[:keep], d[:, None] * Y[:, :keep])
+        from scipy.sparse.linalg import eigsh
 
-            B = self.stiffness.multiply(d[:, None]).multiply(d[None, :]).tocsc()
-            # deterministic start vector: ARPACK would otherwise randomize
-            v0 = np.cos(np.arange(self.size, dtype=float))
-            lam, Y = eigsh(B, k=keep, sigma=-1e-8, which="LM", v0=v0)
-            order = np.argsort(lam)
-            lam = np.maximum(lam[order], 0.0)
-            phi = d[:, None] * Y[:, order]
-        # canonical sign: the largest-magnitude entry of each mode is positive
-        peak = np.argmax(np.abs(phi), axis=0)
-        phi *= np.where(phi[peak, np.arange(phi.shape[1])] < 0.0, -1.0, 1.0)
-        self._lam, self._phi = lam, phi
-        return self._lam[:count], self._phi[:, :count]
+        B = self.stiffness.multiply(d[:, None]).multiply(d[None, :]).tocsc()
+        # deterministic start vector: ARPACK would otherwise randomize
+        v0 = np.cos(np.arange(self.size, dtype=float))
+        lam, Y = eigsh(B, k=keep, sigma=-1e-8, which="LM", v0=v0)
+        order = np.argsort(lam)
+        return Spectrum.unfactored(np.maximum(lam[order], 0.0), d[:, None] * Y[:, order])
 
     def modes_for(self, t_min):
         """Mode count for relative spectral truncation below 1e-12 at ``t_min``.
 
         Returns the smallest ``m`` with ``exp(-lambda_m t_min) < 1e-12``,
-        capped at ``min(N, mode_cap)``; a warning reports the truncation
-        level if the cap bites.
+        capped at ``min(N, mode_cap)``.  If the cap bites, a warning
+        reports the truncation level ``exp(-lambda_cap t_min)`` (the
+        weight of the last mode kept, which bounds every weight left
+        out) and ``truncation`` keeps the largest such level.
         """
         target = _LOG_TRUNC / float(t_min)
         cap = int(min(self.size if self.size <= self.DENSE_LIMIT else self.size - 2,
                       self.mode_cap))
-        lam, _ = self.eigenpairs(cap)
+        lam, _ = self.eigenpairs(cap, vectors=False)
         above = np.nonzero(lam > target)[0]
         if above.size:
             m = int(above[0]) + 1
         elif cap >= self.size:
             m = cap  # complete spectrum available: no truncation at all
         else:
+            level = math.exp(-float(lam[-1]) * t_min)
             warnings.warn(
                 f"spectral truncation at {cap} modes keeps exp(-lam t) = "
-                f"{math.exp(-float(lam[-1]) * t_min):.2e} at t = {t_min:.3g}",
+                f"{level:.2e} at t = {t_min:.3g}",
                 stacklevel=_outside_stacklevel(),
             )
+            self.truncation = max(self.truncation, level)
             m = cap
         self.modes_used = max(self.modes_used, m)
         return m
 
     # -- kernel evaluations ------------------------------------------------------
 
-    def heat_kernel(self, t, i, j):
-        """Kernel value(s) ``h_t(i, j)`` by spectral summation."""
+    def _weights(self, t):
+        """The truncated spectrum's per-mode weights ``exp(-lambda_p t)``,
+        solving the spectrum first if it is short."""
         if t <= 0.0:
             raise ParameterError("time must be positive")
-        lam, phi = self.eigenpairs(self.modes_for(t))
-        e = np.exp(-lam * t)
-        out = np.einsum("...k,...k->...", phi[i] * e, phi[j])
-        return out
+        m = self.modes_for(t)
+        return np.exp(-self._lam[:m] * t)
+
+    def heat_kernel(self, t, i, j):
+        """Kernel value(s) ``h_t(i, j)`` by spectral summation; ``i`` and
+        ``j`` broadcast, so ``(idx[:, None], idx[None, :])`` gives a block."""
+        e = self._weights(t)
+        m = e.shape[0]
+        return np.einsum("...k,...k->...", self.spectrum.values(i, m) * e,
+                         self.spectrum.values(j, m))
 
     def kernel_matrix(self, t):
-        lam, phi = self.eigenpairs(self.modes_for(t))
-        return (phi * np.exp(-lam * t)) @ phi.T
+        e = self._weights(t)
+        return self.spectrum.matrix(e)
 
     def heat_diag(self, t, idx=None):
-        lam, phi = self.eigenpairs(self.modes_for(t))
-        block = phi if idx is None else phi[np.atleast_1d(idx)]
-        return (block**2) @ np.exp(-lam * t)
+        e = self._weights(t)
+        nodes = np.arange(self.size) if idx is None else np.atleast_1d(idx)
+        return self.spectrum.diagonal(e, nodes)
 
     def semigroup_apply(self, t, vec):
-        lam, phi = self.eigenpairs(self.modes_for(t))
-        coeff = phi.T @ (self.mass * np.asarray(vec, dtype=float))
-        return phi @ (np.exp(-lam * t) * coeff)
+        e = self._weights(t)
+        coeff = self.spectrum.coefficients(self.mass * np.asarray(vec, dtype=float),
+                                           e.shape[0])
+        return self.spectrum.synthesize(e * coeff)
 
 
 def heat_kernel(system: NeumannSystem, t, i, j):
@@ -906,11 +1032,13 @@ def kato_quantity(system: NeumannSystem, rho_minus, T):
         return 0.0
     from scipy.integrate import quad
 
-    lam, phi = system.eigenpairs(system.modes_for(T / 1e4))
-    coeff = phi.T @ (system.mass * rm)
+    m = system.modes_for(T / 1e4)
+    spectrum = system.spectrum
+    lam = spectrum.lam[:m]
+    coeff = spectrum.coefficients(system.mass * rm, m)
 
     def g(t):
-        return float(np.max(phi @ (np.exp(-lam * t) * coeff))) if t > 0.0 \
+        return float(np.max(spectrum.synthesize(np.exp(-lam * t) * coeff))) if t > 0.0 \
             else float(np.max(rm))
 
     val, _err = quad(g, 0.0, float(T), limit=200, epsabs=1e-13, epsrel=1e-12)
@@ -919,7 +1047,7 @@ def kato_quantity(system: NeumannSystem, rho_minus, T):
 
 def eigenvalue_diagnostic(system: NeumannSystem, domain: DiscreteDomain):
     """First nonzero eigenvalue and its scale-invariant form ``eta1 diam^2``."""
-    lam, _ = system.eigenpairs(2)
+    lam, _ = system.eigenpairs(2, vectors=False)
     eta1 = float(lam[1])
     return eta1, eta1 * domain.diameter() ** 2
 
@@ -987,15 +1115,17 @@ def li_yau_check(system: NeumannSystem, domain: DiscreteDomain, u0, t_grid,
     if np.any(u0 <= 0.0):
         raise ParameterError("initial data must be positive")
     t_grid = np.asarray(t_grid, dtype=float)
-    lam, phi = system.eigenpairs(system.modes_for(float(np.min(t_grid))))
-    coeff = phi.T @ (system.mass * u0)
+    m = system.modes_for(float(np.min(t_grid)))
+    spectrum = system.spectrum
+    lam = spectrum.lam[:m]
+    coeff = spectrum.coefficients(system.mass * u0, m)
     interior = domain.interior_mask()
     clipped = False
     profile = np.empty(t_grid.shape[0])
     for k, t in enumerate(t_grid):
         damp = np.exp(-lam * t)
-        u = phi @ (damp * coeff)
-        du = phi @ (-lam * damp * coeff)
+        u = spectrum.synthesize(damp * coeff)
+        du = spectrum.synthesize(-lam * damp * coeff)
         floor = 1e-12 * float(np.max(np.abs(u)))
         if np.any(u <= floor):
             clipped = True

@@ -5,13 +5,14 @@ import pathlib
 import subprocess
 import sys
 import tempfile
+import tracemalloc
 import warnings
 
 import pytest
 from hypothesis import given, settings, strategies as st
 
 import sobex
-from sobex import cli, extension
+from sobex import cli, extension, heat
 from sobex.errors import ConfigError
 
 
@@ -128,19 +129,34 @@ def test_heat_cli(tmp_path):
     assert all(data["checks"].values())
     assert data["eta1_diam_sq"] == pytest.approx(math.pi**2, rel=1e-2)
     assert data["eigensolver"]["path"] == "separable"
+    assert data["eigensolver"]["truncation"] == 0.0  # the whole spectrum is kept
     assert csv.read_text().startswith("t,")
 
 
-def test_heat_default_resolution_disk(tmp_path):
-    """The unit disk at the default resolution 256 (65 536 nodes) passes every check."""
+def test_heat_default_resolution_disk(tmp_path, unit_disk):
+    """The unit disk at the default resolution 256 (65 536 nodes) passes every
+    check, and its allocations peak below 160 MiB (121 MiB measured): the
+    separable spectrum is never formed as a 65 536 x 384 matrix, nor the
+    probe rows as a 400 x 65 536 one."""
     rep = tmp_path / "heat.json"
-    rc = cli.main(["heat", "--domain", '{"type": "disk", "radius": 1.0}',
-                   "--report", str(rep)])
+    tracemalloc.start()
+    try:
+        rc = cli.main(["heat", "--domain", '{"type": "disk", "radius": 1.0}',
+                       "--report", str(rep)])
+        peak = tracemalloc.get_traced_memory()[1]
+    finally:
+        tracemalloc.stop()
+    assert peak < 160 * 2**20
     data = json.loads(rep.read_text())
     assert rc == 0
     assert data["size"] == 256 * 256
     assert data["checks"] and all(data["checks"].values())
-    assert data["eigensolver"] == {"path": "separable", "modes": 384, "mode_cap": 384}
+    solver = data["eigensolver"]
+    # the truncation level is the largest one the capped sums ran at: t = t_min
+    system = heat.assemble(heat.DiscreteDomain.disk_like(unit_disk, 256, 256))
+    lam, _ = system.eigenpairs(384, vectors=False)
+    assert solver.pop("truncation") == math.exp(-float(lam[-1]) * 1e-3)
+    assert solver == {"path": "separable", "modes": 384, "mode_cap": 384}
 
 
 @pytest.mark.parametrize("flags, config", [

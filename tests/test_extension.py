@@ -1,4 +1,5 @@
 import math
+import warnings
 from fractions import Fraction
 
 import numpy as np
@@ -433,4 +434,11 @@ def test_non_finite_chart_points_rejected(any_flat_chart, point):
 def test_far_finite_chart_point_extends_by_zero(any_flat_chart):
     ext = E.ExtendedField(any_flat_chart, x_field(), E.smoothstep_cutoff(3.0))
     with np.errstate(all="ignore"):
+        assert ext(np.array([1e300, 0.1])) == 0.0
+
+
+def test_overflowing_point_extends_by_zero_without_warnings(blob_chart):
+    ext = E.ExtendedField(blob_chart, x_field(), E.smoothstep_cutoff(3.0))
+    with warnings.catch_warnings(), np.errstate(all="warn"):
+        warnings.simplefilter("error")
         assert ext(np.array([1e300, 0.1])) == 0.0

@@ -1,5 +1,6 @@
 import math
 import tracemalloc
+import warnings
 
 import numpy as np
 import pytest
@@ -401,10 +402,13 @@ def test_invert_tolerance_is_per_point(blob_chart):
 
 
 def test_overflowing_point_is_ambiguous_and_outside(blob_chart):
-    # squared distances overflow: every boundary sample ties at +inf
-    with np.errstate(all="ignore"):
-        s, _, ok, amb = blob_chart.invert_soft(np.array([1e300, 0.1]))
+    # squared distances overflow: every boundary sample ties at +inf, and
+    # the point skips Newton (which used to warn and return theta = NaN)
+    with warnings.catch_warnings(), np.errstate(all="warn"):
+        warnings.simplefilter("error")
+        s, th, ok, amb = blob_chart.invert_soft(np.array([1e300, 0.1]))
     assert amb[0] and ok[0] and s[0] == math.inf
+    assert np.isfinite(th[0])
 
 
 def test_invert_memory_stays_small(blob_chart):

@@ -335,11 +335,77 @@ def test_envelope_fit_is_the_linear_program_optimum(data):
 # ---------------------------------------------------------------------------
 
 
-def _assert_matches_dense(dom):
-    """The separable spectrum of ``dom`` against dense ``eigh`` on the same matrix.
+def _materialized_eigenpairs(factors, keep):
+    """The separable eigenpairs as a full ``N x keep`` matrix with the canonical
+    sign, built the way the solver built them before the factored form."""
+    from scipy.linalg import eigh_tridiagonal
 
-    Grids stay below the mode cap, so both spectra are complete and the
-    kernel sums do not depend on the basis chosen inside a cos/sin pair.
+    lam, wave, basis, j = factors._modes
+    basis, j = basis[:keep], j[:keep]
+    diag, off = factors._radial
+    angular = factors._angular(wave)
+    scale = 1.0 / np.sqrt(factors.m)
+    phi = np.empty((factors.m.shape[0] * factors.n_theta, basis.shape[0]))
+    for k in np.unique(wave[basis]):
+        cols = np.nonzero(wave[basis] == k)[0]
+        _, Y = eigh_tridiagonal(diag[k], off, select="i",
+                                select_range=(0, int(j[cols].max())), lapack_driver="stemr")
+        if k == 0:
+            Y[:, 0] = np.sqrt(factors.m / np.sum(factors.m))
+        radial = scale[:, None] * Y[:, j[cols]]
+        phi[:, cols] = (radial[:, None, :] * angular[:, basis[cols]][None, :, :]) \
+            .reshape(phi.shape[0], cols.shape[0])
+    peak = np.argmax(np.abs(phi), axis=0)
+    phi *= np.where(phi[peak, np.arange(phi.shape[1])] < 0.0, -1.0, 1.0)
+    return lam[:keep], phi
+
+
+def _kernel_quantities(system, t, idx, vec):
+    """Every kernel sum at time ``t``: diagonal, probe block, full matrix,
+    semigroup, and ``sobex heat``'s probe row sums and symmetric block."""
+    return {
+        "diag": system.heat_diag(t),
+        "diag_idx": system.heat_diag(t, idx),
+        "block": system.heat_kernel(t, idx[:, None], idx[None, :]),
+        "pairs": system.heat_kernel(t, idx, idx[::-1]),
+        "matrix": system.kernel_matrix(t),
+        "semigroup": system.semigroup_apply(t, vec),
+        "rowsums": system.semigroup_apply(t, np.ones(system.size))[idx],
+    }
+
+
+def _materialized_quantities(lam, phi, mass, t, idx, vec):
+    """The same sums over the columns of a materialized eigenvector matrix."""
+    e = np.exp(-lam * t)
+    K = (phi * e) @ phi.T
+    return {
+        "diag": (phi**2) @ e,
+        "diag_idx": (phi[idx] ** 2) @ e,
+        "block": K[np.ix_(idx, idx)],
+        "pairs": K[idx, idx[::-1]],
+        "matrix": K,
+        "semigroup": phi @ (e * (phi.T @ (mass * vec))),
+        "rowsums": K[idx] @ mass,
+    }
+
+
+def _assert_quantities_close(got, want, rtol):
+    # kernel values far apart are roundoff on the scale of the diagonal
+    scale = max(float(np.max(np.abs(value))) for value in want.values())
+    for name, value in want.items():
+        np.testing.assert_allclose(got[name], value, rtol=rtol, atol=rtol * scale,
+                                   err_msg=name)
+
+
+def _assert_matches_dense(dom, split=0):
+    """The separable spectrum of ``dom`` against dense ``eigh`` on the same matrix
+    and against sums over the materialized eigenvector matrix.
+
+    The complete spectra make the kernel sums independent of the basis
+    chosen inside a cos/sin pair, so they must match the dense oracle.
+    Then the mode cap is set to split the ``split``-th cos/sin pair: the
+    truncated sums must still match the materialized ones over the same
+    columns, so both keep the same modes.
     """
     sys_ = H.assemble(dom)
     oracle = H.NeumannSystem(sys_.stiffness, sys_.mass)
@@ -348,16 +414,34 @@ def _assert_matches_dense(dom):
     lam, phi = sys_.eigenpairs(N)
     lam_o, _ = oracle.eigenpairs(N)
     np.testing.assert_allclose(lam, lam_o, rtol=1e-10, atol=1e-10)
+    lam_m, phi_m = _materialized_eigenpairs(sys_.factors, N)
+    assert np.array_equal(lam, lam_m) and np.array_equal(phi, phi_m)
+    assert np.array_equal(sys_.eigenpairs(7)[1], phi_m[:, :7])
+    idx = dom.sample_indices(40)
+    vec = np.cos(np.arange(N) * 0.7) + 1.5
     for t in (1e-3, 1e-2, 0.1, 1.0):
-        np.testing.assert_allclose(sys_.heat_diag(t), oracle.heat_diag(t), rtol=1e-10)
-        K, K_o = sys_.kernel_matrix(t), oracle.kernel_matrix(t)
-        np.testing.assert_allclose(K, K_o, rtol=1e-10, atol=1e-10 * np.max(K_o))
+        got = _kernel_quantities(sys_, t, idx, vec)
+        _assert_quantities_close(got, _kernel_quantities(oracle, t, idx, vec), 1e-10)
+        m = sys_.modes_for(t)
+        _assert_quantities_close(
+            got, _materialized_quantities(lam[:m], phi[:, :m], sys_.mass, t, idx, vec), 1e-12)
     residual = sys_.stiffness @ phi - (sys_.mass[:, None] * phi) * lam
     assert np.max(np.abs(residual)) < 1e-9
     gram = phi.T @ (sys_.mass[:, None] * phi)
     assert np.max(np.abs(gram - np.eye(N))) < 1e-9
     assert lam[0] == 0.0
     np.testing.assert_allclose(phi[:, 0], 1.0 / math.sqrt(sys_.volume), rtol=1e-12)
+
+    _, wave, basis, _ = sys_.factors._modes
+    pairs = np.flatnonzero((wave[basis[:-1]] == wave[basis[1:]]) & (basis[:-1] != basis[1:]))
+    if pairs.size:
+        cap = int(pairs[split % pairs.size]) + 1  # keeps the cos, drops the sin
+        sys_.mode_cap = cap
+        t = 10.0 / lam[cap - 1]  # exp(-lam t) >= e^-10 on every mode kept: the cap bites
+        with pytest.warns(UserWarning, match="spectral truncation"):
+            got = _kernel_quantities(sys_, t, idx, vec)
+        want = _materialized_quantities(lam[:cap], phi[:, :cap], sys_.mass, t, idx, vec)
+        _assert_quantities_close(got, want, 1e-12)
     return sys_
 
 
@@ -371,7 +455,7 @@ def test_separable_matches_dense(case, unit_disk, spherical_cap):
         "warped_disk": lambda: H.DiscreteDomain.disk_like(warped, 17, 24),
         "interval": lambda: H.DiscreteDomain.interval(2.0, 300),
     }[case]
-    sys_ = _assert_matches_dense(make())
+    sys_ = _assert_matches_dense(make(), split=5)
     # reruns are bit-identical, pair order and signs included
     again = H.assemble(make())
     lam, phi = sys_.eigenpairs(sys_.size)
@@ -382,15 +466,15 @@ def test_separable_matches_dense(case, unit_disk, spherical_cap):
 @settings(max_examples=20)
 @given(n_r=st.integers(16, 24), n_theta=st.integers(16, 25),
        radius=st.floats(0.3, 1.5), kappa=st.floats(-1.5, 1.5),
-       warped=st.booleans())
-def test_separable_matches_dense_property(n_r, n_theta, radius, kappa, warped):
+       warped=st.booleans(), split=st.integers(0, 200))
+def test_separable_matches_dense_property(n_r, n_theta, radius, kappa, warped, split):
     """Flat, curved and warped pole disks, odd and even angular counts."""
     if warped:
         surface = ModelSurface.warped(poly_cosh_mix_profile([1.0, 0.12, 0.05 * kappa]))
     else:
         surface = ModelSurface.constant_curvature(kappa)
     spec = DomainSpec(surface, GeodesicDisk((0.0, 0.0), radius))
-    _assert_matches_dense(H.DiscreteDomain.disk_like(spec, n_r, n_theta))
+    _assert_matches_dense(H.DiscreteDomain.disk_like(spec, n_r, n_theta), split)
 
 
 def test_solver_names(fourier_blob):
@@ -411,3 +495,23 @@ def test_truncation_warning_names_the_caller():
         with pytest.warns(UserWarning, match="spectral truncation") as caught:
             call()
         assert [w.filename for w in caught] == [__file__]
+
+
+def test_truncation_level_is_recorded():
+    """``truncation`` keeps the largest level a capped sum warned about; a
+    complete spectrum never truncates and leaves it at 0.0."""
+    dom = H.DiscreteDomain.interval(1.0, 200)
+    system = H.assemble(dom)
+    system.mode_cap = 20
+    with pytest.warns(UserWarning, match="spectral truncation"):
+        system.heat_diag(1e-3, np.arange(5))
+        system.heat_diag(1e-4, np.arange(5))
+        system.heat_diag(1e-2, np.arange(5))
+    lam, phi = system.eigenpairs(20, vectors=False)
+    assert phi is None
+    assert system.truncation == math.exp(-float(lam[-1]) * 1e-4)
+    assert system.modes_used == 20
+
+    complete = H.assemble(dom)
+    complete.heat_diag(1e-4)
+    assert (complete.truncation, complete.modes_used) == (0.0, 200)

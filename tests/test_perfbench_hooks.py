@@ -2,7 +2,11 @@
 
 import importlib
 import importlib.util
+import json
+import os
 import pathlib
+import subprocess
+import sys
 
 TRACER = pathlib.Path(__file__).resolve().parents[1] / "perfbench" / "tracer.py"
 
@@ -18,3 +22,39 @@ def test_trace_hooks_resolve():
         assert attr in vars(cls), (mod_name, cls_name, attr)
     heat = importlib.import_module("sobex.heat")
     assert "modes_for" in vars(heat.NeumannSystem)
+
+
+_TRACED_HEAT = r"""
+import json, sys, warnings
+sys.path.insert(0, sys.argv[1])
+from tracer import Tracer
+
+tracer = Tracer()
+tracer.install()
+from sobex import cli
+
+with warnings.catch_warnings(record=True) as caught:
+    warnings.simplefilter("always")
+    for domain in ('{"type": "disk", "radius": 1.0}',
+                   '{"type": "fourier", "coeffs_cos": [1.0, 0.0, 0.15]}'):
+        code = cli.main(["heat", "--domain", domain, "--resolution", "16", "--modes", "40",
+                         "--report", sys.argv[2]])
+        assert code == 0, code
+tracer.counts["heat.truncations"] = sum(
+    str(w.message).startswith("spectral truncation") for w in caught)
+print(json.dumps(tracer.metrics(0.0)))
+"""
+
+
+def test_traced_heat_runs_read_every_heat_gate(tmp_path):
+    """A separable and a dense ``sobex heat``, traced in a fresh interpreter as
+    the benchmark traces its workloads, read nonzero on the heat gates."""
+    src = str(TRACER.parents[1] / "src")
+    env = {**os.environ, "PYTHONPATH": os.pathsep.join([src, os.environ.get("PYTHONPATH", "")])}
+    out = subprocess.run([sys.executable, "-c", _TRACED_HEAT, str(TRACER.parent),
+                          str(tmp_path / "heat.json")],
+                         env=env, capture_output=True, text=True, check=True)
+    layers = json.loads(out.stdout.strip().splitlines()[-1])
+    for gate in ("heat.eigensolve.solves", "heat.kernel.s", "heat.truncations",
+                 "heat.modes_used"):
+        assert layers[gate] > 0, gate
