@@ -389,15 +389,16 @@ def cmd_heat(cfg: RunConfig) -> int:
     if cfg.modes is not None:
         system.mode_cap = cfg.modes
     n_eigs = min(cfg.modes if cfg.modes is not None else 16, system.size - 2)
-    lam, phi = system.eigenpairs(n_eigs)
+    lam, _ = system.eigenpairs(n_eigs, vectors=False)
     diam = domain.diameter()
     t_max = cfg.t_max if cfg.t_max is not None else diam**2
     t_grid = np.geomspace(cfg.t_min, t_max, cfg.t_steps)
 
     checks = {}
-    checks["lambda0_zero"] = bool(lam[0] < 1e-10)
-    const_vec = np.abs(phi[:, 0] - 1.0 / math.sqrt(system.volume))
-    checks["constant_mode"] = bool(np.max(const_vec) < 1e-8)
+    # the solvers pin lam_0 = 0 and phi_0 = 1/sqrt(V); this is the identity they rest on
+    A = system.stiffness
+    checks["constant_null"] = bool(np.max(np.abs(A @ np.ones(system.size)))
+                                   <= 1e-12 * np.max(np.abs(A.diagonal())))
     probe = min(system.size, 400)
     idx = domain.sample_indices(probe)
     t_probe = float(t_grid[len(t_grid) // 2])

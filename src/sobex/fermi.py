@@ -508,7 +508,7 @@ class _FlatCircleEngine(_FlatCurveEngine):
     def invert(self, points, tol=1e-9):
         pts = np.atleast_2d(np.asarray(points, dtype=float))
         x = polar_to_cartesian(pts) - self.c0
-        rr = np.linalg.norm(x, axis=-1)
+        rr = np.hypot(x[:, 0], x[:, 1])
         s = rr - self.a
         theta = np.mod(np.arctan2(x[:, 1], x[:, 0]), _TWO_PI)
         ok = rr > 1e-14
@@ -518,7 +518,7 @@ class _FlatCircleEngine(_FlatCurveEngine):
     def contains(self, points):
         pts = np.atleast_2d(np.asarray(points, dtype=float))
         x = polar_to_cartesian(pts) - self.c0
-        return np.linalg.norm(x, axis=-1) <= self.a
+        return np.hypot(x[:, 0], x[:, 1]) <= self.a
 
     def area(self):
         return math.pi * self.a**2

@@ -17,8 +17,10 @@ their Dunford-Pettis identities, integral curvature means, the Kato
 quantity, the first nonzero eigenvalue scaling and the inverse-time
 gradient (Li-Yau style) envelope for positive solutions.
 
-Balls are ambient metric balls intersected with the domain: volumes
-sum node weights over nodes within the closed-form (or graph) distance.
+Balls are ambient metric balls intersected with the domain: the ball
+``B(x, r)`` holds the nodes ``y`` with ``d(x, y) < r`` in the closed-form
+(or graph) distance, and its volume sums their node weights.  Every
+diagnostic takes its balls from :meth:`DiscreteDomain.ball_sums`.
 """
 
 from __future__ import annotations
@@ -27,7 +29,7 @@ import math
 import os
 import sys
 import warnings
-from dataclasses import dataclass
+from dataclasses import dataclass, replace
 from functools import cached_property
 
 import numpy as np
@@ -68,6 +70,7 @@ _TWO_PI = 2.0 * math.pi
 _LOG_TRUNC = -math.log(1e-12)  # spectral truncation threshold
 _MODE_CAP = 2000
 _PACKAGE_DIR = os.path.dirname(__file__) + os.sep
+_BALL_BLOCK = 8  # distance rows held at once by DiscreteDomain.ball_sums
 
 
 def _outside_stacklevel():
@@ -253,6 +256,25 @@ class DiscreteDomain:
                 surf.kappa, self.nodes[idx][:, None, :], self.nodes[None, :, :]
             )
         return self._graph_metric.rows(idx)
+
+    def ball_sums(self, idx, radii, values=None):
+        """Sums of ``values`` (default: the node weights) over the balls
+        ``d(x, y) < r`` for ``x`` in ``idx`` and ``r`` in ``radii``, shape
+        ``(len(idx), len(radii))``.  Each distance row bins its nodes once
+        against the sorted radii (bin ``b``: ``r_(b-1) <= d < r_b``); the
+        cumulative bin sums then give every radius."""
+        idx = np.atleast_1d(np.asarray(idx, dtype=int))
+        radii = np.asarray(radii, dtype=float)
+        values = self.weights if values is None else np.asarray(values, dtype=float)
+        order = np.argsort(radii)
+        sorted_radii = radii[order]
+        out = np.empty((idx.shape[0], radii.shape[0]))
+        for start in range(0, idx.shape[0], _BALL_BLOCK):
+            for k, row in enumerate(self.distance_rows(idx[start:start + _BALL_BLOCK])):
+                bins = np.searchsorted(sorted_radii, row, side="right")
+                out[start + k, order] = np.cumsum(
+                    np.bincount(bins, weights=values, minlength=radii.shape[0] + 1))[:-1]
+        return out
 
     @cached_property
     def _graph_metric(self):
@@ -451,13 +473,10 @@ class TensorFactors:
         diag, off = self._radial
         lam_k = eigh_tridiagonal(diag, np.broadcast_to(off, (diag.shape[0], off.shape[0])),
                                  eigvals_only=True, lapack_driver="stemr")
-        # the constant is an exact null vector (rows of T_r sum to zero);
-        # roundoff of order eps * |T_r| here would bias exp(-lam_0 t) at large t
-        lam_k[0, 0] = 0.0
         n_t = self.n_theta
         wave = np.array([k for k in range(n_t // 2 + 1)
                          for _ in range(2 if 0 < 2 * k < n_t else 1)])
-        lam = np.maximum(lam_k[wave].ravel(), 0.0)
+        lam = lam_k[wave].ravel()
         order = np.argsort(lam, kind="stable")
         basis, j = np.divmod(order, self.m.shape[0])
         return lam[order], wave, basis, j
@@ -489,8 +508,6 @@ class TensorFactors:
             _, Y = eigh_tridiagonal(diag[k], off, select="i",
                                     select_range=(0, int(j[wave[basis] == k].max())),
                                     lapack_driver="stemr")
-            if k == 0:  # the exact null vector, to go with lam_0 = 0
-                Y[:, 0] = np.sqrt(self.m / np.sum(self.m))
             blocks.append(scale[:, None] * Y)
             offset[k], width = width, width + Y.shape[1]
         return Spectrum(lam[:keep], basis, offset[wave[basis]] + j, np.hstack(blocks),
@@ -674,27 +691,39 @@ class NeumannSystem:
         return lam, phi
 
     def _solve(self, keep):
-        """The ``keep`` lowest eigenpairs from this system's solver."""
+        """The ``keep`` lowest eigenpairs from this system's solver, with an
+        exact constant mode."""
         if self.solver == "separable":
-            return self.factors.spectrum(keep)
-        d = 1.0 / np.sqrt(self.mass)
-        if self.solver == "dense":
+            spectrum = self.factors.spectrum(keep)
+        elif self.solver == "dense":
             from scipy.linalg import eigh
 
+            d = 1.0 / np.sqrt(self.mass)
             B = (self.stiffness.multiply(d[:, None]).multiply(d[None, :])).toarray()
             B = 0.5 * (B + B.T)
             # B is exactly symmetric, so B.T is B in Fortran order: LAPACK works in place
             lam, Y = eigh(B.T, driver="evd", overwrite_a=True, check_finite=False)
-            lam = np.maximum(lam, 0.0)
-            return Spectrum.unfactored(lam[:keep], d[:, None] * Y[:, :keep])
-        from scipy.sparse.linalg import eigsh
+            spectrum = Spectrum.unfactored(lam[:keep], d[:, None] * Y[:, :keep])
+        else:
+            from scipy.sparse.linalg import eigsh
 
-        B = self.stiffness.multiply(d[:, None]).multiply(d[None, :]).tocsc()
-        # deterministic start vector: ARPACK would otherwise randomize
-        v0 = np.cos(np.arange(self.size, dtype=float))
-        lam, Y = eigsh(B, k=keep, sigma=-1e-8, which="LM", v0=v0)
-        order = np.argsort(lam)
-        return Spectrum.unfactored(np.maximum(lam[order], 0.0), d[:, None] * Y[:, order])
+            d = 1.0 / np.sqrt(self.mass)
+            B = self.stiffness.multiply(d[:, None]).multiply(d[None, :]).tocsc()
+            # deterministic start vector: ARPACK would otherwise randomize
+            v0 = np.cos(np.arange(self.size, dtype=float))
+            lam, Y = eigsh(B, k=keep, sigma=-1e-8, which="LM", v0=v0)
+            order = np.argsort(lam)
+            spectrum = Spectrum.unfactored(lam[order], d[:, None] * Y[:, order])
+        # A 1 = 0, but a solver's lam_0 carries roundoff (2.3e-12 from eigh on a
+        # 24 x 48 blob) that exp(-lam_0 t) keeps at large t.  Pin lam_0 = 0 and
+        # phi_0 = 1/sqrt(V).  Mode 0 heads the radial columns of its constant
+        # angular function, which start at column 0; the others lose their
+        # ring-mass mean, which makes them mass-orthogonal to phi_0.
+        ring_mass = self.mass[::spectrum.angular.shape[0]]
+        group = spectrum.radial[:, :np.count_nonzero(spectrum.basis == spectrum.basis[0])]
+        group -= (ring_mass @ group) / np.sum(ring_mass)
+        group[:, 0] = 1.0 / math.sqrt(float(np.sum(ring_mass)))
+        return replace(spectrum, lam=np.concatenate([[0.0], spectrum.lam[1:]]))
 
     def modes_for(self, t_min):
         """Mode count for relative spectral truncation below 1e-12 at ``t_min``.
@@ -745,7 +774,7 @@ class NeumannSystem:
                          self.spectrum.values(j, m))
 
     def kernel_matrix(self, t):
-        e = self._weights(t)
+        e = self._weights(t)  # solves the spectrum first if it is short
         return self.spectrum.matrix(e)
 
     def heat_diag(self, t, idx=None):
@@ -827,18 +856,12 @@ def diagonal_bound_check(domain: DiscreteDomain, system: NeumannSystem,
     """
     t_grid = np.asarray(t_grid, dtype=float)
     idx = domain.sample_indices(96) if x_samples is None else np.asarray(x_samples, int)
-    dist = domain.distance_rows(idx)
-    best = (-math.inf, None, None)
-    table = []
-    for t in t_grid:
-        diag = system.heat_diag(t, idx)
-        vols = (dist < math.sqrt(t)) @ domain.weights
-        prod = diag * vols
-        k = int(np.argmax(prod))
-        table.append((float(t), float(prod[k])))
-        if prod[k] > best[0]:
-            best = (float(prod[k]), float(t), int(idx[k]))
-    return DiagonalBoundResult(best[0], best[1], best[2], np.asarray(table))
+    diags = np.array([system.heat_diag(t, idx) for t in t_grid])  # t <= 0 raises before sqrt
+    prods = diags * domain.ball_sums(idx, np.sqrt(t_grid)).T
+    at = np.argmax(prods, axis=1)
+    table = np.stack([t_grid, prods[np.arange(t_grid.shape[0]), at]], axis=-1)
+    k = int(np.argmax(table[:, 1]))  # the first time that attains the maximum
+    return DiagonalBoundResult(float(table[k, 1]), float(t_grid[k]), int(idx[at[k]]), table)
 
 
 def doubling_constant(domain: DiscreteDomain, R, x_count=64, radii=None):
@@ -852,16 +875,11 @@ def doubling_constant(domain: DiscreteDomain, R, x_count=64, radii=None):
     if radii is None:
         radii = np.geomspace(2.0 * domain.mesh_width, R, 24)
     radii = np.asarray(radii, dtype=float)
-    idx = domain.sample_indices(x_count)
-    dist = domain.distance_rows(idx)
-    vols = np.stack([(dist < rr) @ domain.weights for rr in radii], axis=-1)
-    n = domain.n
-    c_best = 1.0
-    for i in range(len(radii)):
-        for j in range(i, len(radii)):
-            ratio = vols[:, j] / vols[:, i] * (radii[i] / radii[j]) ** n
-            c_best = max(c_best, float(np.max(ratio)))
-    return c_best
+    vols = domain.ball_sums(domain.sample_indices(x_count), radii)
+    # ratio[x, i, j] = Vol(B(x, r_j)) / Vol(B(x, r_i)) * (r_i / r_j)^n; pairs i <= j
+    ratio = vols[:, None, :] / vols[:, :, None] \
+        * (radii[:, None] / radii[None, :]) ** domain.n
+    return max(1.0, float(np.max(np.triu(np.max(ratio, axis=0)))))
 
 
 def doubling_comparability(domain: DiscreteDomain, s, x_count=48):
@@ -871,14 +889,9 @@ def doubling_comparability(domain: DiscreteDomain, s, x_count=48):
     bounds this ratio by ``2^n`` times the doubling constant.
     """
     idx = domain.sample_indices(x_count)
-    dist = domain.distance_rows(idx)
-    vols_idx = (dist < s) @ domain.weights
-    worst = 1.0
-    pair_d = dist[:, idx]
-    for a in range(idx.shape[0]):
-        near = pair_d[a] <= s
-        worst = max(worst, float(np.max(vols_idx[near]) / vols_idx[a]))
-    return worst
+    vols = domain.ball_sums(idx, [s])[:, 0]
+    near = domain.distance_rows(idx)[:, idx] <= s
+    return max(1.0, float(np.max(np.max(np.where(near, vols, 0.0), axis=1) / vols)))
 
 
 @dataclass
@@ -917,26 +930,17 @@ def gn_check(domain: DiscreteDomain, system: NeumannSystem, q, r_grid,
         fields.append(system.semigroup_apply((domain.mesh_width * 4.0) ** 2, raw))
 
     w = domain.weights
-    idx_all = np.arange(domain.size)
-    dist = domain.distance_rows(idx_all)
+    F = np.stack(fields)
+    l2 = np.sqrt(np.sum(w * F**2, axis=1))
+    grad = np.sqrt([system.energy(f) for f in F])
+    r_grid = np.asarray(r_grid, dtype=float)
     per_radius = []
-    c_gn = 0.0
-    for r in np.asarray(r_grid, dtype=float):
-        v_r = (dist < r) @ w
-        weight = v_r**alpha
-        c_here = 0.0
-        for f in fields:
-            lhs_vals = np.abs(weight * f)
-            if math.isinf(q):
-                lhs = float(np.max(lhs_vals))
-            else:
-                lhs = float(np.sum(w * lhs_vals**q) ** (1.0 / q))
-            rhs = math.sqrt(float(np.sum(w * f**2))) + r * math.sqrt(system.energy(f))
-            if rhs > 0.0:
-                c_here = max(c_here, lhs / rhs)
-        per_radius.append((float(r), c_here))
-        c_gn = max(c_gn, c_here)
-    return GNResult(c_gn, per_radius)
+    for r, v_r in zip(r_grid, domain.ball_sums(np.arange(domain.size), r_grid).T):
+        lhs = np.abs(v_r**alpha * F)
+        lhs = np.max(lhs, axis=1) if math.isinf(q) else np.sum(w * lhs**q, axis=1) ** (1.0 / q)
+        rhs = l2 + r * grad
+        per_radius.append((float(r), float(np.max(lhs[rhs > 0.0] / rhs[rhs > 0.0], initial=0.0))))
+    return GNResult(max((c for _, c in per_radius), default=0.0), per_radius)
 
 
 _VEV_PAIRS = {(1.0, 2.0), (1.0, math.inf), (2.0, math.inf), (math.inf, math.inf)}
@@ -981,21 +985,17 @@ def vev_finiteness_sweep(system: NeumannSystem, domain: DiscreteDomain,
     function at scale ``sqrt(t)``.  Returns the four sups and their
     finiteness flags, which the theory requires to agree.
     """
-    dist = domain.distance_rows(np.arange(domain.size))
-
-    def v_of(t):
-        return (dist < math.sqrt(t)) @ domain.weights
-
-    out = {}
     specs = {
         "vEv_inf_inf_half": (math.inf, math.inf, 0.5, t0),
         "vEv_1_inf_half": (1.0, math.inf, 0.5, t0),
         "vEv_1_2_zero": (1.0, 2.0, 0.0, 0.5 * t0),
         "vEv_2_inf_half": (2.0, math.inf, 0.5, 0.5 * t0),
     }
-    for name, (p, q, gamma, t_hi) in specs.items():
-        ts = np.geomspace(t_hi / 64.0, t_hi, n_t)
-        sup = max(vev_norm(system, v_of(t), p, q, gamma, t) for t in ts)
+    ts = np.stack([np.geomspace(t_hi / 64.0, t_hi, n_t) for *_, t_hi in specs.values()])
+    vols = domain.ball_sums(np.arange(domain.size), np.sqrt(ts.ravel())).T.reshape(*ts.shape, -1)
+    out = {}
+    for (name, (p, q, gamma, _)), t_row, v_row in zip(specs.items(), ts, vols):
+        sup = max(vev_norm(system, v, p, q, gamma, t) for t, v in zip(t_row, v_row))
         out[name] = {"sup": float(sup), "finite": bool(np.isfinite(sup))}
     out["flags_agree"] = len({d["finite"] for d in out.values() if isinstance(d, dict)}) == 1
     return out
@@ -1010,12 +1010,9 @@ def integral_ricci(domain: DiscreteDomain, rho_field: CurvatureField,
     """
     if p <= domain.n / 2.0:
         raise ParameterError("p must exceed n/2")
-    rm = rho_field.rho_minus
     idx = domain.sample_indices(x_count)
-    dist = domain.distance_rows(idx)
-    inside = dist < float(R)
-    num = inside @ (domain.weights * rm**p)
-    den = inside @ domain.weights
+    num = domain.ball_sums(idx, [R], domain.weights * rho_field.rho_minus**p)
+    den = domain.ball_sums(idx, [R])
     return float(np.max((num / den) ** (1.0 / p)))
 
 

@@ -8,7 +8,9 @@ import tempfile
 import tracemalloc
 import warnings
 
+import numpy as np
 import pytest
+import scipy.sparse as sps
 from hypothesis import given, settings, strategies as st
 
 import sobex
@@ -126,18 +128,39 @@ def test_heat_cli(tmp_path):
                    "--report", str(rep), "--csv", str(csv)])
     assert rc == 0
     data = json.loads(rep.read_text())
-    assert all(data["checks"].values())
+    assert data["checks"] == dict.fromkeys(
+        ["constant_null", "stochastic", "symmetric", "equilibrium", "diagonal_finite"], True)
     assert data["eta1_diam_sq"] == pytest.approx(math.pi**2, rel=1e-2)
     assert data["eigensolver"]["path"] == "separable"
     assert data["eigensolver"]["truncation"] == 0.0  # the whole spectrum is kept
     assert csv.read_text().startswith("t,")
 
 
+def test_heat_constant_null_fails_when_constants_carry_energy(tmp_path, monkeypatch):
+    """``constant_null`` checks ``A 1 = 0``, the identity the pinned constant
+    mode rests on; a stiffness with a grounded node fails it."""
+    assemble = heat.assemble
+
+    def grounded(domain):
+        system = assemble(domain)
+        ground = np.zeros(system.size)
+        ground[0] = 1e-6
+        system.stiffness = (system.stiffness + sps.diags(ground)).tocsr()
+        return system
+
+    monkeypatch.setattr(heat, "assemble", grounded)
+    rep = tmp_path / "heat.json"
+    rc = cli.main(["heat", "--domain", '{"type": "interval", "L": 1.0}',
+                   "--resolution", "64", "--report", str(rep)])
+    assert rc == 1 and json.loads(rep.read_text())["checks"]["constant_null"] is False
+
+
 def test_heat_default_resolution_disk(tmp_path, unit_disk):
     """The unit disk at the default resolution 256 (65 536 nodes) passes every
-    check, and its allocations peak below 160 MiB (121 MiB measured): the
+    check, and its allocations peak below 64 MiB (19 MiB measured): the
     separable spectrum is never formed as a 65 536 x 384 matrix, nor the
-    probe rows as a 400 x 65 536 one."""
+    probe rows as a 400 x 65 536 one, nor the ball volumes from a
+    96 x 65 536 distance table."""
     rep = tmp_path / "heat.json"
     tracemalloc.start()
     try:
@@ -146,7 +169,7 @@ def test_heat_default_resolution_disk(tmp_path, unit_disk):
         peak = tracemalloc.get_traced_memory()[1]
     finally:
         tracemalloc.stop()
-    assert peak < 160 * 2**20
+    assert peak < 64 * 2**20
     data = json.loads(rep.read_text())
     assert rc == 0
     assert data["size"] == 256 * 256

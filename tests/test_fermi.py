@@ -411,6 +411,19 @@ def test_overflowing_point_is_ambiguous_and_outside(blob_chart):
     assert np.isfinite(th[0])
 
 
+def test_off_centre_circle_overflowing_point_is_outside(flat):
+    # |x|^2 overflows for (1e300, 0.1); the circle's distance must not
+    spec = DomainSpec(flat, GeodesicDisk((0.3, 0.5), 0.6))
+    chart = FermiChart(spec, 0.2)
+    far = np.array([1e300, 0.1])
+    with warnings.catch_warnings(), np.errstate(all="warn"):
+        warnings.simplefilter("error")
+        s, th, ok, amb = chart.invert_soft(far)
+        inside = spec.contains(far)
+    assert ok[0] and not amb[0] and s[0] == pytest.approx(1e300, rel=1e-12)
+    assert np.isfinite(th[0]) and not inside[0]
+
+
 def test_invert_memory_stays_small(blob_chart):
     # 8192 tube points: the search holds 18 neighbours a point, not 2048
     S, T = np.meshgrid(np.linspace(-0.95 * blob_chart.r, 0.95 * blob_chart.r, 8),

@@ -82,6 +82,108 @@ def test_triangle_inequality_on_samples(disk_system, rng):
             assert np.all(d[i] <= sub[i, j] + d[j] + 1e-12)
 
 
+class _TableDomain(H.DiscreteDomain):
+    """A domain whose distance rows are read from a given table."""
+
+    def __init__(self, table, weights):
+        super().__init__()
+        self.table, self.weights = table, weights
+
+    def distance_rows(self, idx):
+        return self.table[np.atleast_1d(idx)]
+
+
+_QUARTERS = st.integers(0, 12).map(lambda k: 0.25 * k)
+
+
+@settings(max_examples=150)
+@given(data=st.data(), n=st.integers(1, 30))
+def test_ball_sums_match_the_mask_oracle(data, n):
+    """``ball_sums`` is ``(dist < r) @ values`` for every row and radius: on
+    distances tied with radii, unsorted and repeated radii, values that are
+    not weights, and row counts off the block size.  Quarter-integer
+    distances and half-integer values make every sum exact in any order."""
+    table = np.array(data.draw(st.lists(st.lists(_QUARTERS, min_size=n, max_size=n),
+                                        min_size=n, max_size=n)))
+    weights = np.full(n, 0.5)
+    dom = _TableDomain(table, weights)
+    idx = np.array(data.draw(st.lists(st.integers(0, n - 1), max_size=21)), dtype=int)
+    radii = np.array(data.draw(st.lists(_QUARTERS | st.sampled_from([-1.0, math.inf, 0.3]),
+                                        max_size=9)))
+    values = data.draw(st.none() | st.lists(st.integers(-8, 8).map(lambda k: 0.5 * k),
+                                            min_size=n, max_size=n).map(np.array))
+    want = (table[idx][:, None, :] < radii[None, :, None]) \
+        @ (weights if values is None else values)
+    assert np.array_equal(dom.ball_sums(idx, radii, values), want)
+
+
+def test_ball_sums_on_a_disk(disk_system):
+    dom, _ = disk_system
+    idx = dom.sample_indices(21)
+    radii = np.array([0.5, 0.1, 2.5, 0.1, 0.0])
+    dist = dom.distance_rows(idx)
+    want = np.stack([(dist < r) @ dom.weights for r in radii], axis=-1)
+    np.testing.assert_allclose(dom.ball_sums(idx, radii), want, rtol=1e-13, atol=0.0)
+
+
+def test_ball_diagnostics_match_their_table_loops(disk_system):
+    """Doubling, comparability and the diagonal product against the loops
+    over full distance tables that computed them before ``ball_sums``."""
+    dom, sys_ = disk_system
+    idx = dom.sample_indices(64)
+    dist = dom.distance_rows(idx)
+    radii = np.geomspace(2.0 * dom.mesh_width, dom.diameter(), 24)
+    vols = np.stack([(dist < r) @ dom.weights for r in radii], axis=-1)
+    c = 1.0
+    for i in range(len(radii)):
+        for j in range(i, len(radii)):
+            c = max(c, float(np.max(vols[:, j] / vols[:, i] * (radii[i] / radii[j]) ** 2)))
+    assert H.doubling_constant(dom, dom.diameter()) == pytest.approx(c, rel=1e-13)
+
+    idx = dom.sample_indices(48)
+    dist = dom.distance_rows(idx)
+    vol = (dist < 0.3) @ dom.weights
+    worst = max(float(np.max(vol[dist[a, idx] <= 0.3]) / vol[a]) for a in range(len(idx)))
+    assert H.doubling_comparability(dom, 0.3) == pytest.approx(max(1.0, worst), rel=1e-13)
+
+    t_grid = np.geomspace(1e-3, 4.0, 7)
+    idx = dom.sample_indices(96)
+    dist = dom.distance_rows(idx)
+    prods = np.array([sys_.heat_diag(t, idx) * ((dist < math.sqrt(t)) @ dom.weights)
+                      for t in t_grid])
+    res = H.diagonal_bound_check(dom, sys_, t_grid)
+    np.testing.assert_allclose(res.table, np.stack([t_grid, prods.max(axis=1)], axis=-1),
+                               rtol=1e-13, atol=0.0)
+    assert res.c_obs == pytest.approx(prods.max(), rel=1e-13)
+    assert res.t_at == t_grid[np.argmax(prods.max(axis=1))]
+
+
+def test_dense_constant_mode_is_exact(blob_system):
+    """``eigh`` on the 24 x 48 blob gives lambda_0 = 2.3e-12: the solve pins
+    lambda_0 = 0 and phi_0 = 1/sqrt(V), with the other modes mass-orthogonal."""
+    dom, sys_ = blob_system
+    assert sys_.solver == "dense"
+    _assert_constant_mode_exact(sys_)
+    h = sys_.heat_kernel(10.0 * dom.diameter() ** 2, 0, dom.size - 1)
+    assert h == pytest.approx(1.0 / sys_.volume, rel=1e-14)
+
+
+def test_sparse_constant_mode_is_exact(fourier_blob, monkeypatch):
+    monkeypatch.setattr(H.NeumannSystem, "DENSE_LIMIT", 100)
+    sys_ = H.assemble(H.DiscreteDomain.disk_like(fourier_blob, 16, 32))
+    assert sys_.solver == "sparse"
+    _assert_constant_mode_exact(sys_)
+
+
+def _assert_constant_mode_exact(system):
+    lam, phi = system.eigenpairs(12)
+    assert lam[0] == 0.0 and np.all(lam[1:] > 0.0)
+    assert np.all(phi[:, 0] == 1.0 / math.sqrt(system.volume))
+    gram = phi.T @ (system.mass[:, None] * phi)
+    assert np.max(np.abs(gram[0, 1:])) < 1e-14
+    assert np.max(np.abs(gram - np.eye(lam.shape[0]))) < 1e-9
+
+
 def test_interval_spectrum(interval):
     dom, sys_ = interval
     lam, phi = sys_.eigenpairs(4)
@@ -337,10 +439,11 @@ def test_envelope_fit_is_the_linear_program_optimum(data):
 
 def _materialized_eigenpairs(factors, keep):
     """The separable eigenpairs as a full ``N x keep`` matrix with the canonical
-    sign, built the way the solver built them before the factored form."""
+    sign and the pinned constant mode, built column by column."""
     from scipy.linalg import eigh_tridiagonal
 
     lam, wave, basis, j = factors._modes
+    lam = np.concatenate([[0.0], lam[1:keep]])
     basis, j = basis[:keep], j[:keep]
     diag, off = factors._radial
     angular = factors._angular(wave)
@@ -350,14 +453,16 @@ def _materialized_eigenpairs(factors, keep):
         cols = np.nonzero(wave[basis] == k)[0]
         _, Y = eigh_tridiagonal(diag[k], off, select="i",
                                 select_range=(0, int(j[cols].max())), lapack_driver="stemr")
-        if k == 0:
-            Y[:, 0] = np.sqrt(factors.m / np.sum(factors.m))
-        radial = scale[:, None] * Y[:, j[cols]]
+        radial = scale[:, None] * Y
+        if k == 0:  # phi_0 = 1/sqrt(V), the other columns mass-orthogonal to it
+            radial -= (factors.m @ radial) / np.sum(factors.m)
+            radial[:, 0] = 1.0 / math.sqrt(np.sum(factors.m))
+        radial = radial[:, j[cols]]
         phi[:, cols] = (radial[:, None, :] * angular[:, basis[cols]][None, :, :]) \
             .reshape(phi.shape[0], cols.shape[0])
     peak = np.argmax(np.abs(phi), axis=0)
     phi *= np.where(phi[peak, np.arange(phi.shape[1])] < 0.0, -1.0, 1.0)
-    return lam[:keep], phi
+    return lam, phi
 
 
 def _kernel_quantities(system, t, idx, vec):
