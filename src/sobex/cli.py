@@ -25,6 +25,7 @@ import numpy as np
 from . import comparison, extension, heat
 from .errors import (
     AssemblyError,
+    ComparisonBreakdownError,
     ConfigError,
     InvalidDomainError,
     InvalidSurfaceError,
@@ -296,11 +297,14 @@ def _constants_payload(K, H, n, r, G):
     r_adm = comparison.admissible_rolling_radius(K, H)
     r_use = float(r) if r is not None else min(r_adm, 0.95 * r0)
     data = comparison.CurvatureData(k_lower=-K, K_upper=K, H_min=-H, H_max=H, n=n)
-    profile = comparison.ComparisonProfile.from_curvature(data, r_use)
+    try:
+        profile = comparison.ComparisonProfile.from_curvature(data, r_use)
+    except ComparisonBreakdownError as exc:  # a radius at or past r0
+        raise ConfigError(str(exc)) from exc
     dist = comparison.distortion_factor(profile, n, r_use)
     bound = comparison.extension_norm_bound(dist, G, r_use)
     grid = np.linspace(0.0, r_use, 33)
-    d_vals, D_vals = comparison.volume_ratio_bounds(data, grid, profile=profile)
+    d_vals, D_vals = comparison.volume_ratio_bounds(data, grid)
     return {
         "K": K,
         "H": H,

@@ -5,12 +5,17 @@ Jacobi equation
 
     J'' + k J = 0,   J(0) = 1,   J'(0) = h,
 
-whose solution ``jacobi_factor(k, h, s)`` controls how distance
-hypersurfaces stretch along geodesics leaving a hypersurface with
-principal curvature data ``h`` through a region of sectional curvature
-``k``.  From it we derive focal radii, admissible tube radii, volume
-ratio profiles, the tube distortion factor and the explicit bound on
-the squared norm of the Sobolev extension operator.
+whose solution ``jacobi_factor(k, h, s) = sn_k'(s) + h sn_k(s)``
+controls how distance hypersurfaces stretch along geodesics leaving a
+hypersurface with principal curvature data ``h`` through a region of
+sectional curvature ``k``.  From it we derive focal radii, admissible
+tube radii, volume ratio profiles, the tube distortion factor and the
+explicit bound on the squared norm of the Sobolev extension operator.
+
+A :class:`ComparisonProfile` is stored as Jacobi data ``(k, h)`` for
+each side of the boundary, so the tube distortion is exact too: on
+``[0, r]`` the factor ``J`` takes its extremes at the ends or at the
+zero of ``J' = h J(k, -k/h, .)``, itself a :func:`jacobi_factor_zero`.
 
 Sign conventions
 ----------------
@@ -30,12 +35,12 @@ Two conventions appear and are documented per function:
 from __future__ import annotations
 
 import math
-from dataclasses import dataclass, field
-from typing import Callable
+from dataclasses import dataclass
 
 import numpy as np
 
-from .errors import ComparisonBreakdownError, DegenerateTubeError, ParameterError
+from .errors import ComparisonBreakdownError, ParameterError
+from .surfaces import sn, sn_prime
 
 __all__ = [
     "jacobi_factor",
@@ -68,34 +73,19 @@ def jacobi_factor(k, h, s):
     Returns
     -------
     float or ndarray
-        ``cos(sqrt(k) s) + h/sqrt(k) sin(sqrt(k) s)`` for ``k > 0``,
-        ``1 + h s`` for ``k = 0`` and the hyperbolic analogue for
-        ``k < 0``.  Total function, no domain restriction.
+        ``sn_prime(k, s) + h sn(k, s)``: ``cos(sqrt(k) s) + h/sqrt(k)
+        sin(sqrt(k) s)`` for ``k > 0``, ``1 + h s`` for ``k = 0`` and the
+        hyperbolic analogue for ``k < 0``.  Total function, no domain
+        restriction.
     """
-    s = np.asarray(s, dtype=float)
-    if k > 0.0:
-        rk = math.sqrt(k)
-        out = np.cos(rk * s) + (h / rk) * np.sin(rk * s)
-    elif k < 0.0:
-        rk = math.sqrt(-k)
-        out = np.cosh(rk * s) + (h / rk) * np.sinh(rk * s)
-    else:
-        out = 1.0 + h * s
-    return out if out.ndim else float(out)
+    out = sn_prime(k, s) + h * sn(k, s)
+    return out if np.ndim(out) else float(out)
 
 
 def jacobi_factor_prime(k, h, s):
     """Arclength derivative of :func:`jacobi_factor` (same conventions)."""
-    s = np.asarray(s, dtype=float)
-    if k > 0.0:
-        rk = math.sqrt(k)
-        out = -rk * np.sin(rk * s) + h * np.cos(rk * s)
-    elif k < 0.0:
-        rk = math.sqrt(-k)
-        out = rk * np.sinh(rk * s) + h * np.cosh(rk * s)
-    else:
-        out = np.full_like(s, h)
-    return out if out.ndim else float(out)
+    out = -k * sn(k, s) + h * sn_prime(k, s)
+    return out if np.ndim(out) else float(out)
 
 
 def jacobi_factor_zero(k, h):
@@ -106,8 +96,9 @@ def jacobi_factor_zero(k, h):
     """
     if k > 0.0:
         rk = math.sqrt(k)
-        # cot(rk s) = -h/rk has a unique root with rk s in (0, pi)
-        return (0.5 * math.pi + math.atan(h / rk)) / rk
+        # cot(rk s) = -h/rk has a unique root with rk s in (0, pi); atan2
+        # keeps it accurate where pi/2 + atan(h/rk) cancels (h << -rk)
+        return math.atan2(rk, -h) / rk
     if k < 0.0:
         rk = math.sqrt(-k)
         ratio = -h / rk
@@ -194,105 +185,84 @@ class CurvatureData:
         return -self.H_min
 
 
-def _exterior_base(data: CurvatureData) -> Callable:
-    """Reciprocal of the upper Jacobi profile for outward travel."""
-    k, h = data.k_lower, data.spread_max
-
-    def d_base(s):
-        m = jacobi_factor(k, h, s)
-        if np.any(np.asarray(m) <= 0.0):
-            raise ComparisonBreakdownError(
-                "exterior comparison profile degenerated before s=%r" % (s,)
-            )
-        return 1.0 / m
-
-    return d_base
+def _reciprocal_jacobi(k, h, s):
+    """``1 / jacobi_factor(k, h, s)``; raises once the factor has vanished."""
+    m = jacobi_factor(k, h, s)
+    if np.any(np.asarray(m) <= 0.0):
+        raise ComparisonBreakdownError(
+            f"comparison profile (k={k:g}, h={h:g}) degenerates within depth "
+            f"{float(np.max(np.abs(s))):g}"
+        )
+    return 1.0 / m
 
 
-def _interior_base(data: CurvatureData) -> Callable:
-    """Reciprocal of the lower Jacobi profile for inward travel."""
-    k, h = data.K_upper, -data.spread_max
+def _extremal_depths(k, h, r):
+    """Depths in ``[0, r]`` where ``jacobi_factor(k, h, .)`` can be extremal.
 
-    def D_base(s):
-        m = jacobi_factor(k, h, s)
-        if np.any(np.asarray(m) <= 0.0):
-            raise ComparisonBreakdownError(
-                "interior comparison profile degenerated before s=%r" % (s,)
-            )
-        return 1.0 / m
-
-    return D_base
+    These are the ends and, if it lies between them, the zero of
+    ``J' = h J(k, -k/h, .)``; for ``h = 0`` that zero is the end ``0``.
+    """
+    s_c = jacobi_factor_zero(k, -k / h) if h != 0.0 else 0.0
+    return np.array([0.0, r, s_c] if 0.0 < s_c < r else [0.0, r])
 
 
 @dataclass(frozen=True)
 class ComparisonProfile:
     """Tube volume-ratio profiles ``d`` (exterior) and ``D`` (interior).
 
-    The stored callables are dimension-free base ratios; the usable
-    profiles are ``d_base**(n-1)`` and ``D_base**(n-1)``.  ``d`` bounds
-    the boundary volume element from below relative to the exterior
-    distance hypersurfaces (``d(s) dvol_s <= dvol_0``) and ``D`` bounds
-    it from above relative to the interior ones
-    (``dvol_0 <= D(s) dvol_{-s}``).  The orientation is anchored to the
-    round ball, where the exact ratios are ``R0/(R0+s)`` and
-    ``R0/(R0-s)``.
+    Stored as Jacobi data: the dimension-free base ratios are
+    ``d_base = 1/J(k_ext, h_ext, .)`` and ``D_base = 1/J(k_int, h_int, .)``
+    (spread convention), and the usable profiles are ``d_base**(n-1)``
+    and ``D_base**(n-1)``.  ``d`` bounds the boundary volume element from
+    below relative to the exterior distance hypersurfaces
+    (``d(s) dvol_s <= dvol_0``) and ``D`` bounds it from above relative
+    to the interior ones (``dvol_0 <= D(s) dvol_{-s}``).  The orientation
+    is anchored to the round ball, where the exact ratios are
+    ``R0/(R0+s)`` and ``R0/(R0-s)``.
 
-    ``r0`` is the first degeneration radius of either profile and ``r``
-    the working tube radius, which must not exceed it.
+    ``r0`` is the first zero of either Jacobi factor and ``r`` the
+    working tube radius, which must satisfy ``0 < r < r0``.
     """
 
-    d_base: Callable = field(repr=False)
-    D_base: Callable = field(repr=False)
-    r0: float
+    k_ext: float
+    h_ext: float
+    k_int: float
+    h_int: float
     r: float
-    label: str = ""
 
     def __post_init__(self):
         if not (self.r > 0.0):
             raise ParameterError("working radius must be positive")
-        if self.r > self.r0:
+        if not (self.r < self.r0):
             raise ComparisonBreakdownError(
-                f"working radius r={self.r} exceeds degeneration radius r0={self.r0}"
+                f"working radius r={self.r} reaches degeneration radius r0={self.r0}"
             )
-        for name, fn in (("d", self.d_base), ("D", self.D_base)):
-            if abs(float(fn(0.0)) - 1.0) > 1e-12:
-                raise ParameterError(f"{name}(0) must equal 1")
-        samples = np.linspace(0.0, self.r, 65)
-        if np.any(self.d_base(samples) <= 0.0) or np.any(self.D_base(samples) <= 0.0):
-            raise DegenerateTubeError("profile not positive on [0, r]")
+
+    @property
+    def r0(self):
+        """Degeneration radius: the first zero of either Jacobi factor."""
+        return min(jacobi_factor_zero(self.k_ext, self.h_ext),
+                   jacobi_factor_zero(self.k_int, self.h_int))
 
     @classmethod
     def from_curvature(cls, data: CurvatureData, r: float) -> "ComparisonProfile":
         """Comparison-derived profiles for the given curvature bounds."""
-        r0 = min(
-            jacobi_factor_zero(data.k_lower, data.spread_max),
-            jacobi_factor_zero(data.K_upper, -data.spread_max),
-        )
-        return cls(
-            d_base=_exterior_base(data),
-            D_base=_interior_base(data),
-            r0=r0,
-            r=r,
-            label="comparison",
-        )
-
-    @classmethod
-    def exact(cls, d_base, D_base, r, r0=math.inf, label="exact") -> "ComparisonProfile":
-        """Wrap user-supplied exact base ratios (an override of the bounds)."""
-        return cls(d_base=d_base, D_base=D_base, r0=r0, r=r, label=label)
+        return cls(data.k_lower, data.spread_max, data.K_upper, -data.spread_max, r)
 
     @classmethod
     def round_ball(cls, R0: float, r: float) -> "ComparisonProfile":
-        """Exact profiles of the flat round ball of radius ``R0``."""
+        """Exact profiles ``R0/(R0 +- s)`` of the flat round ball of radius ``R0``."""
         if R0 <= 0.0:
             raise ParameterError("ball radius must be positive")
-        return cls.exact(
-            d_base=lambda s: R0 / (R0 + np.asarray(s, dtype=float)),
-            D_base=lambda s: R0 / (R0 - np.asarray(s, dtype=float)),
-            r=r,
-            r0=R0,
-            label="round-ball",
-        )
+        return cls(0.0, 1.0 / R0, 0.0, -1.0 / R0, r)
+
+    def d_base(self, s):
+        """Dimension-free exterior ratio ``1/J(k_ext, h_ext, s)``."""
+        return _reciprocal_jacobi(self.k_ext, self.h_ext, s)
+
+    def D_base(self, s):
+        """Dimension-free interior ratio ``1/J(k_int, h_int, s)``."""
+        return _reciprocal_jacobi(self.k_int, self.h_int, s)
 
     def d(self, s, n):
         """Exterior profile with the dimensional exponent applied."""
@@ -303,70 +273,35 @@ class ComparisonProfile:
         return self.D_base(s) ** (n - 1)
 
 
-def volume_ratio_bounds(data: CurvatureData, s, profile: ComparisonProfile | None = None):
+def volume_ratio_bounds(data: CurvatureData, s):
     """Volume-ratio bounds ``(d(s), D(s))`` at tube depth ``s``.
 
-    By default the bounds are built from the curvature data via the
-    Jacobi profiles; an exact :class:`ComparisonProfile` may be passed
-    to override them (any pair satisfying the defining inequalities is
-    valid).  Raises :class:`ComparisonBreakdownError` when ``s`` reaches
-    a profile degeneration.
+    The bounds come from the curvature data via the Jacobi profiles.
+    Raises :class:`ComparisonBreakdownError` when ``s`` reaches a
+    profile degeneration.
     """
     s = np.asarray(s, dtype=float)
     if np.any(s < 0.0):
         raise ParameterError("tube depth must be nonnegative")
-    if profile is None:
-        profile = ComparisonProfile.from_curvature(data, max(float(np.max(s)), 1e-300))
-    if np.any(s > profile.r0):
-        raise ComparisonBreakdownError("depth beyond profile degeneration radius")
+    profile = ComparisonProfile.from_curvature(data, max(float(np.max(s)), 1e-300))
     d = profile.d(s, data.n)
     D = profile.D(s, data.n)
     return (float(d), float(D)) if np.ndim(s) == 0 else (d, D)
 
 
-def distortion_factor(profile: ComparisonProfile, n: int, r: float, grid_size: int = 1024):
-    """Worst ratio ``max_{s,t in [0,r]} D(t)/d(s)`` of a profile pair.
+def distortion_factor(profile: ComparisonProfile, n: int, r: float):
+    """Worst ratio ``max_{s,t in [0,r]} D(t)/d(s)`` of a profile pair, exactly.
 
-    Evaluated on a dense grid with local golden-section refinement of
-    the two one-dimensional extrema (the profiles are smooth, and the
-    extrema typically sit at the endpoints, which the grid contains).
-    Always at least 1.
+    ``d`` is smallest where the exterior Jacobi factor peaks and ``D``
+    largest where the interior one bottoms out; each candidate set is
+    the ends of ``[0, r]`` and the zero of ``J'`` between them.  Always
+    at least 1.
     """
     if r > profile.r:
         raise ParameterError("requested radius exceeds the profile's working radius")
-    grid = np.linspace(0.0, r, int(grid_size) + 1)
-    d_vals = np.asarray(profile.d_base(grid), dtype=float)
-    D_vals = np.asarray(profile.D_base(grid), dtype=float)
-    if np.any(d_vals <= 0.0):
-        raise DegenerateTubeError("exterior profile hit zero on [0, r]")
-
-    i_min = int(np.argmin(d_vals))
-    i_max = int(np.argmax(D_vals))
-    d_min = d_vals[i_min]
-    D_max = D_vals[i_max]
-    if 0 < i_min < len(grid) - 1:
-        from scipy.optimize import minimize_scalar
-
-        res = minimize_scalar(
-            lambda s: float(profile.d_base(s)),
-            bounds=(grid[i_min - 1], grid[i_min + 1]),
-            method="bounded",
-            options={"xatol": 1e-13 * max(1.0, r)},
-        )
-        d_min = min(d_min, float(res.fun))
-    if 0 < i_max < len(grid) - 1:
-        from scipy.optimize import minimize_scalar
-
-        res = minimize_scalar(
-            lambda s: -float(profile.D_base(s)),
-            bounds=(grid[i_max - 1], grid[i_max + 1]),
-            method="bounded",
-            options={"xatol": 1e-13 * max(1.0, r)},
-        )
-        D_max = max(D_max, -float(res.fun))
-    if d_min <= 0.0:
-        raise DegenerateTubeError("exterior profile hit zero on [0, r]")
-    return max(1.0, (D_max / d_min) ** (n - 1))
+    d_min = np.min(profile.d_base(_extremal_depths(profile.k_ext, profile.h_ext, r)))
+    D_max = np.max(profile.D_base(_extremal_depths(profile.k_int, profile.h_int, r)))
+    return max(1.0, float((D_max / d_min) ** (n - 1)))
 
 
 def extension_norm_bound(distortion: float, G: float, r: float):

@@ -33,10 +33,6 @@ class ComparisonBreakdownError(SobexError):
     """A comparison profile degenerated (first conjugate/focal point hit)."""
 
 
-class DegenerateTubeError(ComparisonBreakdownError):
-    """The lower volume-ratio profile hit zero inside the working tube."""
-
-
 class OutOfTubeError(SobexError):
     """A point lies outside the tubular neighborhood of the boundary."""
 

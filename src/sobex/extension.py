@@ -634,8 +634,7 @@ class OperatorNormResult:
 
 
 def operator_norm_estimate(chart: FermiChart, cutoff: CutoffFamily,
-                           sample_fields, quad: int = 64,
-                           profile: ComparisonProfile | None = None):
+                           sample_fields, quad: int = 64):
     """Rayleigh quotients of the extension against the closed-form bound.
 
     For each sample field the squared H1 norm of the extension over the
@@ -644,15 +643,14 @@ def operator_norm_estimate(chart: FermiChart, cutoff: CutoffFamily,
     restriction identity makes the domain part common to both.  The
     chart must be admissible (else :class:`RegularityError`); the bound
     is ``extension_norm_bound(distortion, G, r)`` with the distortion
-    from the chart's comparison profile (or a supplied override).  A
-    ratio above the bound is reported as ``passed=False``.
+    from the chart's comparison profile.  A ratio above the bound is
+    reported as ``passed=False``.
     """
     reg = chart.regularity
     if not reg.admissible:
         raise RegularityError(f"chart is not admissible: {reg.notes}")
     data = chart.curvature_data()
-    prof = profile if profile is not None else ComparisonProfile.from_curvature(data, chart.r)
-    dist = distortion_factor(prof, data.n, chart.r)
+    dist = distortion_factor(ComparisonProfile.from_curvature(data, chart.r), data.n, chart.r)
     bound = extension_norm_bound(dist, cutoff.G, chart.r)
 
     s_breaks = _cutoff_breaks(chart.r, cutoff)

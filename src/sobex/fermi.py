@@ -164,9 +164,6 @@ class DomainSpec:
         """Closed-domain membership test for chart points (vectorized)."""
         return self._engine().contains(points)
 
-    def area(self):
-        return self._engine().area()
-
     def diameter(self):
         return self._engine().diameter()
 
@@ -268,20 +265,6 @@ class _PoleDiskEngine:
         pts = np.atleast_2d(np.asarray(points, dtype=float))
         return pts[:, 0] <= self.a + 0.0
 
-    def area(self):
-        surf = self.surface
-        if surf.kind == "constant":
-            k = surf.kappa
-            if k > 0.0:
-                return _TWO_PI * (1.0 - math.cos(math.sqrt(k) * self.a)) / k
-            if k < 0.0:
-                return _TWO_PI * (math.cosh(math.sqrt(-k) * self.a) - 1.0) / (-k)
-            return math.pi * self.a**2
-        from scipy.integrate import quad
-
-        val, _ = quad(lambda r: float(surf.warp(r)), 0.0, self.a, limit=200)
-        return _TWO_PI * val
-
     def diameter(self):
         return 2.0 * self.a
 
@@ -342,7 +325,7 @@ class _Frame(NamedTuple):
 
 class _FlatCurveEngine:
     """Flat chart, boundary a closed Cartesian curve: subclasses define
-    ``curve(theta) -> (c, c', c'')``, ``contains`` and ``area``."""
+    ``curve(theta) -> (c, c', c'')`` and ``contains``."""
 
     distance_slack = 0.0
     symmetric = False
@@ -520,9 +503,6 @@ class _FlatCircleEngine(_FlatCurveEngine):
         x = polar_to_cartesian(pts) - self.c0
         return np.hypot(x[:, 0], x[:, 1]) <= self.a
 
-    def area(self):
-        return math.pi * self.a**2
-
     def diameter(self):
         return 2.0 * self.a
 
@@ -551,9 +531,6 @@ class _FlatFourierEngine(_FlatCurveEngine):
 
     def radial_extent(self, theta):
         return self.profile.rho(np.asarray(theta, dtype=float))
-
-    def area(self):
-        return 0.5 * self.profile.squared_integral()
 
     def diameter(self):
         return self._diameter

@@ -414,19 +414,8 @@ def jacobi_transport(surface, trajectory: Trajectory, initial: JacobiValue,
         raise ParameterError("requested arclength outside the trajectory")
     if s_end == 0.0:
         return JacobiValue(initial.value, initial.derivative)
-    from scipy.integrate import solve_ivp
-
-    sol = solve_ivp(
-        _jacobi_rhs(surface, trajectory),
-        (0.0, s_end),
-        [initial.value, initial.derivative],
-        method="DOP853",
-        rtol=tol,
-        atol=tol,
-    )
-    if not sol.success:
-        raise IntegrationFailure(f"Jacobi transport failed: {sol.message}")
-    return JacobiValue(float(sol.y[0, -1]), float(sol.y[1, -1]))
+    value, derivative = jacobi_values(surface, trajectory, initial, [s_end], tol)
+    return JacobiValue(float(value[0]), float(derivative[0]))
 
 
 def jacobi_values(surface, trajectory: Trajectory, initial: JacobiValue, s_grid,

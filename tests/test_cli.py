@@ -110,8 +110,12 @@ def test_verify_extension_bound_violation_keeps_report(tmp_path, monkeypatch):
 
 
 def test_import_leaves_optimize_and_integrate_unloaded():
-    """``scipy.optimize`` and ``scipy.integrate`` load only where they are used."""
-    code = ("import sys, sobex, sobex.cli; "
+    """``scipy.optimize`` and ``scipy.integrate`` load only where they are used;
+    the tube distortion is closed-form even where the exterior Jacobi factor
+    peaks inside the tube (at atan(1/2) for this data)."""
+    code = ("import sys, sobex, sobex.cli; from sobex import comparison as C; "
+            "C.distortion_factor(C.ComparisonProfile.from_curvature("
+            "C.CurvatureData(1, 1, -0.5, -0.5), 0.8), 2, 0.8); "
             "print(sorted(m for m in ('scipy.optimize', 'scipy.integrate') if m in sys.modules))")
     src = str(pathlib.Path(sobex.__file__).resolve().parents[1])
     env = {**os.environ, "PYTHONPATH": os.pathsep.join([src, os.environ.get("PYTHONPATH", "")])}
@@ -218,6 +222,10 @@ _DISK = {"type": "disk", "radius": 1.0}
     ("sweep", None, {"K": 1, "H": 1, "sweep": {"r": {"to": 0.2, "steps": 3}}}),
     ("heat", ["--domain", '{"type": "disk", "center": [0.1, 0], "radius": 0.5}'],
      {"domain": {"type": "disk", "center": [0.1, 0], "radius": 0.5}}),
+    # a radius at or past the degeneration radius r0 of the profiles
+    ("constants", ["--K", "1", "--H", "1", "--r", "5"], {"K": 1, "H": 1, "r": 5}),
+    ("constants", ["--K", "0", "--H", "2", "--r", "0.5"], {"K": 0, "H": 2, "r": 0.5}),
+    ("sweep", None, {"K": 1, "H": 1, "sweep": {"r": {"from": 0.1, "to": 5, "steps": 3}}}),
 ])
 def test_bad_input_exits_2(tmp_path, capsys, command, flags, config):
     """Flags and config files go through one validation: exit 2, one line, no report."""

@@ -2,11 +2,12 @@ import math
 
 import numpy as np
 import pytest
+from hypothesis import event, example, given, settings, strategies as st
 from scipy.integrate import solve_ivp
-from scipy.optimize import brentq
+from scipy.optimize import brentq, minimize_scalar
 
 from sobex import comparison as C
-from sobex.errors import ComparisonBreakdownError, DegenerateTubeError, ParameterError
+from sobex.errors import ComparisonBreakdownError, ParameterError
 
 
 def test_jacobi_factor_closed_forms():
@@ -62,6 +63,9 @@ def test_focal_radius_examples():
     root = brentq(lambda r: 1.0 / math.tan(r) + 1.0, 1.6, 3.1, xtol=1e-14)
     assert root == pytest.approx(3.0 * math.pi / 4.0, abs=1e-12)
     assert C.focal_radius(1.0, -1.0) == pytest.approx(root, abs=1e-12)
+    # nearly flat: the zero stays near 1/H where pi/2 + atan(-H/sqrt(K)) cancels
+    assert C.focal_radius(1e-56, 1.0) == pytest.approx(1.0, rel=1e-15)
+    assert C.focal_radius(1e-20, 2.0) == pytest.approx(0.5, rel=1e-15)
 
 
 def test_focal_radius_is_first_jacobi_zero():
@@ -117,17 +121,64 @@ def test_comparison_profile_matches_exact_ball():
 
 
 def test_distortion_factor():
-    flat = C.ComparisonProfile.exact(
-        lambda s: np.ones_like(np.asarray(s, dtype=float)),
-        lambda s: np.ones_like(np.asarray(s, dtype=float)),
-        r=1.0,
-    )
+    flat = C.ComparisonProfile(0, 0, 0, 0, r=1)
     assert C.distortion_factor(flat, 2, 1.0) == 1.0
     ball = C.ComparisonProfile.round_ball(1.0, 0.5)
     assert C.distortion_factor(ball, 2, 0.5) == pytest.approx(3.0, abs=1e-9)
     assert C.distortion_factor(ball, 3, 0.5) == pytest.approx(9.0, abs=1e-9)
     third = C.ComparisonProfile.round_ball(1.0, 1.0 / 3.0)
     assert C.distortion_factor(third, 2, 1.0 / 3.0) == pytest.approx(2.0, abs=1e-9)
+
+
+def _grid_search_distortion(profile, n, r, grid_size=1024):
+    """The former numerical distortion: a dense grid, then golden-section
+    refinement around each grid extremum.  The former code refined only
+    extrema inside the grid, and so missed a critical point in the first
+    or last cell; here the end cells are refined too."""
+    grid = np.linspace(0.0, r, grid_size + 1)
+
+    def refined_min(fn):
+        vals = fn(grid)
+        i = int(np.argmin(vals))
+        res = minimize_scalar(lambda s: float(fn(s)),
+                              bounds=(grid[max(i - 1, 0)], grid[min(i + 1, grid_size)]),
+                              method="bounded", options={"xatol": 1e-13 * max(1.0, r)})
+        return min(vals[i], float(res.fun))
+
+    d_min = refined_min(profile.d_base)
+    D_max = -refined_min(lambda s: -profile.D_base(s))
+    return max(1.0, (D_max / d_min) ** (n - 1))
+
+
+@st.composite
+def _curvature_and_radius(draw):
+    k_lower = draw(st.floats(-4.0, 4.0))
+    K_upper = k_lower + draw(st.floats(1e-3, 4.0))
+    spread = draw(st.floats(-3.0, 3.0))
+    data = C.CurvatureData(k_lower, K_upper, -spread, -spread + draw(st.floats(0.0, 2.0)),
+                           n=draw(st.sampled_from([2, 3])))
+    r0 = min(C.jacobi_factor_zero(k_lower, spread), C.jacobi_factor_zero(K_upper, -spread))
+    return data, draw(st.floats(0.01, 0.99)) * min(r0, 4.0)
+
+
+@settings(max_examples=400)
+@given(_curvature_and_radius())
+@example((C.CurvatureData(1.0, 1.5, -0.5, -0.5), 0.8))   # exterior J peaks inside
+@example((C.CurvatureData(-3.0, -1.0, -0.5, 0.0), 2.0))  # interior J bottoms out inside
+def test_distortion_closed_form_matches_grid_search(case):
+    """The exact distortion agrees with the former grid-plus-golden-section
+    search and dominates a finer grid, interior critical points included."""
+    data, r = case
+    profile = C.ComparisonProfile.from_curvature(data, r)
+    for k, h in ((profile.k_ext, profile.h_ext), (profile.k_int, profile.h_int)):
+        if h != 0.0 and 0.0 < C.jacobi_factor_zero(k, -k / h) < r:
+            event("interior critical point")
+    exact = C.distortion_factor(profile, data.n, r)
+    assert exact == pytest.approx(_grid_search_distortion(profile, data.n, r), rel=1e-14)
+    grid = np.linspace(0.0, r, 4097)
+    on_grid = max(1.0, (np.max(profile.D_base(grid)) / np.min(profile.d_base(grid)))
+                  ** (data.n - 1))
+    assert exact >= on_grid * (1.0 - 1e-15)  # up to the grid values' rounding
 
 
 def test_distortion_monotone_in_radius():
@@ -161,5 +212,9 @@ def test_mean_curvature_bound():
 
 def test_degenerate_tube_error():
     data = C.CurvatureData(0.0, 0.0, 2.0, 2.0, n=2)  # spread -2: zero at 0.5
-    with pytest.raises((DegenerateTubeError, ComparisonBreakdownError)):
-        C.ComparisonProfile.from_curvature(data, 0.7)
+    for r in (0.7, 0.5):  # past and at the degeneration radius
+        with pytest.raises(ComparisonBreakdownError):
+            C.ComparisonProfile.from_curvature(data, r)
+    profile = C.ComparisonProfile.from_curvature(data, 0.4)
+    with pytest.raises(ComparisonBreakdownError, match="^[^\n]*$"):
+        profile.d_base(np.linspace(0.0, 0.6, 65))
