@@ -19,6 +19,10 @@ nearest of 2048 boundary samples, found by one KD-tree query of the 18
 nearest; a point has two feet (is ambiguous) when one of those more than
 8 samples away from the nearest is within ``1e-6`` of as near.
 
+The rolling-ball margins read each engine's ``boundary_distance``: exact
+on disks (``|rho - a|`` about the pole, ``| |x - c0| - a |`` off it) and
+the nearest of the 2048 samples on Fourier blobs.
+
 Sign convention: ``second_fundamental`` (II) is reported with respect
 to the outward normal and anchored so that the unit disk carries
 ``II = -1``; the outward normal spread used by the Jacobi fields is
@@ -33,7 +37,6 @@ from functools import cached_property
 from typing import NamedTuple
 
 import numpy as np
-from scipy.sparse import coo_matrix
 from scipy.spatial import cKDTree
 from scipy.spatial.distance import pdist
 
@@ -45,12 +48,7 @@ from .errors import (
     OutOfTubeError,
     ParameterError,
 )
-from .surfaces import (
-    ModelSurface,
-    cartesian_to_polar,
-    constant_curvature_distance,
-    polar_to_cartesian,
-)
+from .surfaces import ModelSurface, cartesian_to_polar, polar_to_cartesian
 
 __all__ = [
     "GeodesicDisk",
@@ -63,14 +61,13 @@ __all__ = [
 ]
 
 _TWO_PI = 2.0 * math.pi
-# (n_r, n_theta) of the graph metric behind distances on warped charts
-_GRAPH_GRID = (192, 384)
 # the flat foot-point search: damped Newton steps from the nearest of
-# _N_DENSE_FEET boundary samples; feet more than _SEPARATION samples apart
-# and within _FOOT_TIE of equally near make a point ambiguous
-_NEWTON_STEPS, _N_DENSE_FEET, _SEPARATION, _FOOT_TIE = 60, 2048, 8, 1e-6
-# boundary samples of a chart and of the regularity certificate's balls
-_N_THETA, _N_DENSE = 256, 512
+# _N_BOUNDARY boundary samples (also the blob's rolling-ball distances);
+# feet more than _SEPARATION samples apart and within _FOOT_TIE of
+# equally near make a point ambiguous
+_NEWTON_STEPS, _N_BOUNDARY, _SEPARATION, _FOOT_TIE = 60, 2048, 8, 1e-6
+# boundary samples of a chart
+_N_THETA = 256
 
 
 @dataclass(frozen=True)
@@ -212,7 +209,6 @@ class _PoleDiskEngine:
         self.f_a = float(self.surface.warp(self.a))
         self.df_a = float(self.surface.warp_prime(self.a))
         self.sigma0 = self.df_a / self.f_a
-        self.symmetric = True
 
     def boundary(self, theta):
         theta = np.atleast_1d(np.asarray(theta, dtype=float))
@@ -282,23 +278,16 @@ class _PoleDiskEngine:
     def tube_curvature_range(self, r):
         return self.surface.curvature_range(self.a - r, self.a + r)
 
-    @cached_property
-    def graph_metric(self):
-        """Graph metric of the warped chart over ``r < min(4a, 0.98 r_hi)``."""
-        hi = self.surface.r_limits[1]
-        r_max = min(hi * 0.98 if math.isfinite(hi) else 4.0 * self.a, 4.0 * self.a)
-        return WarpedGridMetric(self.surface, r_max, *_GRAPH_GRID)
+    def boundary_distance(self, points):
+        """Distance from chart points to the boundary circle: ``|rho - a|``.
 
-    def distance(self, p, q):
-        surf = self.surface
-        if surf.kind == "constant":
-            return constant_curvature_distance(surf.kappa, p, q)
-        return self.graph_metric.distance(p, q)
-
-    @property
-    def distance_slack(self):
-        # graph distances on warped charts carry O(mesh) metric error
-        return 0.0 if self.surface.kind == "constant" else 0.1
+        The radial coordinate is the distance from the pole, so it is
+        1-Lipschitz (the metric ``dr^2 + f^2 dtheta^2`` is at least
+        ``dr^2``): no curve from ``rho`` to the circle ``rho = a`` is shorter
+        than ``|rho - a|``, and the radial segment has exactly that length.
+        """
+        pts = np.atleast_2d(np.asarray(points, dtype=float))
+        return np.abs(pts[:, 0] - self.a)
 
 
 class _Frame(NamedTuple):
@@ -326,9 +315,6 @@ class _Frame(NamedTuple):
 class _FlatCurveEngine:
     """Flat chart, boundary a closed Cartesian curve: subclasses define
     ``curve(theta) -> (c, c', c'')`` and ``contains``."""
-
-    distance_slack = 0.0
-    symmetric = False
 
     def __init__(self, domain):
         self.surface = domain.surface
@@ -382,16 +368,16 @@ class _FlatCurveEngine:
 
     @cached_property
     def _dense_tree(self):
-        """KD-tree over the boundary at angles ``k 2 pi / _N_DENSE_FEET``."""
-        return cKDTree(self.curve(np.arange(_N_DENSE_FEET) * (_TWO_PI / _N_DENSE_FEET))[0])
+        """KD-tree over the boundary at angles ``k 2 pi / _N_BOUNDARY``."""
+        return cKDTree(self.curve(np.arange(_N_BOUNDARY) * (_TWO_PI / _N_BOUNDARY))[0])
 
     def _dense_feet(self, x):
         """Nearest dense sample of Cartesian points, its distance, and the two-feet flag."""
         d, idx = self._dense_tree.query(x, k=2 * _SEPARATION + 2)
         # overflowing distances find no neighbour (index n): they tie everywhere
-        idx %= _N_DENSE_FEET
-        offs = (idx[:, 1:] - idx[:, :1]) % _N_DENSE_FEET
-        far = (offs > _SEPARATION) & (offs < _N_DENSE_FEET - _SEPARATION)
+        idx %= _N_BOUNDARY
+        offs = (idx[:, 1:] - idx[:, :1]) % _N_BOUNDARY
+        far = (offs > _SEPARATION) & (offs < _N_BOUNDARY - _SEPARATION)
         amb = np.any(far & (d[:, 1:] <= d[:, :1] + _FOOT_TIE), axis=1)
         return idx[:, 0], d[:, 0], amb | np.isinf(d[:, 0])
 
@@ -399,7 +385,7 @@ class _FlatCurveEngine:
         pts_polar = np.atleast_2d(np.asarray(points, dtype=float))
         x = polar_to_cartesian(pts_polar)
         idx, d_best, amb = self._dense_feet(x)
-        theta = idx * (_TWO_PI / _N_DENSE_FEET)
+        theta = idx * (_TWO_PI / _N_BOUNDARY)
 
         f = self._frame(theta)
         s = np.sum((x - f.point) * f.normal, axis=-1)
@@ -450,8 +436,10 @@ class _FlatCurveEngine:
             ok = ok | amb
         return s, np.mod(theta, _TWO_PI), ok, amb
 
-    def distance(self, p, q):
-        return constant_curvature_distance(0.0, p, q)
+    def boundary_distance(self, points):
+        """Distance from chart points to the nearest of the 2048 dense samples."""
+        x = polar_to_cartesian(np.atleast_2d(np.asarray(points, dtype=float)))
+        return self._dense_tree.query(x)[0]
 
     def focal_reach(self):
         """``1 / max |spread|``: where ``1 + spread s`` first vanishes either way."""
@@ -472,8 +460,6 @@ def _polar_components(pos, v):
 
 class _FlatCircleEngine(_FlatCurveEngine):
     """Circle of radius ``a`` about an arbitrary flat-chart centre."""
-
-    symmetric = True
 
     def __init__(self, domain):
         super().__init__(domain)
@@ -499,9 +485,15 @@ class _FlatCircleEngine(_FlatCurveEngine):
         return s, theta, ok, amb
 
     def contains(self, points):
-        pts = np.atleast_2d(np.asarray(points, dtype=float))
-        x = polar_to_cartesian(pts) - self.c0
-        return np.hypot(x[:, 0], x[:, 1]) <= self.a
+        return self._centre_distance(points) <= self.a
+
+    def boundary_distance(self, points):
+        """Distance from chart points to the circle: ``| |x - c0| - a |``."""
+        return np.abs(self._centre_distance(points) - self.a)
+
+    def _centre_distance(self, points):
+        x = polar_to_cartesian(np.atleast_2d(np.asarray(points, dtype=float))) - self.c0
+        return np.hypot(x[:, 0], x[:, 1])
 
     def diameter(self):
         return 2.0 * self.a
@@ -539,62 +531,6 @@ class _FlatFourierEngine(_FlatCurveEngine):
     def _diameter(self):
         # the diameter of a compact planar set is attained on the boundary
         return float(np.max(pdist(self._dense_tree.data)))
-
-
-class WarpedGridMetric:
-    """Dijkstra distances on a polar grid of a warped chart.
-
-    Nodes sit at the cell centres ``r_i = (i + 1/2) dr`` of ``n_r`` rings
-    of width ``dr = r_max / n_r`` and at ``n_theta`` equally spaced angles;
-    node ``(i, j)`` has index ``i * n_theta + j``.  Edges join angular
-    neighbours (length ``f(r_i) dtheta``), radial neighbours (``dr``) and
-    diagonal neighbours (``hypot(dr, f(r_i + dr/2) dtheta)``).  For
-    ``f(r) = r`` every edge is at least its chord, so graph distances never
-    undershoot the plane's; in general they carry an O(mesh) error.  The
-    grid is invariant under rotations by ``dtheta``, so distances from
-    node sources do not depend on where the angles start.
-    """
-
-    def __init__(self, surface, r_max, n_r, n_theta):
-        self.n_r, self.n_theta = int(n_r), int(n_theta)
-        self.dr = r_max / self.n_r
-        self.dtheta = _TWO_PI / self.n_theta
-        n_t = self.n_theta
-        r = (np.arange(self.n_r) + 0.5) * self.dr
-        f = np.asarray(surface.warp(r), dtype=float)
-        f_mid = np.asarray(surface.warp(r[:-1] + 0.5 * self.dr), dtype=float)
-        node = np.arange(self.n_r * n_t).reshape(self.n_r, n_t)
-        inner, outer = node[:-1], node[1:]
-        diag = np.repeat(np.hypot(self.dr, f_mid * self.dtheta), n_t)
-        edges = [  # (from, to, length): angular, radial and both diagonals
-            (node, np.roll(node, -1, axis=1), np.repeat(f * self.dtheta, n_t)),
-            (inner, outer, np.full(inner.size, self.dr)),
-            (inner, np.roll(outer, -1, axis=1), diag),
-            (inner, np.roll(outer, 1, axis=1), diag),
-        ]
-        rows, cols, lens = (np.concatenate([np.ravel(e[k]) for e in edges])
-                            for k in range(3))
-        g = coo_matrix((lens, (rows, cols)), shape=(node.size, node.size))
-        self._graph = (g + g.T).tocsr()
-
-    def rows(self, idx):
-        """Distances from the nodes ``idx`` to all nodes, shape (len(idx), N)."""
-        from scipy.sparse.csgraph import dijkstra
-
-        return dijkstra(self._graph, directed=False, indices=np.atleast_1d(idx))
-
-    def _snap(self, pts):
-        pts = np.asarray(pts, dtype=float).reshape(-1, 2)
-        i = np.clip(np.round(pts[:, 0] / self.dr - 0.5).astype(int), 0, self.n_r - 1)
-        j = np.mod(np.round(pts[:, 1] / self.dtheta).astype(int), self.n_theta)
-        return i * self.n_theta + j
-
-    def distance(self, p, q):
-        """Graph distance between chart points, each snapped to its nearest node."""
-        P, Q = np.broadcast_arrays(np.asarray(p, dtype=float), np.asarray(q, dtype=float))
-        sources, row = np.unique(self._snap(P), return_inverse=True)
-        out = self.rows(sources)[row, self._snap(Q)].reshape(P.shape[:-1])
-        return float(out) if out.ndim == 0 else out
 
 
 def _make_engine(domain: DomainSpec):
@@ -742,10 +678,12 @@ class FermiChart:
 class RegularityReport:
     """Sampled certificate of the rolling-ball and chart conditions.
 
-    Margins are the worst sampled signed-distance violations (zero up
-    to grid resolution when the corresponding condition holds with
-    tangency); they certify the conditions only up to the sampling
-    resolution recorded in ``n_theta``/``n_dense``.
+    Margins are the worst signed-distance violations over the ball
+    centres on ``n_theta`` sampled normals: zero up to roundoff when the
+    condition holds with tangency.  Distances to the boundary are exact
+    on disks; on Fourier blobs they go to the nearest of ``n_dense``
+    (2048) boundary samples, so there the balls are certified only up to
+    that sampling.
     """
 
     admissible: bool
@@ -774,9 +712,10 @@ def check_regularity(domain: DomainSpec, r: float) -> RegularityReport:
 
     Never raises for geometric failures; the report carries them.  The
     interior (exterior) check places a ball centre at depth ``-r``
-    (``+r``) on each sampled normal and verifies by dense boundary
-    sampling that the ball stays inside (outside) with tangency only at
-    the foot point; the margin records the worst violation.  ``H`` is
+    (``+r``) on each sampled normal and verifies that it lies inside
+    (outside) at distance at least ``r`` from the boundary, so that the
+    ball touches the boundary only at the foot point; the margin
+    ``min(distance) - r`` records the worst violation.  ``H`` is
     the smallest bound with II >= -H for both normals, ``K`` the
     largest ``|Sec|`` seen in the tube, and ``r0`` the focal radius for
     those worst-case bounds.
@@ -797,10 +736,7 @@ def check_regularity(domain: DomainSpec, r: float) -> RegularityReport:
     if not chart_ok:
         notes.append(f"tube radius reaches a focal point (reach {reach:.6g})")
 
-    tol = max(1e-9 * (1.0 + r), engine.distance_slack * r)
-
-    centers_theta = theta if not engine.symmetric else theta[:1]
-    dense_pts = engine.boundary(np.arange(_N_DENSE) * (_TWO_PI / _N_DENSE)).point
+    tol = 1e-9 * (1.0 + r)
 
     interior_margin = math.inf
     exterior_margin = math.inf
@@ -808,11 +744,10 @@ def check_regularity(domain: DomainSpec, r: float) -> RegularityReport:
     exterior_ok = True
     if chart_ok:
         for sign in (-1.0, +1.0):
-            centers = engine.map(np.full(centers_theta.shape, sign * r), centers_theta)
+            centers = engine.map(np.full(theta.shape, sign * r), theta)
             inside = engine.contains(centers)
             side_ok = bool(np.all(inside)) if sign < 0 else bool(not np.any(inside))
-            d = engine.distance(centers[:, None, :], dense_pts[None, :, :])
-            margin = float(np.min(d) - r)
+            margin = float(np.min(engine.boundary_distance(centers)) - r)
             side_ok = side_ok and margin >= -tol
             if sign < 0:
                 interior_ok, interior_margin = side_ok, margin
@@ -862,6 +797,6 @@ def check_regularity(domain: DomainSpec, r: float) -> RegularityReport:
         roundtrip_error=float(roundtrip),
         ambiguous_points=ambiguous,
         n_theta=_N_THETA,
-        n_dense=_N_DENSE,
+        n_dense=_N_BOUNDARY,
         notes=notes,
     )

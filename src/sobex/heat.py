@@ -37,7 +37,7 @@ import scipy.sparse as sp
 from scipy.spatial.distance import cdist
 
 from .errors import AssemblyError, ParameterError
-from .fermi import DomainSpec, GeodesicDisk, RadialProfile, WarpedGridMetric
+from .fermi import DomainSpec, GeodesicDisk, RadialProfile
 from .quadrature import _reference_rule
 from .surfaces import constant_curvature_distance, polar_to_cartesian
 
@@ -338,6 +338,46 @@ class DiscreteDomain:
             np.add.at(acc, tris[:, k], g * a[:, None])
             np.add.at(wacc, tris[:, k], a)
         return acc / wacc[:, None]
+
+
+class WarpedGridMetric:
+    """Dijkstra distances on a polar grid of a warped chart.
+
+    Nodes sit at the cell centres ``r_i = (i + 1/2) dr`` of ``n_r`` rings
+    of width ``dr = r_max / n_r`` and at ``n_theta`` equally spaced angles;
+    node ``(i, j)`` has index ``i * n_theta + j``.  Edges join angular
+    neighbours (length ``f(r_i) dtheta``), radial neighbours (``dr``) and
+    diagonal neighbours (``hypot(dr, f(r_i + dr/2) dtheta)``).  For
+    ``f(r) = r`` every edge is at least its chord, so graph distances never
+    undershoot the plane's; in general they carry an O(mesh) error.  The
+    grid is invariant under rotations by ``dtheta``, so distances from
+    node sources do not depend on where the angles start.
+    """
+
+    def __init__(self, surface, r_max, n_r, n_theta):
+        dr, dtheta = r_max / n_r, _TWO_PI / n_theta
+        r = (np.arange(n_r) + 0.5) * dr
+        f = np.asarray(surface.warp(r), dtype=float)
+        f_mid = np.asarray(surface.warp(r[:-1] + 0.5 * dr), dtype=float)
+        node = np.arange(n_r * n_theta).reshape(n_r, n_theta)
+        inner, outer = node[:-1], node[1:]
+        diag = np.repeat(np.hypot(dr, f_mid * dtheta), n_theta)
+        edges = [  # (from, to, length): angular, radial and both diagonals
+            (node, np.roll(node, -1, axis=1), np.repeat(f * dtheta, n_theta)),
+            (inner, outer, np.full(inner.size, dr)),
+            (inner, np.roll(outer, -1, axis=1), diag),
+            (inner, np.roll(outer, 1, axis=1), diag),
+        ]
+        rows, cols, lens = (np.concatenate([np.ravel(e[k]) for e in edges])
+                            for k in range(3))
+        g = sp.coo_matrix((lens, (rows, cols)), shape=(node.size, node.size))
+        self._graph = (g + g.T).tocsr()
+
+    def rows(self, idx):
+        """Distances from the nodes ``idx`` to all nodes, shape (len(idx), N)."""
+        from scipy.sparse.csgraph import dijkstra
+
+        return dijkstra(self._graph, directed=False, indices=np.atleast_1d(idx))
 
 
 def _warp_integral(surface, r_edges):
@@ -729,14 +769,21 @@ class NeumannSystem:
         """Mode count for relative spectral truncation below 1e-12 at ``t_min``.
 
         Returns the smallest ``m`` with ``exp(-lambda_m t_min) < 1e-12``,
-        capped at ``min(N, mode_cap)``.  If the cap bites, a warning
-        reports the truncation level ``exp(-lambda_cap t_min)`` (the
-        weight of the last mode kept, which bounds every weight left
-        out) and ``truncation`` keeps the largest such level.
+        capped at ``min(N, mode_cap)``.  On a separable system a cap that
+        would keep the cos of a cos/sin pair without its sin keeps one mode
+        less, so a truncated sum never depends on the basis chosen inside
+        the pair.  If the cap bites, a warning reports the truncation level
+        ``exp(-lambda_cap t_min)`` (the weight of the last mode kept, which
+        bounds every weight left out) and ``truncation`` keeps the largest
+        such level.
         """
         target = _LOG_TRUNC / float(t_min)
         cap = int(min(self.size if self.size <= self.DENSE_LIMIT else self.size - 2,
                       self.mode_cap))
+        if self.factors is not None:
+            lam_all = self.factors._modes[0]
+            if cap < lam_all.shape[0] and lam_all[cap] == lam_all[cap - 1]:
+                cap -= 1
         lam, _ = self.eigenpairs(cap, vectors=False)
         above = np.nonzero(lam > target)[0]
         if above.size:

@@ -133,13 +133,13 @@ def poly_cosh_mix_profile(coeffs):
         r = np.asarray(r, dtype=float)
         return 6.0 * c1 * r + c2 * np.cosh(r)
 
-    # conservative positive-radius cap: find where f stops being positive
+    # conservative positive-radius cap: the last grid point before f first
+    # stops being positive, so the cap stays at or below the zero of f
     r_max = math.inf
     grid = np.linspace(1e-6, 50.0, 20001)
-    vals = f(grid)
-    bad = np.nonzero(vals <= 0.0)[0]
+    bad = np.nonzero(f(grid) <= 0.0)[0]
     if bad.size:
-        r_max = float(grid[bad[0]])
+        r_max = float(grid[bad[0] - 1]) if bad[0] else 0.0
     return WarpProfile(f=f, df=df, d2f=d2f, r_min=0.0, r_max=r_max,
                        has_pole=(c0 > 0.0), label="poly_cosh_mix")
 

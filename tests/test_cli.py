@@ -203,6 +203,8 @@ def test_heat_rejects_bad_input(tmp_path, capsys, flags, config):
 
 
 _DISK = {"type": "disk", "radius": 1.0}
+_WARP_ZERO = {"kind": "warped", "profile": {"type": "poly_cosh_mix", "coeffs": [1.0, 0.0, -1.0]}}
+_PAST_ZERO = {"type": "disk", "radius": 1.6165}
 
 
 @pytest.mark.parametrize("command, flags, config", [
@@ -226,6 +228,9 @@ _DISK = {"type": "disk", "radius": 1.0}
     ("constants", ["--K", "1", "--H", "1", "--r", "5"], {"K": 1, "H": 1, "r": 5}),
     ("constants", ["--K", "0", "--H", "2", "--r", "0.5"], {"K": 0, "H": 2, "r": 0.5}),
     ("sweep", None, {"K": 1, "H": 1, "sweep": {"r": {"from": 0.1, "to": 5, "steps": 3}}}),
+    # a disk past the warp's zero at 1.616138: the chart stops before it
+    ("regularity", None, {"surface": _WARP_ZERO, "domain": _PAST_ZERO, "r": 0.3}),
+    ("heat", None, {"surface": _WARP_ZERO, "domain": _PAST_ZERO, "resolution": 16}),
 ])
 def test_bad_input_exits_2(tmp_path, capsys, command, flags, config):
     """Flags and config files go through one validation: exit 2, one line, no report."""

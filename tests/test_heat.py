@@ -509,8 +509,9 @@ def _assert_matches_dense(dom, split=0):
     The complete spectra make the kernel sums independent of the basis
     chosen inside a cos/sin pair, so they must match the dense oracle.
     Then the mode cap is set to split the ``split``-th cos/sin pair: the
-    truncated sums must still match the materialized ones over the same
-    columns, so both keep the same modes.
+    separable system keeps one mode less, the whole pairs below the cap,
+    so its truncated sums match the dense oracle's over those modes and
+    the materialized ones over the same columns.
     """
     sys_ = H.assemble(dom)
     oracle = H.NeumannSystem(sys_.stiffness, sys_.mass)
@@ -540,12 +541,15 @@ def _assert_matches_dense(dom, split=0):
     _, wave, basis, _ = sys_.factors._modes
     pairs = np.flatnonzero((wave[basis[:-1]] == wave[basis[1:]]) & (basis[:-1] != basis[1:]))
     if pairs.size:
-        cap = int(pairs[split % pairs.size]) + 1  # keeps the cos, drops the sin
-        sys_.mode_cap = cap
+        cap = int(pairs[split % pairs.size]) + 1  # would keep the cos without its sin
+        sys_.mode_cap, oracle.mode_cap = cap, cap - 1
         t = 10.0 / lam[cap - 1]  # exp(-lam t) >= e^-10 on every mode kept: the cap bites
         with pytest.warns(UserWarning, match="spectral truncation"):
             got = _kernel_quantities(sys_, t, idx, vec)
-        want = _materialized_quantities(lam[:cap], phi[:, :cap], sys_.mass, t, idx, vec)
+            want = _kernel_quantities(oracle, t, idx, vec)
+            assert sys_.modes_for(t) == cap - 1
+        _assert_quantities_close(got, want, 1e-10)
+        want = _materialized_quantities(lam[:cap - 1], phi[:, :cap - 1], sys_.mass, t, idx, vec)
         _assert_quantities_close(got, want, 1e-12)
     return sys_
 

@@ -2,6 +2,7 @@ import math
 
 import numpy as np
 import pytest
+from hypothesis import given, settings, strategies as st
 
 from sobex.errors import ChartDomainError, ChartExitError, ParameterError
 from sobex.surfaces import (
@@ -51,6 +52,27 @@ def test_nonpositive_warp_rejected():
         bad.gauss_curvature(2.0)
     with pytest.raises(InvalidSurfaceError):
         bad.metric_at((2.0, 0.0))
+
+
+def test_poly_cosh_mix_cap_stays_below_the_zero():
+    """The warp of coefficients (1, 0, -1) vanishes at 1.616138; the chart
+    stops at the last grid point before it, not at the first one past."""
+    r_max = poly_cosh_mix_profile([1.0, 0.0, -1.0]).r_max
+    assert 1.6138 < r_max <= 1.616138
+
+
+@settings(max_examples=60)
+@given(c0=st.floats(0.05, 2.0), c1=st.floats(-1.0, 1.0), c2=st.floats(-2.0, 1.0))
+def test_poly_cosh_mix_positive_below_the_cap(c0, c1, c2):
+    """``f > 0`` on a grid ten times finer than the cap's, up to ``r_max``; and
+    ``f`` stops being positive within one coarse step past a finite cap."""
+    prof = poly_cosh_mix_profile([c0, c1, c2])
+    top = min(prof.r_max, 50.0)
+    fine = np.linspace(1e-6, top, max(2, int(top / 2.5e-4)) + 1)
+    assert np.all(prof.f(fine) > 0.0)
+    if math.isfinite(prof.r_max):
+        past = np.linspace(prof.r_max, prof.r_max + 2.51e-3, 11)
+        assert np.any(prof.f(past) <= 0.0)
 
 
 def test_curvature_finite_difference_consistency(flat, sphere, hyperbolic):
