@@ -27,6 +27,7 @@ from .errors import (
     AssemblyError,
     ComparisonBreakdownError,
     ConfigError,
+    FocalPointError,
     InvalidDomainError,
     InvalidSurfaceError,
     ParameterError,
@@ -34,7 +35,7 @@ from .errors import (
     SobexError,
 )
 from .fermi import DomainSpec, FermiChart, GeodesicDisk, RadialProfile, check_regularity
-from .surfaces import ModelSurface, cosh_profile, poly_cosh_mix_profile
+from .surfaces import ModelSurface, poly_cosh_mix_profile
 
 _DEFAULTS = dict(quad=64, resolution=256, G=3.0, seed=42)
 
@@ -262,8 +263,6 @@ def build_surface(cfg: RunConfig) -> ModelSurface:
         ptype = prof.get("type", "poly_cosh_mix")
         if ptype == "poly_cosh_mix":
             return ModelSurface.warped(poly_cosh_mix_profile(prof.get("coeffs", [1.0])))
-        if ptype == "cosh":
-            return ModelSurface.warped(cosh_profile())
         raise ConfigError(f"unknown warp profile type {ptype!r}")
     raise ConfigError(f"unknown surface kind {kind!r}")
 
@@ -350,14 +349,14 @@ def cmd_verify_extension(cfg: RunConfig) -> int:
     if cfg.r is None:
         raise ConfigError("verify-extension needs a tube radius r")
     domain = build_domain(cfg)
-    chart = FermiChart(domain, cfg.r)
     cutoff = extension.smoothstep_cutoff(cfg.G)
     rng = np.random.default_rng(cfg.seed)
     fields = extension.random_smooth_fields(rng, cfg.samples)
     try:
+        chart = FermiChart(domain, cfg.r)
         payload = extension.operator_norm_estimate(chart, cutoff, fields,
                                                    quad=cfg.quad).to_dict()
-    except RegularityError as exc:
+    except (FocalPointError, RegularityError) as exc:
         payload = {"passed": False, "reason": str(exc)}
     code = 0 if payload["passed"] else 1
     payload["samples"] = cfg.samples
@@ -389,13 +388,15 @@ def cmd_heat(cfg: RunConfig) -> int:
                                                    cfg.resolution)
         except AssemblyError as exc:  # a domain the heat grids cannot carry
             raise ConfigError(str(exc)) from exc
+    diam = domain.diameter()
+    t_max = cfg.t_max if cfg.t_max is not None else diam**2
+    if cfg.t_min > t_max:
+        raise ConfigError(f"t_min {cfg.t_min:g} must not exceed t_max {t_max:g}")
     system = heat.assemble(domain)
     if cfg.modes is not None:
         system.mode_cap = cfg.modes
     n_eigs = min(cfg.modes if cfg.modes is not None else 16, system.size - 2)
     lam, _ = system.eigenpairs(n_eigs, vectors=False)
-    diam = domain.diameter()
-    t_max = cfg.t_max if cfg.t_max is not None else diam**2
     t_grid = np.geomspace(cfg.t_min, t_max, cfg.t_steps)
 
     checks = {}

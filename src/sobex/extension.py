@@ -76,7 +76,6 @@ class ScalarField:
 
     evaluate: Callable = dc_field(repr=False)
     partials: Callable = dc_field(repr=False)
-    label: str = ""
 
 
 def _embedded(points):
@@ -94,7 +93,7 @@ def constant_field(c=1.0):
         pts = np.atleast_2d(np.asarray(points, dtype=float))
         return np.zeros((pts.shape[0], 2))
 
-    return ScalarField(ev, grad, label=f"const({c})")
+    return ScalarField(ev, grad)
 
 
 def _powers(x, n):
@@ -140,7 +139,7 @@ def polynomial_field(coeffs):
         xp, yp = _powers(x, n_x), _powers(y, n_y)
         return _chart_partials(r, th, contract(c_x, xp, yp), contract(c_y, xp, yp))
 
-    return ScalarField(ev, grad, label="poly")
+    return ScalarField(ev, grad)
 
 
 def trig_field(amps, waves, phases):
@@ -167,7 +166,7 @@ def trig_field(amps, waves, phases):
         r, th, k_xy = angles(points)
         return _chart_partials(r, th, *(slopes @ np.cos(k_xy)))
 
-    return ScalarField(ev, grad, label="trig")
+    return ScalarField(ev, grad)
 
 
 def random_smooth_fields(rng, count):
@@ -211,7 +210,6 @@ class CutoffFamily:
     eta_prime: Callable = dc_field(repr=False)
     G: float = 3.0
     t_end: float = 1.0
-    label: str = "smoothstep"
 
 
 def smoothstep_cutoff(G=3.0):
@@ -236,8 +234,7 @@ def smoothstep_cutoff(G=3.0):
         inside = (x > 0.0) & (x < 1.0)
         return np.where(inside, -(6.0 * x - 6.0 * x * x) / w, 0.0)
 
-    return CutoffFamily(eta=eta, eta_prime=eta_prime, G=float(G), t_end=t_end,
-                        label=f"smoothstep(G={G:g})")
+    return CutoffFamily(eta=eta, eta_prime=eta_prime, G=float(G), t_end=t_end)
 
 
 def cutoff_value(family: CutoffFamily, surface, center, r, points):
@@ -265,7 +262,6 @@ class Trace1D:
 
     value: Callable = dc_field(repr=False)
     derivative: Callable = dc_field(repr=False)
-    label: str = ""
 
 
 def random_fourier_trace(rng, modes=5, scale=1.0):
@@ -287,7 +283,7 @@ def random_fourier_trace(rng, modes=5, scale=1.0):
             out = out - a[k] * w * np.sin(w * t) + b[k - 1] * w * np.cos(w * t)
         return out
 
-    return Trace1D(value, derivative, label="fourier")
+    return Trace1D(value, derivative)
 
 
 def extend_1d(trace, cutoff_profile, s):
@@ -516,11 +512,11 @@ def _tube_stencil(chart: FermiChart, quad: int, s_breaks, h):
     return stencil
 
 
-def _fd_step(chart: FermiChart, fd_step=None):
-    return fd_step if fd_step is not None else 1e-5 * chart.domain.diameter()
+def _fd_step(chart: FermiChart):
+    return 1e-5 * chart.domain.diameter()
 
 
-def h1_norm(field, region, chart: FermiChart, quad: int = 64, fd_step=None):
+def h1_norm(field, region, chart: FermiChart, quad: int = 64):
     """Squared L2 and gradient-L2 norms of a field over a chart region.
 
     ``region="omega"`` takes a :class:`ScalarField` and integrates its
@@ -528,11 +524,11 @@ def h1_norm(field, region, chart: FermiChart, quad: int = 64, fd_step=None):
     ``region="tube_exterior"`` takes an :class:`ExtendedField` and
     integrates it over the exterior tube, with the radial rule composite
     across the field's ``s_breakpoints`` (where the cutoff kinks) and
-    the gradient taken by finite differences with step ``fd_step``
-    (default ``1e-5 * diam``), one-sided near depths 0 and ``r``.  Both
-    rules are Gauss-Legendre radially and uniform periodic angularly,
-    with the exact metric area weights.  Any other pairing of field and
-    region is a :class:`ParameterError`.
+    the gradient taken by finite differences with step ``1e-5 * diam``,
+    one-sided near depths 0 and ``r``.  Both rules are Gauss-Legendre
+    radially and uniform periodic angularly, with the exact metric area
+    weights.  Any other pairing of field and region is a
+    :class:`ParameterError`.
 
     Returns ``(l2_sq, grad_l2_sq)``.
     """
@@ -551,7 +547,7 @@ def h1_norm(field, region, chart: FermiChart, quad: int = 64, fd_step=None):
     if region != "tube_exterior" or not isinstance(field, ExtendedField):
         raise ParameterError(f"no H1 norm of a {type(field).__name__} on region {region!r}")
 
-    h = _fd_step(chart, fd_step)
+    h = _fd_step(chart)
     grid = _tube_grid(chart, quad, field.s_breakpoints)
     S, W, metric = grid["S"], grid["weights"], grid["metric"]
     stencil = _tube_stencil(chart, quad, field.s_breakpoints, h)

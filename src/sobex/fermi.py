@@ -61,7 +61,7 @@ __all__ = [
 ]
 
 _TWO_PI = 2.0 * math.pi
-# the flat foot-point search: damped Newton steps from the nearest of
+# the flat foot-point search: full Newton steps from the nearest of
 # _N_BOUNDARY boundary samples (also the blob's rolling-ball distances);
 # feet more than _SEPARATION samples apart and within _FOOT_TIE of
 # equally near make a point ambiguous
@@ -409,18 +409,8 @@ class _FlatCurveEngine:
             j_sq = np.maximum(np.sum(j_theta * j_theta, axis=-1), 1e-300)
             dth = -np.sum(res * j_theta, axis=-1) / j_sq
             ds = -np.sum(res * f.normal, axis=-1)
-            # damped update: halve the step until the residual decreases
-            step = np.ones_like(dth)
-            for _damp in range(25):
-                th_new = th_a + step * dth
-                s_new = s_a + step * ds
-                res_new = np.linalg.norm(self._frame(th_new).at(s_new) - x_a, axis=-1)
-                worse = res_new > res_norm
-                if not np.any(worse & ~done):
-                    break
-                step = np.where(worse, 0.5 * step, step)
-            theta[active] = np.where(done, th_a, th_a + step * dth)
-            s[active] = np.where(done, s_a, s_a + step * ds)
+            theta[active] = np.where(done, th_a, th_a + dth)
+            s[active] = np.where(done, s_a, s_a + ds)
             still = np.zeros(x.shape[0], dtype=bool)
             still[active] = ~done
             active = still

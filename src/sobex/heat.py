@@ -290,19 +290,18 @@ class DiscreteDomain:
             return np.arange(N)
         return np.unique(np.linspace(0, N - 1, count).astype(int))
 
-    def interior_mask(self, depth=2.0):
-        """Nodes at least ``depth`` mesh widths away from the boundary."""
+    def interior_mask(self):
+        """Nodes at least two mesh widths away from the boundary."""
         if self.kind == "interval":
             x = self.nodes
-            pad = depth * self.mesh_width
+            pad = 2.0 * self.mesh_width
             return (x > pad) & (x < self._L - pad)
         if self.kind == "pole_disk":
-            n_r, n_t, dr, *_ = self._grid
-            i = np.repeat(np.arange(n_r), n_t)
-            return i < n_r - int(math.ceil(depth))
-        n_r, n_t, dxi, *_ = self._grid
+            n_r, n_t, *_ = self._grid
+            return np.repeat(np.arange(n_r), n_t) < n_r - 2
+        n_r, n_t, *_ = self._grid
         ring = np.concatenate([[0], np.repeat(np.arange(1, n_r + 1), n_t)])
-        return ring <= n_r - int(math.ceil(depth))
+        return ring <= n_r - 2
 
     def node_gradient(self, values):
         """Orthonormal-frame gradient components at the nodes, shape (N, dim)."""
@@ -866,10 +865,7 @@ def curvature_field(domain: DiscreteDomain) -> CurvatureField:
     if domain.kind == "interval":
         return CurvatureField(np.zeros(domain.size))
     surf = domain.spec.surface
-    nodes_r = domain.nodes[:, 0]
-    kvals = np.asarray(surf.gauss_curvature(nodes_r), dtype=float) \
-        if surf.kind == "warped" else np.full(domain.size, surf.kappa)
-    return CurvatureField((surf.dimension - 1) * kvals)
+    return CurvatureField((surf.dimension - 1) * surf.gauss_curvature(domain.nodes[:, 0]))
 
 
 # ---------------------------------------------------------------------------
@@ -945,10 +941,6 @@ def doubling_comparability(domain: DiscreteDomain, s, x_count=48):
 class GNResult:
     c_gn: float
     per_radius: list
-
-    def to_dict(self):
-        return {"c_gn": self.c_gn,
-                "per_radius": [[float(r), float(c)] for r, c in self.per_radius]}
 
 
 def gn_check(domain: DiscreteDomain, system: NeumannSystem, q, r_grid,
@@ -1107,16 +1099,6 @@ class LiYauResult:
 
     def envelope(self, t):
         return self.a + self.b / np.asarray(t, dtype=float)
-
-    def to_dict(self):
-        return {
-            "a": self.a,
-            "b": self.b,
-            "violations": int(self.violations),
-            "clipped": bool(self.clipped),
-            "profile": [[float(t), float(v)]
-                        for t, v in zip(self.t_grid, self.sup_profile)],
-        }
 
 
 def fit_inverse_time_envelope(t_grid, profile):

@@ -97,14 +97,13 @@ class WarpProfile:
     r_min: float = 0.0
     r_max: float = math.inf
     has_pole: bool = True
-    label: str = "warped"
 
 
 def cosh_profile():
     """Hyperbolic-cylinder warp ``f(r) = cosh r`` (curvature -1, no pole)."""
     return WarpProfile(
         f=np.cosh, df=np.sinh, d2f=np.cosh,
-        r_min=-math.inf, r_max=math.inf, has_pole=False, label="cosh",
+        r_min=-math.inf, r_max=math.inf, has_pole=False,
     )
 
 
@@ -141,7 +140,7 @@ def poly_cosh_mix_profile(coeffs):
     if bad.size:
         r_max = float(grid[bad[0] - 1]) if bad[0] else 0.0
     return WarpProfile(f=f, df=df, d2f=d2f, r_min=0.0, r_max=r_max,
-                       has_pole=(c0 > 0.0), label="poly_cosh_mix")
+                       has_pole=(c0 > 0.0))
 
 
 @dataclass(frozen=True)
@@ -222,9 +221,8 @@ class ModelSurface:
             raise InvalidSurfaceError("warp factor must be positive inside the chart")
         return np.array([[1.0, 0.0], [0.0, f * f]])
 
-    def gauss_curvature(self, point_or_r):
-        """Gauss curvature at a point (or radius): ``kappa`` or ``-f''/f``."""
-        r = point_or_r[0] if np.ndim(point_or_r) and np.shape(point_or_r)[-1] == 2 else point_or_r
+    def gauss_curvature(self, r):
+        """Gauss curvature at radii ``r``: ``kappa`` or ``-f''/f``."""
         if self.kind == "constant":
             return self.kappa if np.ndim(r) == 0 else np.full(np.shape(r), self.kappa)
         f = self.profile.f(np.asarray(r, dtype=float))

@@ -15,7 +15,7 @@ from hypothesis import given, settings, strategies as st
 
 import sobex
 from sobex import cli, extension, heat
-from sobex.errors import ConfigError
+from sobex.errors import ConfigError, EvaluationError
 
 
 def test_parse_config_defaults():
@@ -107,6 +107,41 @@ def test_verify_extension_bound_violation_keeps_report(tmp_path, monkeypatch):
     assert data["passed"] is False and data["bound"] == 1.0
     assert len(data["per_sample"]) == 2 and data["max_ratio"] == max(data["per_sample"]) > 1.0
     assert data["quadrature_nodes"] == {"omega": 16 * 64, "tube": 2 * 16 * 64}
+
+
+def test_verify_extension_focal_radius_keeps_report(tmp_path, capsys):
+    """A tube radius at the focal reach fails the chart's certificate: the report
+    says so with a reason, as ``sobex regularity`` does, and the exit is 1."""
+    rep = tmp_path / "vx.json"
+    rc = cli.main(["verify-extension", "--domain", '{"type": "disk", "radius": 1.0}',
+                   "--r", "1.5", "--report", str(rep)])
+    assert rc == 1 and capsys.readouterr().err == ""
+    data = json.loads(rep.read_text())
+    assert data["passed"] is False
+    assert data["reason"] == "tube radius 1.5 reaches a focal point (reach 1)"
+
+
+def test_failed_check_exits_1_with_one_line(tmp_path, capsys, monkeypatch):
+    """A toolkit error that escapes a command is a failed check: exit 1, one
+    stderr line, no traceback and no report."""
+    def fail(*args, **kwargs):
+        raise EvaluationError("non-finite value at a quadrature node")
+
+    monkeypatch.setattr(extension, "operator_norm_estimate", fail)
+    rep = tmp_path / "vx.json"
+    rc = cli.main(["verify-extension", "--domain", '{"type": "disk", "radius": 1.0}',
+                   "--r", "0.4", "--samples", "1", "--report", str(rep)])
+    assert rc == 1
+    assert capsys.readouterr().err == "check failed: non-finite value at a quadrature node\n"
+    assert not rep.exists()
+
+
+def test_heat_accepts_equal_time_bounds(tmp_path):
+    rep = tmp_path / "heat.json"
+    rc = cli.main(["heat", "--domain", '{"type": "interval", "L": 1.0}', "--resolution", "64",
+                   "--t-min", "0.5", "--t-max", "0.5", "--t-steps", "3", "--report", str(rep)])
+    assert rc == 0
+    assert [t for t, _ in json.loads(rep.read_text())["diagonal"]["profile"]] == [0.5] * 3
 
 
 def test_import_leaves_optimize_and_integrate_unloaded():
@@ -231,6 +266,9 @@ _PAST_ZERO = {"type": "disk", "radius": 1.6165}
     # a disk past the warp's zero at 1.616138: the chart stops before it
     ("regularity", None, {"surface": _WARP_ZERO, "domain": _PAST_ZERO, "r": 0.3}),
     ("heat", None, {"surface": _WARP_ZERO, "domain": _PAST_ZERO, "resolution": 16}),
+    # t_min above the default t_max = diam^2 = 4 of the unit disk
+    ("heat", ["--resolution", "16", "--t-min", "10", "--t-steps", "4"],
+     {"resolution": 16, "t_min": 10, "t_steps": 4}),
 ])
 def test_bad_input_exits_2(tmp_path, capsys, command, flags, config):
     """Flags and config files go through one validation: exit 2, one line, no report."""

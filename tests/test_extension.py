@@ -128,6 +128,18 @@ def test_h1_norm_closed_forms(disk_chart):
     assert g2 == pytest.approx(math.pi, rel=1e-12)
 
 
+def test_h1_norm_off_centre_disk(flat):
+    """The flat circle off the pole integrates in polar coordinates about its own
+    centre: on the unit disk about Cartesian (0.5, 0.3), ``1`` has norms
+    ``(pi, 0)`` and ``x`` has ``(pi/4 + 0.5^2 pi, pi)``."""
+    centre = (math.hypot(0.5, 0.3), math.atan2(0.3, 0.5))
+    chart = FermiChart(DomainSpec(flat, GeodesicDisk(centre, 1.0)), 0.4)
+    assert E._omega_grid(chart, 32)["weights"].size == 32 * 64
+    for fld, expected in ((E.constant_field(1.0), (math.pi, 0.0)),
+                          (x_field(), (math.pi / 2.0, math.pi))):
+        assert E.h1_norm(fld, "omega", chart, 32) == pytest.approx(expected, abs=1e-14)
+
+
 def test_h1_norm_degree8_polynomial(disk_chart):
     # u = x^4 y^4 on the unit disk against an independent dblquad oracle
     coeffs = np.zeros((5, 5))
@@ -278,14 +290,18 @@ def test_tube_norm_batched_stencil_is_exact(domain, r, request, rng):
     per-subset formulas, on the first call and from the cache."""
     chart = FermiChart(request.getfixturevalue(domain), r)
     cut = E.smoothstep_cutoff(4.0)
-    default = 1e-5 * chart.domain.diameter()
+    h = 1e-5 * chart.domain.diameter()
     for fld in [x_field()] + E.random_smooth_fields(rng, 3):
         ext = E.ExtendedField(chart, fld, cut)
-        # the default step leaves the one-sided rows empty; 2e-3 fills them
-        for h, fd_step in ((default, None), (2e-3, 2e-3)):
-            oracle = _tube_fd_oracle(ext, chart, 24, ext.s_breakpoints, h)
+        # 24 nodes leave the one-sided rows empty; 96 put one ring (192 rows)
+        # within 2h of each tube end
+        for quad in (24, 96):
+            stencil = E._tube_stencil(chart, quad, ext.s_breakpoints, h)
+            one_sided = min(np.count_nonzero(stencil["lo"]), np.count_nonzero(stencil["hi"]))
+            assert one_sided == (0 if quad == 24 else 192)
+            oracle = _tube_fd_oracle(ext, chart, quad, ext.s_breakpoints, h)
             for _ in range(2):
-                assert E.h1_norm(ext, "tube_exterior", chart, 24, fd_step=fd_step) == oracle
+                assert E.h1_norm(ext, "tube_exterior", chart, quad) == oracle
 
 
 EPS = np.finfo(float).eps

@@ -413,6 +413,49 @@ def test_li_yau(unit_interval):
         H.fit_inverse_time_envelope(t_grid, np.full(t_grid.shape, np.nan))
 
 
+def test_node_gradient_of_x(unit_disk, fourier_blob):
+    """The gradient ``li_yau_check`` reads, away from the two outer rings: exact
+    for the blob's P1 elements, second order on a pole disk, whose frame is
+    ``(e_r, e_theta)``, so that the gradient of ``x`` is ``(cos, -sin)``."""
+    blob = H.DiscreteDomain.disk_like(fourier_blob, 24, 48)
+    inner = blob.interior_mask()
+    assert np.count_nonzero(~inner) == 2 * 48
+    grad = blob.node_gradient(blob.cartesian()[:, 0])
+    assert np.max(np.abs(grad[inner] - [1.0, 0.0])) < 1e-13
+    errors = []
+    for n_r in (24, 48):
+        disk = H.DiscreteDomain.disk_like(unit_disk, n_r, 2 * n_r)
+        inner = disk.interior_mask()
+        assert np.count_nonzero(~inner) == 2 * (2 * n_r)
+        th = disk.nodes[inner, 1]
+        grad = disk.node_gradient(disk.cartesian()[:, 0])[inner]
+        errors.append(np.max(np.abs(grad - np.stack([np.cos(th), -np.sin(th)], axis=-1))))
+    assert 3.5 < errors[0] / errors[1] < 4.5
+
+
+def test_li_yau_on_disks_and_blobs(unit_disk, fourier_blob):
+    """Constant data has a zero profile; an envelope fitted at 16 x 32 covers
+    the 32 x 64 profile within 5%, as C09 checks on intervals."""
+    warped = DomainSpec(ModelSurface.warped(poly_cosh_mix_profile([1.0, 0.12, -0.05])),
+                        GeodesicDisk((0.0, 0.0), 0.8))
+    t_grid = np.geomspace(0.01, 1.0, 8)
+    for spec in (unit_disk, fourier_blob, warped):
+        dom = H.DiscreteDomain.disk_like(spec, 16, 32)
+        res = H.li_yau_check(H.assemble(dom), dom, np.ones(dom.size), t_grid)
+        assert np.max(np.abs(res.sup_profile)) <= 1e-10
+    for spec in (unit_disk, fourier_blob):
+        results = []
+        for n_r in (16, 32):
+            dom = H.DiscreteDomain.disk_like(spec, n_r, 2 * n_r)
+            system = H.assemble(dom)
+            _, phi = system.eigenpairs(2)
+            u0 = 1.0 + 0.4 * phi[:, 1] / np.max(np.abs(phi[:, 1]))
+            results.append(H.li_yau_check(system, dom, u0, t_grid))
+        coarse, fine = results
+        assert coarse.violations == 0 and not coarse.clipped
+        assert np.all(fine.sup_profile <= coarse.envelope(t_grid) * 1.05 + 1e-9)
+
+
 @settings(max_examples=200)
 @given(data=st.lists(st.tuples(st.floats(1e-3, 10.0), st.floats(-100.0, 100.0)),
                      min_size=1, max_size=24))

@@ -32,13 +32,16 @@ def test_metric_closed_forms(flat, sphere):
 
 
 def test_gauss_curvature(hyperbolic):
-    assert hyperbolic.gauss_curvature((0.7, 1.0)) == -1.0
+    assert hyperbolic.gauss_curvature(0.7) == -1.0
     warped = ModelSurface.warped(cosh_profile())
     for r in (0.3, 1.0, 2.5):
         assert warped.gauss_curvature(r) == pytest.approx(-1.0, abs=1e-14)
     poly = ModelSurface.warped(poly_cosh_mix_profile([1.0, 0.1]))
     # f = r + 0.1 r^3 at r = 0.5: f'' = 0.3, f = 0.5125
     assert poly.gauss_curvature(0.5) == pytest.approx(-0.3 / 0.5125, abs=1e-12)
+    # two radii give two curvatures, not the curvature at a point (0.5, 0.7)
+    np.testing.assert_allclose(poly.gauss_curvature(np.array([0.5, 0.7])),
+                               [-0.3 / 0.5125, -0.42 / 0.7343], rtol=1e-14)
 
 
 def test_nonpositive_warp_rejected():
