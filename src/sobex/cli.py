@@ -380,19 +380,23 @@ def cmd_verify_extension(cfg: RunConfig) -> int:
 
 def cmd_heat(cfg: RunConfig) -> int:
     dom_cfg = cfg.domain or {}
-    if dom_cfg.get("type") == "interval":
-        domain = heat.DiscreteDomain.interval(float(dom_cfg.get("L", 1.0)), cfg.resolution)
-    else:
-        try:
+    try:  # a domain the heat grids cannot carry
+        if dom_cfg.get("type") == "interval":
+            domain = heat.DiscreteDomain.interval(float(dom_cfg.get("L", 1.0)), cfg.resolution)
+        else:
             domain = heat.DiscreteDomain.disk_like(build_domain(cfg), cfg.resolution,
                                                    cfg.resolution)
-        except AssemblyError as exc:  # a domain the heat grids cannot carry
-            raise ConfigError(str(exc)) from exc
+        system = heat.assemble(domain)
+    except AssemblyError as exc:
+        raise ConfigError(str(exc)) from exc
     diam = domain.diameter()
-    t_max = cfg.t_max if cfg.t_max is not None else diam**2
+    diam_sq = diam * diam
+    # the equilibrium check runs at 10 diam^2
+    if not math.isfinite(10.0 * diam_sq):
+        raise ConfigError(f"domain diameter {diam:g} overflows the heat time scale")
+    t_max = cfg.t_max if cfg.t_max is not None else diam_sq
     if cfg.t_min > t_max:
         raise ConfigError(f"t_min {cfg.t_min:g} must not exceed t_max {t_max:g}")
-    system = heat.assemble(domain)
     if cfg.modes is not None:
         system.mode_cap = cfg.modes
     n_eigs = min(cfg.modes if cfg.modes is not None else 16, system.size - 2)
@@ -412,7 +416,7 @@ def cmd_heat(cfg: RunConfig) -> int:
     checks["stochastic"] = bool(np.max(np.abs(rowsums - 1.0)) < 1e-9)
     sym = system.heat_kernel(t_probe, idx[:, None], idx[None, :])
     checks["symmetric"] = bool(np.max(np.abs(sym - sym.T)) < 1e-12)
-    equil = system.heat_kernel(10.0 * diam**2, int(idx[0]), int(idx[-1]))
+    equil = system.heat_kernel(10.0 * diam_sq, int(idx[0]), int(idx[-1]))
     checks["equilibrium"] = bool(abs(equil - 1.0 / system.volume) < 1e-10)
 
     diag = heat.diagonal_bound_check(domain, system, t_grid)
@@ -494,8 +498,15 @@ def _add_common(sub):
     sub.add_argument("--seed", type=int, default=None)
 
 
+class _Parser(argparse.ArgumentParser):
+    """An argument parser whose usage errors are :class:`ConfigError`, not exits."""
+
+    def error(self, message):
+        raise ConfigError(message)
+
+
 def build_parser():
-    p = argparse.ArgumentParser(prog="sobex", description=__doc__.splitlines()[0])
+    p = _Parser(prog="sobex", description=__doc__.splitlines()[0])
     subs = p.add_subparsers(dest="command", required=True)
 
     c = subs.add_parser("constants", help="closed-form tube constants")
@@ -543,9 +554,8 @@ _COMMANDS = {
 
 
 def main(argv=None) -> int:
-    parser = build_parser()
-    args = parser.parse_args(argv)
     try:
+        args = build_parser().parse_args(argv)
         cfg = _load_config(args)
         return _COMMANDS[args.command](cfg)
     except (ConfigError, OSError, ValueError) as exc:

@@ -283,7 +283,8 @@ def volume_ratio_bounds(data: CurvatureData, s):
     s = np.asarray(s, dtype=float)
     if np.any(s < 0.0):
         raise ParameterError("tube depth must be nonnegative")
-    profile = ComparisonProfile.from_curvature(data, max(float(np.max(s)), 1e-300))
+    # a working radius of 0 is degenerate; the floor stands in only for all-zero depths
+    profile = ComparisonProfile.from_curvature(data, float(np.max(s)) or 1e-300)
     d = profile.d(s, data.n)
     D = profile.D(s, data.n)
     return (float(d), float(D)) if np.ndim(s) == 0 else (d, D)
@@ -315,7 +316,8 @@ def extension_norm_bound(distortion: float, G: float, r: float):
         raise ParameterError("distortion factor must be at least 1")
     if G < 0.0 or r <= 0.0:
         raise ParameterError("need G >= 0 and r > 0")
-    return 1.0 + distortion * max(164.0, 82.0 + 164.0 * G * G / (r * r))
+    # (G/r)^2, not G^2/r^2: r * r underflows to 0 for r below 1e-162
+    return 1.0 + distortion * max(164.0, 82.0 + 164.0 * (G / r) * (G / r))
 
 
 def round_ball_norm_bound(n: int, r: float):

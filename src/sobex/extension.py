@@ -18,7 +18,7 @@ against the closed-form bound from :mod:`sobex.comparison`.
 from __future__ import annotations
 
 import math
-from dataclasses import dataclass, field as dc_field
+from dataclasses import asdict, dataclass, field as dc_field
 from typing import Callable
 
 import numpy as np
@@ -618,15 +618,7 @@ class OperatorNormResult:
     quadrature_nodes: dict
 
     def to_dict(self):
-        return {
-            "passed": self.passed,
-            "max_ratio": self.max_ratio,
-            "bound": self.bound,
-            "distortion": self.distortion,
-            "per_sample": list(self.per_sample),
-            "gradient": dict(self.gradient),
-            "quadrature_nodes": dict(self.quadrature_nodes),
-        }
+        return asdict(self)
 
 
 def operator_norm_estimate(chart: FermiChart, cutoff: CutoffFamily,

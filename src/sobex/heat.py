@@ -8,9 +8,8 @@ and the heat kernel
     h_t(x, y) = sum_k exp(-lambda_k t) phi_k(x) phi_k(y),
 
 summed over a factored spectrum (:class:`Spectrum`: radial vectors
-times angular cos/sin vectors, which on separable grids never form the
-full eigenvector matrix), and measures the quantities appearing in the
-localized heat-kernel theory: the diagonal product
+times angular cos/sin vectors), and measures the quantities appearing
+in the localized heat-kernel theory: the diagonal product
 ``h_t(x,x) Vol(B(x, sqrt(t)))``, volume doubling constants, localized
 Gagliardo-Nirenberg constants, weighted semigroup operator norms with
 their Dunford-Pettis identities, integral curvature means, the Kato
@@ -102,7 +101,6 @@ class DiscreteDomain:
         self.spec = None           # DomainSpec for disk-like domains
         self.mesh_width = None
         self._cart = None
-        self._params = None
 
     # -- constructors --------------------------------------------------------
 
@@ -117,7 +115,6 @@ class DiscreteDomain:
         dom.weights = np.full(N, h)
         dom.n = 1
         dom.mesh_width = h
-        dom._params = ("interval", float(L), int(N))
         dom._L = float(L)
         return dom
 
@@ -128,7 +125,6 @@ class DiscreteDomain:
         dom = cls()
         dom.spec = spec
         dom.n = 2
-        dom._params = ("disk_like", spec, int(n_r), int(n_theta))
         if isinstance(spec.boundary, RadialProfile):
             dom._build_blob(spec, int(n_r), int(n_theta))
         elif isinstance(spec.boundary, GeodesicDisk):
@@ -142,11 +138,10 @@ class DiscreteDomain:
 
     def refine(self):
         """The same domain at doubled resolution (for stability studies)."""
-        if self._params[0] == "interval":
-            _, L, N = self._params
-            return DiscreteDomain.interval(L, 2 * N)
-        _, spec, n_r, n_t = self._params
-        return DiscreteDomain.disk_like(spec, 2 * n_r, 2 * n_t)
+        if self.kind == "interval":
+            return DiscreteDomain.interval(self._L, 2 * self.size)
+        n_r, n_t = self._grid[:2]
+        return DiscreteDomain.disk_like(self.spec, 2 * n_r, 2 * n_t)
 
     # -- grid builders ---------------------------------------------------------
 
@@ -594,37 +589,17 @@ class Spectrum:
             yield b, slice(first, first + n), modes[start:start + n]
             start += n
 
-    def _split(self, nodes):
-        """Radial and angular indices of node indices."""
-        return np.divmod(np.asarray(nodes, dtype=int), self.angular.shape[0])
-
     def values(self, nodes, m):
         """The first ``m`` eigenvectors at ``nodes``, shape ``nodes.shape + (m,)``."""
-        ring, angle = self._split(nodes)
-        return self.radial[ring[..., None], self.column[:m]] \
-            * self.angular[angle[..., None], self.basis[:m]]
-
-    def diagonal(self, weights, nodes):
-        """``sum_p weights[p] phi_p(x)^2`` at ``nodes``, over the first ``len(weights)`` modes."""
-        m = weights.shape[0]
-        ring, angle = self._split(nodes)
-        rings, ring_of = np.unique(ring, return_inverse=True)
-        # mode p adds weights[p] radial^2 to its basis function's column
-        by_basis = np.zeros((m, self.angular.shape[1]))
-        by_basis[np.arange(m), self.basis[:m]] = weights
-        radial_sq = self.radial[rings][:, self.column[:m]] ** 2
-        return ((radial_sq @ by_basis) @ (self.angular**2).T)[ring_of, angle]
-
-    def matrix(self, weights):
-        """``sum_p weights[p] phi_p phi_p^T`` on all nodes, over the first ``len(weights)``."""
-        n_r, n_t = self.radial.shape[0], self.angular.shape[0]
-        out = np.zeros((n_r, n_t, n_r, n_t))
-        for b, cols, modes in self._groups(weights.shape[0]):
-            R = self.radial[:, cols]
-            E = self.angular[:, b]
-            out += ((R * weights[modes]) @ R.T)[:, None, :, None] \
-                * np.outer(E, E)[None, :, None, :]
-        return out.reshape(n_r * n_t, n_r * n_t)
+        ring, angle = np.divmod(np.asarray(nodes, dtype=int), self.angular.shape[0])
+        # numpy gathers with one index array at a time twice as fast as with a
+        # broadcast pair; the radial gather takes the smaller copy first
+        cols = self.column[:m]
+        if ring.size * self.radial.shape[1] <= self.radial.shape[0] * m:
+            radial = self.radial[ring][..., cols]
+        else:
+            radial = self.radial[:, cols][ring]
+        return np.multiply(radial, self.angular[angle][..., self.basis[:m]], out=radial)
 
     def coefficients(self, values, m):
         """``c_p = sum_x phi_p(x) values(x)`` for the first ``m`` modes."""
@@ -659,8 +634,10 @@ class NeumannSystem:
     radial problems; otherwise ``"dense"`` (LAPACK ``eigh``) up to
     ``DENSE_LIMIT`` unknowns and ``"sparse"`` (shift-invert Lanczos)
     beyond.  ``spectrum`` holds the eigenpairs solved so far as a
-    :class:`Spectrum`, and every kernel sum contracts its factors: a
-    separable system never forms its ``N x m`` eigenvector matrix, and
+    :class:`Spectrum`.  Every kernel value reads :meth:`Spectrum.values`
+    at the nodes it needs; the all-node projections of
+    :meth:`semigroup_apply` contract the factors, so a separable system
+    never forms its ``N x m`` eigenvector matrix for them, and
     :meth:`eigenpairs` builds only the columns it returns.  ``mode_cap``
     is 2000 up to ``DENSE_LIMIT`` unknowns and 384 beyond.
     ``modes_used`` is the largest :meth:`modes_for` result so far and
@@ -681,9 +658,11 @@ class NeumannSystem:
         else:
             self.solver = "dense" if self.size <= self.DENSE_LIMIT else "sparse"
         # above DENSE_LIMIT every solver keeps a few hundred modes, because
-        # shift-invert Lanczos is impractical beyond that; the separable
-        # solver keeps them as radial blocks, n_r x (modes per wavenumber)
-        self.mode_cap = _MODE_CAP if self.size <= self.DENSE_LIMIT else 384
+        # shift-invert Lanczos is impractical beyond that (and gives at most
+        # N - 2); the separable solver keeps them as radial blocks
+        dense_sized = self.size <= self.DENSE_LIMIT
+        self.mode_cap = _MODE_CAP if dense_sized else 384
+        self._max_modes = self.size if dense_sized else self.size - 2
         self.modes_used = 0
         self.truncation = 0.0
 
@@ -715,9 +694,9 @@ class NeumannSystem:
         positive.  With ``vectors=False`` only the eigenvalues are
         returned (``phi`` is ``None``) and no eigenvector is formed.
         """
-        dense_sized = self.size <= self.DENSE_LIMIT
-        count = int(min(count, self.size if dense_sized else self.size - 2))
+        count = int(min(count, self._max_modes))
         if self._lam is None or self._lam.shape[0] < count:
+            dense_sized = self.size <= self.DENSE_LIMIT
             keep = max(count, min(self.size, _MODE_CAP)) if dense_sized else count
             self.spectrum = self._solve(keep)
         lam = self._lam[:count]
@@ -777,8 +756,7 @@ class NeumannSystem:
         such level.
         """
         target = _LOG_TRUNC / float(t_min)
-        cap = int(min(self.size if self.size <= self.DENSE_LIMIT else self.size - 2,
-                      self.mode_cap))
+        cap = int(min(self._max_modes, self.mode_cap))
         if self.factors is not None:
             lam_all = self.factors._modes[0]
             if cap < lam_all.shape[0] and lam_all[cap] == lam_all[cap - 1]:
@@ -816,17 +794,21 @@ class NeumannSystem:
         ``j`` broadcast, so ``(idx[:, None], idx[None, :])`` gives a block."""
         e = self._weights(t)
         m = e.shape[0]
-        return np.einsum("...k,...k->...", self.spectrum.values(i, m) * e,
-                         self.spectrum.values(j, m))
+        phi_i = self.spectrum.values(i, m)
+        phi_j = phi_i if j is i else self.spectrum.values(j, m)
+        return np.einsum("...k,...k->...", phi_i * e, phi_j)
 
     def kernel_matrix(self, t):
+        """The full ``N x N`` kernel matrix ``h_t``."""
         e = self._weights(t)  # solves the spectrum first if it is short
-        return self.spectrum.matrix(e)
+        phi = self.spectrum.values(np.arange(self.size), e.shape[0])
+        return (phi * e) @ phi.T
 
     def heat_diag(self, t, idx=None):
-        e = self._weights(t)
+        """Diagonal values ``h_t(x, x)`` at the nodes ``idx``.  With ``idx=None``
+        it covers every node and so forms the ``N x m`` eigenvector values."""
         nodes = np.arange(self.size) if idx is None else np.atleast_1d(idx)
-        return self.spectrum.diagonal(e, nodes)
+        return self.heat_kernel(t, nodes, nodes)
 
     def semigroup_apply(self, t, vec):
         e = self._weights(t)

@@ -62,6 +62,23 @@ def test_constants_cli(tmp_path, capsys):
     assert data["distortion"] == pytest.approx(3.0, abs=1e-9)
 
 
+@pytest.mark.filterwarnings("error")
+@pytest.mark.parametrize("K, H", [(1e300, 1), (1, 1e300), (0, 1e300), (1e300, 1e300)])
+def test_constants_extreme_curvature(capsys, K, H):
+    """Huge finite bounds leave a working radius near 1e-300: the bound is inf, not an error."""
+    assert cli.main(["constants", "--K", str(K), "--H", str(H)]) == 0
+    captured = capsys.readouterr()
+    assert captured.err == ""
+    assert json.loads(captured.out)["norm_bound"] == "inf"
+
+
+@pytest.mark.parametrize("argv", [["heat", "--resolution", "abc"], ["heat", "--bogus", "1"], []])
+def test_usage_errors_exit_2_with_one_line(capsys, argv):
+    assert cli.main(argv) == 2
+    err = capsys.readouterr().err
+    assert err.startswith("error: ") and err.count("\n") == 1
+
+
 def test_malformed_json_exits_2(tmp_path):
     bad = tmp_path / "bad.json"
     bad.write_text('{"surface": ')
@@ -269,6 +286,13 @@ _PAST_ZERO = {"type": "disk", "radius": 1.6165}
     # t_min above the default t_max = diam^2 = 4 of the unit disk
     ("heat", ["--resolution", "16", "--t-min", "10", "--t-steps", "4"],
      {"resolution": 16, "t_min": 10, "t_steps": 4}),
+    # finite domains whose diameter squared overflows
+    ("heat", ["--resolution", "16", "--domain", '{"type": "disk", "radius": 1e200}'],
+     {"resolution": 16, "domain": {"type": "disk", "radius": 1e200}}),
+    ("heat", ["--resolution", "16", "--domain", '{"type": "interval", "L": 1e300}'],
+     {"resolution": 16, "domain": {"type": "interval", "L": 1e300}}),
+    ("heat", ["--resolution", "16", "--domain", '{"type": "fourier", "coeffs_cos": [1e200]}'],
+     {"resolution": 16, "domain": {"type": "fourier", "coeffs_cos": [1e200]}}),
 ])
 def test_bad_input_exits_2(tmp_path, capsys, command, flags, config):
     """Flags and config files go through one validation: exit 2, one line, no report."""

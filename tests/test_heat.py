@@ -570,6 +570,8 @@ def _assert_matches_dense(dom, split=0):
     vec = np.cos(np.arange(N) * 0.7) + 1.5
     for t in (1e-3, 1e-2, 0.1, 1.0):
         got = _kernel_quantities(sys_, t, idx, vec)
+        # one kernel-value path: the diagonal is the kernel at (x, x), bit for bit
+        assert np.array_equal(got["diag_idx"], sys_.heat_kernel(t, idx, idx))
         _assert_quantities_close(got, _kernel_quantities(oracle, t, idx, vec), 1e-10)
         m = sys_.modes_for(t)
         _assert_quantities_close(
