@@ -380,27 +380,29 @@ def cmd_verify_extension(cfg: RunConfig) -> int:
 
 def cmd_heat(cfg: RunConfig) -> int:
     dom_cfg = cfg.domain or {}
+    if dom_cfg.get("type") == "interval":
+        spec, diam = None, float(dom_cfg.get("L", 1.0))
+    else:
+        spec = build_domain(cfg)
+        diam = heat.disk_like_diameter(spec)
+    diam_sq = diam * diam
+    # the equilibrium check runs at 10 diam^2; checked before the grids, which
+    # a domain this large overflows
+    if not math.isfinite(10.0 * diam_sq):
+        raise ConfigError(f"domain diameter {diam:g} overflows the heat time scale")
     try:  # a domain the heat grids cannot carry
-        if dom_cfg.get("type") == "interval":
-            domain = heat.DiscreteDomain.interval(float(dom_cfg.get("L", 1.0)), cfg.resolution)
+        if spec is None:
+            domain = heat.DiscreteDomain.interval(diam, cfg.resolution)
         else:
-            domain = heat.DiscreteDomain.disk_like(build_domain(cfg), cfg.resolution,
-                                                   cfg.resolution)
+            domain = heat.DiscreteDomain.disk_like(spec, cfg.resolution, cfg.resolution)
         system = heat.assemble(domain)
     except AssemblyError as exc:
         raise ConfigError(str(exc)) from exc
-    diam = domain.diameter()
-    diam_sq = diam * diam
-    # the equilibrium check runs at 10 diam^2
-    if not math.isfinite(10.0 * diam_sq):
-        raise ConfigError(f"domain diameter {diam:g} overflows the heat time scale")
     t_max = cfg.t_max if cfg.t_max is not None else diam_sq
     if cfg.t_min > t_max:
         raise ConfigError(f"t_min {cfg.t_min:g} must not exceed t_max {t_max:g}")
     if cfg.modes is not None:
         system.mode_cap = cfg.modes
-    n_eigs = min(cfg.modes if cfg.modes is not None else 16, system.size - 2)
-    lam, _ = system.eigenpairs(n_eigs, vectors=False)
     t_grid = np.geomspace(cfg.t_min, t_max, cfg.t_steps)
 
     checks = {}
@@ -421,6 +423,9 @@ def cmd_heat(cfg: RunConfig) -> int:
 
     diag = heat.diagonal_bound_check(domain, system, t_grid)
     eta1, scaled = heat.eigenvalue_diagnostic(system, domain)
+    # after the kernel sums, so the spectrum they solved serves these too
+    lam, _ = system.eigenpairs(min(cfg.modes if cfg.modes is not None else 16,
+                                   system.size - 2), vectors=False)
     checks["diagonal_finite"] = bool(np.isfinite(diag.c_obs))
 
     payload = {

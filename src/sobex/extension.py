@@ -449,7 +449,22 @@ def _omega_grid(chart: FermiChart, quad: int):
     return grid
 
 
-def _tube_grid(chart: FermiChart, quad: int, s_breaks):
+def _fd_step(chart: FermiChart, s_min):
+    """The tube's difference step: ``1e-5 * diam``, at most half the smallest depth node."""
+    return min(1e-5 * chart.domain.diameter(), 0.5 * s_min)
+
+
+def _tube_rule(chart: FermiChart, quad: int, s_breaks):
+    """The exterior-tube rule and every point its differences read, once per chart.
+
+    ``weights`` and ``metric`` (the angular length element
+    ``g_theta^(1/2)``) live on the depth x angle grid.  ``s`` and
+    ``theta`` stack that grid with its shifts ``s + h``, ``s - h``,
+    ``theta + h`` and ``theta - h`` as ``(5, n_s, n_theta)`` arrays, and
+    ``sources`` holds their chart points at depths ``-s`` and ``-s/2``,
+    which the reflection reads.  No shifted depth goes below 0, so the
+    sources stay on the closed domain; past depth ``r`` the cutoff is 0.
+    """
     key = ("tube", quad, tuple(np.round(s_breaks, 15)))
     cached = chart._quad_cache.get(key)
     if cached is not None:
@@ -462,58 +477,14 @@ def _tube_grid(chart: FermiChart, quad: int, s_breaks):
     S, T = np.meshgrid(s_nodes, theta, indexing="ij")
     speed = chart.boundary_point(theta).speed
     ratio = chart.engine.ratio(T, S)
-    W = s_w[:, None] * w_t[None, :] * speed[None, :] * ratio
-    metric = speed[None, :] * ratio  # angular length element g_theta^(1/2)
-    grid = dict(S=S, T=T, weights=W, metric=metric)
-    chart._quad_cache[key] = grid
-    return grid
-
-
-def _tube_stencil(chart: FermiChart, quad: int, s_breaks, h):
-    """Every tube point the finite differences of :func:`h1_norm` read, once per chart.
-
-    The blocks of the flat ``s``/``theta`` arrays, named by ``slices``:
-    the grid, ``s +/- h`` where both stay inside ``[2h, r - 2h]``,
-    ``s + h, s + 2h`` near depth 0, ``s - h, s - 2h`` near depth ``r``,
-    and ``theta +/- h``.  ``sources`` holds the chart points at depths
-    ``-s`` and ``-s/2`` that the reflection reads.
-    """
-    key = ("stencil", quad, tuple(np.round(s_breaks, 15)), h)
-    cached = chart._quad_cache.get(key)
-    if cached is not None:
-        return cached
-    grid = _tube_grid(chart, quad, s_breaks)
-    S, T = grid["S"], grid["T"]
-    r = chart.r
-    lo = S < 2.0 * h
-    hi = S > r - 2.0 * h
-    mid = ~(lo | hi)
-    blocks = {
-        "grid": (S, T),
-        "mid+": (S[mid] + h, T[mid]),
-        "mid-": (S[mid] - h, T[mid]),
-        "lo+1": (S[lo] + h, T[lo]),
-        "lo+2": (S[lo] + 2 * h, T[lo]),
-        "hi-1": (S[hi] - h, T[hi]),
-        "hi-2": (S[hi] - 2 * h, T[hi]),
-        "theta+": (S, T + h),
-        "theta-": (S, T - h),
-    }
-    sizes = np.cumsum([0] + [b[0].size for b in blocks.values()])
-    s = np.concatenate([b[0].ravel() for b in blocks.values()])
-    theta = np.concatenate([b[1].ravel() for b in blocks.values()])
-    stencil = dict(
-        s=s,
-        sources=(chart.map_unchecked(-s, theta), chart.map_unchecked(-0.5 * s, theta)),
-        slices={name: slice(a, b) for name, a, b in zip(blocks, sizes[:-1], sizes[1:])},
-        lo=lo, hi=hi, mid=mid,
-    )
-    chart._quad_cache[key] = stencil
-    return stencil
-
-
-def _fd_step(chart: FermiChart):
-    return 1e-5 * chart.domain.diameter()
+    h = _fd_step(chart, float(s_nodes[0]))
+    s = np.stack([S, S + h, S - h, S, S])
+    t = np.stack([T, T, T, T + h, T - h])
+    rule = dict(s=s, theta=t, h=h, metric=speed[None, :] * ratio,
+                weights=s_w[:, None] * w_t[None, :] * speed[None, :] * ratio,
+                sources=(chart.map_unchecked(-s, t), chart.map_unchecked(-0.5 * s, t)))
+    chart._quad_cache[key] = rule
+    return rule
 
 
 def h1_norm(field, region, chart: FermiChart, quad: int = 64):
@@ -524,10 +495,10 @@ def h1_norm(field, region, chart: FermiChart, quad: int = 64):
     ``region="tube_exterior"`` takes an :class:`ExtendedField` and
     integrates it over the exterior tube, with the radial rule composite
     across the field's ``s_breakpoints`` (where the cutoff kinks) and
-    the gradient taken by finite differences with step ``1e-5 * diam``,
-    one-sided near depths 0 and ``r``.  Both rules are Gauss-Legendre
-    radially and uniform periodic angularly, with the exact metric area
-    weights.  Any other pairing of field and region is a
+    the gradient taken by central differences with step ``1e-5 * diam``,
+    or half the smallest depth node if that is less.  Both rules are
+    Gauss-Legendre radially and uniform periodic angularly, with the
+    exact metric area weights.  Any other pairing of field and region is a
     :class:`ParameterError`.
 
     Returns ``(l2_sq, grad_l2_sq)``.
@@ -547,22 +518,15 @@ def h1_norm(field, region, chart: FermiChart, quad: int = 64):
     if region != "tube_exterior" or not isinstance(field, ExtendedField):
         raise ParameterError(f"no H1 norm of a {type(field).__name__} on region {region!r}")
 
-    h = _fd_step(chart)
-    grid = _tube_grid(chart, quad, field.s_breakpoints)
-    S, W, metric = grid["S"], grid["weights"], grid["metric"]
-    stencil = _tube_stencil(chart, quad, field.s_breakpoints, h)
-    at = stencil["slices"]
-    values = np.asarray(field.reflection(stencil["s"], *stencil["sources"]), dtype=float)
-    vals = values[at["grid"]].reshape(S.shape)
+    rule = _tube_rule(chart, quad, field.s_breakpoints)
+    values = np.asarray(field.reflection(rule["s"], *rule["sources"]), dtype=float)
+    vals = values[0]
     if not np.all(np.isfinite(vals)):
         raise EvaluationError("non-finite value at a tube quadrature node")
-    lo, hi, mid = stencil["lo"], stencil["hi"], stencil["mid"]
-    d_s = np.empty_like(S)
-    d_s[mid] = (values[at["mid+"]] - values[at["mid-"]]) / (2 * h)
-    d_s[lo] = (-3 * vals[lo] + 4 * values[at["lo+1"]] - values[at["lo+2"]]) / (2 * h)
-    d_s[hi] = (3 * vals[hi] - 4 * values[at["hi-1"]] + values[at["hi-2"]]) / (2 * h)
-    d_t = ((values[at["theta+"]] - values[at["theta-"]]) / (2 * h)).reshape(S.shape)
-    grad_sq = d_s**2 + (d_t / metric) ** 2
+    h, W = rule["h"], rule["weights"]
+    d_s = (values[1] - values[2]) / (2 * h)
+    d_t = (values[3] - values[4]) / (2 * h)
+    grad_sq = d_s**2 + (d_t / rule["metric"]) ** 2
     return float(np.sum(W * vals**2)), float(np.sum(W * grad_sq))
 
 
@@ -641,7 +605,7 @@ def operator_norm_estimate(chart: FermiChart, cutoff: CutoffFamily,
     dist = distortion_factor(ComparisonProfile.from_curvature(data, chart.r), data.n, chart.r)
     bound = extension_norm_bound(dist, cutoff.G, chart.r)
 
-    s_breaks = _cutoff_breaks(chart.r, cutoff)
+    rule = _tube_rule(chart, quad, _cutoff_breaks(chart.r, cutoff))
     ratios = []
     for fld in sample_fields:
         l2_o, g_o = h1_norm(fld, "omega", chart, quad)
@@ -655,10 +619,9 @@ def operator_norm_estimate(chart: FermiChart, cutoff: CutoffFamily,
     return OperatorNormResult(
         passed=bool(max_ratio <= bound), max_ratio=float(max_ratio), bound=float(bound), distortion=float(dist),
         per_sample=ratios,
-        gradient={"omega": "analytic", "tube": "finite-difference",
-                  "fd_step": _fd_step(chart)},
+        gradient={"omega": "analytic", "tube": "finite-difference", "fd_step": rule["h"]},
         quadrature_nodes={"omega": _omega_grid(chart, quad)["weights"].size,
-                          "tube": _tube_grid(chart, quad, s_breaks)["weights"].size},
+                          "tube": rule["weights"].size},
     )
 
 

@@ -95,7 +95,16 @@ class RadialProfile:
         return a, b
 
     def rho(self, theta):
-        return self.derivatives(theta)[0]
+        """``rho`` alone, summed in the order of :meth:`derivatives`: the same bits."""
+        theta = np.asarray(theta, dtype=float)
+        a, b = self._modes()
+        rho = np.full_like(theta, a[0])
+        for k in range(1, max(len(a) - 1, len(b)) + 1):
+            if k < len(a):
+                rho = rho + a[k] * np.cos(k * theta)
+            if k <= len(b):
+                rho = rho + b[k - 1] * np.sin(k * theta)
+        return rho
 
     def derivatives(self, theta):
         """``(rho, rho', rho'')`` at ``theta``; each ``cos k theta``, ``sin k theta`` once."""

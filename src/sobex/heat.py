@@ -42,6 +42,7 @@ from .surfaces import constant_curvature_distance, polar_to_cartesian
 
 __all__ = [
     "DiscreteDomain",
+    "disk_like_diameter",
     "NeumannSystem",
     "Spectrum",
     "TensorFactors",
@@ -83,6 +84,14 @@ def _outside_stacklevel():
 # ---------------------------------------------------------------------------
 # discrete domains
 # ---------------------------------------------------------------------------
+
+
+def disk_like_diameter(spec: DomainSpec):
+    """Diameter of a disk-like domain, before any grid is built: ``2 a`` for a
+    geodesic disk, without its engine (which overflows on a huge one), else
+    the spec's own."""
+    b = spec.boundary
+    return 2.0 * float(b.radius) if isinstance(b, GeodesicDisk) else spec.diameter()
 
 
 class DiscreteDomain:
@@ -226,11 +235,7 @@ class DiscreteDomain:
         return float(np.sum(self.weights))
 
     def diameter(self):
-        if self.kind == "interval":
-            return self._L
-        if self.kind == "pole_disk":
-            return 2.0 * float(self.spec.boundary.radius)
-        return self.spec.diameter()
+        return self._L if self.kind == "interval" else disk_like_diameter(self.spec)
 
     def cartesian(self):
         if self._cart is None:

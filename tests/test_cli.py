@@ -254,6 +254,39 @@ def test_heat_rejects_bad_input(tmp_path, capsys, flags, config):
     assert not (tmp_path / "out.json").exists()
 
 
+def test_heat_sparse_solves_once(tmp_path, monkeypatch):
+    """The reported eigenvalues read the spectrum the kernel sums solved:
+    one sparse solve per run."""
+    monkeypatch.setattr(heat.NeumannSystem, "DENSE_LIMIT", 100)
+    solve = heat.NeumannSystem._solve
+    calls = []
+
+    def counted(self, keep):
+        calls.append(keep)
+        return solve(self, keep)
+
+    monkeypatch.setattr(heat.NeumannSystem, "_solve", counted)
+    rep = tmp_path / "heat.json"
+    with warnings.catch_warnings():
+        warnings.simplefilter("ignore", UserWarning)  # the sparse sums truncate
+        assert cli.main(["heat", "--domain", '{"type": "fourier", "coeffs_cos": [1.0, 0.0, 0.15]}',
+                         "--resolution", "16", "--report", str(rep)]) == 0
+    data = json.loads(rep.read_text())
+    assert data["eigensolver"]["path"] == "sparse" and len(data["eigenvalues"]) == 16
+    assert len(calls) == 1
+
+
+@pytest.mark.parametrize("domain", ['{"type": "disk", "radius": 1e200}',
+                                    '{"type": "fourier", "coeffs_cos": [1e200]}'])
+def test_heat_huge_domain_exits_2_without_warnings(capsys, domain):
+    """The time scale is checked before any grid is built, so nothing overflows."""
+    with warnings.catch_warnings():
+        warnings.simplefilter("error")
+        assert cli.main(["heat", "--resolution", "16", "--domain", domain]) == 2
+    err = capsys.readouterr().err
+    assert err.startswith("error: ") and err.count("\n") == 1
+
+
 _DISK = {"type": "disk", "radius": 1.0}
 _WARP_ZERO = {"kind": "warped", "profile": {"type": "poly_cosh_mix", "coeffs": [1.0, 0.0, -1.0]}}
 _PAST_ZERO = {"type": "disk", "radius": 1.6165}

@@ -256,26 +256,24 @@ def test_fermi_partials_cross_check(blob_chart, rng):
     assert np.max(np.abs(d_t - dt_fd)) < 1e-4
 
 
-def _tube_fd_oracle(ext, chart, quad, s_breaks, h):
-    """The tube norms with one extension call per stencil subset (reference)."""
-    grid = E._tube_grid(chart, quad, s_breaks)
-    S, T, W, metric = grid["S"], grid["T"], grid["weights"], grid["metric"]
+def _tube_fd_oracle(ext, chart, quad, h, one_sided):
+    """The tube norms with one extension call per shifted grid (reference).
+
+    Central differences with step ``h`` everywhere, or, with ``one_sided``,
+    the one-sided rows within ``2h`` of either tube end.
+    """
+    rule = E._tube_rule(chart, quad, ext.s_breakpoints)
+    S, T, W, metric = rule["s"][0], rule["theta"][0], rule["weights"], rule["metric"]
 
     def F(s, t):
         return np.asarray(ext.tube_profile(s, t), dtype=float)
 
     vals = F(S, T)
-    r = chart.r
-    lo_side = S < 2.0 * h
-    hi_side = S > r - 2.0 * h
-    mid = ~(lo_side | hi_side)
-    d_s = np.empty_like(S)
-    if np.any(mid):
-        d_s[mid] = (F(S[mid] + h, T[mid]) - F(S[mid] - h, T[mid])) / (2 * h)
-    if np.any(lo_side):
+    d_s = (F(S + h, T) - F(S - h, T)) / (2 * h)
+    if one_sided:
+        lo_side, hi_side = S < 2.0 * h, S > chart.r - 2.0 * h
         s0, t0 = S[lo_side], T[lo_side]
         d_s[lo_side] = (-3 * F(s0, t0) + 4 * F(s0 + h, t0) - F(s0 + 2 * h, t0)) / (2 * h)
-    if np.any(hi_side):
         s0, t0 = S[hi_side], T[hi_side]
         d_s[hi_side] = (3 * F(s0, t0) - 4 * F(s0 - h, t0) + F(s0 - 2 * h, t0)) / (2 * h)
     d_t = (F(S, T + h) - F(S, T - h)) / (2 * h)
@@ -286,22 +284,24 @@ def _tube_fd_oracle(ext, chart, quad, s_breaks, h):
 @pytest.mark.parametrize("domain, r", [("unit_disk", 0.45), ("spherical_cap", 0.3),
                                        ("fourier_blob", 0.3)])
 def test_tube_norm_batched_stencil_is_exact(domain, r, request, rng):
-    """One mapped stencil per chart, one batch per field: the same bits as the
-    per-subset formulas, on the first call and from the cache."""
+    """One cached rule per chart, one batch per field: the same bits as the
+    per-grid central formulas with the rule's step, on the first call and from
+    the cache.  At 96 nodes the step drops below ``1e-5 * diam``; there the
+    norms also stay within 1e-6 of the one-sided differences with that step."""
     chart = FermiChart(request.getfixturevalue(domain), r)
     cut = E.smoothstep_cutoff(4.0)
-    h = 1e-5 * chart.domain.diameter()
+    h_diam = 1e-5 * chart.domain.diameter()
     for fld in [x_field()] + E.random_smooth_fields(rng, 3):
         ext = E.ExtendedField(chart, fld, cut)
-        # 24 nodes leave the one-sided rows empty; 96 put one ring (192 rows)
-        # within 2h of each tube end
         for quad in (24, 96):
-            stencil = E._tube_stencil(chart, quad, ext.s_breakpoints, h)
-            one_sided = min(np.count_nonzero(stencil["lo"]), np.count_nonzero(stencil["hi"]))
-            assert one_sided == (0 if quad == 24 else 192)
-            oracle = _tube_fd_oracle(ext, chart, quad, ext.s_breakpoints, h)
+            h = E._tube_rule(chart, quad, ext.s_breakpoints)["h"]
+            assert (h == h_diam) == (quad == 24)
+            oracle = _tube_fd_oracle(ext, chart, quad, h, one_sided=False)
             for _ in range(2):
                 assert E.h1_norm(ext, "tube_exterior", chart, quad) == oracle
+            if quad == 96:
+                one_sided = _tube_fd_oracle(ext, chart, quad, h_diam, one_sided=True)
+                assert oracle == pytest.approx(one_sided, rel=1e-6)
 
 
 EPS = np.finfo(float).eps
