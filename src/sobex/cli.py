@@ -384,7 +384,7 @@ def cmd_heat(cfg: RunConfig) -> int:
         spec, diam = None, float(dom_cfg.get("L", 1.0))
     else:
         spec = build_domain(cfg)
-        diam = heat.disk_like_diameter(spec)
+        diam = spec.diameter()
     diam_sq = diam * diam
     # the equilibrium check runs at 10 diam^2; checked before the grids, which
     # a domain this large overflows

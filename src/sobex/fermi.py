@@ -95,16 +95,7 @@ class RadialProfile:
         return a, b
 
     def rho(self, theta):
-        """``rho`` alone, summed in the order of :meth:`derivatives`: the same bits."""
-        theta = np.asarray(theta, dtype=float)
-        a, b = self._modes()
-        rho = np.full_like(theta, a[0])
-        for k in range(1, max(len(a) - 1, len(b)) + 1):
-            if k < len(a):
-                rho = rho + a[k] * np.cos(k * theta)
-            if k <= len(b):
-                rho = rho + b[k - 1] * np.sin(k * theta)
-        return rho
+        return self.derivatives(theta)[0]
 
     def derivatives(self, theta):
         """``(rho, rho', rho'')`` at ``theta``; each ``cos k theta``, ``sin k theta`` once."""
@@ -171,6 +162,9 @@ class DomainSpec:
         return self._engine().contains(points)
 
     def diameter(self):
+        if isinstance(self.boundary, GeodesicDisk):
+            # 2a without building the engine, which overflows on a huge disk
+            return 2.0 * float(self.boundary.radius)
         return self._engine().diameter()
 
     def _engine(self):
@@ -269,9 +263,6 @@ class _PoleDiskEngine:
     def contains(self, points):
         pts = np.atleast_2d(np.asarray(points, dtype=float))
         return pts[:, 0] <= self.a + 0.0
-
-    def diameter(self):
-        return 2.0 * self.a
 
     def focal_reach(self):
         """Largest s with positive Jacobi ratio on (-s, s) for all directions."""
@@ -493,9 +484,6 @@ class _FlatCircleEngine(_FlatCurveEngine):
     def _centre_distance(self, points):
         x = polar_to_cartesian(np.atleast_2d(np.asarray(points, dtype=float))) - self.c0
         return np.hypot(x[:, 0], x[:, 1])
-
-    def diameter(self):
-        return 2.0 * self.a
 
 
 class _FlatFourierEngine(_FlatCurveEngine):

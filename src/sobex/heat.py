@@ -42,7 +42,6 @@ from .surfaces import constant_curvature_distance, polar_to_cartesian
 
 __all__ = [
     "DiscreteDomain",
-    "disk_like_diameter",
     "NeumannSystem",
     "Spectrum",
     "TensorFactors",
@@ -84,14 +83,6 @@ def _outside_stacklevel():
 # ---------------------------------------------------------------------------
 # discrete domains
 # ---------------------------------------------------------------------------
-
-
-def disk_like_diameter(spec: DomainSpec):
-    """Diameter of a disk-like domain, before any grid is built: ``2 a`` for a
-    geodesic disk, without its engine (which overflows on a huge one), else
-    the spec's own."""
-    b = spec.boundary
-    return 2.0 * float(b.radius) if isinstance(b, GeodesicDisk) else spec.diameter()
 
 
 class DiscreteDomain:
@@ -235,7 +226,7 @@ class DiscreteDomain:
         return float(np.sum(self.weights))
 
     def diameter(self):
-        return self._L if self.kind == "interval" else disk_like_diameter(self.spec)
+        return self._L if self.kind == "interval" else self.spec.diameter()
 
     def cartesian(self):
         if self._cart is None:
@@ -762,11 +753,13 @@ class NeumannSystem:
         """
         target = _LOG_TRUNC / float(t_min)
         cap = int(min(self._max_modes, self.mode_cap))
+        # solved at the full cap, so a later eigenpairs(cap) reads this spectrum
+        lam, _ = self.eigenpairs(cap, vectors=False)
         if self.factors is not None:
             lam_all = self.factors._modes[0]
             if cap < lam_all.shape[0] and lam_all[cap] == lam_all[cap - 1]:
                 cap -= 1
-        lam, _ = self.eigenpairs(cap, vectors=False)
+                lam = lam[:cap]
         above = np.nonzero(lam > target)[0]
         if above.size:
             m = int(above[0]) + 1

@@ -254,9 +254,14 @@ def test_heat_rejects_bad_input(tmp_path, capsys, flags, config):
     assert not (tmp_path / "out.json").exists()
 
 
-def test_heat_sparse_solves_once(tmp_path, monkeypatch):
+@pytest.mark.parametrize("domain, flags, n_eigs, path", [
+    ('{"type": "fourier", "coeffs_cos": [1.0, 0.0, 0.15]}', [], 16, "sparse"),
+    # two modes split the disk's first cos/sin pair, so the sums keep one
+    ('{"type": "disk", "radius": 1.0}', ["--modes", "2"], 2, "separable"),
+])
+def test_heat_solves_once(tmp_path, monkeypatch, domain, flags, n_eigs, path):
     """The reported eigenvalues read the spectrum the kernel sums solved:
-    one sparse solve per run."""
+    one solve per run above the dense limit."""
     monkeypatch.setattr(heat.NeumannSystem, "DENSE_LIMIT", 100)
     solve = heat.NeumannSystem._solve
     calls = []
@@ -268,23 +273,12 @@ def test_heat_sparse_solves_once(tmp_path, monkeypatch):
     monkeypatch.setattr(heat.NeumannSystem, "_solve", counted)
     rep = tmp_path / "heat.json"
     with warnings.catch_warnings():
-        warnings.simplefilter("ignore", UserWarning)  # the sparse sums truncate
-        assert cli.main(["heat", "--domain", '{"type": "fourier", "coeffs_cos": [1.0, 0.0, 0.15]}',
-                         "--resolution", "16", "--report", str(rep)]) == 0
+        warnings.simplefilter("ignore", UserWarning)  # the truncated sums warn
+        assert cli.main(["heat", "--domain", domain, "--resolution", "16", *flags,
+                         "--report", str(rep)]) == 0
     data = json.loads(rep.read_text())
-    assert data["eigensolver"]["path"] == "sparse" and len(data["eigenvalues"]) == 16
+    assert data["eigensolver"]["path"] == path and len(data["eigenvalues"]) == n_eigs
     assert len(calls) == 1
-
-
-@pytest.mark.parametrize("domain", ['{"type": "disk", "radius": 1e200}',
-                                    '{"type": "fourier", "coeffs_cos": [1e200]}'])
-def test_heat_huge_domain_exits_2_without_warnings(capsys, domain):
-    """The time scale is checked before any grid is built, so nothing overflows."""
-    with warnings.catch_warnings():
-        warnings.simplefilter("error")
-        assert cli.main(["heat", "--resolution", "16", "--domain", domain]) == 2
-    err = capsys.readouterr().err
-    assert err.startswith("error: ") and err.count("\n") == 1
 
 
 _DISK = {"type": "disk", "radius": 1.0}
@@ -327,8 +321,10 @@ _PAST_ZERO = {"type": "disk", "radius": 1.6165}
     ("heat", ["--resolution", "16", "--domain", '{"type": "fourier", "coeffs_cos": [1e200]}'],
      {"resolution": 16, "domain": {"type": "fourier", "coeffs_cos": [1e200]}}),
 ])
+@pytest.mark.filterwarnings("error")
 def test_bad_input_exits_2(tmp_path, capsys, command, flags, config):
-    """Flags and config files go through one validation: exit 2, one line, no report."""
+    """Flags and config files go through one validation: exit 2, one line, no report,
+    no warning."""
     cfg_file = tmp_path / "cfg.json"
     cfg_file.write_text(json.dumps(config))
     runs = [["--config", str(cfg_file)]] + ([flags] if flags is not None else [])

@@ -353,15 +353,6 @@ def test_profile_derivatives_match_the_per_mode_sum(a, b, theta):
             assert abs(value[i] - math.fsum(parts)) <= (len(parts) + 4) * EPS * size
 
 
-@settings(max_examples=200)
-@given(a=st.lists(_COEFF, min_size=1, max_size=6), b=st.lists(_COEFF, max_size=6),
-       theta=st.lists(st.floats(-10.0, 10.0), min_size=1, max_size=6))
-def test_profile_rho_is_the_derivatives_value(a, b, theta):
-    """``rho`` sums only the value's terms, in the same order: the same bits."""
-    prof = RadialProfile(tuple(a), tuple(b))
-    assert np.array_equal(prof.rho(np.array(theta)), prof.derivatives(np.array(theta))[0])
-
-
 def _dense_table_feet(eng, x, n=2048, separation=8, tie=1e-6):
     """Oracle for the flat foot search: the argmin of the full table of squared
     distances to ``n`` boundary samples, and the runner-up more than
