@@ -79,9 +79,11 @@ class ScalarField:
 
 
 def _embedded(points):
+    """``(r, cos theta, sin theta, x, y)`` of chart points, one cos/sin per point."""
     pts = np.atleast_2d(np.asarray(points, dtype=float))
     r, th = pts[:, 0], pts[:, 1]
-    return r, th, r * np.cos(th), r * np.sin(th)
+    ct, st = np.cos(th), np.sin(th)
+    return r, ct, st, r * ct, r * st
 
 
 def constant_field(c=1.0):
@@ -104,9 +106,8 @@ def _powers(x, n):
     return out
 
 
-def _chart_partials(r, th, ux, uy):
+def _chart_partials(r, ct, st, ux, uy):
     """``(d/dr, d/dtheta)`` from the embedded gradient ``(ux, uy)``."""
-    ct, st = np.cos(th), np.sin(th)
     return np.stack([ux * ct + uy * st, ux * (-r * st) + uy * (r * ct)], axis=-1)
 
 
@@ -131,13 +132,13 @@ def polynomial_field(coeffs):
         return np.sum(xp[:c.shape[0]] * (c @ yp[:c.shape[1]]), axis=0)
 
     def ev(points):
-        r, th, x, y = _embedded(points)
+        x, y = _embedded(points)[3:]
         return contract(coeffs, _powers(x, n_x), _powers(y, n_y))
 
     def grad(points):
-        r, th, x, y = _embedded(points)
+        r, ct, st, x, y = _embedded(points)
         xp, yp = _powers(x, n_x), _powers(y, n_y)
-        return _chart_partials(r, th, contract(c_x, xp, yp), contract(c_y, xp, yp))
+        return _chart_partials(r, ct, st, contract(c_x, xp, yp), contract(c_y, xp, yp))
 
     return ScalarField(ev, grad)
 
@@ -156,15 +157,15 @@ def trig_field(amps, waves, phases):
     slopes = (amps[:, None] * waves).T
 
     def angles(points):
-        r, th, x, y = _embedded(points)
-        return r, th, waves @ np.stack([x, y]) + phases[:, None]
+        r, ct, st, x, y = _embedded(points)
+        return (r, ct, st), waves @ np.stack([x, y]) + phases[:, None]
 
     def ev(points):
-        return amps @ np.sin(angles(points)[2])
+        return amps @ np.sin(angles(points)[1])
 
     def grad(points):
-        r, th, k_xy = angles(points)
-        return _chart_partials(r, th, *(slopes @ np.cos(k_xy)))
+        polar, k_xy = angles(points)
+        return _chart_partials(*polar, *(slopes @ np.cos(k_xy)))
 
     return ScalarField(ev, grad)
 
@@ -339,18 +340,9 @@ class ExtendedField:
     def tube_profile(self, s, theta):
         """Extended values at known tube coordinates (no inversion needed)."""
         s = np.asarray(s, dtype=float)
-        theta = np.asarray(theta, dtype=float)
-        return self.reflection(s, self.chart.map_unchecked(-s, theta),
-                               self.chart.map_unchecked(-0.5 * s, theta))
-
-    def reflection(self, s, p_full, p_half):
-        """Extended values at depths ``s`` from the mapped points at ``-s``, ``-s/2``."""
-        shape = p_full.shape[:-1]
-        vals = (
-            -3.0 * self.source.evaluate(p_full.reshape(-1, 2)).reshape(shape)
-            + 4.0 * self.source.evaluate(p_half.reshape(-1, 2)).reshape(shape)
-        )
-        return vals * self.depth_cutoff(s)
+        u = _on_points(self.source.evaluate,
+                       self.chart.map_unchecked(np.stack([-s, -0.5 * s]), theta))
+        return (-3.0 * u[0] + 4.0 * u[1]) * self.depth_cutoff(s)
 
     def __call__(self, points):
         pts = np.atleast_2d(np.asarray(points, dtype=float))
@@ -377,36 +369,53 @@ class ExtendedField:
                 vals[sel] = self.tube_profile(s[in_tube], th[in_tube])
         return float(vals[0]) if np.ndim(points) == 1 else vals
 
-    # -- analytic tube partials (Jacobi-frame identity, used as cross-check) --
+    # -- analytic tube partials ------------------------------------------------
 
     def fermi_partials(self, s, theta):
         """Analytic (d/ds, d/dtheta) of the extension in tube coordinates."""
-        s = np.asarray(s, dtype=float)
-        theta = np.asarray(theta, dtype=float)
-        eng = self.chart.engine
-        p_full = eng.map(-s, theta)
-        p_half = eng.map(-0.5 * s, theta)
-        g_full = self.source.partials(p_full.reshape(-1, 2)).reshape(s.shape + (2,))
-        g_half = self.source.partials(p_half.reshape(-1, 2)).reshape(s.shape + (2,))
-        u_full = self.source.evaluate(p_full.reshape(-1, 2)).reshape(s.shape)
-        u_half = self.source.evaluate(p_half.reshape(-1, 2)).reshape(s.shape)
+        s, theta = np.broadcast_arrays(np.asarray(s, dtype=float),
+                                       np.asarray(theta, dtype=float))
+        return self.jet(s, *_reflection_sources(self.chart, s, theta))[1:]
 
-        # d/ds: chain rule along the normal geodesic plus the cutoff term
-        j_full = eng.s_jacobian(-s, theta)
-        j_half = eng.s_jacobian(-0.5 * s, theta)
-        du_full_ds = np.sum(g_full * j_full, axis=-1)
-        du_half_ds = np.sum(g_half * j_half, axis=-1)
+    def jet(self, s, sources, s_jac, theta_jac):
+        """Values and analytic ``(d/ds, d/dtheta)`` of the extension at depths ``s``.
+
+        ``sources`` stacks the chart points at depths ``-s`` and ``-s/2``
+        as ``(2,) + s.shape + (2,)``, and ``s_jac``, ``theta_jac`` stack the
+        engine's Jacobians there (see :func:`_reflection_sources`).  The
+        source is evaluated and differentiated once per source depth; along
+        the normal geodesic ``d/ds u(-s) = -grad u . J_s``, and the cutoff
+        adds ``(-3 u(-s) + 4 u(-s/2)) eta'/r``.
+        """
+        u, du_s, du_t = [], [], []
+        for points, j_s, j_t in zip(sources, s_jac, theta_jac):
+            u.append(_on_points(self.source.evaluate, points))
+            grad = _on_points(self.source.partials, points)
+            du_s.append(grad[..., 0] * j_s[..., 0] + grad[..., 1] * j_s[..., 1])
+            du_t.append(grad[..., 0] * j_t[..., 0] + grad[..., 1] * j_t[..., 1])
         eta = self.depth_cutoff(s)
-        eta_p = self.cutoff.eta_prime(s / self.r) / self.r
-        base = -3.0 * u_full + 4.0 * u_half
-        d_s = (3.0 * du_full_ds - 2.0 * du_half_ds) * eta + base * eta_p
+        base = -3.0 * u[0] + 4.0 * u[1]
+        d_s = (3.0 * du_s[0] - 2.0 * du_s[1]) * eta \
+            + base * (self.cutoff.eta_prime(s / self.r) / self.r)
+        d_t = (-3.0 * du_t[0] + 4.0 * du_t[1]) * eta
+        return base * eta, d_s, d_t
 
-        jt_full = eng.theta_jacobian(-s, theta)
-        jt_half = eng.theta_jacobian(-0.5 * s, theta)
-        du_full_t = np.sum(g_full * jt_full, axis=-1)
-        du_half_t = np.sum(g_half * jt_half, axis=-1)
-        d_t = (-3.0 * du_full_t + 4.0 * du_half_t) * eta
-        return d_s, d_t
+
+def _on_points(fn, points):
+    """``fn`` on every chart point of an ``(..., 2)`` array in one call, reshaped back."""
+    out = np.asarray(fn(points.reshape(-1, 2)), dtype=float)
+    return out.reshape(points.shape[:-1] + out.shape[1:])
+
+
+def _reflection_sources(chart: FermiChart, s, theta):
+    """Chart points and engine s- and theta-Jacobians at depths ``-s`` and ``-s/2``.
+
+    Each is stacked as ``(2,) + shape + (2,)``, first depth ``-s``.
+    """
+    depths = np.stack([-s, -0.5 * s])
+    eng = chart.engine
+    return (chart.map_unchecked(depths, theta), eng.s_jacobian(depths, theta),
+            eng.theta_jacobian(depths, theta))
 
 
 # ---------------------------------------------------------------------------
@@ -449,21 +458,15 @@ def _omega_grid(chart: FermiChart, quad: int):
     return grid
 
 
-def _fd_step(chart: FermiChart, s_min):
-    """The tube's difference step: ``1e-5 * diam``, at most half the smallest depth node."""
-    return min(1e-5 * chart.domain.diameter(), 0.5 * s_min)
-
-
 def _tube_rule(chart: FermiChart, quad: int, s_breaks):
-    """The exterior-tube rule and every point its differences read, once per chart.
+    """The exterior-tube rule and the field-independent data it reads, once per chart.
 
-    ``weights`` and ``metric`` (the angular length element
-    ``g_theta^(1/2)``) live on the depth x angle grid.  ``s`` and
-    ``theta`` stack that grid with its shifts ``s + h``, ``s - h``,
-    ``theta + h`` and ``theta - h`` as ``(5, n_s, n_theta)`` arrays, and
-    ``sources`` holds their chart points at depths ``-s`` and ``-s/2``,
-    which the reflection reads.  No shifted depth goes below 0, so the
-    sources stay on the closed domain; past depth ``r`` the cutoff is 0.
+    ``s``, ``theta``, ``weights`` and ``metric`` (the angular length
+    element ``g_theta^(1/2)``) live on the depth x angle grid.
+    ``sources`` and ``jacobians`` (the engine's s- and theta-Jacobians)
+    hold that grid's reflection data at depths ``-s`` and ``-s/2``, as
+    :func:`_reflection_sources` stacks them; past depth ``r`` the
+    cutoff is 0.
     """
     key = ("tube", quad, tuple(np.round(s_breaks, 15)))
     cached = chart._quad_cache.get(key)
@@ -476,13 +479,11 @@ def _tube_rule(chart: FermiChart, quad: int, s_breaks):
     theta, w_t = periodic_nodes(n_t)
     S, T = np.meshgrid(s_nodes, theta, indexing="ij")
     speed = chart.boundary_point(theta).speed
-    ratio = chart.engine.ratio(T, S)
-    h = _fd_step(chart, float(s_nodes[0]))
-    s = np.stack([S, S + h, S - h, S, S])
-    t = np.stack([T, T, T, T + h, T - h])
-    rule = dict(s=s, theta=t, h=h, metric=speed[None, :] * ratio,
+    ratio = chart.engine.ratio(theta, S)
+    sources, s_jac, theta_jac = _reflection_sources(chart, S, theta)
+    rule = dict(s=S, theta=T, metric=speed[None, :] * ratio,
                 weights=s_w[:, None] * w_t[None, :] * speed[None, :] * ratio,
-                sources=(chart.map_unchecked(-s, t), chart.map_unchecked(-0.5 * s, t)))
+                sources=sources, jacobians=(s_jac, theta_jac))
     chart._quad_cache[key] = rule
     return rule
 
@@ -495,8 +496,8 @@ def h1_norm(field, region, chart: FermiChart, quad: int = 64):
     ``region="tube_exterior"`` takes an :class:`ExtendedField` and
     integrates it over the exterior tube, with the radial rule composite
     across the field's ``s_breakpoints`` (where the cutoff kinks) and
-    the gradient taken by central differences with step ``1e-5 * diam``,
-    or half the smallest depth node if that is less.  Both rules are
+    the analytic gradient of :meth:`ExtendedField.jet` from the rule's
+    cached sources and Jacobians.  Both rules are
     Gauss-Legendre radially and uniform periodic angularly, with the
     exact metric area weights.  Any other pairing of field and region is a
     :class:`ParameterError`.
@@ -519,13 +520,10 @@ def h1_norm(field, region, chart: FermiChart, quad: int = 64):
         raise ParameterError(f"no H1 norm of a {type(field).__name__} on region {region!r}")
 
     rule = _tube_rule(chart, quad, field.s_breakpoints)
-    values = np.asarray(field.reflection(rule["s"], *rule["sources"]), dtype=float)
-    vals = values[0]
+    vals, d_s, d_t = field.jet(rule["s"], rule["sources"], *rule["jacobians"])
     if not np.all(np.isfinite(vals)):
         raise EvaluationError("non-finite value at a tube quadrature node")
-    h, W = rule["h"], rule["weights"]
-    d_s = (values[1] - values[2]) / (2 * h)
-    d_t = (values[3] - values[4]) / (2 * h)
+    W = rule["weights"]
     grad_sq = d_s**2 + (d_t / rule["metric"]) ** 2
     return float(np.sum(W * vals**2)), float(np.sum(W * grad_sq))
 
@@ -568,9 +566,8 @@ class OperatorNormResult:
     """Rayleigh quotients against the bound, and how they were computed.
 
     ``passed`` says whether ``max_ratio`` stays within ``bound``;
-    ``gradient`` names the gradient method per region (with the tube's
-    finite-difference step); ``quadrature_nodes`` counts the nodes of the
-    domain and tube rules.
+    ``gradient`` names the gradient method per region; ``quadrature_nodes``
+    counts the nodes of the domain and tube rules.
     """
 
     passed: bool
@@ -619,7 +616,7 @@ def operator_norm_estimate(chart: FermiChart, cutoff: CutoffFamily,
     return OperatorNormResult(
         passed=bool(max_ratio <= bound), max_ratio=float(max_ratio), bound=float(bound), distortion=float(dist),
         per_sample=ratios,
-        gradient={"omega": "analytic", "tube": "finite-difference", "fd_step": rule["h"]},
+        gradient={"omega": "analytic", "tube": "analytic"},
         quadrature_nodes={"omega": _omega_grid(chart, quad)["weights"].size,
                           "tube": rule["weights"].size},
     )

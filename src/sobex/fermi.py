@@ -152,6 +152,11 @@ class DomainSpec:
             lo, hi = self.surface.r_limits
             if not (0.0 < self.boundary.radius < hi):
                 raise InvalidDomainError("disk radius outside the chart")
+            with np.errstate(all="ignore"):  # the overflow is the answer, not a warning
+                f = float(self.surface.warp(self.boundary.radius))
+            if not math.isfinite(f * f):
+                raise InvalidDomainError(
+                    f"disk radius {self.boundary.radius:g} overflows the metric f(radius)^2")
         else:
             raise InvalidDomainError(f"unknown boundary type {type(self.boundary).__name__}")
 
@@ -329,10 +334,9 @@ class _FlatCurveEngine:
         return _Frame(c, dc, normal, sigma, speed)
 
     def _tube(self, s, theta):
-        s, theta = np.broadcast_arrays(
-            np.asarray(s, dtype=float), np.asarray(theta, dtype=float)
-        )
-        f = self._frame(theta)
+        # the frame at the given angles only; depths broadcast against it
+        s = np.asarray(s, dtype=float)
+        f = self._frame(np.asarray(theta, dtype=float))
         return s, f, f.at(s)
 
     def boundary(self, theta):

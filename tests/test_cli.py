@@ -107,10 +107,9 @@ def test_verify_extension_cli(tmp_path):
     data = json.loads(rep.read_text())
     assert data["passed"] is True
     assert data["max_ratio"] <= data["bound"]
-    # how it was computed: the step is 1e-5 * diameter; 20 radial nodes per
-    # segment (one in the domain, two in the tube) times 64 angles
-    assert data["gradient"] == {"omega": "analytic", "tube": "finite-difference",
-                                "fd_step": 2e-5}
+    # how it was computed: analytic gradients; 20 radial nodes per segment
+    # (one in the domain, two in the tube) times 64 angles
+    assert data["gradient"] == {"omega": "analytic", "tube": "analytic"}
     assert data["quadrature_nodes"] == {"omega": 20 * 64, "tube": 2 * 20 * 64}
 
 
@@ -284,6 +283,8 @@ def test_heat_solves_once(tmp_path, monkeypatch, domain, flags, n_eigs, path):
 _DISK = {"type": "disk", "radius": 1.0}
 _WARP_ZERO = {"kind": "warped", "profile": {"type": "poly_cosh_mix", "coeffs": [1.0, 0.0, -1.0]}}
 _PAST_ZERO = {"type": "disk", "radius": 1.6165}
+_HYPERBOLIC = {"kind": "constant", "kappa": -1}
+_HUGE_DISK = {"type": "disk", "radius": 800}
 
 
 @pytest.mark.parametrize("command, flags, config", [
@@ -320,6 +321,9 @@ _PAST_ZERO = {"type": "disk", "radius": 1.6165}
      {"resolution": 16, "domain": {"type": "interval", "L": 1e300}}),
     ("heat", ["--resolution", "16", "--domain", '{"type": "fourier", "coeffs_cos": [1e200]}'],
      {"resolution": 16, "domain": {"type": "fourier", "coeffs_cos": [1e200]}}),
+    # a hyperbolic disk whose metric sinh(radius)^2 overflows
+    ("heat", None, {"surface": _HYPERBOLIC, "domain": _HUGE_DISK, "resolution": 16}),
+    ("regularity", None, {"surface": _HYPERBOLIC, "domain": _HUGE_DISK, "r": 0.3}),
 ])
 @pytest.mark.filterwarnings("error")
 def test_bad_input_exits_2(tmp_path, capsys, command, flags, config):

@@ -256,26 +256,21 @@ def test_fermi_partials_cross_check(blob_chart, rng):
     assert np.max(np.abs(d_t - dt_fd)) < 1e-4
 
 
-def _tube_fd_oracle(ext, chart, quad, h, one_sided):
-    """The tube norms with one extension call per shifted grid (reference).
+def _tube_fd_oracle(ext, chart, quad):
+    """The tube norms by central differences, one extension call per shifted grid.
 
-    Central differences with step ``h`` everywhere, or, with ``one_sided``,
-    the one-sided rows within ``2h`` of either tube end.
+    The step is ``1e-5 * diam``, at most half the smallest depth node, so
+    no shifted depth goes below 0.
     """
     rule = E._tube_rule(chart, quad, ext.s_breakpoints)
-    S, T, W, metric = rule["s"][0], rule["theta"][0], rule["weights"], rule["metric"]
+    S, T, W, metric = rule["s"], rule["theta"], rule["weights"], rule["metric"]
+    h = min(1e-5 * chart.domain.diameter(), 0.5 * float(S.min()))
 
     def F(s, t):
         return np.asarray(ext.tube_profile(s, t), dtype=float)
 
     vals = F(S, T)
     d_s = (F(S + h, T) - F(S - h, T)) / (2 * h)
-    if one_sided:
-        lo_side, hi_side = S < 2.0 * h, S > chart.r - 2.0 * h
-        s0, t0 = S[lo_side], T[lo_side]
-        d_s[lo_side] = (-3 * F(s0, t0) + 4 * F(s0 + h, t0) - F(s0 + 2 * h, t0)) / (2 * h)
-        s0, t0 = S[hi_side], T[hi_side]
-        d_s[hi_side] = (3 * F(s0, t0) - 4 * F(s0 - h, t0) + F(s0 - 2 * h, t0)) / (2 * h)
     d_t = (F(S, T + h) - F(S, T - h)) / (2 * h)
     grad_sq = d_s**2 + (d_t / metric) ** 2
     return float(np.sum(W * vals**2)), float(np.sum(W * grad_sq))
@@ -283,25 +278,18 @@ def _tube_fd_oracle(ext, chart, quad, h, one_sided):
 
 @pytest.mark.parametrize("domain, r", [("unit_disk", 0.45), ("spherical_cap", 0.3),
                                        ("fourier_blob", 0.3)])
-def test_tube_norm_batched_stencil_is_exact(domain, r, request, rng):
-    """One cached rule per chart, one batch per field: the same bits as the
-    per-grid central formulas with the rule's step, on the first call and from
-    the cache.  At 96 nodes the step drops below ``1e-5 * diam``; there the
-    norms also stay within 1e-6 of the one-sided differences with that step."""
+def test_tube_norm_analytic_gradient_matches_differences(domain, r, request, rng):
+    """The analytic tube norms from one cached rule per chart: the same bits on
+    the first call and from the cache, and within 1e-6 of central differences."""
     chart = FermiChart(request.getfixturevalue(domain), r)
     cut = E.smoothstep_cutoff(4.0)
-    h_diam = 1e-5 * chart.domain.diameter()
     for fld in [x_field()] + E.random_smooth_fields(rng, 3):
         ext = E.ExtendedField(chart, fld, cut)
         for quad in (24, 96):
-            h = E._tube_rule(chart, quad, ext.s_breakpoints)["h"]
-            assert (h == h_diam) == (quad == 24)
-            oracle = _tube_fd_oracle(ext, chart, quad, h, one_sided=False)
-            for _ in range(2):
-                assert E.h1_norm(ext, "tube_exterior", chart, quad) == oracle
-            if quad == 96:
-                one_sided = _tube_fd_oracle(ext, chart, quad, h_diam, one_sided=True)
-                assert oracle == pytest.approx(one_sided, rel=1e-6)
+            chart._quad_cache.clear()
+            first = E.h1_norm(ext, "tube_exterior", chart, quad)
+            assert E.h1_norm(ext, "tube_exterior", chart, quad) == first
+            assert first == pytest.approx(_tube_fd_oracle(ext, chart, quad), rel=1e-6)
 
 
 EPS = np.finfo(float).eps
