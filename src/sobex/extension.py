@@ -37,7 +37,7 @@ from .errors import (
 )
 from .fermi import FermiChart
 from .quadrature import composite_gauss, gauss_legendre, periodic_nodes
-from .surfaces import constant_curvature_distance
+from .surfaces import constant_curvature_distance, polar_to_cartesian
 
 __all__ = [
     "ScalarField",
@@ -67,23 +67,16 @@ __all__ = [
 
 @dataclass(frozen=True)
 class ScalarField:
-    """A C1 (or C2) field on a closed domain with analytic chart partials.
+    """A C1 (or C2) field on the plane ``(x, y) = (r cos theta, r sin theta)``.
 
-    ``evaluate`` maps chart points of shape (N, 2) to values (N,);
-    ``partials`` returns the coordinate partials (d/dr, d/dtheta) as
-    an (N, 2) array.
+    ``evaluate`` maps plane points of shape (N, 2) to values (N,);
+    ``partials`` returns the plane gradient ``(d/dx, d/dy)`` as an
+    (N, 2) array.  Callers holding chart points convert them with
+    :func:`~sobex.surfaces.polar_to_cartesian`.
     """
 
     evaluate: Callable = dc_field(repr=False)
     partials: Callable = dc_field(repr=False)
-
-
-def _embedded(points):
-    """``(r, cos theta, sin theta, x, y)`` of chart points, one cos/sin per point."""
-    pts = np.atleast_2d(np.asarray(points, dtype=float))
-    r, th = pts[:, 0], pts[:, 1]
-    ct, st = np.cos(th), np.sin(th)
-    return r, ct, st, r * ct, r * st
 
 
 def constant_field(c=1.0):
@@ -106,13 +99,13 @@ def _powers(x, n):
     return out
 
 
-def _chart_partials(r, ct, st, ux, uy):
-    """``(d/dr, d/dtheta)`` from the embedded gradient ``(ux, uy)``."""
-    return np.stack([ux * ct + uy * st, ux * (-r * st) + uy * (r * ct)], axis=-1)
+def _dot(g, e):
+    """Pointwise dot product of two stacks of plane vectors."""
+    return g[..., 0] * e[..., 0] + g[..., 1] * e[..., 1]
 
 
 def polynomial_field(coeffs):
-    """Polynomial in the embedded coordinates ``(r cos t, r sin t)``.
+    """Polynomial in the plane coordinates ``(x, y)``.
 
     ``coeffs[i, j]`` multiplies ``x^i y^j``; anything but a finite
     non-empty 2-D array is a :class:`ParameterError`.  Smooth across the
@@ -132,13 +125,13 @@ def polynomial_field(coeffs):
         return np.sum(xp[:c.shape[0]] * (c @ yp[:c.shape[1]]), axis=0)
 
     def ev(points):
-        x, y = _embedded(points)[3:]
+        x, y = np.atleast_2d(np.asarray(points, dtype=float)).T
         return contract(coeffs, _powers(x, n_x), _powers(y, n_y))
 
     def grad(points):
-        r, ct, st, x, y = _embedded(points)
+        x, y = np.atleast_2d(np.asarray(points, dtype=float)).T
         xp, yp = _powers(x, n_x), _powers(y, n_y)
-        return _chart_partials(r, ct, st, contract(c_x, xp, yp), contract(c_y, xp, yp))
+        return np.stack([contract(c_x, xp, yp), contract(c_y, xp, yp)], axis=-1)
 
     return ScalarField(ev, grad)
 
@@ -157,15 +150,13 @@ def trig_field(amps, waves, phases):
     slopes = (amps[:, None] * waves).T
 
     def angles(points):
-        r, ct, st, x, y = _embedded(points)
-        return (r, ct, st), waves @ np.stack([x, y]) + phases[:, None]
+        return waves @ np.atleast_2d(np.asarray(points, dtype=float)).T + phases[:, None]
 
     def ev(points):
-        return amps @ np.sin(angles(points)[1])
+        return amps @ np.sin(angles(points))
 
     def grad(points):
-        polar, k_xy = angles(points)
-        return _chart_partials(*polar, *(slopes @ np.cos(k_xy)))
+        return (slopes @ np.cos(angles(points))).T
 
     return ScalarField(ev, grad)
 
@@ -340,8 +331,9 @@ class ExtendedField:
     def tube_profile(self, s, theta):
         """Extended values at known tube coordinates (no inversion needed)."""
         s = np.asarray(s, dtype=float)
+        depths = np.stack([-s, -0.5 * s])
         u = _on_points(self.source.evaluate,
-                       self.chart.map_unchecked(np.stack([-s, -0.5 * s]), theta))
+                       polar_to_cartesian(self.chart.map_unchecked(depths, theta)))
         return (-3.0 * u[0] + 4.0 * u[1]) * self.depth_cutoff(s)
 
     def __call__(self, points):
@@ -352,7 +344,7 @@ class ExtendedField:
         vals = np.zeros(pts.shape[0])
         inside = self.chart.domain.contains(pts)
         if np.any(inside):
-            vals[inside] = self.source.evaluate(pts[inside])
+            vals[inside] = self.source.evaluate(polar_to_cartesian(pts[inside]))
         out_idx = np.nonzero(~inside)[0]
         if out_idx.size:
             s, th, ok, amb = self.chart.invert_soft(pts[out_idx])
@@ -380,19 +372,19 @@ class ExtendedField:
     def jet(self, s, sources, s_jac, theta_jac):
         """Values and analytic ``(d/ds, d/dtheta)`` of the extension at depths ``s``.
 
-        ``sources`` stacks the chart points at depths ``-s`` and ``-s/2``
+        ``sources`` stacks the plane points at depths ``-s`` and ``-s/2``
         as ``(2,) + s.shape + (2,)``, and ``s_jac``, ``theta_jac`` stack the
-        engine's Jacobians there (see :func:`_reflection_sources`).  The
-        source is evaluated and differentiated once per source depth; along
-        the normal geodesic ``d/ds u(-s) = -grad u . J_s``, and the cutoff
-        adds ``(-3 u(-s) + 4 u(-s/2)) eta'/r``.
+        engine's plane Jacobians there (see :func:`_reflection_sources`).
+        The source is evaluated and differentiated once per source depth;
+        along the normal geodesic ``d/ds u(-s) = -grad u . J_s``, and the
+        cutoff adds ``(-3 u(-s) + 4 u(-s/2)) eta'/r``.
         """
         u, du_s, du_t = [], [], []
         for points, j_s, j_t in zip(sources, s_jac, theta_jac):
             u.append(_on_points(self.source.evaluate, points))
             grad = _on_points(self.source.partials, points)
-            du_s.append(grad[..., 0] * j_s[..., 0] + grad[..., 1] * j_s[..., 1])
-            du_t.append(grad[..., 0] * j_t[..., 0] + grad[..., 1] * j_t[..., 1])
+            du_s.append(_dot(grad, j_s))
+            du_t.append(_dot(grad, j_t))
         eta = self.depth_cutoff(s)
         base = -3.0 * u[0] + 4.0 * u[1]
         d_s = (3.0 * du_s[0] - 2.0 * du_s[1]) * eta \
@@ -402,19 +394,17 @@ class ExtendedField:
 
 
 def _on_points(fn, points):
-    """``fn`` on every chart point of an ``(..., 2)`` array in one call, reshaped back."""
+    """``fn`` on every plane point of an ``(..., 2)`` array in one call, reshaped back."""
     out = np.asarray(fn(points.reshape(-1, 2)), dtype=float)
     return out.reshape(points.shape[:-1] + out.shape[1:])
 
 
 def _reflection_sources(chart: FermiChart, s, theta):
-    """Chart points and engine s- and theta-Jacobians at depths ``-s`` and ``-s/2``.
-
-    Each is stacked as ``(2,) + shape + (2,)``, first depth ``-s``.
-    """
+    """Plane points and the engine's plane s- and theta-Jacobians at depths ``-s``
+    and ``-s/2``, each stacked as ``(2,) + shape + (2,)``, first depth ``-s``."""
     depths = np.stack([-s, -0.5 * s])
     eng = chart.engine
-    return (chart.map_unchecked(depths, theta), eng.s_jacobian(depths, theta),
+    return (polar_to_cartesian(chart.map_unchecked(depths, theta)), eng.s_jacobian(depths, theta),
             eng.theta_jacobian(depths, theta))
 
 
@@ -424,36 +414,30 @@ def _reflection_sources(chart: FermiChart, s, theta):
 
 
 def _omega_grid(chart: FermiChart, quad: int):
+    """The domain rule, once per chart: plane points, weights and metric frame.
+
+    Polar about the engine's plane centre ``c0``: per angle a radial
+    Gauss rule scaled to the boundary radius, uniform in the angle, with
+    the area element ``f(r)``.  ``frame`` holds ``e1 = (cos t, sin t)``
+    and ``e2 = (r/f)(-sin t, cos t)``, so a plane gradient ``g`` has
+    squared metric length ``(g.e1)^2 + (g.e2)^2``.
+    """
     key = ("omega", quad)
     cached = chart._quad_cache.get(key)
     if cached is not None:
         return cached
     eng = chart.engine
-    n_t = max(2 * quad, 64)
-    theta, w_t = periodic_nodes(n_t)
+    theta, w_t = periodic_nodes(max(2 * quad, 64))
     radius = eng.radial_extent(theta)
-
-    if radius is None:
-        # off-centre flat circle: integrate polar about its own centre
-        a = eng.a
-        x, w_r = gauss_legendre(quad, 0.0, a)
-        R, T = np.meshgrid(x, theta, indexing="ij")
-        W = np.outer(w_r * x, w_t)
-        cart = np.stack([R * np.cos(T), R * np.sin(T)], axis=-1) + eng.c0
-        from .surfaces import cartesian_to_polar
-
-        pts = cartesian_to_polar(cart.reshape(-1, 2))
-        grid = dict(points=pts, weights=W.ravel())
-        chart._quad_cache[key] = grid
-        return grid
-
-    # per-angle radial Gauss rule, scaled to the boundary radius
     x01, w01 = gauss_legendre(quad, 0.0, 1.0)
-    R = np.outer(x01, radius)                       # (quad, n_t)
-    T = np.broadcast_to(theta, R.shape)
+    R = np.outer(x01, radius).ravel()
+    T = np.tile(theta, quad)
     f = np.asarray(chart.surface.warp(R), dtype=float)
-    W = np.outer(w01, radius * w_t) * f
-    grid = dict(points=np.stack([R.ravel(), T.ravel()], axis=-1), weights=W.ravel())
+    ct, st = np.cos(T), np.sin(T)
+    grid = dict(points=np.stack([R * ct, R * st], axis=-1) + eng.c0,
+                weights=np.outer(w01, radius * w_t).ravel() * f,
+                frame=(np.stack([ct, st], axis=-1),
+                       (R / f)[:, None] * np.stack([-st, ct], axis=-1)))
     chart._quad_cache[key] = grid
     return grid
 
@@ -512,9 +496,9 @@ def h1_norm(field, region, chart: FermiChart, quad: int = 64):
         vals = np.asarray(field.evaluate(pts), dtype=float)
         if not np.all(np.isfinite(vals)):
             raise EvaluationError("non-finite value at a quadrature node")
-        parts = np.asarray(field.partials(pts), dtype=float)
-        f = np.asarray(chart.surface.warp(pts[:, 0]), dtype=float)
-        grad_sq = parts[:, 0] ** 2 + (parts[:, 1] / f) ** 2
+        grad = np.asarray(field.partials(pts), dtype=float)
+        e1, e2 = grid["frame"]
+        grad_sq = _dot(grad, e1) ** 2 + _dot(grad, e2) ** 2
         return float(np.sum(w * vals**2)), float(np.sum(w * grad_sq))
     if region != "tube_exterior" or not isinstance(field, ExtendedField):
         raise ParameterError(f"no H1 norm of a {type(field).__name__} on region {region!r}")
@@ -633,11 +617,13 @@ def c1_matching_error(chart: FermiChart, fld: ScalarField, cutoff: CutoffFamily,
     ext = ExtendedField(chart, fld, cutoff)
     theta = np.arange(n_probes) * (2.0 * math.pi / n_probes)
     h = step
-    bpts = chart.map_unchecked(np.zeros(n_probes), theta)
-    u0 = fld.evaluate(bpts)
+
+    def source(depth):
+        pts = chart.map_unchecked(np.full(n_probes, depth), theta)
+        return fld.evaluate(polar_to_cartesian(pts))
+
+    u0 = source(0.0)
     outer = (-3.0 * u0 + 4.0 * ext.tube_profile(np.full(n_probes, h), theta)
              - ext.tube_profile(np.full(n_probes, 2 * h), theta)) / (2 * h)
-    in1 = fld.evaluate(chart.map_unchecked(np.full(n_probes, -h), theta))
-    in2 = fld.evaluate(chart.map_unchecked(np.full(n_probes, -2 * h), theta))
-    inner = (3.0 * u0 - 4.0 * in1 + in2) / (2 * h)
+    inner = (3.0 * u0 - 4.0 * source(-h) + source(-2 * h)) / (2 * h)
     return float(np.max(np.abs(outer - inner)))

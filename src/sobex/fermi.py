@@ -211,6 +211,8 @@ class BoundarySample:
 class _PoleDiskEngine:
     """Pole-centred geodesic disk on any model surface (radial normals)."""
 
+    c0 = np.zeros(2)  # plane centre of the domain rule's polar coordinates
+
     def __init__(self, domain):
         self.surface = domain.surface
         self.a = float(domain.boundary.radius)
@@ -249,19 +251,22 @@ class _PoleDiskEngine:
         f = np.asarray(self.surface.warp(self.a + s), dtype=float)
         return np.asarray(self.surface.warp_prime(self.a + s), dtype=float) / f
 
+    def _radial_frame(self, s, theta):
+        """Radius ``a + s`` of the mapped points and their radial unit vector."""
+        rho, th = np.moveaxis(self.map(s, theta), -1, 0)
+        return rho, np.stack([np.cos(th), np.sin(th)], axis=-1)
+
     def theta_jacobian(self, s, theta):
-        """Chart components of d(map)/d(theta); here the angular unit vector."""
-        s = np.asarray(s, dtype=float)
-        z = np.zeros_like(s)
-        return np.stack([z, np.ones_like(s)], axis=-1)
+        """d(map)/d(theta) in the plane: ``(a + s)(-sin theta, cos theta)``."""
+        rho, e = self._radial_frame(s, theta)
+        return np.stack([rho * -e[..., 1], rho * e[..., 0]], axis=-1)
 
     def s_jacobian(self, s, theta):
-        """Chart components of d(map)/ds; here the radial unit vector."""
-        s = np.asarray(s, dtype=float)
-        return np.stack([np.ones_like(s), np.zeros_like(s)], axis=-1)
+        """d(map)/ds in the plane: the radial unit vector ``(cos theta, sin theta)``."""
+        return self._radial_frame(s, theta)[1]
 
     def radial_extent(self, theta):
-        """Boundary radius above each angle (for domain quadrature)."""
+        """Boundary radius about ``c0`` above each angle (for domain quadrature)."""
         theta = np.asarray(theta, dtype=float)
         return np.full(theta.shape, self.a)
 
@@ -319,7 +324,9 @@ class _Frame(NamedTuple):
 
 class _FlatCurveEngine:
     """Flat chart, boundary a closed Cartesian curve: subclasses define
-    ``curve(theta) -> (c, c', c'')`` and ``contains``."""
+    ``curve(theta) -> (c, c', c'')``, ``contains`` and ``radial_extent``."""
+
+    c0 = np.zeros(2)  # plane centre of the domain rule's polar coordinates
 
     def __init__(self, domain):
         self.surface = domain.surface
@@ -350,17 +357,14 @@ class _FlatCurveEngine:
         return cartesian_to_polar(self._tube(s, theta)[2])
 
     def theta_jacobian(self, s, theta):
-        """d(map)/d(theta) in chart (polar) components."""
-        s, f, pos = self._tube(s, theta)
-        return _polar_components(pos, f.theta_velocity(s))
+        """d(map)/d(theta) in the plane: ``c' (1 + spread s)``."""
+        s, f, _ = self._tube(s, theta)
+        return f.theta_velocity(s)
 
     def s_jacobian(self, s, theta):
-        """Chart (polar) components of d(map)/ds = the outward normal."""
+        """d(map)/ds in the plane: the outward normal, at every depth."""
         _, f, pos = self._tube(s, theta)
-        return _polar_components(pos, f.normal)
-
-    def radial_extent(self, theta):
-        return None
+        return np.broadcast_to(f.normal, pos.shape)
 
     def ratio(self, theta, s):
         sigma = self._frame(np.asarray(theta, dtype=float)).spread
@@ -444,14 +448,6 @@ class _FlatCurveEngine:
         return (0.0, 0.0)
 
 
-def _polar_components(pos, v):
-    """Polar chart components ``(dr, dtheta)`` of the Cartesian vector ``v`` at ``pos``."""
-    r = np.linalg.norm(pos, axis=-1)
-    e_r = pos / r[..., None]
-    e_t = np.stack([-e_r[..., 1], e_r[..., 0]], axis=-1)
-    return np.stack([np.sum(v * e_r, axis=-1), np.sum(v * e_t, axis=-1) / r], axis=-1)
-
-
 class _FlatCircleEngine(_FlatCurveEngine):
     """Circle of radius ``a`` about an arbitrary flat-chart centre."""
 
@@ -480,6 +476,10 @@ class _FlatCircleEngine(_FlatCurveEngine):
 
     def contains(self, points):
         return self._centre_distance(points) <= self.a
+
+    def radial_extent(self, theta):
+        """Boundary radius ``a`` about the centre ``c0`` above each angle."""
+        return np.full(np.shape(theta), self.a)
 
     def boundary_distance(self, points):
         """Distance from chart points to the circle: ``| |x - c0| - a |``."""

@@ -21,12 +21,26 @@ GOLDEN = pathlib.Path(__file__).with_name("golden")
 RTOL = 1e-13
 
 _BLOB = '{"type": "fourier", "coeffs_cos": [1.0, 0.0, 0.15]}'
-# the CLI defaults' warped disk; runs name it by ``WARPED_CONFIG``, which
-# ``run`` replaces with the path of a file holding it
-_WARPED = ('{"surface": {"kind": "warped", "profile": {"type": "poly_cosh_mix", '
-           '"coeffs": [1.0, 0.12, -0.05]}}, "domain": {"type": "disk", "radius": 0.8}}')
+_DISK = '{"type": "disk", "radius": 1.0}'
 
+# config files; runs name each by its key, which ``run`` replaces with the
+# path of a file holding the text
 WARPED_CONFIG = "<warped config>"
+CAP_CONFIG = "<cap config>"
+SWEEP_CONFIG = "<sweep config>"
+CONFIGS = {
+    # the CLI defaults' warped disk
+    WARPED_CONFIG: ('{"surface": {"kind": "warped", "profile": {"type": "poly_cosh_mix", '
+                    '"coeffs": [1.0, 0.12, -0.05]}}, "domain": {"type": "disk", "radius": 0.8}}'),
+    # the spherical cap of radius pi/4 about the pole
+    CAP_CONFIG: ('{"surface": {"kind": "constant", "kappa": 1.0}, '
+                 '"domain": {"type": "disk", "radius": 0.7853981633974483}}'),
+    # the README's config example, which its ``sweep`` command reads
+    SWEEP_CONFIG: ('{"surface": {"kind": "constant", "kappa": -1.0}, '
+                   '"domain": {"type": "disk", "center": [0, 0], "radius": 0.8}, "r": 0.3, '
+                   '"sweep": {"r": {"from": 0.1, "to": 0.5, "steps": 5}}, "K": 0.0, "H": 1.0}'),
+}
+_EXT = ["--samples", "3", "--quad", "24", "--seed", "9"]
 
 # name -> (argv, DENSE_LIMIT override or None)
 RUNS = {
@@ -37,8 +51,16 @@ RUNS = {
                               '[0.3, 0.2], "radius": 0.6}', "--r", "0.2"], None),
     "regularity-blob": (["regularity", "--domain", _BLOB, "--r", "0.3"], None),
     "regularity-warped": (["regularity", "--config", WARPED_CONFIG, "--r", "0.3"], None),
-    "verify-extension": (["verify-extension", "--domain", _BLOB, "--r", "0.3",
-                          "--samples", "3", "--quad", "24", "--seed", "9"], None),
+    "verify-extension": (["verify-extension", "--domain", _BLOB, "--r", "0.3"] + _EXT, None),
+    "verify-extension-disk": (["verify-extension", "--domain", _DISK, "--r", "0.45"] + _EXT,
+                              None),
+    "verify-extension-cap": (["verify-extension", "--config", CAP_CONFIG, "--r", "0.3"] + _EXT,
+                             None),
+    "verify-extension-offcentre": (["verify-extension", "--domain", '{"type": "disk", '
+                                    '"center": [0.3, 0.2], "radius": 0.6}', "--r", "0.2"]
+                                   + _EXT, None),
+    "verify-extension-warped": (["verify-extension", "--config", WARPED_CONFIG, "--r", "0.3"]
+                                + _EXT, None),
     "heat-interval": (["heat", "--domain", '{"type": "interval", "L": 1.0}',
                        "--resolution", "64"], None),
     "heat-disk": (["heat", "--domain", '{"type": "disk", "radius": 1.0}',
@@ -46,6 +68,15 @@ RUNS = {
     "heat-warped": (["heat", "--config", WARPED_CONFIG, "--resolution", "24"], None),
     "heat-blob": (["heat", "--domain", _BLOB, "--resolution", "20"], None),
     "heat-blob-sparse": (["heat", "--domain", _BLOB, "--resolution", "16"], 100),
+    # the README's five commands, without their output flags
+    "readme-constants": (["constants", "--K", "0", "--H", "1"], None),
+    "readme-regularity": (["regularity", "--domain", '{"type": "disk", "center": [0,0], '
+                           '"radius": 1.0}', "--r", "0.5"], None),
+    "readme-verify-extension": (["verify-extension", "--domain", _BLOB, "--r", "0.3",
+                                 "--samples", "25", "--quad", "64", "--seed", "42"], None),
+    "readme-heat": (["heat", "--domain", '{"type": "interval", "L": 3.14159}',
+                     "--resolution", "1000", "--t-min", "1e-3", "--t-steps", "16"], None),
+    "readme-sweep": (["sweep", "--config", SWEEP_CONFIG], None),
 }
 
 
@@ -55,9 +86,11 @@ def run(name):
     saved = heat.NeumannSystem.DENSE_LIMIT
     with tempfile.TemporaryDirectory() as tmp:
         tmp = pathlib.Path(tmp)
-        config = tmp / "config.json"
-        config.write_text(_WARPED)
-        argv = [str(config) if a == WARPED_CONFIG else a for a in argv]
+        paths = {}
+        for k, (key, text) in enumerate(CONFIGS.items()):
+            paths[key] = tmp / f"config{k}.json"
+            paths[key].write_text(text)
+        argv = [str(paths.get(a, a)) for a in argv]
         report = tmp / "report.json"
         if dense_limit is not None:
             heat.NeumannSystem.DENSE_LIMIT = dense_limit

@@ -22,6 +22,7 @@ from sobex.surfaces import (
     ModelSurface,
     integrate_geodesic,
     jacobi_transport,
+    polar_to_cartesian,
 )
 
 
@@ -75,12 +76,11 @@ def test_c02_extension_correctness(disk_chart, cap_chart, blob_chart):
             assert err < 1e-5
         # restriction identity is bitwise on the closed domain
         ext = E.ExtendedField(chart, fields[0], cut)
-        radius = chart.engine.radial_extent(np.zeros(1))
-        scale = float(radius[0]) if radius is not None else 1.0
+        scale = float(chart.engine.radial_extent(np.zeros(1))[0])
         pts = np.stack([np.sqrt(rng.uniform(0.0, 1.0, 400)) * scale * 0.999,
                         rng.uniform(0.0, 2 * math.pi, 400)], axis=-1)
         inside = chart.domain.contains(pts)
-        assert np.all(ext(pts[inside]) == fields[0].evaluate(pts[inside]))
+        assert np.all(ext(pts[inside]) == fields[0].evaluate(polar_to_cartesian(pts[inside])))
         # support confinement is exact
         far = chart.map_unchecked(np.full(128, chart.r * 1.01),
                                   rng.uniform(0, 2 * math.pi, 128))

@@ -10,6 +10,7 @@ from scipy.integrate import dblquad
 from sobex import extension as E
 from sobex.errors import ParameterError, RegularityError
 from sobex.fermi import DomainSpec, FermiChart, GeodesicDisk, RadialProfile
+from sobex.surfaces import polar_to_cartesian
 
 
 def x_field():
@@ -17,11 +18,11 @@ def x_field():
 
 
 def test_field_partials_match_finite_differences(rng):
-    # the declared analytic partials of every field factory agree with
-    # central finite differences at interior probe points
+    # the declared analytic plane partials of every field factory agree
+    # with central finite differences at interior probe points
     h = 1e-6
-    pts = np.stack([rng.uniform(0.2, 0.9, 50), rng.uniform(0.0, 2 * math.pi, 50)],
-                   axis=-1)
+    pts = polar_to_cartesian(np.stack([rng.uniform(0.2, 0.9, 50),
+                                       rng.uniform(0.0, 2 * math.pi, 50)], axis=-1))
     for fld in E.random_smooth_fields(rng, 6):
         grad = fld.partials(pts)
         for axis in (0, 1):
@@ -81,7 +82,7 @@ def test_restriction_identity_bitwise(disk_chart, rng):
     th_pts = rng.uniform(0.0, 2.0 * math.pi, 300)
     pts = np.stack([r_pts, th_pts], axis=-1)
     pts[:30, 0] = 1.0  # include boundary points
-    assert np.all(ext(pts) == fld.evaluate(pts))
+    assert np.all(ext(pts) == fld.evaluate(polar_to_cartesian(pts)))
 
 
 def test_linearity(disk_chart, rng):
@@ -300,21 +301,15 @@ _POINTS = st.lists(st.tuples(st.one_of(st.just(0.0), st.floats(1e-3, 1.5)),
                    min_size=1, max_size=8)
 
 
-def _assert_partials_within(parts, r, th, ux, uy, ax, ay, k):
-    """``parts`` against the chain rule of the oracle gradient ``(ux, uy)``.
+def _assert_partials_within(parts, ux, uy, ax, ay, k):
+    """Plane partials ``parts`` against the oracle gradient ``(ux, uy)``.
 
     ``ax``, ``ay`` bound the magnitudes the computed ``ux``, ``uy`` are
     rounded from; ``k`` is the allowed multiple of ``eps``.
     """
-    ct, st_ = np.cos(th), np.sin(th)
-    for n in range(r.size):
-        c, s, rn = Fraction(ct[n]), Fraction(st_[n]), Fraction(r[n])
-        d_r = ux[n] * c + uy[n] * s
-        d_t = -ux[n] * rn * s + uy[n] * rn * c
-        tol_r = k * EPS * (ax[n] * abs(ct[n]) + ay[n] * abs(st_[n]))
-        tol_t = k * EPS * r[n] * (ax[n] * abs(st_[n]) + ay[n] * abs(ct[n]))
-        assert abs(Fraction(parts[n, 0]) - d_r) <= tol_r
-        assert abs(Fraction(parts[n, 1]) - d_t) <= tol_t
+    for n in range(len(ux)):
+        assert abs(Fraction(parts[n, 0]) - ux[n]) <= k * EPS * ax[n]
+        assert abs(Fraction(parts[n, 1]) - uy[n]) <= k * EPS * ay[n]
 
 
 def _exact_partial(coeffs, x, y, di, dj):
@@ -342,18 +337,17 @@ def test_polynomial_field_matches_the_exact_sum(data):
     coeffs = coeffs.reshape(n_x, n_y)
     coeffs[sorted(data.draw(st.sets(st.integers(0, n_x - 1))))] = 0.0
     coeffs[:, sorted(data.draw(st.sets(st.integers(0, n_y - 1))))] = 0.0
-    pts = np.array(data.draw(_POINTS))
-    r, th = pts[:, 0], pts[:, 1]
-    x, y = r * np.cos(th), r * np.sin(th)
+    pts = polar_to_cartesian(np.array(data.draw(_POINTS)))
+    x, y = pts[:, 0], pts[:, 1]
     fld = E.polynomial_field(coeffs)
     val, parts = fld.evaluate(pts), fld.partials(pts)
     k = 2 * (n_x + n_y) + 4
-    for n in range(r.size):
+    for n in range(x.size):
         value, size = _exact_partial(coeffs, x[n], y[n], 0, 0)
         assert abs(Fraction(val[n]) - value) <= k * EPS * size
-    ux, ax = zip(*(_exact_partial(coeffs, x[n], y[n], 1, 0) for n in range(r.size)))
-    uy, ay = zip(*(_exact_partial(coeffs, x[n], y[n], 0, 1) for n in range(r.size)))
-    _assert_partials_within(parts, r, th, ux, uy, ax, ay, k + 4)
+    ux, ax = zip(*(_exact_partial(coeffs, x[n], y[n], 1, 0) for n in range(x.size)))
+    uy, ay = zip(*(_exact_partial(coeffs, x[n], y[n], 0, 1) for n in range(x.size)))
+    _assert_partials_within(parts, ux, uy, ax, ay, k + 4)
 
 
 @settings(max_examples=200)
@@ -367,14 +361,13 @@ def test_trig_field_matches_the_per_wave_sum(data):
     waves = waves.reshape(m, 2)
     phases = np.array(data.draw(st.lists(st.floats(0.0, 2 * math.pi),
                                          min_size=m, max_size=m)))
-    pts = np.array(data.draw(_POINTS))
-    r, th = pts[:, 0], pts[:, 1]
-    x, y = r * np.cos(th), r * np.sin(th)
+    pts = polar_to_cartesian(np.array(data.draw(_POINTS)))
+    x, y = pts[:, 0], pts[:, 1]
     fld = E.trig_field(amps, waves, phases)
     val, parts = fld.evaluate(pts), fld.partials(pts)
     k = 16
     ux, uy, ax, ay = [], [], [], []
-    for n in range(r.size):
+    for n in range(x.size):
         angle = [waves[w, 0] * x[n] + waves[w, 1] * y[n] + phases[w] for w in range(m)]
         # rounding of the angle moves sin and cos by at most its magnitude times eps
         size = [1.0 + abs(waves[w, 0] * x[n]) + abs(waves[w, 1] * y[n]) + phases[w]
@@ -386,7 +379,7 @@ def test_trig_field_matches_the_per_wave_sum(data):
             u.append(Fraction(math.fsum(amps[w] * waves[w, axis] * math.cos(angle[w])
                                         for w in range(m))))
             a.append(math.fsum(abs(amps[w] * waves[w, axis]) * size[w] for w in range(m)))
-    _assert_partials_within(parts, r, th, ux, uy, ax, ay, k)
+    _assert_partials_within(parts, ux, uy, ax, ay, k)
 
 
 @pytest.mark.parametrize("coeffs", [[1.0, 2.0], 3.0, [], [[]], [[[1.0]]],

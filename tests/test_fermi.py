@@ -28,6 +28,7 @@ from sobex.surfaces import (
     integrate_geodesic,
     jacobi_transport,
     polar_to_cartesian,
+    poly_cosh_mix_profile,
 )
 
 
@@ -286,19 +287,24 @@ _FRAME_BOUNDARIES = {
 }
 
 
-def _polar_to_cartesian_vector(p, v):
-    """Cartesian vector with polar components ``v = (dr, dtheta)`` at ``p``."""
-    r, th = p[..., 0], p[..., 1]
-    e_r = np.stack([np.cos(th), np.sin(th)], axis=-1)
-    e_t = np.stack([-np.sin(th), np.cos(th)], axis=-1)
-    return v[..., :1] * e_r + (r * v[..., 1])[..., None] * e_t
+# the same checks on pole-centred disks, whose plane Jacobians turn with theta
+_JACOBIAN_DOMAINS = {
+    **{name: DomainSpec(_FLAT, b) for name, b in _FRAME_BOUNDARIES.items()},
+    "pole_disk_plane": DomainSpec(_FLAT, GeodesicDisk((0.0, 0.0), 1.0)),
+    "pole_disk_sphere": DomainSpec(ModelSurface.constant_curvature(1.0),
+                                   GeodesicDisk((0.0, 0.0), math.pi / 4.0)),
+    "pole_disk_warped": DomainSpec(
+        ModelSurface.warped(poly_cosh_mix_profile([1.0, 0.12, -0.05])),
+        GeodesicDisk((0.0, 0.0), 0.8)),
+}
 
 
-@pytest.mark.parametrize("name", sorted(_FRAME_BOUNDARIES))
+@pytest.mark.parametrize("name", sorted(_JACOBIAN_DOMAINS))
 def test_flat_frame_jacobians_match_differences_of_the_map(name):
-    # central differences of the map, taken in Cartesian coordinates so
-    # that the polar angle's wrap at 2 pi does not enter
-    eng = DomainSpec(_FLAT, _FRAME_BOUNDARIES[name])._engine()
+    # the engine's plane Jacobians against central differences of the map,
+    # taken in the plane so that the polar angle's wrap at 2 pi does not enter
+    domain = _JACOBIAN_DOMAINS[name]
+    eng = domain._engine()
     th = np.linspace(0.0, 2.0 * math.pi, 37, endpoint=False)
     S, T = np.meshgrid(np.linspace(-0.25, 0.25, 7), th, indexing="ij")
     h = 1e-5
@@ -308,15 +314,14 @@ def test_flat_frame_jacobians_match_differences_of_the_map(name):
 
     d_theta = (cart(S, T + h) - cart(S, T - h)) / (2.0 * h)
     d_s = (cart(S + h, T) - cart(S - h, T)) / (2.0 * h)
-    p = eng.map(S, T)
-    assert np.allclose(_polar_to_cartesian_vector(p, eng.theta_jacobian(S, T)),
-                       d_theta, rtol=0.0, atol=1e-8)
-    assert np.allclose(_polar_to_cartesian_vector(p, eng.s_jacobian(S, T)),
-                       d_s, rtol=0.0, atol=1e-8)
-    # the flat volume ratio 1 + sigma s is the stretch of the tube's level curves
+    assert np.allclose(eng.theta_jacobian(S, T), d_theta, rtol=0.0, atol=1e-8)
+    assert np.allclose(eng.s_jacobian(S, T), d_s, rtol=0.0, atol=1e-8)
+    # the volume ratio (1 + sigma s on flat frames) is the stretch of the tube's
+    # level curves: a plane vector at radius rho has metric length f(rho)/rho times its own
+    rho = eng.map(S, T)[..., 0]
+    stretch = np.linalg.norm(d_theta, axis=-1) * domain.surface.warp(rho) / rho
     speed = eng.boundary(th).speed[None, :]
-    assert np.allclose(eng.ratio(T, S) * speed, np.linalg.norm(d_theta, axis=-1),
-                       rtol=0.0, atol=1e-8)
+    assert np.allclose(eng.ratio(T, S) * speed, stretch, rtol=0.0, atol=1e-8)
 
 
 @pytest.mark.parametrize("name", sorted(_FRAME_BOUNDARIES))

@@ -58,3 +58,35 @@ def test_traced_heat_runs_read_every_heat_gate(tmp_path):
     for gate in ("heat.eigensolve.solves", "heat.kernel.s", "heat.truncations",
                  "heat.modes_used"):
         assert layers[gate] > 0, gate
+
+
+_TRACED_VERIFY = r"""
+import json, sys
+sys.path.insert(0, sys.argv[1])
+import workloads
+from tracer import Tracer
+
+tracer = Tracer()
+tracer.install()
+workloads.cli_instrument(None, tracer)
+code = workloads.cli.main(["verify-extension", "--domain",
+                           '{"type": "fourier", "coeffs_cos": [1.0, 0.0, 0.15]}',
+                           "--r", "0.3", "--samples", "2", "--quad", "16",
+                           "--report", sys.argv[2]])
+assert code == 0, code
+print(json.dumps(tracer.metrics(0.0)))
+"""
+
+
+def test_traced_verify_extension_reads_every_extension_gate(tmp_path):
+    """A ``verify-extension`` run with the benchmark's field counters, traced in a
+    fresh interpreter, reads nonzero on the extension and map gates."""
+    src = str(TRACER.parents[1] / "src")
+    env = {**os.environ, "PYTHONPATH": os.pathsep.join([src, os.environ.get("PYTHONPATH", "")])}
+    out = subprocess.run([sys.executable, "-c", _TRACED_VERIFY, str(TRACER.parent),
+                          str(tmp_path / "verify.json")],
+                         env=env, capture_output=True, text=True, check=True)
+    layers = json.loads(out.stdout.strip().splitlines()[-1])
+    for gate in ("extension.field_eval.points", "extension.field_partials.points",
+                 "extension.h1_omega.s", "extension.h1_tube.s", "fermi.map.points"):
+        assert layers[gate] > 0, gate
