@@ -458,6 +458,8 @@ def cmd_sweep(cfg: RunConfig) -> int:
         raise ConfigError("sweep supports exactly one parameter at a time")
     param, spec = next(iter(cfg.sweep.items()))
     values = np.linspace(spec["from"], spec["to"], spec["steps"])
+    if param == "R0" and np.any(values <= 0.0):
+        raise ConfigError(f"sweep.R0 must be positive, got {float(np.min(values)):g}")
 
     base = dict(K=cfg.K if cfg.K is not None else 0.0,
                 H=cfg.H if cfg.H is not None else 0.0,
@@ -467,7 +469,7 @@ def cmd_sweep(cfg: RunConfig) -> int:
     for index, value in enumerate(values):
         kw = dict(base)
         if param == "R0":
-            kw["H"] = 1.0 / value
+            kw["H"] = 1.0 / float(value)
         else:
             kw[param] = value
         constants, _, _ = _constants_payload(kw["K"], kw["H"], kw["n"], kw["r"], kw["G"])

@@ -220,11 +220,10 @@ def smoothstep_cutoff(G=3.0):
         x = np.clip((t - 0.5) / w, 0.0, 1.0)
         return 1.0 - (3.0 * x * x - 2.0 * x * x * x)
 
-    def eta_prime(t):
+    def eta_prime(t):  # vanishes at both ends of the band, so clipping is exact
         t = np.asarray(t, dtype=float)
-        x = (t - 0.5) / w
-        inside = (x > 0.0) & (x < 1.0)
-        return np.where(inside, -(6.0 * x - 6.0 * x * x) / w, 0.0)
+        x = np.clip((t - 0.5) / w, 0.0, 1.0)
+        return (6.0 * x * x - 6.0 * x) / w
 
     return CutoffFamily(eta=eta, eta_prime=eta_prime, G=float(G), t_end=t_end)
 

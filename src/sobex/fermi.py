@@ -721,6 +721,8 @@ def check_regularity(domain: DomainSpec, r: float) -> RegularityReport:
     K = float(max(abs(k_lo), abs(k_up)))
     r0 = comparison.focal_radius(K, H)
     radius_ok = r <= r0 + 1e-12
+    if not radius_ok:
+        notes.append(f"tube radius {r:.6g} exceeds the focal radius r0 = {r0:.6g}")
 
     reach = engine.focal_reach()
     chart_ok = r < reach
@@ -737,9 +739,17 @@ def check_regularity(domain: DomainSpec, r: float) -> RegularityReport:
         for sign in (-1.0, +1.0):
             centers = engine.map(np.full(theta.shape, sign * r), theta)
             inside = engine.contains(centers)
-            side_ok = bool(np.all(inside)) if sign < 0 else bool(not np.any(inside))
+            placed = bool(np.all(inside)) if sign < 0 else bool(not np.any(inside))
             margin = float(np.min(engine.boundary_distance(centers)) - r)
-            side_ok = side_ok and margin >= -tol
+            side = "interior" if sign < 0 else "exterior"
+            if not placed:
+                notes.append(f"{side} ball centres at depth {sign * r:.6g} are not "
+                             f"{'inside' if sign < 0 else 'outside'} the domain "
+                             f"(margin {margin:.6g})")
+            if margin < -tol:
+                notes.append(f"{side} balls of radius {r:.6g} cross the boundary "
+                             f"(margin {margin:.6g})")
+            side_ok = placed and margin >= -tol
             if sign < 0:
                 interior_ok, interior_margin = side_ok, margin
             else:

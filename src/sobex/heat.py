@@ -91,16 +91,19 @@ class DiscreteDomain:
     Use the constructors :meth:`interval` and :meth:`disk_like`.  Node
     weights are exact integrals of the area element over a cell
     tiling, so they sum to the domain volume to machine precision.
+
+    The builders state each grid's structure once: ``factors``, the
+    :class:`TensorFactors` of a separable grid (``None`` on blobs), and
+    on disk-like grids ``n_r`` rings of ``n_theta`` nodes, with each
+    node's ``ring`` (the boundary ring is ``n_r``, the blob's pole 0).
+    Pole disks also keep ``dr``, ``dtheta`` and the warp ``f_cent`` at
+    their ring centres.
     """
 
-    def __init__(self):
-        self.kind = None
-        self.nodes = None          # (N,) for interval, (N, 2) chart coords else
-        self.weights = None
-        self.n = None              # homogeneous dimension for doubling exponents
-        self.spec = None           # DomainSpec for disk-like domains
-        self.mesh_width = None
-        self._cart = None
+    kind = spec = mesh_width = factors = _cart = None  # spec: DomainSpec if disk-like
+    nodes = weights = None  # nodes (N,) on the interval, (N, 2) chart coords else
+    n = None                # homogeneous dimension for doubling exponents
+    n_r = n_theta = ring = dr = dtheta = f_cent = None
 
     # -- constructors --------------------------------------------------------
 
@@ -116,6 +119,9 @@ class DiscreteDomain:
         dom.n = 1
         dom.mesh_width = h
         dom._L = float(L)
+        # a zero or subnormal h has conductance inf; assemble rejects zero weights
+        with np.errstate(divide="ignore", over="ignore"):
+            dom.factors = TensorFactors(1.0 / dom.weights[1:], np.zeros(N), dom.weights, 1)
         return dom
 
     @classmethod
@@ -125,13 +131,14 @@ class DiscreteDomain:
         dom = cls()
         dom.spec = spec
         dom.n = 2
+        dom.n_r, dom.n_theta = int(n_r), int(n_theta)
         if isinstance(spec.boundary, RadialProfile):
-            dom._build_blob(spec, int(n_r), int(n_theta))
+            dom._build_blob(spec, dom.n_r, dom.n_theta)
         elif isinstance(spec.boundary, GeodesicDisk):
             cx, cy = spec.boundary.center
             if cx != 0.0 or cy != 0.0:
                 raise AssemblyError("disk-like grids need a pole-centred disk")
-            dom._build_pole_disk(spec, int(n_r), int(n_theta))
+            dom._build_pole_disk(spec, dom.n_r, dom.n_theta)
         else:
             raise AssemblyError("unsupported boundary for disk-like grids")
         return dom
@@ -140,29 +147,33 @@ class DiscreteDomain:
         """The same domain at doubled resolution (for stability studies)."""
         if self.kind == "interval":
             return DiscreteDomain.interval(self._L, 2 * self.size)
-        n_r, n_t = self._grid[:2]
-        return DiscreteDomain.disk_like(self.spec, 2 * n_r, 2 * n_t)
+        return DiscreteDomain.disk_like(self.spec, 2 * self.n_r, 2 * self.n_theta)
 
     # -- grid builders ---------------------------------------------------------
 
     def _build_pole_disk(self, spec, n_r, n_t):
         surf = spec.surface
         a = float(spec.boundary.radius)
-        dr = a / n_r
-        dt = _TWO_PI / n_t
+        self.dr = dr = a / n_r
+        self.dtheta = dt = _TWO_PI / n_t
         r_edges = np.arange(n_r + 1) * dr
         r_cent = (np.arange(n_r) + 0.5) * dr
         theta = (np.arange(n_t) + 0.5) * dt
 
         cell_r = _warp_integral(surf, r_edges)          # per radial cell
-        w = np.repeat(cell_r * dt, n_t)
         R, T = np.meshgrid(r_cent, theta, indexing="ij")
         self.kind = "pole_disk"
         self.nodes = np.stack([R.ravel(), T.ravel()], axis=-1)
-        self.weights = w
-        f_cent = np.asarray(surf.warp(r_cent), dtype=float)
+        self.weights = np.repeat(cell_r * dt, n_t)
+        self.ring = np.repeat(np.arange(1, n_r + 1), n_t)
+        self.f_cent = f_cent = np.asarray(surf.warp(r_cent), dtype=float)
         self.mesh_width = max(dr, float(np.max(f_cent)) * dt)
-        self._grid = (n_r, n_t, dr, dt, r_cent, r_edges, theta)
+        f_edge = np.asarray(surf.warp(r_edges[1:-1]), dtype=float)
+        # two-point flux conductances; a grid of zero width divides 0 by 0
+        # here, and assemble rejects its zero weights
+        with np.errstate(divide="ignore", invalid="ignore"):
+            self.factors = TensorFactors(f_edge * dt / dr, dr / (f_cent * dt),
+                                         self.weights[::n_t], n_t)
 
     def _build_blob(self, spec, n_r, n_t):
         prof = spec.boundary
@@ -180,6 +191,7 @@ class DiscreteDomain:
         r = np.linalg.norm(cart, axis=-1)
         th = np.mod(np.arctan2(cart[:, 1], cart[:, 0]), _TWO_PI)
         self.nodes = np.stack([r, th], axis=-1)
+        self.ring = np.concatenate([[0], np.repeat(np.arange(1, n_r + 1), n_t)])
 
         # exact dual-cell masses in (xi, theta): the cells tile the blob
         theta_edges = (np.arange(n_t + 1) - 0.5) * dt
@@ -195,7 +207,6 @@ class DiscreteDomain:
         w[1:] = (ring_frac[:, None] * rho_sq_cell[None, :]).ravel()
         self.weights = w
         self.mesh_width = max(float(np.max(rho)) * dxi, float(np.max(rho)) * dt)
-        self._grid = (n_r, n_t, dxi, dt, xi, theta, rho)
         self._triangles = tris = self._triangulate(n_r, n_t)
         p0, p1, p2 = cart[tris[:, 0]], cart[tris[:, 1]], cart[tris[:, 2]]
         e0, e1, e2 = p2 - p1, p0 - p2, p1 - p0
@@ -204,16 +215,15 @@ class DiscreteDomain:
 
     @staticmethod
     def _triangulate(n_r, n_t):
-        def vid(i, j):  # ring i >= 1
-            return 1 + (i - 1) * n_t + (j % n_t)
-
-        tris = []
-        j = np.arange(n_t)
-        tris.append(np.stack([np.zeros(n_t, dtype=int), vid(1, j), vid(1, j + 1)], axis=-1))
-        for i in range(1, n_r):
-            tris.append(np.stack([vid(i, j), vid(i + 1, j), vid(i + 1, j + 1)], axis=-1))
-            tris.append(np.stack([vid(i, j), vid(i + 1, j + 1), vid(i, j + 1)], axis=-1))
-        return np.vstack(tris)
+        """The pole fan, then per pair of neighbouring rings both halves of
+        its quads, each block in angle order: the order the cotangent sums
+        and :meth:`_blob_gradient` add up in."""
+        start = 1 + np.arange(n_r)[:, None] * n_t         # ring i + 1 starts here
+        here, ahead = start + np.arange(n_t), start + (np.arange(n_t) + 1) % n_t
+        fan = np.stack([np.zeros(n_t, dtype=int), here[0], ahead[0]], axis=-1)
+        quads = np.stack([np.stack([here[:-1], here[1:], ahead[1:]], axis=-1),
+                          np.stack([here[:-1], ahead[1:], ahead[:-1]], axis=-1)], axis=1)
+        return np.vstack([fan, quads.reshape(-1, 3)])
 
     # -- sizes and metric ------------------------------------------------------
 
@@ -246,7 +256,9 @@ class DiscreteDomain:
             return constant_curvature_distance(
                 surf.kappa, self.nodes[idx][:, None, :], self.nodes[None, :, :]
             )
-        return self._graph_metric.rows(idx)
+        from scipy.sparse.csgraph import dijkstra
+
+        return dijkstra(self._graph, directed=False, indices=idx)
 
     def ball_sums(self, idx, radii, values=None):
         """Sums of ``values`` (default: the node weights) over the balls
@@ -268,11 +280,33 @@ class DiscreteDomain:
         return out
 
     @cached_property
-    def _graph_metric(self):
-        """The warped chart's graph metric on this pole disk's own grid."""
-        n_r, n_t, *_ = self._grid
-        return WarpedGridMetric(self.spec.surface, float(self.spec.boundary.radius),
-                                n_r, n_t)
+    def _graph(self):
+        """The warped pole disk's grid as a graph (CSR) for Dijkstra distances.
+
+        Edges join angular neighbours (length ``f(r_i) dtheta``), radial
+        neighbours (``dr``) and diagonal neighbours (``hypot(dr, f(r_i + dr/2)
+        dtheta)``; ``r_i + dr/2`` is not bitwise a cell edge radius).  For
+        ``f(r) = r`` every edge is at least its chord, so graph distances
+        never undershoot the plane's; in general they carry an O(mesh)
+        error.  The grid is invariant under rotations by ``dtheta``, so
+        distances from node sources do not depend on where the angles start.
+        """
+        n_t, dr, dt = self.n_theta, self.dr, self.dtheta
+        r = self.nodes[::n_t, 0]
+        f_mid = np.asarray(self.spec.surface.warp(r[:-1] + 0.5 * dr), dtype=float)
+        node = np.arange(self.size).reshape(self.n_r, n_t)
+        inner, outer = node[:-1], node[1:]
+        diag = np.repeat(np.hypot(dr, f_mid * dt), n_t)
+        edges = [  # (from, to, length): angular, radial and both diagonals
+            (node, np.roll(node, -1, axis=1), np.repeat(self.f_cent * dt, n_t)),
+            (inner, outer, np.full(inner.size, dr)),
+            (inner, np.roll(outer, -1, axis=1), diag),
+            (inner, np.roll(outer, 1, axis=1), diag),
+        ]
+        rows, cols, lens = (np.concatenate([np.ravel(e[k]) for e in edges])
+                            for k in range(3))
+        g = sp.coo_matrix((lens, (rows, cols)), shape=(node.size, node.size))
+        return (g + g.T).tocsr()
 
     def sample_indices(self, count):
         """A deterministic spread of node indices (for sup-type sweeps)."""
@@ -287,12 +321,7 @@ class DiscreteDomain:
             x = self.nodes
             pad = 2.0 * self.mesh_width
             return (x > pad) & (x < self._L - pad)
-        if self.kind == "pole_disk":
-            n_r, n_t, *_ = self._grid
-            return np.repeat(np.arange(n_r), n_t) < n_r - 2
-        n_r, n_t, *_ = self._grid
-        ring = np.concatenate([[0], np.repeat(np.arange(1, n_r + 1), n_t)])
-        return ring <= n_r - 2
+        return self.ring <= self.n_r - 2
 
     def node_gradient(self, values):
         """Orthonormal-frame gradient components at the nodes, shape (N, dim)."""
@@ -302,12 +331,10 @@ class DiscreteDomain:
             out = np.gradient(v, h)
             return out[:, None]
         if self.kind == "pole_disk":
-            n_r, n_t, dr, dt, r_cent, _, _ = self._grid
-            f = np.asarray(self.spec.surface.warp(r_cent), dtype=float)
-            V = v.reshape(n_r, n_t)
-            d_r = np.gradient(V, dr, axis=0)
-            d_t = (np.roll(V, -1, axis=1) - np.roll(V, 1, axis=1)) / (2.0 * dt)
-            d_t = d_t / f[:, None]
+            V = v.reshape(self.n_r, self.n_theta)
+            d_r = np.gradient(V, self.dr, axis=0)
+            d_t = (np.roll(V, -1, axis=1) - np.roll(V, 1, axis=1)) / (2.0 * self.dtheta)
+            d_t = d_t / self.f_cent[:, None]
             return np.stack([d_r.ravel(), d_t.ravel()], axis=-1)
         return self._blob_gradient(v)
 
@@ -328,46 +355,6 @@ class DiscreteDomain:
             np.add.at(acc, tris[:, k], g * a[:, None])
             np.add.at(wacc, tris[:, k], a)
         return acc / wacc[:, None]
-
-
-class WarpedGridMetric:
-    """Dijkstra distances on a polar grid of a warped chart.
-
-    Nodes sit at the cell centres ``r_i = (i + 1/2) dr`` of ``n_r`` rings
-    of width ``dr = r_max / n_r`` and at ``n_theta`` equally spaced angles;
-    node ``(i, j)`` has index ``i * n_theta + j``.  Edges join angular
-    neighbours (length ``f(r_i) dtheta``), radial neighbours (``dr``) and
-    diagonal neighbours (``hypot(dr, f(r_i + dr/2) dtheta)``).  For
-    ``f(r) = r`` every edge is at least its chord, so graph distances never
-    undershoot the plane's; in general they carry an O(mesh) error.  The
-    grid is invariant under rotations by ``dtheta``, so distances from
-    node sources do not depend on where the angles start.
-    """
-
-    def __init__(self, surface, r_max, n_r, n_theta):
-        dr, dtheta = r_max / n_r, _TWO_PI / n_theta
-        r = (np.arange(n_r) + 0.5) * dr
-        f = np.asarray(surface.warp(r), dtype=float)
-        f_mid = np.asarray(surface.warp(r[:-1] + 0.5 * dr), dtype=float)
-        node = np.arange(n_r * n_theta).reshape(n_r, n_theta)
-        inner, outer = node[:-1], node[1:]
-        diag = np.repeat(np.hypot(dr, f_mid * dtheta), n_theta)
-        edges = [  # (from, to, length): angular, radial and both diagonals
-            (node, np.roll(node, -1, axis=1), np.repeat(f * dtheta, n_theta)),
-            (inner, outer, np.full(inner.size, dr)),
-            (inner, np.roll(outer, -1, axis=1), diag),
-            (inner, np.roll(outer, 1, axis=1), diag),
-        ]
-        rows, cols, lens = (np.concatenate([np.ravel(e[k]) for e in edges])
-                            for k in range(3))
-        g = sp.coo_matrix((lens, (rows, cols)), shape=(node.size, node.size))
-        self._graph = (g + g.T).tocsr()
-
-    def rows(self, idx):
-        """Distances from the nodes ``idx`` to all nodes, shape (len(idx), N)."""
-        from scipy.sparse.csgraph import dijkstra
-
-        return dijkstra(self._graph, directed=False, indices=np.atleast_1d(idx))
 
 
 def _warp_integral(surface, r_edges):
@@ -394,43 +381,30 @@ def assemble(domain: DiscreteDomain) -> "NeumannSystem":
     """Symmetric PSD Neumann stiffness with diagonal mass for a domain.
 
     The natural (no-flux) boundary treatment makes constants exact null
-    vectors: ``stiffness @ 1 == 0``.  Interval and pole-centred disks
-    use two-point flux edge weights on the orthogonal grid; flat
-    Fourier blobs use cotangent edge weights on the triangulated grid
-    (both are the same graph-Laplacian construction with metric-aware
-    edge conductances).
+    vectors: ``stiffness @ 1 == 0``.  Separable grids (the interval and
+    pole-centred disks) carry their two-point flux conductances on the
+    orthogonal grid as ``domain.factors``; flat Fourier blobs use
+    cotangent edge weights on the triangulated grid (both are the same
+    graph-Laplacian construction with metric-aware edge conductances).
     """
     if np.any(domain.weights <= 0.0) or not np.all(np.isfinite(domain.weights)):
         raise AssemblyError("degenerate node weights")
-    factors = None
-    if domain.kind == "interval":
-        N = domain.size
-        h = domain.mesh_width
-        factors = TensorFactors(np.full(N - 1, 1.0 / h), np.zeros(N), domain.weights, 1)
-        A = factors.stiffness()
-    elif domain.kind == "pole_disk":
-        n_r, n_t, dr, dt, r_cent, r_edges, _ = domain._grid
-        surf = domain.spec.surface
-        f_cent = np.asarray(surf.warp(r_cent), dtype=float)
-        f_edge = np.asarray(surf.warp(r_edges[1:-1]), dtype=float)
-        factors = TensorFactors(f_edge * dt / dr, dr / (f_cent * dt),
-                                domain.weights[::n_t], n_t)
-        A = factors.stiffness()
-    elif domain.kind == "blob":
-        tris = domain._triangles
-        e0, e1, e2, area2 = domain._edges
-        a4 = 2.0 * area2
-        # cotangent edge weights, assembled per triangle
-        w01 = -np.sum(e0 * e1, axis=-1) / a4   # cot at vertex 2 -> edge (0,1)
-        w12 = -np.sum(e1 * e2, axis=-1) / a4   # cot at vertex 0 -> edge (1,2)
-        w20 = -np.sum(e2 * e0, axis=-1) / a4   # cot at vertex 1 -> edge (2,0)
-        rows = np.concatenate([tris[:, 0], tris[:, 1], tris[:, 2]])
-        cols = np.concatenate([tris[:, 1], tris[:, 2], tris[:, 0]])
-        vals = np.concatenate([w01, w12, w20])
-        A = _edge_laplacian(rows, cols, vals, domain.size)
-    else:
-        raise AssemblyError(f"unknown domain kind {domain.kind!r}")
-    return NeumannSystem(A, domain.weights, domain, factors)
+    A = _cotangent_stiffness(domain) if domain.factors is None else domain.factors.stiffness()
+    return NeumannSystem(A, domain.weights, domain.factors)
+
+
+def _cotangent_stiffness(domain):
+    """A blob's stiffness from cotangent edge weights, assembled per triangle."""
+    tris = domain._triangles
+    e0, e1, e2, area2 = domain._edges
+    a4 = 2.0 * area2
+    w01 = -np.sum(e0 * e1, axis=-1) / a4   # cot at vertex 2 -> edge (0,1)
+    w12 = -np.sum(e1 * e2, axis=-1) / a4   # cot at vertex 0 -> edge (1,2)
+    w20 = -np.sum(e2 * e0, axis=-1) / a4   # cot at vertex 1 -> edge (2,0)
+    rows = np.concatenate([tris[:, 0], tris[:, 1], tris[:, 2]])
+    cols = np.concatenate([tris[:, 1], tris[:, 2], tris[:, 0]])
+    vals = np.concatenate([w01, w12, w20])
+    return _edge_laplacian(rows, cols, vals, domain.size)
 
 
 def _edge_laplacian(rows, cols, cond, N):
@@ -625,7 +599,7 @@ class NeumannSystem:
     Eigenpairs are mass-orthonormal; the first eigenvalue is zero with
     the constant eigenvector.  ``solver`` names the eigensolver that
     runs: ``"separable"`` when ``factors`` (a :class:`TensorFactors`, as
-    :func:`assemble` gives intervals and pole-centred disks) describe
+    the grids of intervals and pole-centred disks carry) describe
     the operator, so a Fourier transform in the angle leaves tridiagonal
     radial problems; otherwise ``"dense"`` (LAPACK ``eigh``) up to
     ``DENSE_LIMIT`` unknowns and ``"sparse"`` (shift-invert Lanczos)
@@ -643,10 +617,9 @@ class NeumannSystem:
 
     DENSE_LIMIT = 4800
 
-    def __init__(self, stiffness, mass, domain=None, factors=None):
+    def __init__(self, stiffness, mass, factors=None):
         self.stiffness = stiffness.tocsr()
         self.mass = np.asarray(mass, dtype=float)
-        self.domain = domain
         self.factors = factors
         self.spectrum = None
         if factors is not None:

@@ -137,6 +137,44 @@ def test_verify_extension_focal_radius_keeps_report(tmp_path, capsys):
     assert data["reason"] == "tube radius 1.5 reaches a focal point (reach 1)"
 
 
+_WARPED_DISK = {"surface": {"kind": "warped", "profile": {"type": "poly_cosh_mix",
+                                                        "coeffs": [1.0, 0.12, -0.05]}},
+                "domain": {"type": "disk", "radius": 0.8}}
+
+
+@pytest.mark.parametrize("config, names", [
+    # past the focal radius r0 = 0.6502 of the CLI defaults' warped disk
+    (dict(_WARPED_DISK, r=0.7), "r0 = 0.650243"),
+    # the exterior ball centres round onto the unit circle
+    ({"domain": {"type": "disk", "radius": 1.0}, "r": 1e-300}, "exterior ball centres"),
+])
+def test_inadmissible_chart_says_why(tmp_path, config, names):
+    """A chart that fails a regularity condition names it: the regularity report
+    has a note for it, and verify-extension's reason carries the note."""
+    cfg = tmp_path / "cfg.json"
+    cfg.write_text(json.dumps(config))
+    reg, vx = tmp_path / "reg.json", tmp_path / "vx.json"
+    assert cli.main(["regularity", "--config", str(cfg), "--report", str(reg)]) == 1
+    data = json.loads(reg.read_text())
+    assert data["admissible"] is False and data["notes"]
+    assert any(names in note for note in data["notes"])
+    assert cli.main(["verify-extension", "--config", str(cfg), "--samples", "1", "--quad", "16",
+                     "--report", str(vx)]) == 1
+    reason = json.loads(vx.read_text())["reason"]
+    assert reason.startswith("chart is not admissible: [") and names in reason
+
+
+@pytest.mark.filterwarnings("error")
+def test_verify_extension_huge_gradient_budget_is_quiet(tmp_path):
+    """A cutoff band of width 1.5e-300 neither overflows nor warns: the bound is inf."""
+    rep = tmp_path / "vx.json"
+    assert cli.main(["verify-extension", "--domain", '{"type": "disk", "radius": 1.0}',
+                     "--r", "0.4", "--samples", "1", "--quad", "16", "--G", "1e300",
+                     "--report", str(rep)]) == 0
+    data = json.loads(rep.read_text())
+    assert data["passed"] is True and data["bound"] == "inf"
+
+
 def test_failed_check_exits_1_with_one_line(tmp_path, capsys, monkeypatch):
     """A toolkit error that escapes a command is a failed check: exit 1, one
     stderr line, no traceback and no report."""
@@ -324,6 +362,8 @@ _HUGE_DISK = {"type": "disk", "radius": 800}
     # a hyperbolic disk whose metric sinh(radius)^2 overflows
     ("heat", None, {"surface": _HYPERBOLIC, "domain": _HUGE_DISK, "resolution": 16}),
     ("regularity", None, {"surface": _HYPERBOLIC, "domain": _HUGE_DISK, "r": 0.3}),
+    # a sweep of the focal scale R0 = 1/H through 0
+    ("sweep", None, {"K": 0, "r": 0.3, "sweep": {"R0": {"from": 0.0, "to": 1.0, "steps": 3}}}),
 ])
 @pytest.mark.filterwarnings("error")
 def test_bad_input_exits_2(tmp_path, capsys, command, flags, config):

@@ -145,7 +145,7 @@ def test_warped_regularity_builds_no_graph(tmp_path, monkeypatch):
     def no_graph(*args, **kwargs):
         raise AssertionError("regularity built a graph metric")
 
-    monkeypatch.setattr(H, "WarpedGridMetric", no_graph)
+    monkeypatch.setattr(H.DiscreteDomain, "_graph", property(no_graph))
     monkeypatch.setattr(scipy.sparse.csgraph, "dijkstra", no_graph)
     cfg = tmp_path / "warped.json"
     cfg.write_text(json.dumps({

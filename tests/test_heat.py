@@ -413,6 +413,47 @@ def test_li_yau(unit_interval):
         H.fit_inverse_time_envelope(t_grid, np.full(t_grid.shape, np.nan))
 
 
+def _twice_signed_area(a, b, c):
+    return (b[:, 0] - a[:, 0]) * (c[:, 1] - a[:, 1]) - (b[:, 1] - a[:, 1]) * (c[:, 0] - a[:, 0])
+
+
+def _loop_triangles(n_r, n_t):
+    """The blob's triangles listed one by one: the pole fan, then per ring gap
+    the quads' lower and upper halves."""
+    def vid(i, j):  # node j of ring i >= 1
+        return 1 + (i - 1) * n_t + j % n_t
+
+    tris = [(0, vid(1, j), vid(1, j + 1)) for j in range(n_t)]
+    for i in range(1, n_r):
+        tris += [(vid(i, j), vid(i + 1, j), vid(i + 1, j + 1)) for j in range(n_t)]
+        tris += [(vid(i, j), vid(i + 1, j + 1), vid(i, j + 1)) for j in range(n_t)]
+    return np.array(tris)
+
+
+@pytest.mark.parametrize("n_r, n_theta", [(16, 16), (16, 17), (24, 48)])
+def test_blob_mesh_tiles_the_blob(fourier_blob, n_r, n_theta):
+    """The blob's triangles turn counter-clockwise, tile the polygon of ring
+    ``n_r``, and meet edge to edge: each interior edge lies in two triangles,
+    traversed in opposite directions, and each boundary edge in one.  They
+    come in the order of the one-by-one listing, which the cotangent sums
+    and the gradient's accumulation follow."""
+    dom = H.DiscreteDomain.disk_like(fourier_blob, n_r, n_theta)
+    tris, c = dom._triangles, dom.cartesian()
+    np.testing.assert_array_equal(tris, _loop_triangles(n_r, n_theta))
+    area2 = _twice_signed_area(c[tris[:, 0]], c[tris[:, 1]], c[tris[:, 2]])
+    assert np.all(area2 > 0.0)
+    rim = np.flatnonzero(dom.ring == n_r)
+    after = np.roll(rim, -1)
+    shoelace = 0.5 * np.sum(c[rim, 0] * c[after, 1] - c[after, 0] * c[rim, 1])
+    assert 0.5 * np.sum(area2) == pytest.approx(shoelace, rel=1e-14, abs=0.0)
+    directed = np.concatenate([tris[:, [0, 1]], tris[:, [1, 2]], tris[:, [2, 0]]])
+    assert np.unique(directed, axis=0).shape[0] == directed.shape[0]
+    edges, counts = np.unique(np.sort(directed, axis=1), axis=0, return_counts=True)
+    assert set(counts.tolist()) == {1, 2}
+    once = {tuple(e) for e in edges[counts == 1].tolist()}
+    assert once == {tuple(e) for e in np.sort(np.stack([rim, after], axis=-1), axis=1).tolist()}
+
+
 def test_node_gradient_of_x(unit_disk, fourier_blob):
     """The gradient ``li_yau_check`` reads, away from the two outer rings: exact
     for the blob's P1 elements, second order on a pole disk, whose frame is
