@@ -18,7 +18,7 @@ import argparse
 import json
 import math
 import sys
-from dataclasses import dataclass, field as dc_field
+from dataclasses import field as dc_field, make_dataclass
 
 import numpy as np
 
@@ -36,8 +36,6 @@ from .errors import (
 )
 from .fermi import DomainSpec, FermiChart, GeodesicDisk, RadialProfile, check_regularity
 from .surfaces import ModelSurface, poly_cosh_mix_profile
-
-_DEFAULTS = dict(quad=64, resolution=256, G=3.0, seed=42)
 
 
 # ---------------------------------------------------------------------------
@@ -112,35 +110,36 @@ _SURFACE_KEYS = {"kind", "kappa", "profile"}
 _PROFILE_KEYS = {"type", "coeffs"}
 _DOMAIN_KEYS = {"type", "center", "radius", "coeffs_cos", "coeffs_sin", "L"}
 _SWEEP_KEYS = {"from", "to", "steps"}
-_TOP_KEYS = {
-    "surface", "domain", "r", "G", "quad", "resolution", "modes", "samples",
-    "seed", "t_min", "t_max", "t_steps", "K", "H", "n", "sweep", "report", "csv",
+
+
+# every scalar setting: key -> (type, least value, default); type str is a
+# path, and the least value None is no bound, "positive" a strict bound of 0
+_SETTINGS = {
+    "r": (float, "positive", None),
+    "G": (float, None, 3.0),
+    "t_min": (float, "positive", 1e-3),
+    "t_max": (float, "positive", None),
+    "K": (float, None, None),
+    "H": (float, None, None),
+    "quad": (int, 16, 64),
+    "resolution": (int, 16, 256),
+    "modes": (int, 1, None),
+    "samples": (int, 1, 16),
+    "seed": (int, 0, 42),
+    "t_steps": (int, 1, 16),
+    "n": (int, None, 2),
+    "report": (str, None, None),
+    "csv": (str, None, None),
 }
+_TOP_KEYS = {"surface", "domain", "sweep"} | set(_SETTINGS)
 _SWEEP_PARAMS = {"K", "H", "r", "R0"}
 
-
-@dataclass
-class RunConfig:
-    """Validated run configuration with defaults applied."""
-
-    surface: dict | None = None
-    domain: dict | None = None
-    r: float | None = None
-    G: float = _DEFAULTS["G"]
-    quad: int = _DEFAULTS["quad"]
-    resolution: int = _DEFAULTS["resolution"]
-    modes: int | None = None
-    samples: int = 16
-    seed: int = _DEFAULTS["seed"]
-    t_min: float = 1e-3
-    t_max: float | None = None
-    t_steps: int = 16
-    K: float | None = None
-    H: float | None = None
-    n: int = 2
-    sweep: dict = dc_field(default_factory=dict)
-    report: str | None = None
-    csv: str | None = None
+RunConfig = make_dataclass(
+    "RunConfig",
+    [("surface", dict | None, None), ("domain", dict | None, None),
+     ("sweep", dict, dc_field(default_factory=dict))]
+    + [(key, kind | None, default) for key, (kind, _, default) in _SETTINGS.items()])
+RunConfig.__doc__ = "Validated run configuration: the nested sections and every _SETTINGS key."
 
 
 def _object(value, where, allowed):
@@ -176,6 +175,15 @@ def _integer(value, where):
     if isinstance(value, bool) or not isinstance(value, int):
         raise ConfigError(f"{where} must be an integer")
     return value
+
+
+def _path(value, where):
+    if not isinstance(value, str):
+        raise ConfigError(f"{where} must be a path")
+    return value
+
+
+_CHECKS = {float: _real, int: _integer, str: _path}
 
 
 def _decode(text, where):
@@ -229,27 +237,16 @@ def _parse(raw) -> RunConfig:
                                 "steps": _integer(spec["steps"], f"{where}.steps")}
             if cfg.sweep[param]["steps"] < 1:
                 raise ConfigError(f"{where}.steps must be a positive integer")
-    for key in ("r", "G", "t_min", "t_max", "K", "H"):
-        if raw.get(key) is not None:
-            setattr(cfg, key, _real(raw[key], key))
-    for key in ("quad", "resolution", "modes", "samples", "seed", "t_steps", "n"):
-        if raw.get(key) is not None:
-            setattr(cfg, key, _integer(raw[key], key))
-    for key in ("report", "csv"):
-        if raw.get(key) is not None:
-            if not isinstance(raw[key], str):
-                raise ConfigError(f"{key} must be a path")
-            setattr(cfg, key, raw[key])
-    for key in ("r", "t_min", "t_max"):
-        if getattr(cfg, key) is not None and getattr(cfg, key) <= 0.0:
-            raise ConfigError(f"{key} must be positive")
-    if cfg.quad < 16 or cfg.resolution < 16:
-        raise ConfigError("quad and resolution must be at least 16")
-    for key in ("modes", "samples", "t_steps"):
-        if getattr(cfg, key) is not None and getattr(cfg, key) < 1:
-            raise ConfigError(f"{key} must be at least 1")
-    if cfg.seed < 0:
-        raise ConfigError("seed must be non-negative")
+    for key, (kind, least, _) in _SETTINGS.items():
+        if raw.get(key) is None:
+            continue
+        value = _CHECKS[kind](raw[key], key)
+        if least == "positive":
+            if value <= 0.0:
+                raise ConfigError(f"{key} must be positive")
+        elif least is not None and value < least:
+            raise ConfigError(f"{key} must be at least {least}")
+        setattr(cfg, key, value)
     return cfg
 
 
@@ -498,13 +495,6 @@ def _load_config(args) -> RunConfig:
     return _parse(raw)
 
 
-def _add_common(sub):
-    sub.add_argument("--config", help="JSON configuration file")
-    sub.add_argument("--report", help="write the JSON report here (default stdout)")
-    sub.add_argument("--csv", help="write a CSV table here")
-    sub.add_argument("--seed", type=int, default=None)
-
-
 class _Parser(argparse.ArgumentParser):
     """An argument parser whose usage errors are :class:`ConfigError`, not exits."""
 
@@ -512,42 +502,30 @@ class _Parser(argparse.ArgumentParser):
         raise ConfigError(message)
 
 
+# subcommand -> (help, its own flags' keys); every subcommand first takes
+# --config, --report, --csv and --seed
+_FLAGS = {
+    "constants": ("closed-form tube constants", ("K", "H", "n", "r", "G")),
+    "regularity": ("regularity certificate", ("domain", "r")),
+    "verify-extension": ("operator-norm verification", ("domain", "r", "samples", "quad", "G")),
+    "heat": ("Neumann heat diagnostics",
+             ("domain", "resolution", "modes", "t_min", "t_max", "t_steps")),
+    "sweep": ("constants over a parameter range", ()),
+}
+_FLAG_HELP = {"config": "JSON configuration file", "domain": "domain JSON",
+              "report": "write the JSON report here (default stdout)",
+              "csv": "write a CSV table here"}
+
+
 def build_parser():
     p = _Parser(prog="sobex", description=__doc__.splitlines()[0])
     subs = p.add_subparsers(dest="command", required=True)
-
-    c = subs.add_parser("constants", help="closed-form tube constants")
-    _add_common(c)
-    c.add_argument("--K", type=float, default=None)
-    c.add_argument("--H", type=float, default=None)
-    c.add_argument("--n", type=int, default=None)
-    c.add_argument("--r", type=float, default=None)
-    c.add_argument("--G", type=float, default=None)
-
-    g = subs.add_parser("regularity", help="regularity certificate")
-    _add_common(g)
-    g.add_argument("--domain", help="domain JSON")
-    g.add_argument("--r", type=float, default=None)
-
-    v = subs.add_parser("verify-extension", help="operator-norm verification")
-    _add_common(v)
-    v.add_argument("--domain", help="domain JSON")
-    v.add_argument("--r", type=float, default=None)
-    v.add_argument("--samples", type=int, default=None)
-    v.add_argument("--quad", type=int, default=None)
-    v.add_argument("--G", type=float, default=None)
-
-    h = subs.add_parser("heat", help="Neumann heat diagnostics")
-    _add_common(h)
-    h.add_argument("--domain", help="domain JSON")
-    h.add_argument("--resolution", type=int, default=None)
-    h.add_argument("--modes", type=int, default=None)
-    h.add_argument("--t-min", dest="t_min", type=float, default=None)
-    h.add_argument("--t-max", dest="t_max", type=float, default=None)
-    h.add_argument("--t-steps", dest="t_steps", type=int, default=None)
-
-    s = subs.add_parser("sweep", help="constants over a parameter range")
-    _add_common(s)
+    for command, (help_text, keys) in _FLAGS.items():
+        sub = subs.add_parser(command, help=help_text)
+        for key in ("config", "report", "csv", "seed") + keys:
+            kind = _SETTINGS.get(key, (str,))[0]
+            sub.add_argument("--" + key.replace("_", "-"), type=None if kind is str else kind,
+                             help=_FLAG_HELP.get(key))
     return p
 
 
@@ -565,8 +543,8 @@ def main(argv=None) -> int:
         args = build_parser().parse_args(argv)
         cfg = _load_config(args)
         return _COMMANDS[args.command](cfg)
-    except (ConfigError, OSError, ValueError) as exc:
-        print(f"error: {exc}", file=sys.stderr)
+    except (ConfigError, OSError, ValueError, MemoryError) as exc:  # bad input, or too large
+        print(f"error: {str(exc) or 'out of memory'}", file=sys.stderr)
         return 2
     except SobexError as exc:
         print(f"check failed: {exc}", file=sys.stderr)

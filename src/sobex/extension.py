@@ -288,20 +288,34 @@ def extend_1d(trace, cutoff_profile, s):
     neg = np.minimum(s, 0.0)
     pos = np.maximum(s, 0.0)
     inside_vals = np.asarray(trace(neg), dtype=float)
-    reflected = -3.0 * np.asarray(trace(-pos), dtype=float) \
-        + 4.0 * np.asarray(trace(-pos / 2.0), dtype=float)
+    reflected = _reflect(np.asarray(trace(-pos), dtype=float),
+                         np.asarray(trace(-0.5 * pos), dtype=float))
     out = np.where(s <= 0.0, inside_vals,
                    reflected * np.asarray(cutoff_profile(pos), dtype=float))
     return float(out) if out.ndim == 0 else out
 
 
+def _reflect(far, near):
+    """The reflection rule ``-3 u(-s) + 4 u(-s/2)`` from ``far = u(-s)`` and ``near = u(-s/2)``."""
+    return -3.0 * far + 4.0 * near
+
+
+def _reflection_jet(u, du, eta, eta_p):
+    """Value ``E eta`` and depth derivative ``(3 u'(-s) - 2 u'(-s/2)) eta + E eta_p`` of the
+    cut-off reflection, ``E = -3 u(-s) + 4 u(-s/2)``, from the pairs ``u`` and ``du`` of
+    source values and depth derivatives at ``-s`` and ``-s/2``."""
+    base = _reflect(*u)
+    return base * eta, (3.0 * du[0] - 2.0 * du[1]) * eta + base * eta_p
+
+
+def _depth_breaks(r, cutoff):
+    """The depths ``0, r/2, min(t_end, 1) r, r`` where the cutoff kinks, sorted, once each."""
+    return tuple(sorted({0.0, 0.5 * r, min(cutoff.t_end, 1.0) * r, r}))
+
+
 # ---------------------------------------------------------------------------
 # the extended field
 # ---------------------------------------------------------------------------
-
-
-def _cutoff_breaks(r, cutoff):
-    return (0.5 * r, min(cutoff.t_end, 1.0) * r)
 
 
 class ExtendedField:
@@ -319,11 +333,6 @@ class ExtendedField:
         self.cutoff = cutoff
         self.r = chart.r
 
-    @property
-    def s_breakpoints(self):
-        """Depths where the cutoff (hence the integrand) loses smoothness."""
-        return _cutoff_breaks(self.r, self.cutoff)
-
     def depth_cutoff(self, s):
         return self.cutoff.eta(np.asarray(s, dtype=float) / self.r)
 
@@ -333,7 +342,7 @@ class ExtendedField:
         depths = np.stack([-s, -0.5 * s])
         u = _on_points(self.source.evaluate,
                        polar_to_cartesian(self.chart.map_unchecked(depths, theta)))
-        return (-3.0 * u[0] + 4.0 * u[1]) * self.depth_cutoff(s)
+        return _reflect(*u) * self.depth_cutoff(s)
 
     def __call__(self, points):
         pts = np.atleast_2d(np.asarray(points, dtype=float))
@@ -376,7 +385,7 @@ class ExtendedField:
         engine's plane Jacobians there (see :func:`_reflection_sources`).
         The source is evaluated and differentiated once per source depth;
         along the normal geodesic ``d/ds u(-s) = -grad u . J_s``, and the
-        cutoff adds ``(-3 u(-s) + 4 u(-s/2)) eta'/r``.
+        cutoff adds its own derivative (see :func:`_reflection_jet`).
         """
         u, du_s, du_t = [], [], []
         for points, j_s, j_t in zip(sources, s_jac, theta_jac):
@@ -385,11 +394,8 @@ class ExtendedField:
             du_s.append(_dot(grad, j_s))
             du_t.append(_dot(grad, j_t))
         eta = self.depth_cutoff(s)
-        base = -3.0 * u[0] + 4.0 * u[1]
-        d_s = (3.0 * du_s[0] - 2.0 * du_s[1]) * eta \
-            + base * (self.cutoff.eta_prime(s / self.r) / self.r)
-        d_t = (-3.0 * du_t[0] + 4.0 * du_t[1]) * eta
-        return base * eta, d_s, d_t
+        value, d_s = _reflection_jet(u, du_s, eta, self.cutoff.eta_prime(s / self.r) / self.r)
+        return value, d_s, _reflect(*du_t) * eta
 
 
 def _on_points(fn, points):
@@ -441,22 +447,21 @@ def _omega_grid(chart: FermiChart, quad: int):
     return grid
 
 
-def _tube_rule(chart: FermiChart, quad: int, s_breaks):
+def _tube_rule(chart: FermiChart, quad: int, cutoff: CutoffFamily):
     """The exterior-tube rule and the field-independent data it reads, once per chart.
 
     ``s``, ``theta``, ``weights`` and ``metric`` (the angular length
     element ``g_theta^(1/2)``) live on the depth x angle grid.
     ``sources`` and ``jacobians`` (the engine's s- and theta-Jacobians)
     hold that grid's reflection data at depths ``-s`` and ``-s/2``, as
-    :func:`_reflection_sources` stacks them; past depth ``r`` the
-    cutoff is 0.
+    :func:`_reflection_sources` stacks them; the depth rule is composite
+    across the cutoff's breaks, which key the cache, and stops at ``r``.
     """
-    key = ("tube", quad, tuple(np.round(s_breaks, 15)))
+    breaks = _depth_breaks(chart.r, cutoff)
+    key = ("tube", quad, breaks)
     cached = chart._quad_cache.get(key)
     if cached is not None:
         return cached
-    r = chart.r
-    breaks = sorted({0.0, r} | {float(b) for b in s_breaks if 0.0 < b < r})
     s_nodes, s_w = composite_gauss(quad, breaks)
     n_t = max(2 * quad, 64)
     theta, w_t = periodic_nodes(n_t)
@@ -478,7 +483,7 @@ def h1_norm(field, region, chart: FermiChart, quad: int = 64):
     own ``evaluate`` and analytic ``partials`` over the domain.
     ``region="tube_exterior"`` takes an :class:`ExtendedField` and
     integrates it over the exterior tube, with the radial rule composite
-    across the field's ``s_breakpoints`` (where the cutoff kinks) and
+    across the cutoff's depth breaks (where it kinks) and
     the analytic gradient of :meth:`ExtendedField.jet` from the rule's
     cached sources and Jacobians.  Both rules are
     Gauss-Legendre radially and uniform periodic angularly, with the
@@ -502,7 +507,7 @@ def h1_norm(field, region, chart: FermiChart, quad: int = 64):
     if region != "tube_exterior" or not isinstance(field, ExtendedField):
         raise ParameterError(f"no H1 norm of a {type(field).__name__} on region {region!r}")
 
-    rule = _tube_rule(chart, quad, field.s_breakpoints)
+    rule = _tube_rule(chart, quad, field.cutoff)
     vals, d_s, d_t = field.jet(rule["s"], rule["sources"], *rule["jacobians"])
     if not np.all(np.isfinite(vals)):
         raise EvaluationError("non-finite value at a tube quadrature node")
@@ -526,14 +531,10 @@ def verify_1d_inequality(trace: Trace1D, r: float, G: float, quad: int = 48):
     vanish.
     """
     cutoff = smoothstep_cutoff(G)
-    breaks = [0.0, 0.5 * r, min(cutoff.t_end, 1.0) * r, r]
-    s, w_s = composite_gauss(quad, sorted(set(breaks)))
-    eta = cutoff.eta(s / r)
-    eta_p = cutoff.eta_prime(s / r) / r
-    base = -3.0 * trace.value(-s) + 4.0 * trace.value(-0.5 * s)
-    e_val = base * eta
-    e_der = (3.0 * trace.derivative(-s) - 2.0 * trace.derivative(-0.5 * s)) * eta \
-        + base * eta_p
+    s, w_s = composite_gauss(quad, _depth_breaks(r, cutoff))
+    e_val, e_der = _reflection_jet((trace.value(-s), trace.value(-0.5 * s)),
+                                   (trace.derivative(-s), trace.derivative(-0.5 * s)),
+                                   cutoff.eta(s / r), cutoff.eta_prime(s / r) / r)
     lhs = float(np.sum(w_s * (e_val**2 + e_der**2)))
 
     t, w_t = gauss_legendre(2 * quad, -r, 0.0)
@@ -585,7 +586,7 @@ def operator_norm_estimate(chart: FermiChart, cutoff: CutoffFamily,
     dist = distortion_factor(ComparisonProfile.from_curvature(data, chart.r), data.n, chart.r)
     bound = extension_norm_bound(dist, cutoff.G, chart.r)
 
-    rule = _tube_rule(chart, quad, _cutoff_breaks(chart.r, cutoff))
+    rule = _tube_rule(chart, quad, cutoff)
     ratios = []
     for fld in sample_fields:
         l2_o, g_o = h1_norm(fld, "omega", chart, quad)

@@ -565,7 +565,6 @@ class FermiChart:
         theta = np.arange(_N_THETA) * (_TWO_PI / _N_THETA)
         self.samples = self.engine.boundary(theta)
         self._quad_cache = {}
-        self._regularity = None
 
     # -- basic queries -------------------------------------------------------
 
@@ -653,11 +652,9 @@ class FermiChart:
             n=self.surface.dimension,
         )
 
-    @property
+    @cached_property
     def regularity(self):
-        if self._regularity is None:
-            self._regularity = check_regularity(self.domain, self.r)
-        return self._regularity
+        return check_regularity(self.domain, self.r)
 
 
 # ---------------------------------------------------------------------------
@@ -731,32 +728,26 @@ def check_regularity(domain: DomainSpec, r: float) -> RegularityReport:
 
     tol = 1e-9 * (1.0 + r)
 
-    interior_margin = math.inf
-    exterior_margin = math.inf
-    interior_ok = True
-    exterior_ok = True
-    if chart_ok:
-        for sign in (-1.0, +1.0):
-            centers = engine.map(np.full(theta.shape, sign * r), theta)
-            inside = engine.contains(centers)
-            placed = bool(np.all(inside)) if sign < 0 else bool(not np.any(inside))
-            margin = float(np.min(engine.boundary_distance(centers)) - r)
-            side = "interior" if sign < 0 else "exterior"
-            if not placed:
-                notes.append(f"{side} ball centres at depth {sign * r:.6g} are not "
-                             f"{'inside' if sign < 0 else 'outside'} the domain "
-                             f"(margin {margin:.6g})")
-            if margin < -tol:
-                notes.append(f"{side} balls of radius {r:.6g} cross the boundary "
-                             f"(margin {margin:.6g})")
-            side_ok = placed and margin >= -tol
-            if sign < 0:
-                interior_ok, interior_margin = side_ok, margin
-            else:
-                exterior_ok, exterior_margin = side_ok, margin
-    else:
-        interior_ok = exterior_ok = False
-        interior_margin = exterior_margin = -math.inf
+    def rolling_ball(depth):
+        """``(ok, margin)`` of the balls of radius ``r`` centred at signed ``depth``."""
+        if not chart_ok:
+            return False, -math.inf
+        centers = engine.map(np.full(theta.shape, depth, dtype=float), theta)
+        inside = engine.contains(centers)
+        placed = bool(np.all(inside)) if depth < 0 else bool(not np.any(inside))
+        margin = float(np.min(engine.boundary_distance(centers)) - r)
+        side = "interior" if depth < 0 else "exterior"
+        if not placed:
+            notes.append(f"{side} ball centres at depth {depth:.6g} are not "
+                         f"{'inside' if depth < 0 else 'outside'} the domain "
+                         f"(margin {margin:.6g})")
+        if margin < -tol:
+            notes.append(f"{side} balls of radius {r:.6g} cross the boundary "
+                         f"(margin {margin:.6g})")
+        return placed and margin >= -tol, margin
+
+    interior_ok, interior_margin = rolling_ball(-r)
+    exterior_ok, exterior_margin = rolling_ball(r)
 
     # injectivity: round-trip of the parametrization over a tube grid
     roundtrip = 0.0

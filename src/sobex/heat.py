@@ -70,6 +70,8 @@ _LOG_TRUNC = -math.log(1e-12)  # spectral truncation threshold
 _MODE_CAP = 2000
 _PACKAGE_DIR = os.path.dirname(__file__) + os.sep
 _BALL_BLOCK = 8  # distance rows held at once by DiscreteDomain.ball_sums
+_DOUBLING_SAMPLES, _COMPARABILITY_SAMPLES = 64, 48  # sampled centres of the two doubling checks
+_GN_RANDOM_FIELDS, _GN_SEED = 12, 7  # gn_check's smoothed random fields and their seed
 
 
 def _outside_stacklevel():
@@ -860,31 +862,29 @@ def diagonal_bound_check(domain: DiscreteDomain, system: NeumannSystem,
     return DiagonalBoundResult(float(table[k, 1]), float(t_grid[k]), int(idx[at[k]]), table)
 
 
-def doubling_constant(domain: DiscreteDomain, R, x_count=64, radii=None):
+def doubling_constant(domain: DiscreteDomain, R):
     """Smallest C with ``Vol(B(x,t)) <= C (t/s)^n Vol(B(x,s))`` on samples.
 
-    Radii default to a geometric grid from twice the mesh width to
+    The radii are a geometric grid of 24 from twice the mesh width to
     ``R``; volumes below the mesh scale are not meaningful.
     """
     if R <= 0.0 or R > domain.diameter() + 1e-12:
         raise ParameterError("doubling radius must lie in (0, diam]")
-    if radii is None:
-        radii = np.geomspace(2.0 * domain.mesh_width, R, 24)
-    radii = np.asarray(radii, dtype=float)
-    vols = domain.ball_sums(domain.sample_indices(x_count), radii)
+    radii = np.geomspace(2.0 * domain.mesh_width, R, 24)
+    vols = domain.ball_sums(domain.sample_indices(_DOUBLING_SAMPLES), radii)
     # ratio[x, i, j] = Vol(B(x, r_j)) / Vol(B(x, r_i)) * (r_i / r_j)^n; pairs i <= j
     ratio = vols[:, None, :] / vols[:, :, None] \
         * (radii[:, None] / radii[None, :]) ** domain.n
     return max(1.0, float(np.max(np.triu(np.max(ratio, axis=0)))))
 
 
-def doubling_comparability(domain: DiscreteDomain, s, x_count=48):
+def doubling_comparability(domain: DiscreteDomain, s):
     """Worst ``Vol(B(y,s)) / Vol(B(x,s))`` over sampled pairs with d(x,y) <= s.
 
     Since ``B(y,s)`` is contained in ``B(x,2s)``, the doubling property
     bounds this ratio by ``2^n`` times the doubling constant.
     """
-    idx = domain.sample_indices(x_count)
+    idx = domain.sample_indices(_COMPARABILITY_SAMPLES)
     vols = domain.ball_sums(idx, [s])[:, 0]
     near = domain.distance_rows(idx)[:, idx] <= s
     return max(1.0, float(np.max(np.max(np.where(near, vols, 0.0), axis=1) / vols)))
@@ -896,8 +896,7 @@ class GNResult:
     per_radius: list
 
 
-def gn_check(domain: DiscreteDomain, system: NeumannSystem, q, r_grid,
-             n_random=12, seed=7) -> GNResult:
+def gn_check(domain: DiscreteDomain, system: NeumannSystem, q, r_grid) -> GNResult:
     """Smallest constant in the localized Gagliardo-Nirenberg inequality.
 
     Checks ``|| v_r^(1/2 - 1/q) f ||_q <= C (||f||_2 + r ||A^(1/2) f||_2)``
@@ -913,11 +912,11 @@ def gn_check(domain: DiscreteDomain, system: NeumannSystem, q, r_grid,
         raise ParameterError("inadmissible (q, n): (q-2)/q * n must be < 2")
     alpha = 0.5 - (0.0 if math.isinf(q) else 1.0 / q)
 
-    rng = np.random.default_rng(seed)
+    rng = np.random.default_rng(_GN_SEED)
     lam, phi = system.eigenpairs(min(10, system.size - 1))
     fields = [phi[:, k] for k in range(phi.shape[1])]
     fields.append(phi[:, 0] + phi[:, min(1, phi.shape[1] - 1)])
-    for _ in range(n_random):
+    for _ in range(_GN_RANDOM_FIELDS):
         raw = rng.normal(size=domain.size)
         fields.append(system.semigroup_apply((domain.mesh_width * 4.0) ** 2, raw))
 

@@ -3,7 +3,9 @@
 ``test_golden.py`` reruns each of ``RUNS`` and compares its report with
 the file of the same name: integers, flags and strings must match
 exactly, floats to ``RTOL`` relative.  Running this file rewrites every
-file and prints each value that moved against the old one:
+file and, for each file whose bytes change, prints how many values moved
+bitwise, the largest relative move, and every move, marking those above
+``RTOL``:
 
     PYTHONPATH=src python tests/golden_reports.py
 """
@@ -11,6 +13,7 @@ file and prints each value that moved against the old one:
 from __future__ import annotations
 
 import json
+import math
 import pathlib
 import sys
 import tempfile
@@ -105,22 +108,30 @@ def _number(x):
     return isinstance(x, (int, float)) and not isinstance(x, bool)
 
 
-def moved(old, new, path=""):
-    """``(path, old, new)`` for every value of ``new`` that differs from ``old``."""
+def moved(old, new, path="", rtol=RTOL):
+    """``(path, old, new)`` for every value of ``new`` that differs from ``old``
+    by more than ``rtol`` relative; ``rtol=0`` lists every bitwise move."""
     if isinstance(old, dict) and isinstance(new, dict):
         return [m for key in sorted(set(old) | set(new))
-                for m in moved(old.get(key), new.get(key), f"{path}.{key}")]
+                for m in moved(old.get(key), new.get(key), f"{path}.{key}", rtol)]
     if isinstance(old, list) and isinstance(new, list) and len(old) == len(new):
         return [m for k, (a, b) in enumerate(zip(old, new))
-                for m in moved(a, b, f"{path}[{k}]")]
+                for m in moved(a, b, f"{path}[{k}]", rtol)]
     if _number(old) and _number(new):
         if isinstance(old, int) and isinstance(new, int):
             same = old == new
         else:  # a float that happens to be integral prints without a point
-            same = abs(old - new) <= RTOL * max(abs(old), abs(new))
+            same = abs(old - new) <= rtol * max(abs(old), abs(new))
     else:
         same = type(old) is type(new) and old == new
     return [] if same else [(path, old, new)]
+
+
+def _relative(old, new):
+    """The relative size of a move; a change of type or of a string counts as infinite."""
+    if _number(old) and _number(new):
+        return abs(old - new) / max(abs(old), abs(new))
+    return math.inf
 
 
 def main():
@@ -130,9 +141,15 @@ def main():
         if code != 0:
             print(f"{name}: exit {code}")
         target = GOLDEN / f"{name}.json"
-        if target.exists():
-            for path, old, new in moved(json.loads(target.read_text()), json.loads(text)):
-                print(f"{name}{path}: {old!r} -> {new!r}")
+        if not target.exists():
+            print(f"{name}: new file")
+        elif target.read_text() != text:
+            moves = moved(json.loads(target.read_text()), json.loads(text), rtol=0.0)
+            worst = max((_relative(old, new) for _, old, new in moves), default=0.0)
+            print(f"{name}: {len(moves)} bitwise moves, largest relative {worst:.2g}")
+            for path, old, new in moves:
+                mark = f"  (above RTOL {RTOL:g})" if moved(old, new) else ""
+                print(f"  {path}: {old!r} -> {new!r}{mark}")
         target.write_text(text)
     return 0
 

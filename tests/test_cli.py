@@ -499,3 +499,53 @@ def test_canonical_json_floats():
     assert "0.33333333333333331" in text
     again = cli.canonical_json(json.loads(text))
     assert json.loads(again) == json.loads(text)
+
+
+@pytest.mark.parametrize("reason, line", [
+    ("Unable to allocate 512. GiB for an array", "error: Unable to allocate 512. GiB for an array"),
+    ("", "error: out of memory"),
+])
+def test_allocation_failure_exits_2(tmp_path, capsys, monkeypatch, reason, line):
+    """A grid too large to allocate is bad input: exit 2, one line, no report."""
+    def too_large(*args):
+        raise MemoryError(reason)
+
+    monkeypatch.setattr(heat.DiscreteDomain, "disk_like", too_large)
+    rep = tmp_path / "heat.json"
+    assert cli.main(["heat", "--resolution", "100000", "--report", str(rep)]) == 2
+    assert capsys.readouterr().err == line + "\n"
+    assert not rep.exists()
+
+
+@pytest.mark.parametrize("config, message", [
+    ({"quad": 8}, "quad must be at least 16"),
+    ({"resolution": 15}, "resolution must be at least 16"),
+    ({"seed": -1}, "seed must be at least 0"),
+    ({"t_steps": 0}, "t_steps must be at least 1"),
+    ({"t_max": 0}, "t_max must be positive"),
+    ({"report": 3}, "report must be a path"),
+    ({"n": 2.5}, "n must be an integer"),
+])
+def test_settings_bounds(config, message):
+    with pytest.raises(ConfigError, match=f"^{message}$"):
+        cli.parse_config(json.dumps(config))
+
+
+def test_flags_follow_the_settings_table():
+    """Each subcommand's flags, in order, with the argparse type of their setting
+    (``None``, the raw string, for paths and JSON)."""
+    parser = cli.build_parser()
+    subs = next(a for a in parser._actions if a.dest == "command").choices
+    flags = {name: [(a.option_strings[0], a.type) for a in sub._actions if a.dest != "help"]
+             for name, sub in subs.items()}
+    common = [("--config", None), ("--report", None), ("--csv", None), ("--seed", int)]
+    assert flags == {
+        "constants": common + [("--K", float), ("--H", float), ("--n", int), ("--r", float),
+                               ("--G", float)],
+        "regularity": common + [("--domain", None), ("--r", float)],
+        "verify-extension": common + [("--domain", None), ("--r", float), ("--samples", int),
+                                      ("--quad", int), ("--G", float)],
+        "heat": common + [("--domain", None), ("--resolution", int), ("--modes", int),
+                          ("--t-min", float), ("--t-max", float), ("--t-steps", int)],
+        "sweep": common,
+    }

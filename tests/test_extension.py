@@ -203,7 +203,7 @@ def test_operator_norm_requires_admissible(flat):
 
     dom = DomainSpec(flat, GeodesicDisk((0.0, 0.0), 1.0))
     chart = FermiChart(dom, 0.4)
-    chart._regularity = replace(chart.regularity, admissible=False)
+    chart.regularity = replace(chart.regularity, admissible=False)
     cut = E.smoothstep_cutoff(3.0)
     with pytest.raises(RegularityError):
         E.operator_norm_estimate(chart, cut, [E.constant_field(1.0)], quad=24)
@@ -263,7 +263,7 @@ def _tube_fd_oracle(ext, chart, quad):
     The step is ``1e-5 * diam``, at most half the smallest depth node, so
     no shifted depth goes below 0.
     """
-    rule = E._tube_rule(chart, quad, ext.s_breakpoints)
+    rule = E._tube_rule(chart, quad, ext.cutoff)
     S, T, W, metric = rule["s"], rule["theta"], rule["weights"], rule["metric"]
     h = min(1e-5 * chart.domain.diameter(), 0.5 * float(S.min()))
 

@@ -1,6 +1,7 @@
 """Each golden run's report against its committed file (see ``golden_reports.py``)."""
 
 import json
+import math
 
 import pytest
 
@@ -14,3 +15,11 @@ def test_report_matches_golden(name):
     assert code == 0
     expected = json.loads((G.GOLDEN / f"{name}.json").read_text())
     assert G.moved(expected, json.loads(text)) == []
+
+
+def test_moved_lists_bitwise_moves_only_at_zero_tolerance():
+    old = {"a": [1.0, 2], "b": "x"}
+    new = {"a": [math.nextafter(1.0, 2.0), 2], "b": "x"}
+    assert G.moved(old, new, rtol=0.0) == [(".a[0]", 1.0, new["a"][0])]
+    assert G.moved(old, new) == []
+    assert G.moved(old, {"a": [1.0 + 1e-12, 2], "b": "x"}) == [(".a[0]", 1.0, 1.0 + 1e-12)]
