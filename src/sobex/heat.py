@@ -70,6 +70,7 @@ _LOG_TRUNC = -math.log(1e-12)  # spectral truncation threshold
 _MODE_CAP = 2000
 _PACKAGE_DIR = os.path.dirname(__file__) + os.sep
 _BALL_BLOCK = 8  # distance rows held at once by DiscreteDomain.ball_sums
+_ROW_SETS = 4  # node sets whose eigenvector rows a dense spectrum keeps
 _DOUBLING_SAMPLES, _COMPARABILITY_SAMPLES = 64, 48  # sampled centres of the two doubling checks
 _GN_RANDOM_FIELDS, _GN_SEED = 12, 7  # gn_check's smoothed random fields and their seed
 
@@ -289,9 +290,16 @@ class DiscreteDomain:
         neighbours (``dr``) and diagonal neighbours (``hypot(dr, f(r_i + dr/2)
         dtheta)``; ``r_i + dr/2`` is not bitwise a cell edge radius).  For
         ``f(r) = r`` every edge is at least its chord, so graph distances
-        never undershoot the plane's; in general they carry an O(mesh)
-        error.  The grid is invariant under rotations by ``dtheta``, so
-        distances from node sources do not depend on where the angles start.
+        never undershoot the plane's.  They overshoot by a fixed fraction
+        that refining the mesh does not shrink: eight edge directions per
+        node, whose angles are set by the cell aspect ``f dtheta / dr``
+        (near 0 at the pole, about 6 at the rim of a disk with
+        ``n_r = n_theta``), not by the mesh width.  On the plane written as
+        a warp, over pairs more than 0.2 apart in the unit disk, the largest
+        ratio to the Euclidean distance is 1.25 at ``n_r = n_theta = 32``
+        and 1.26 at 128.  The grid is invariant under rotations by
+        ``dtheta``, so distances from node sources do not depend on where
+        the angles start.
         """
         n_t, dr, dt = self.n_theta, self.dr, self.dtheta
         r = self.nodes[::n_t, 0]
@@ -520,20 +528,89 @@ class TensorFactors:
                         self._angular(wave))
 
 
+def _lapack_check(name, info):
+    """A failed LAPACK call raises, as ``scipy.linalg.eigh`` does."""
+    if info != 0:
+        raise np.linalg.LinAlgError(f"dense eigensolve failed: LAPACK {name} info {info}")
+
+
+@dataclass(frozen=True, eq=False)
+class _Reflectors:
+    """The orthogonal change of basis ``D Q`` of a dense solve.
+
+    ``D = diag(scale)`` with ``scale = m^(-1/2)``, and ``Q`` is the factor
+    of LAPACK's lower tridiagonal reduction ``Q^T (D A D) Q = T``.  ``Q``
+    is ``diag(1, Q')``, where ``Q'`` is the product of the ``N - 1``
+    Householder reflectors held in QR form by ``v`` and ``tau``, so the
+    eigenvectors of the system are ``D Q z`` for the eigenvectors ``z``
+    of ``T``.  Column 0 of ``z`` is the constant mode, and every
+    back-transform pins it to ``constant = 1/sqrt(V)``, bit for bit.
+    """
+
+    v: np.ndarray
+    tau: np.ndarray
+    scale: np.ndarray
+    constant: float
+
+    def reflect(self, c, trans):
+        """Overwrite ``c`` (C-ordered, ``N x k``) with ``Q c`` (``trans="N"``)
+        or ``Q^T c`` (``"T"``), and return it.
+
+        The rows ``c[1:]`` transposed are a Fortran-ordered ``k x (N-1)``
+        block, which ``dormqr`` reflects in place from the right:
+        ``(Q' c)^T = c^T Q'^T``.
+        """
+        from scipy.linalg.lapack import dormqr
+
+        tail = c[1:].T
+        if tail.size == 0:  # an empty node set: dormqr rejects a block with no rows
+            return c
+        right = "T" if trans == "N" else "N"
+        _, work, info = dormqr("R", right, self.v, self.tau, tail, -1, overwrite_c=1)
+        _lapack_check("dormqr", info)
+        out, _, info = dormqr("R", right, self.v, self.tau, tail, int(work[0]), overwrite_c=1)
+        _lapack_check("dormqr", info)
+        c[1:] = out.T  # a copy onto itself when dormqr worked in place
+        return c
+
+    def rows(self, nodes, z):
+        """The rows ``nodes`` of ``D Q z``: ``d[u] (Q^T E_u)^T z`` for the unit
+        columns ``E_u`` of the nodes."""
+        unit = np.zeros((self.scale.shape[0], nodes.shape[0]))
+        unit[nodes, np.arange(nodes.shape[0])] = 1.0
+        out = (self.scale[nodes, None] * self.reflect(unit, "T").T) @ z
+        out[:, 0] = self.constant
+        return out
+
+    def apply(self, z):
+        """``D Q z`` on all nodes, in a new array."""
+        out = self.reflect(np.array(z, order="C"), "N")
+        out *= self.scale[:, None]
+        out[:, 0] = self.constant
+        return out
+
+
 @dataclass(frozen=True, eq=False)
 class Spectrum:
     """The lowest mass-orthonormal eigenpairs of a Neumann system, in factored form.
 
     Node ``i * n_theta + a`` has radial index ``i`` and angular index
     ``a``.  Mode ``p`` has eigenvalue ``lam[p]`` (ascending) and
-    eigenvector ``radial[:, column[p]] (x) angular[:, basis[p]]``.  The
-    modes of one angular basis function occupy adjacent radial columns
-    in ascending order, so those among the first ``m`` modes are a run
-    of columns.  A separable spectrum keeps one radial block per
-    wavenumber, shared by its cos and sin; a dense or sparse one is the
-    case ``n_theta = 1`` with ``angular = [[1.0]]`` and the eigenvectors
-    as ``radial``.  Signs are as the solver left them: every kernel sum
-    is blind to them.
+    eigenvector ``R[:, column[p]] (x) angular[:, basis[p]]``, with the
+    radial factor ``R``.  The modes of one angular basis function occupy
+    adjacent radial columns in ascending order, so those among the first
+    ``m`` modes are a run of columns.  A separable spectrum keeps one
+    radial block per wavenumber, shared by its cos and sin; a dense or
+    sparse one is the case ``n_theta = 1`` with ``angular = [[1.0]]``.
+    ``R`` is ``radial``, except on a dense spectrum, which keeps ``R`` as
+    ``D Q Z``: ``radial`` holds the eigenvectors ``Z`` of the tridiagonal
+    reduction and ``reflectors`` the change of basis ``D Q``
+    (:class:`_Reflectors`).  There :meth:`values` back-transforms the rows
+    of a node set once, for every kept column, and keeps them keyed by
+    the set's value; the set of all nodes, :meth:`coefficients` and
+    :meth:`synthesize` form ``D Q Z`` on all nodes once, and every read
+    after that gathers from it.  Signs are as the solver left
+    them: every kernel sum is blind to them.
     """
 
     lam: np.ndarray
@@ -541,12 +618,34 @@ class Spectrum:
     column: np.ndarray
     radial: np.ndarray
     angular: np.ndarray
+    reflectors: _Reflectors | None = None
 
     @classmethod
-    def unfactored(cls, lam, phi):
-        """The spectrum of a non-separable solve: eigenvectors ``phi`` as they are."""
+    def unfactored(cls, lam, phi, reflectors=None):
+        """The spectrum of a non-separable solve: eigenvectors ``phi``, or
+        ``reflectors`` applied to ``phi``."""
         return cls(lam, np.zeros(lam.shape[0], dtype=int), np.arange(lam.shape[0]), phi,
-                   np.ones((1, 1)))
+                   np.ones((1, 1)), reflectors)
+
+    @cached_property
+    def _factor(self):
+        """The radial factor ``R`` on all nodes."""
+        return self.radial if self.reflectors is None else self.reflectors.apply(self.radial)
+
+    @cached_property
+    def _row_sets(self):
+        """Rows of ``R`` by node set: ``{sorted node bytes: rows}``, oldest first."""
+        return {}
+
+    def _rows(self, nodes):
+        """Rows of ``R`` at ``nodes`` (sorted, distinct), formed once per node set."""
+        key = nodes.tobytes()
+        rows = self._row_sets.get(key)
+        if rows is None:
+            if len(self._row_sets) == _ROW_SETS:
+                del self._row_sets[next(iter(self._row_sets))]
+            rows = self._row_sets[key] = self.reflectors.rows(nodes, self.radial)
+        return rows
 
     def _groups(self, m):
         """``(b, radial columns, modes)`` of each angular basis function ``b``
@@ -563,30 +662,38 @@ class Spectrum:
 
     def values(self, nodes, m):
         """The first ``m`` eigenvectors at ``nodes``, shape ``nodes.shape + (m,)``."""
-        ring, angle = np.divmod(np.asarray(nodes, dtype=int), self.angular.shape[0])
+        nodes = np.asarray(nodes, dtype=int)
+        # a dense spectrum back-transforms per node set until D Q Z is formed
+        if self.reflectors is not None and "_factor" not in self.__dict__:
+            sets, inverse = np.unique(nodes.ravel(), return_inverse=True)
+            if sets.shape[0] < self.radial.shape[0]:
+                return self._rows(sets)[:, :m][inverse.reshape(nodes.shape)]
+        ring, angle = np.divmod(nodes, self.angular.shape[0])
         # numpy gathers with one index array at a time twice as fast as with a
         # broadcast pair; the radial gather takes the smaller copy first
-        cols = self.column[:m]
-        if ring.size * self.radial.shape[1] <= self.radial.shape[0] * m:
-            radial = self.radial[ring][..., cols]
+        cols, factor = self.column[:m], self._factor
+        if ring.size * factor.shape[1] <= factor.shape[0] * m:
+            radial = factor[ring][..., cols]
         else:
-            radial = self.radial[:, cols][ring]
+            radial = factor[:, cols][ring]
         return np.multiply(radial, self.angular[angle][..., self.basis[:m]], out=radial)
 
     def coefficients(self, values, m):
         """``c_p = sum_x phi_p(x) values(x)`` for the first ``m`` modes."""
-        projected = np.asarray(values, dtype=float).reshape(self.radial.shape[0], -1) \
+        factor = self._factor
+        projected = np.asarray(values, dtype=float).reshape(factor.shape[0], -1) \
             @ self.angular
         out = np.empty(m)
         for b, cols, modes in self._groups(m):
-            out[modes] = self.radial[:, cols].T @ projected[:, b]
+            out[modes] = factor[:, cols].T @ projected[:, b]
         return out
 
     def synthesize(self, coeff):
         """``sum_p coeff[p] phi_p`` on all nodes, over the first ``len(coeff)`` modes."""
-        radial = np.zeros((self.radial.shape[0], self.angular.shape[1]))
+        factor = self._factor
+        radial = np.zeros((factor.shape[0], self.angular.shape[1]))
         for b, cols, modes in self._groups(coeff.shape[0]):
-            radial[:, b] = self.radial[:, cols] @ coeff[modes]
+            radial[:, b] = factor[:, cols] @ coeff[modes]
         return (radial @ self.angular.T).ravel()
 
 
@@ -603,11 +710,15 @@ class NeumannSystem:
     runs: ``"separable"`` when ``factors`` (a :class:`TensorFactors`, as
     the grids of intervals and pole-centred disks carry) describe
     the operator, so a Fourier transform in the angle leaves tridiagonal
-    radial problems; otherwise ``"dense"`` (LAPACK ``eigh``) up to
-    ``DENSE_LIMIT`` unknowns and ``"sparse"`` (shift-invert Lanczos)
-    beyond.  ``spectrum`` holds the eigenpairs solved so far as a
+    radial problems; otherwise ``"dense"`` up to ``DENSE_LIMIT`` unknowns
+    and ``"sparse"`` (shift-invert Lanczos) beyond.  The dense solver is
+    LAPACK's tridiagonal reduction and divide and conquer on the
+    tridiagonal; it keeps the Householder reflectors and the tridiagonal
+    eigenvectors rather than back-transforming every eigenvector.
+    ``spectrum`` holds the eigenpairs solved so far as a
     :class:`Spectrum`.  Every kernel value reads :meth:`Spectrum.values`
-    at the nodes it needs; the all-node projections of
+    at the nodes it needs, so a dense system back-transforms only the
+    rows of those nodes; the all-node projections of
     :meth:`semigroup_apply` contract the factors, so a separable system
     never forms its ``N x m`` eigenvector matrix for them, and
     :meth:`eigenpairs` builds only the columns it returns.  ``mode_cap``
@@ -685,14 +796,7 @@ class NeumannSystem:
         if self.solver == "separable":
             spectrum = self.factors.spectrum(keep)
         elif self.solver == "dense":
-            from scipy.linalg import eigh
-
-            d = 1.0 / np.sqrt(self.mass)
-            B = (self.stiffness.multiply(d[:, None]).multiply(d[None, :])).toarray()
-            B = 0.5 * (B + B.T)
-            # B is exactly symmetric, so B.T is B in Fortran order: LAPACK works in place
-            lam, Y = eigh(B.T, driver="evd", overwrite_a=True, check_finite=False)
-            spectrum = Spectrum.unfactored(lam[:keep], d[:, None] * Y[:, :keep])
+            spectrum = self._dense_spectrum(keep)
         else:
             from scipy.sparse.linalg import eigsh
 
@@ -703,16 +807,52 @@ class NeumannSystem:
             lam, Y = eigsh(B, k=keep, sigma=-1e-8, which="LM", v0=v0)
             order = np.argsort(lam)
             spectrum = Spectrum.unfactored(lam[order], d[:, None] * Y[:, order])
-        # A 1 = 0, but a solver's lam_0 carries roundoff (2.3e-12 from eigh on a
-        # 24 x 48 blob) that exp(-lam_0 t) keeps at large t.  Pin lam_0 = 0 and
-        # phi_0 = 1/sqrt(V).  Mode 0 heads the radial columns of its constant
-        # angular function, which start at column 0; the others lose their
-        # ring-mass mean, which makes them mass-orthogonal to phi_0.
-        ring_mass = self.mass[::spectrum.angular.shape[0]]
+        # A 1 = 0, but a solver's lam_0 carries roundoff (2.3e-12 from the dense
+        # solve on a 24 x 48 blob) that exp(-lam_0 t) keeps at large t.  Pin
+        # lam_0 = 0 and phi_0 = 1/sqrt(V).  Mode 0 heads the radial columns of
+        # its constant angular function, which start at column 0; the others
+        # lose their mass-weighted mean, which makes them mass-orthogonal to
+        # phi_0.  Radial columns of node values carry the constant 1 and the
+        # ring masses as weights; a dense spectrum's columns are coordinates of
+        # D^-1 phi in the orthonormal basis Q, where the constant is Q^T sqrt(m).
+        if spectrum.reflectors is None:
+            one, weight = np.ones(1), self.mass[::spectrum.angular.shape[0]]
+            volume = float(np.sum(weight))
+        else:
+            one = weight = spectrum.reflectors.reflect(np.sqrt(self.mass)[:, None], "T")[:, 0]
+            volume = self.volume
         group = spectrum.radial[:, :np.count_nonzero(spectrum.basis == spectrum.basis[0])]
-        group -= (ring_mass @ group) / np.sum(ring_mass)
-        group[:, 0] = 1.0 / math.sqrt(float(np.sum(ring_mass)))
+        group -= np.outer(one, (weight @ group) / volume)
+        group[:, 0] = one / math.sqrt(volume)
         return replace(spectrum, lam=np.concatenate([[0.0], spectrum.lam[1:]]))
+
+    def _dense_spectrum(self, keep):
+        """The ``keep`` lowest eigenpairs of ``B = D A D`` (``D = m^(-1/2)``),
+        factored as ``D Q Z``.
+
+        LAPACK reduces ``B`` to a tridiagonal ``T = Q^T B Q`` (``dsytrd``) and
+        solves ``T`` by divide and conquer (``dstevd``, whose ``dstedc`` is
+        the solver ``eigh(driver="evd")`` runs), but leaves out the
+        back-transform ``Q Z`` of all ``N`` eigenvectors: the spectrum applies
+        ``Q`` only to the rows a sum reads.
+        """
+        from scipy.linalg.lapack import dstevd, dsytrd, dsytrd_lwork
+
+        d = 1.0 / np.sqrt(self.mass)
+        S = self.stiffness.multiply(d[:, None]).multiply(d[None, :])
+        B = (0.5 * (S + S.T)).toarray()
+        # B is exactly symmetric, so B.T is B in Fortran order: LAPACK reduces it in place
+        lwork, info = dsytrd_lwork(self.size, lower=1)
+        _lapack_check("dsytrd", info)
+        B, diag, off, tau, info = dsytrd(B.T, lower=1, lwork=int(lwork), overwrite_a=1)
+        _lapack_check("dsytrd", info)
+        # reflector k of Q' is column k below the diagonal, as dormqr reads it
+        v = np.asfortranarray(B[1:, :-1])
+        del B
+        lam, Z, info = dstevd(diag, off, compute_v=1)
+        _lapack_check("dstevd", info)
+        return Spectrum.unfactored(lam[:keep], Z[:, :keep],
+                                   _Reflectors(v, tau, d, 1.0 / math.sqrt(self.volume)))
 
     def modes_for(self, t_min):
         """Mode count for relative spectral truncation below 1e-12 at ``t_min``.

@@ -517,6 +517,22 @@ def test_allocation_failure_exits_2(tmp_path, capsys, monkeypatch, reason, line)
     assert not rep.exists()
 
 
+def test_heat_failed_dense_solve_exits_2(tmp_path, capsys, monkeypatch):
+    """A tridiagonal solve that reports failure on a dense blob is an error,
+    not a report certified from garbage eigenpairs: exit 2, one line, no
+    report."""
+    from scipy.linalg import lapack
+
+    solve = lapack.dstevd
+    monkeypatch.setattr(lapack, "dstevd", lambda *a, **k: solve(*a, **k)[:2] + (1,))
+    rep = tmp_path / "heat.json"
+    assert cli.main(["heat", "--domain", '{"type": "fourier", "coeffs_cos": [1.0, 0.0, 0.15]}',
+                     "--resolution", "16", "--report", str(rep)]) == 2
+    err = capsys.readouterr().err
+    assert err.startswith("error: ") and err.count("\n") == 1 and "dstevd" in err
+    assert not rep.exists()
+
+
 @pytest.mark.parametrize("config, message", [
     ({"quad": 8}, "quad must be at least 16"),
     ({"resolution": 15}, "resolution must be at least 16"),

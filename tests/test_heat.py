@@ -586,6 +586,149 @@ def _assert_quantities_close(got, want, rtol):
                                    err_msg=name)
 
 
+def _eigh_eigenpairs(system):
+    """The dense oracle: ``scipy.linalg.eigh(driver="evd")`` on ``B = D A D``,
+    back-transformed in full, with the constant mode pinned as the solvers
+    pin it and each eigenvector's largest-magnitude entry positive."""
+    from scipy.linalg import eigh
+
+    d = 1.0 / np.sqrt(system.mass)
+    B = system.stiffness.multiply(d[:, None]).multiply(d[None, :]).toarray()
+    lam, Y = eigh(0.5 * (B + B.T), driver="evd")
+    phi = d[:, None] * Y
+    phi -= (system.mass @ phi) / system.volume
+    phi[:, 0] = 1.0 / math.sqrt(system.volume)
+    lam[0] = 0.0
+    peak = np.argmax(np.abs(phi), axis=0)
+    phi *= np.where(phi[peak, np.arange(phi.shape[1])] < 0.0, -1.0, 1.0)
+    return lam, phi
+
+
+def _assert_dense_matches_eigh(dom):
+    """A dense system, its eigenvectors kept as reflectors and tridiagonal
+    eigenvectors, against the full ``eigh`` oracle.  The sampled kernel
+    values come first, so they read rows back-transformed for their node
+    set; the all-node sums and the eigenvectors then read ``D Q Z``."""
+    system = H.assemble(dom)
+    assert system.solver == "dense"
+    N = system.size
+    lam_o, phi_o = _eigh_eigenpairs(system)
+    idx = dom.sample_indices(40)
+    vec = np.cos(np.arange(N) * 0.7) + 1.5
+    times = (1e-3, 1e-2, 0.1, 1.0)
+    for t in times:
+        m = system.modes_for(t)
+        want = _materialized_quantities(lam_o[:m], phi_o[:, :m], system.mass, t, idx, vec)
+        got = {"diag_idx": system.heat_diag(t, idx),
+               "block": system.heat_kernel(t, idx[:, None], idx[None, :]),
+               "pairs": system.heat_kernel(t, idx, idx[::-1])}
+        _assert_quantities_close(got, {name: want[name] for name in got}, 1e-12)
+    assert "_factor" not in vars(system.spectrum)  # no all-node back-transform yet
+    lam, _ = system.eigenpairs(N, vectors=False)
+    assert np.max(np.abs(lam - lam_o)) <= 1e-13 * lam_o[-1]
+    for t in times:
+        m = system.modes_for(t)
+        _assert_quantities_close(
+            _kernel_quantities(system, t, idx, vec),
+            _materialized_quantities(lam_o[:m], phi_o[:, :m], system.mass, t, idx, vec), 1e-12)
+    lam, phi = system.eigenpairs(N)
+    sign = np.where(np.sum(phi * phi_o, axis=0) < 0.0, -1.0, 1.0)
+    np.testing.assert_allclose(phi, sign * phi_o, rtol=0.0, atol=1e-12 * np.max(np.abs(phi_o)))
+    # canonical signs: each mode's largest-magnitude entry is positive.  A mode
+    # signed apart from the oracle has two opposite entries of one magnitude
+    # (a mirror-symmetric blob), which roundoff orders either way.
+    top = np.max(np.abs(phi), axis=0)
+    assert np.all(phi[np.argmax(np.abs(phi), axis=0), np.arange(N)] == top)
+    flipped = np.flatnonzero(sign < 0.0)
+    peak_o = np.argmax(np.abs(phi_o), axis=0)[flipped]
+    assert np.all(top[flipped] - np.abs(phi[peak_o, flipped]) <= 1e-12 * top[flipped])
+    residual = system.stiffness @ phi - (system.mass[:, None] * phi) * lam
+    assert np.max(np.abs(residual)) < 1e-9
+    gram = phi.T @ (system.mass[:, None] * phi)
+    assert np.max(np.abs(gram - np.eye(N))) < 1e-12
+    assert lam[0] == 0.0 and np.all(phi[:, 0] == 1.0 / math.sqrt(system.volume))
+    assert np.max(np.abs(gram[0, 1:])) < 1e-14
+
+
+def test_dense_solve_matches_eigh(fourier_blob):
+    """The factored dense solve on the 24 x 48 blob against ``eigh``."""
+    _assert_dense_matches_eigh(H.DiscreteDomain.disk_like(fourier_blob, 24, 48))
+
+
+@settings(max_examples=8)
+@given(n_r=st.integers(16, 24), n_theta=st.integers(16, 33),
+       cos2=st.floats(-0.2, 0.2), cos3=st.floats(-0.1, 0.1))
+def test_dense_solve_matches_eigh_property(n_r, n_theta, cos2, cos3):
+    """Small blobs with random cos2 and cos3 terms, odd and even angular counts."""
+    spec = DomainSpec(ModelSurface.constant_curvature(0.0),
+                      RadialProfile(cos_coeffs=(1.0, 0.0, cos2, cos3)))
+    _assert_dense_matches_eigh(H.DiscreteDomain.disk_like(spec, n_r, n_theta))
+
+
+def test_dense_rows_are_cached_by_value(fourier_blob):
+    """A dense spectrum back-transforms the rows of a node set once and finds
+    them again by the set's value: arrays built apart, the nodes reversed and
+    ``sobex heat``'s symmetric pair read one entry; the empty set reads none.
+    Rows read before and after the all-node factor is formed agree."""
+    dom = H.DiscreteDomain.disk_like(fourier_blob, 24, 48)
+    system = H.assemble(dom)
+    idx = dom.sample_indices(96)
+    t = 0.01
+    e = np.exp(-system.eigenpairs(system.size, vectors=False)[0][:system.modes_for(t)] * t)
+    m = e.shape[0]
+    spectrum = system.spectrum
+    rows = spectrum.values(idx, m)
+    assert np.array_equal(spectrum.values(np.array([int(i) for i in idx]), m), rows)
+    assert np.array_equal(spectrum.values(idx[::-1], m), rows[::-1])
+    block = system.heat_kernel(t, idx[:, None], idx[None, :])
+    assert len(spectrum._row_sets) == 1
+    want = (rows * e) @ rows.T
+    np.testing.assert_allclose(block, want, rtol=0.0, atol=1e-13 * np.max(want))
+    assert system.heat_diag(t, np.array([], dtype=int)).shape == (0,)
+    # another set gets its own rows
+    other = (idx + 1) % system.size  # as many nodes as idx
+    shifted = spectrum.values(other, m)
+    assert len(spectrum._row_sets) == 3
+    system.heat_diag(t)  # forms D Q Z on all nodes
+    assert "_factor" in vars(spectrum)
+    for nodes, before in ((idx, rows), (other, shifted)):
+        np.testing.assert_allclose(spectrum.values(nodes, m), before,
+                                   rtol=0.0, atol=1e-13 * np.max(np.abs(before)))
+
+
+def test_dense_resolve_reads_new_rows(fourier_blob):
+    """A re-solve at a larger ``keep`` serves rows of the new spectrum, with
+    every new column, never the rows the old one formed (34 x 68 blob:
+    2313 nodes, 2000 modes kept, then 2100)."""
+    dom = H.DiscreteDomain.disk_like(fourier_blob, 34, 68)
+    system = H.assemble(dom)
+    idx = dom.sample_indices(96)
+    system.heat_diag(1.0, idx)
+    old = system.spectrum
+    rows = old.values(idx, 2000)
+    system.eigenpairs(2100, vectors=False)
+    assert system.spectrum is not old and system._lam.shape[0] == 2100
+    new = system.spectrum.values(idx, 2100)
+    assert new.shape == (idx.shape[0], 2100)
+    scale = np.max(np.abs(rows))
+    np.testing.assert_allclose(new[:, :2000], rows, rtol=0.0, atol=1e-13 * scale)
+    full = system.spectrum.values(np.arange(system.size), 2100)
+    np.testing.assert_allclose(full[idx], new, rtol=0.0, atol=1e-13 * scale)
+
+
+def test_dense_solve_failure_raises(fourier_blob, monkeypatch):
+    """A tridiagonal solve that reports failure raises ``LinAlgError``, as
+    ``eigh`` does, and leaves no spectrum: its eigenpairs would be garbage."""
+    from scipy.linalg import lapack
+
+    solve = lapack.dstevd
+    monkeypatch.setattr(lapack, "dstevd", lambda *a, **k: solve(*a, **k)[:2] + (1,))
+    system = H.assemble(H.DiscreteDomain.disk_like(fourier_blob, 16, 32))
+    with pytest.raises(np.linalg.LinAlgError, match="dstevd"):
+        system.eigenpairs(4)
+    assert system.spectrum is None
+
+
 def _assert_matches_dense(dom, split=0):
     """The separable spectrum of ``dom`` against dense ``eigh`` on the same matrix
     and against sums over the materialized eigenvector matrix.
@@ -604,6 +747,9 @@ def _assert_matches_dense(dom, split=0):
     lam, phi = sys_.eigenpairs(N)
     lam_o, _ = oracle.eigenpairs(N)
     np.testing.assert_allclose(lam, lam_o, rtol=1e-10, atol=1e-10)
+    # the dense system runs the factored solve: eigh itself is the oracle too
+    lam_e, _ = _eigh_eigenpairs(sys_)
+    np.testing.assert_allclose(lam, lam_e, rtol=1e-10, atol=1e-10)
     lam_m, phi_m = _materialized_eigenpairs(sys_.factors, N)
     assert np.array_equal(lam, lam_m) and np.array_equal(phi, phi_m)
     assert np.array_equal(sys_.eigenpairs(7)[1], phi_m[:, :7])

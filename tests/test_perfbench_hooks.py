@@ -60,6 +60,49 @@ def test_traced_heat_runs_read_every_heat_gate(tmp_path):
         assert layers[gate] > 0, gate
 
 
+_TRACED_DENSE_BOUND = r"""
+import json, sys, warnings
+import numpy as np
+sys.path.insert(0, sys.argv[1])
+from tracer import Tracer
+
+tracer = Tracer()
+tracer.install()
+from sobex import heat
+from sobex.fermi import DomainSpec, RadialProfile
+from sobex.surfaces import ModelSurface
+
+spec = DomainSpec(ModelSurface.constant_curvature(0.0), RadialProfile(cos_coeffs=(1.0, 0.0, 0.15)))
+dom = heat.DiscreteDomain.disk_like(spec, 16, 32)
+system = heat.assemble(dom)
+system.mode_cap = 40  # capped, as the refined blob of heat-refine is by the 2000-mode cap
+with warnings.catch_warnings(record=True) as caught:
+    warnings.simplefilter("always")
+    heat.diagonal_bound_check(dom, system, np.geomspace(1e-3, dom.diameter() ** 2, 15))
+assert system.solver == "dense"
+assert "_factor" not in vars(system.spectrum)  # only the sampled rows were back-transformed
+tracer.counts["heat.truncations"] = sum(
+    str(w.message).startswith("spectral truncation") for w in caught)
+print(json.dumps(tracer.metrics(0.0)))
+"""
+
+
+def test_traced_dense_bound_check_reads_every_heat_gate():
+    """``diagonal_bound_check`` alone on a capped dense blob, heat-refine's
+    path, traced in a fresh interpreter: it forms no all-node eigenvector
+    rows and reads nonzero on the heat gates.  The tracer counts solves by
+    the identity of ``_lam``, so a spectrum that reused its eigenvalue
+    array would read zero solves."""
+    src = str(TRACER.parents[1] / "src")
+    env = {**os.environ, "PYTHONPATH": os.pathsep.join([src, os.environ.get("PYTHONPATH", "")])}
+    out = subprocess.run([sys.executable, "-c", _TRACED_DENSE_BOUND, str(TRACER.parent)],
+                         env=env, capture_output=True, text=True, check=True)
+    layers = json.loads(out.stdout.strip().splitlines()[-1])
+    for gate in ("heat.eigensolve.solves", "heat.kernel.s", "heat.modes_used",
+                 "heat.truncations"):
+        assert layers[gate] > 0, gate
+
+
 _TRACED_VERIFY = r"""
 import json, sys
 sys.path.insert(0, sys.argv[1])
