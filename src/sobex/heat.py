@@ -70,7 +70,6 @@ _LOG_TRUNC = -math.log(1e-12)  # spectral truncation threshold
 _MODE_CAP = 2000
 _PACKAGE_DIR = os.path.dirname(__file__) + os.sep
 _BALL_BLOCK = 8  # distance rows held at once by DiscreteDomain.ball_sums
-_ROW_SETS = 4  # node sets whose eigenvector rows a dense spectrum keeps
 _DOUBLING_SAMPLES, _COMPARABILITY_SAMPLES = 64, 48  # sampled centres of the two doubling checks
 _GN_RANDOM_FIELDS, _GN_SEED = 12, 7  # gn_check's smoothed random fields and their seed
 
@@ -606,11 +605,11 @@ class Spectrum:
     ``D Q Z``: ``radial`` holds the eigenvectors ``Z`` of the tridiagonal
     reduction and ``reflectors`` the change of basis ``D Q``
     (:class:`_Reflectors`).  There :meth:`values` back-transforms the rows
-    of a node set once, for every kept column, and keeps them keyed by
-    the set's value; the set of all nodes, :meth:`coefficients` and
-    :meth:`synthesize` form ``D Q Z`` on all nodes once, and every read
-    after that gathers from it.  Signs are as the solver left
-    them: every kernel sum is blind to them.
+    of a node set for every kept column and keeps those of the last set
+    read, keyed by the set's value; the set of all nodes,
+    :meth:`coefficients` and :meth:`synthesize` form ``D Q Z`` on all
+    nodes once, and every read after that gathers from it.  Signs are as
+    the solver left them: every kernel sum is blind to them.
     """
 
     lam: np.ndarray
@@ -632,20 +631,14 @@ class Spectrum:
         """The radial factor ``R`` on all nodes."""
         return self.radial if self.reflectors is None else self.reflectors.apply(self.radial)
 
-    @cached_property
-    def _row_sets(self):
-        """Rows of ``R`` by node set: ``{sorted node bytes: rows}``, oldest first."""
-        return {}
-
     def _rows(self, nodes):
-        """Rows of ``R`` at ``nodes`` (sorted, distinct), formed once per node set."""
+        """Rows of ``R`` at ``nodes`` (sorted, distinct), kept for the last node
+        set read: ``_last_rows`` is ``(node bytes, rows)``."""
         key = nodes.tobytes()
-        rows = self._row_sets.get(key)
-        if rows is None:
-            if len(self._row_sets) == _ROW_SETS:
-                del self._row_sets[next(iter(self._row_sets))]
-            rows = self._row_sets[key] = self.reflectors.rows(nodes, self.radial)
-        return rows
+        last = vars(self).get("_last_rows")
+        if last is None or last[0] != key:
+            last = vars(self)["_last_rows"] = (key, self.reflectors.rows(nodes, self.radial))
+        return last[1]
 
     def _groups(self, m):
         """``(b, radial columns, modes)`` of each angular basis function ``b``

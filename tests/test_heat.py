@@ -666,9 +666,9 @@ def test_dense_solve_matches_eigh_property(n_r, n_theta, cos2, cos3):
 
 
 def test_dense_rows_are_cached_by_value(fourier_blob):
-    """A dense spectrum back-transforms the rows of a node set once and finds
+    """A dense spectrum keeps the rows of the last node set read and finds
     them again by the set's value: arrays built apart, the nodes reversed and
-    ``sobex heat``'s symmetric pair read one entry; the empty set reads none.
+    ``sobex heat``'s symmetric pair reuse one entry; another set replaces it.
     Rows read before and after the all-node factor is formed agree."""
     dom = H.DiscreteDomain.disk_like(fourier_blob, 24, 48)
     system = H.assemble(dom)
@@ -678,17 +678,21 @@ def test_dense_rows_are_cached_by_value(fourier_blob):
     m = e.shape[0]
     spectrum = system.spectrum
     rows = spectrum.values(idx, m)
+    key, kept = spectrum._last_rows
+    assert key == np.unique(idx).tobytes()
     assert np.array_equal(spectrum.values(np.array([int(i) for i in idx]), m), rows)
     assert np.array_equal(spectrum.values(idx[::-1], m), rows[::-1])
     block = system.heat_kernel(t, idx[:, None], idx[None, :])
-    assert len(spectrum._row_sets) == 1
+    assert spectrum._last_rows[1] is kept
     want = (rows * e) @ rows.T
     np.testing.assert_allclose(block, want, rtol=0.0, atol=1e-13 * np.max(want))
-    assert system.heat_diag(t, np.array([], dtype=int)).shape == (0,)
-    # another set gets its own rows
+    # another set replaces the entry, and the first set is formed again
     other = (idx + 1) % system.size  # as many nodes as idx
     shifted = spectrum.values(other, m)
-    assert len(spectrum._row_sets) == 3
+    assert spectrum._last_rows[0] == np.unique(other).tobytes()
+    assert np.array_equal(spectrum.values(idx, m), rows)
+    assert spectrum._last_rows[1] is not kept
+    assert system.heat_diag(t, np.array([], dtype=int)).shape == (0,)
     system.heat_diag(t)  # forms D Q Z on all nodes
     assert "_factor" in vars(spectrum)
     for nodes, before in ((idx, rows), (other, shifted)):
