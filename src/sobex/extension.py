@@ -59,6 +59,9 @@ __all__ = [
     "c1_matching_error",
 ]
 
+_TRACE_QUAD = 48  # Gauss nodes per depth segment of verify_1d_inequality
+_C1_PROBES, _C1_STEP = 256, 1e-4  # c1_matching_error's normals and stencil step
+
 
 # ---------------------------------------------------------------------------
 # fields
@@ -521,7 +524,7 @@ def h1_norm(field, region, chart: FermiChart, quad: int = 64):
 # ---------------------------------------------------------------------------
 
 
-def verify_1d_inequality(trace: Trace1D, r: float, G: float, quad: int = 48):
+def verify_1d_inequality(trace: Trace1D, r: float, G: float):
     """Quadrature check of the per-geodesic extension inequality.
 
     Computes ``lhs``, the squared H1 norm of the extended trace on the
@@ -531,13 +534,13 @@ def verify_1d_inequality(trace: Trace1D, r: float, G: float, quad: int = 48):
     vanish.
     """
     cutoff = smoothstep_cutoff(G)
-    s, w_s = composite_gauss(quad, _depth_breaks(r, cutoff))
+    s, w_s = composite_gauss(_TRACE_QUAD, _depth_breaks(r, cutoff))
     e_val, e_der = _reflection_jet((trace.value(-s), trace.value(-0.5 * s)),
                                    (trace.derivative(-s), trace.derivative(-0.5 * s)),
                                    cutoff.eta(s / r), cutoff.eta_prime(s / r) / r)
     lhs = float(np.sum(w_s * (e_val**2 + e_der**2)))
 
-    t, w_t = gauss_legendre(2 * quad, -r, 0.0)
+    t, w_t = gauss_legendre(2 * _TRACE_QUAD, -r, 0.0)
     u_sq = float(np.sum(w_t * trace.value(t) ** 2))
     du_sq = float(np.sum(w_t * trace.derivative(t) ** 2))
     rhs = 164.0 * du_sq + (82.0 + 164.0 * G * G / (r * r)) * u_sq
@@ -606,17 +609,16 @@ def operator_norm_estimate(chart: FermiChart, cutoff: CutoffFamily,
     )
 
 
-def c1_matching_error(chart: FermiChart, fld: ScalarField, cutoff: CutoffFamily,
-                      n_probes: int = 256, step: float = 1e-4):
+def c1_matching_error(chart: FermiChart, fld: ScalarField, cutoff: CutoffFamily):
     """Worst mismatch of one-sided normal derivatives across the boundary.
 
     Second-order one-sided stencils of the extended field at depth
-    ``+/- step`` along each sampled normal; for a C2 source the two
-    normal derivatives agree up to O(step^2).
+    ``+/- h`` along 256 equally spaced normals (``h = 1e-4``); for a C2
+    source the two normal derivatives agree up to O(h^2).
     """
     ext = ExtendedField(chart, fld, cutoff)
+    n_probes, h = _C1_PROBES, _C1_STEP
     theta = np.arange(n_probes) * (2.0 * math.pi / n_probes)
-    h = step
 
     def source(depth):
         pts = chart.map_unchecked(np.full(n_probes, depth), theta)

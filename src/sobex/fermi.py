@@ -64,8 +64,9 @@ _TWO_PI = 2.0 * math.pi
 # the flat foot-point search: full Newton steps from the nearest of
 # _N_BOUNDARY boundary samples (also the blob's rolling-ball distances);
 # feet more than _SEPARATION samples apart and within _FOOT_TIE of
-# equally near make a point ambiguous
-_NEWTON_STEPS, _N_BOUNDARY, _SEPARATION, _FOOT_TIE = 60, 2048, 8, 1e-6
+# equally near make a point ambiguous; Newton stops below _FOOT_TOL times
+# a point's size (at least 1), and a residual of 10 _FOOT_TOL is a miss
+_NEWTON_STEPS, _N_BOUNDARY, _SEPARATION, _FOOT_TIE, _FOOT_TOL = 60, 2048, 8, 1e-6, 1e-9
 # boundary samples of a chart
 _N_THETA = 256
 
@@ -234,7 +235,7 @@ class _PoleDiskEngine:
         )
         return np.stack([self.a + s, np.mod(theta, _TWO_PI)], axis=-1)
 
-    def invert(self, points, tol=1e-9):
+    def invert(self, points):
         pts = np.atleast_2d(np.asarray(points, dtype=float))
         s = pts[:, 0] - self.a
         theta = np.mod(pts[:, 1], _TWO_PI)
@@ -389,7 +390,7 @@ class _FlatCurveEngine:
         amb = np.any(far & (d[:, 1:] <= d[:, :1] + _FOOT_TIE), axis=1)
         return idx[:, 0], d[:, 0], amb | np.isinf(d[:, 0])
 
-    def invert(self, points, tol=1e-9):
+    def invert(self, points):
         pts_polar = np.atleast_2d(np.asarray(points, dtype=float))
         x = polar_to_cartesian(pts_polar)
         idx, d_best, amb = self._dense_feet(x)
@@ -411,7 +412,7 @@ class _FlatCurveEngine:
             f = self._frame(th_a)
             res = f.at(s_a) - x_a
             res_norm = np.linalg.norm(res, axis=-1)
-            done = res_norm < tol * scale[active]
+            done = res_norm < _FOOT_TOL * scale[active]
             # the Jacobian's columns d/dtheta and d/ds = n are orthogonal
             j_theta = f.theta_velocity(s_a)
             j_sq = np.maximum(np.sum(j_theta * j_theta, axis=-1), 1e-300)
@@ -425,7 +426,7 @@ class _FlatCurveEngine:
 
         resid = np.linalg.norm(self._frame(theta[finite]).at(s[finite]) - x[finite], axis=-1)
         ok = np.zeros(x.shape[0], dtype=bool)
-        ok[finite] = resid < 10.0 * tol * scale[finite]
+        ok[finite] = resid < 10.0 * _FOOT_TOL * scale[finite]
         # for ambiguous points report the conservative (dense-sample) signed
         # distance, so callers can still classify them as in/out of a tube
         if np.any(amb):
@@ -464,7 +465,7 @@ class _FlatCircleEngine(_FlatCurveEngine):
         c = self.c0 + self.a * e
         return c, self.a * de, -self.a * e
 
-    def invert(self, points, tol=1e-9):
+    def invert(self, points):
         pts = np.atleast_2d(np.asarray(points, dtype=float))
         x = polar_to_cartesian(pts) - self.c0
         rr = np.hypot(x[:, 0], x[:, 1])
@@ -590,7 +591,7 @@ class FermiChart:
         """Like :meth:`fermi_map` without the tube-radius guard (internal uses)."""
         return self.engine.map(np.asarray(s, dtype=float), np.asarray(theta, dtype=float))
 
-    def fermi_invert(self, points, tol: float = 1e-9):
+    def fermi_invert(self, points):
         """Signed distance and foot parameter of tube points.
 
         Raises :class:`ParameterError` for non-finite points,
@@ -598,7 +599,7 @@ class FermiChart:
         :class:`FootAmbiguityError` when two boundary feet are within
         tolerance of being equally close (a regularity violation).
         """
-        s, theta, ok, amb = self.invert_soft(points, tol=tol)
+        s, theta, ok, amb = self.invert_soft(points)
         if np.any(amb):
             raise FootAmbiguityError("two boundary feet are equally close")
         if np.any(~ok):
@@ -609,14 +610,14 @@ class FermiChart:
             return float(s[0]), float(theta[0])
         return s, theta
 
-    def invert_soft(self, points, tol: float = 1e-9):
+    def invert_soft(self, points):
         """Batch inversion returning masks instead of raising (internal).
 
         Only a non-finite point raises (:class:`ParameterError`).
         """
         if not np.all(np.isfinite(points)):
             raise ParameterError("chart points must be finite")
-        return self.engine.invert(points, tol=tol)
+        return self.engine.invert(points)
 
     def volume_element_ratio(self, theta, s):
         """dvol_s / dvol_0 along the normal geodesic at ``theta``.

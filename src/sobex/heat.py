@@ -70,8 +70,10 @@ _LOG_TRUNC = -math.log(1e-12)  # spectral truncation threshold
 _MODE_CAP = 2000
 _PACKAGE_DIR = os.path.dirname(__file__) + os.sep
 _BALL_BLOCK = 8  # distance rows held at once by DiscreteDomain.ball_sums
-_DOUBLING_SAMPLES, _COMPARABILITY_SAMPLES = 64, 48  # sampled centres of the two doubling checks
+# sampled centres of the two doubling checks and of integral_ricci
+_DOUBLING_SAMPLES, _COMPARABILITY_SAMPLES, _RICCI_SAMPLES = 64, 48, 64
 _GN_RANDOM_FIELDS, _GN_SEED = 12, 7  # gn_check's smoothed random fields and their seed
+_VEV_TIMES = 10  # times per condition in vev_finiteness_sweep
 
 
 def _outside_stacklevel():
@@ -674,8 +676,7 @@ class Spectrum:
     def coefficients(self, values, m):
         """``c_p = sum_x phi_p(x) values(x)`` for the first ``m`` modes."""
         factor = self._factor
-        projected = np.asarray(values, dtype=float).reshape(factor.shape[0], -1) \
-            @ self.angular
+        projected = values.reshape(factor.shape[0], -1) @ self.angular
         out = np.empty(m)
         for b, cols, modes in self._groups(m):
             out[modes] = factor[:, cols].T @ projected[:, b]
@@ -711,9 +712,9 @@ class NeumannSystem:
     ``spectrum`` holds the eigenpairs solved so far as a
     :class:`Spectrum`.  Every kernel value reads :meth:`Spectrum.values`
     at the nodes it needs, so a dense system back-transforms only the
-    rows of those nodes; the all-node projections of
-    :meth:`semigroup_apply` contract the factors, so a separable system
-    never forms its ``N x m`` eigenvector matrix for them, and
+    rows of those nodes; the all-node projections of :meth:`semigroup`
+    contract the factors, so a separable system never forms its
+    ``N x m`` eigenvector matrix for them, and
     :meth:`eigenpairs` builds only the columns it returns.  ``mode_cap``
     is 2000 up to ``DENSE_LIMIT`` unknowns and 384 beyond.
     ``modes_used`` is the largest :meth:`modes_for` result so far and
@@ -857,8 +858,11 @@ class NeumannSystem:
         the pair.  If the cap bites, a warning reports the truncation level
         ``exp(-lambda_cap t_min)`` (the weight of the last mode kept, which
         bounds every weight left out) and ``truncation`` keeps the largest
-        such level.
+        such level.  Every kernel sum passes its time here: one that is not
+        positive and finite raises :class:`ParameterError`.
         """
+        if not 0.0 < t_min < math.inf:
+            raise ParameterError("time must be positive and finite")
         target = _LOG_TRUNC / float(t_min)
         cap = int(min(self._max_modes, self.mode_cap))
         # solved at the full cap, so a later eigenpairs(cap) reads this spectrum
@@ -890,8 +894,6 @@ class NeumannSystem:
     def _weights(self, t):
         """The truncated spectrum's per-mode weights ``exp(-lambda_p t)``,
         solving the spectrum first if it is short."""
-        if t <= 0.0:
-            raise ParameterError("time must be positive")
         m = self.modes_for(t)
         return np.exp(-self._lam[:m] * t)
 
@@ -916,11 +918,21 @@ class NeumannSystem:
         nodes = np.arange(self.size) if idx is None else np.atleast_1d(idx)
         return self.heat_kernel(t, nodes, nodes)
 
+    def semigroup(self, vec, t_min):
+        """``flow(t, order=0) = (-A)^order e^(-tA) vec`` on all nodes, with ``vec``
+        projected once onto the :meth:`modes_for` modes of ``t_min``."""
+        m = self.modes_for(t_min)
+        spectrum = self.spectrum
+        lam = spectrum.lam[:m]
+        coeff = spectrum.coefficients(self.mass * np.asarray(vec, dtype=float), m)
+
+        def flow(t, order=0):
+            return spectrum.synthesize((-lam) ** order * np.exp(-lam * t) * coeff)
+
+        return flow
+
     def semigroup_apply(self, t, vec):
-        e = self._weights(t)
-        coeff = self.spectrum.coefficients(self.mass * np.asarray(vec, dtype=float),
-                                           e.shape[0])
-        return self.spectrum.synthesize(e * coeff)
+        return self.semigroup(vec, t)(t)
 
 
 def heat_kernel(system: NeumannSystem, t, i, j):
@@ -1017,6 +1029,8 @@ def doubling_comparability(domain: DiscreteDomain, s):
     Since ``B(y,s)`` is contained in ``B(x,2s)``, the doubling property
     bounds this ratio by ``2^n`` times the doubling constant.
     """
+    if not s > 0.0:
+        raise ParameterError("comparability radius must be positive")
     idx = domain.sample_indices(_COMPARABILITY_SAMPLES)
     vols = domain.ball_sums(idx, [s])[:, 0]
     near = domain.distance_rows(idx)[:, idx] <= s
@@ -1044,6 +1058,9 @@ def gn_check(domain: DiscreteDomain, system: NeumannSystem, q, r_grid) -> GNResu
     if frac * n >= 2.0:
         raise ParameterError("inadmissible (q, n): (q-2)/q * n must be < 2")
     alpha = 0.5 - (0.0 if math.isinf(q) else 1.0 / q)
+    r_grid = np.asarray(r_grid, dtype=float)
+    if not np.all(r_grid > 0.0):
+        raise ParameterError("GN radii must be positive")
 
     rng = np.random.default_rng(_GN_SEED)
     lam, phi = system.eigenpairs(min(10, system.size - 1))
@@ -1057,7 +1074,6 @@ def gn_check(domain: DiscreteDomain, system: NeumannSystem, q, r_grid) -> GNResu
     F = np.stack(fields)
     l2 = np.sqrt(np.sum(w * F**2, axis=1))
     grad = np.sqrt([system.energy(f) for f in F])
-    r_grid = np.asarray(r_grid, dtype=float)
     per_radius = []
     for r, v_r in zip(r_grid, domain.ball_sums(np.arange(domain.size), r_grid).T):
         lhs = np.abs(v_r**alpha * F)
@@ -1100,8 +1116,7 @@ def vev_norm(system: NeumannSystem, v, p, q, gamma, t):
     return float(np.max(np.abs(K) @ w))
 
 
-def vev_finiteness_sweep(system: NeumannSystem, domain: DiscreteDomain,
-                         t0, n_t=10):
+def vev_finiteness_sweep(system: NeumannSystem, domain: DiscreteDomain, t0):
     """Sups of the four weighted-semigroup conditions over a time sweep.
 
     The (1,2) and (2,inf) conditions are swept up to ``t0 / 2`` and the
@@ -1109,13 +1124,15 @@ def vev_finiteness_sweep(system: NeumannSystem, domain: DiscreteDomain,
     function at scale ``sqrt(t)``.  Returns the four sups and their
     finiteness flags, which the theory requires to agree.
     """
+    if not 0.0 < t0 < math.inf:
+        raise ParameterError("t0 must be positive and finite")
     specs = {
         "vEv_inf_inf_half": (math.inf, math.inf, 0.5, t0),
         "vEv_1_inf_half": (1.0, math.inf, 0.5, t0),
         "vEv_1_2_zero": (1.0, 2.0, 0.0, 0.5 * t0),
         "vEv_2_inf_half": (2.0, math.inf, 0.5, 0.5 * t0),
     }
-    ts = np.stack([np.geomspace(t_hi / 64.0, t_hi, n_t) for *_, t_hi in specs.values()])
+    ts = np.stack([np.geomspace(t_hi / 64.0, t_hi, _VEV_TIMES) for *_, t_hi in specs.values()])
     vols = domain.ball_sums(np.arange(domain.size), np.sqrt(ts.ravel())).T.reshape(*ts.shape, -1)
     out = {}
     for (name, (p, q, gamma, _)), t_row, v_row in zip(specs.items(), ts, vols):
@@ -1125,8 +1142,7 @@ def vev_finiteness_sweep(system: NeumannSystem, domain: DiscreteDomain,
     return out
 
 
-def integral_ricci(domain: DiscreteDomain, rho_field: CurvatureField,
-                   p, R, x_count=64):
+def integral_ricci(domain: DiscreteDomain, rho_field: CurvatureField, p, R):
     """Uniform lp-mean of the negative Ricci part over R-balls.
 
     ``sup_x ( mean_{B(x,R)} rho_minus^p )^(1/p)`` with node-weight
@@ -1134,7 +1150,9 @@ def integral_ricci(domain: DiscreteDomain, rho_field: CurvatureField,
     """
     if p <= domain.n / 2.0:
         raise ParameterError("p must exceed n/2")
-    idx = domain.sample_indices(x_count)
+    if not R > 0.0:
+        raise ParameterError("R must be positive")
+    idx = domain.sample_indices(_RICCI_SAMPLES)
     num = domain.ball_sums(idx, [R], domain.weights * rho_field.rho_minus**p)
     den = domain.ball_sums(idx, [R])
     return float(np.max((num / den) ** (1.0 / p)))
@@ -1143,26 +1161,14 @@ def integral_ricci(domain: DiscreteDomain, rho_field: CurvatureField,
 def kato_quantity(system: NeumannSystem, rho_minus, T):
     """Time integral of the sup norm of the heat semigroup on ``rho_minus``.
 
-    ``int_0^T max_x (e^(-tA) rho_minus)(x) dt`` by adaptive quadrature
-    with spectral evaluation of the semigroup action.
+    ``int_0^T max_x (e^(-tA) rho_minus)(x) dt`` by adaptive quadrature, which
+    samples only inner times, with spectral evaluation of the semigroup action.
     """
-    if T <= 0.0:
-        raise ParameterError("T must be positive")
-    rm = np.asarray(rho_minus, dtype=float)
-    if not np.any(rm):
-        return 0.0
     from scipy.integrate import quad
 
-    m = system.modes_for(T / 1e4)
-    spectrum = system.spectrum
-    lam = spectrum.lam[:m]
-    coeff = spectrum.coefficients(system.mass * rm, m)
-
-    def g(t):
-        return float(np.max(spectrum.synthesize(np.exp(-lam * t) * coeff))) if t > 0.0 \
-            else float(np.max(rm))
-
-    val, _err = quad(g, 0.0, float(T), limit=200, epsabs=1e-13, epsrel=1e-12)
+    flow = system.semigroup(rho_minus, T / 1e4)
+    val, _err = quad(lambda t: float(np.max(flow(t))), 0.0, float(T), limit=200,
+                     epsabs=1e-13, epsrel=1e-12)
     return float(val)
 
 
@@ -1211,38 +1217,30 @@ def fit_inverse_time_envelope(t_grid, profile):
     return float(a[k]), float(b[k])
 
 
-def li_yau_check(system: NeumannSystem, domain: DiscreteDomain, u0, t_grid,
-                 alpha=1.0) -> LiYauResult:
+def li_yau_check(system: NeumannSystem, domain: DiscreteDomain, u0, t_grid) -> LiYauResult:
     """Inverse-time gradient envelope for a positive Neumann heat solution.
 
-    For each time the quantity ``alpha |grad ln u|^2 - d/dt ln u`` is
+    For each time the quantity ``|grad ln u|^2 - d/dt ln u`` is
     maximized over interior nodes; the profile is then covered by a
     fitted envelope ``a + b/t``.  Non-positive solution values (a
     discretization artifact) are clipped with a warning.
     """
-    if not (0.0 < alpha <= 1.0):
-        raise ParameterError("alpha must lie in (0, 1]")
     u0 = np.asarray(u0, dtype=float)
     if np.any(u0 <= 0.0):
         raise ParameterError("initial data must be positive")
     t_grid = np.asarray(t_grid, dtype=float)
-    m = system.modes_for(float(np.min(t_grid)))
-    spectrum = system.spectrum
-    lam = spectrum.lam[:m]
-    coeff = spectrum.coefficients(system.mass * u0, m)
+    flow = system.semigroup(u0, float(np.min(t_grid)))
     interior = domain.interior_mask()
     clipped = False
     profile = np.empty(t_grid.shape[0])
     for k, t in enumerate(t_grid):
-        damp = np.exp(-lam * t)
-        u = spectrum.synthesize(damp * coeff)
-        du = spectrum.synthesize(-lam * damp * coeff)
+        u, du = flow(t), flow(t, 1)
         floor = 1e-12 * float(np.max(np.abs(u)))
         if np.any(u <= floor):
             clipped = True
             u = np.maximum(u, floor)
         grad = domain.node_gradient(np.log(u))
-        lhs = alpha * np.sum(grad**2, axis=-1) - du / u
+        lhs = np.sum(grad**2, axis=-1) - du / u
         profile[k] = float(np.max(lhs[interior]))
     if clipped:
         warnings.warn("non-positive solution values clipped", stacklevel=2)

@@ -43,8 +43,8 @@ def composite_gauss(n_per_segment, breakpoints):
     return np.concatenate(nodes), np.concatenate(weights)
 
 
-def periodic_nodes(n, period=2.0 * np.pi):
-    """Uniform nodes and weights on one period (trapezoid = spectral here)."""
-    theta = np.arange(n) * (period / n)
-    w = np.full(n, period / n)
+def periodic_nodes(n):
+    """Uniform nodes and weights on ``[0, 2 pi)`` (trapezoid = spectral here)."""
+    theta = np.arange(n) * (2.0 * np.pi / n)
+    w = np.full(n, 2.0 * np.pi / n)
     return theta, w

@@ -54,6 +54,9 @@ __all__ = [
     "constant_curvature_geodesic",
 ]
 
+_CURVATURE_SAMPLES = 512  # radii of ModelSurface.curvature_range
+_JACOBI_TOL = 1e-12  # relative and absolute tolerance of the Jacobi transport
+
 
 def sn(kappa, r):
     """Generalized sine: sin(sqrt(k) r)/sqrt(k), r, or sinh analogue."""
@@ -231,12 +234,12 @@ class ModelSurface:
         out = -self.profile.d2f(np.asarray(r, dtype=float)) / f
         return float(out) if np.ndim(r) == 0 else out
 
-    def curvature_range(self, r_lo, r_hi, samples=512):
+    def curvature_range(self, r_lo, r_hi):
         """(min, max) Gauss curvature over a radial interval of the chart."""
         if self.kind == "constant":
             return (self.kappa, self.kappa)
         lo, hi = self.r_limits
-        grid = np.linspace(max(r_lo, lo + 1e-12), min(r_hi, hi - 1e-12), samples)
+        grid = np.linspace(max(r_lo, lo + 1e-12), min(r_hi, hi - 1e-12), _CURVATURE_SAMPLES)
         vals = self.gauss_curvature(grid)
         return (float(np.min(vals)), float(np.max(vals)))
 
@@ -398,8 +401,7 @@ def integrate_geodesic(surface, start: GeodesicState, length, tol=1e-10):
     return Trajectory(surface, sol, length)
 
 
-def jacobi_transport(surface, trajectory: Trajectory, initial: JacobiValue,
-                     s=None, tol=1e-12):
+def jacobi_transport(surface, trajectory: Trajectory, initial: JacobiValue, s=None):
     """Transport scalar normal Jacobi data ``J'' + K(gamma(s)) J = 0``.
 
     ``s`` defaults to the trajectory length.  The transport is linear
@@ -412,12 +414,11 @@ def jacobi_transport(surface, trajectory: Trajectory, initial: JacobiValue,
         raise ParameterError("requested arclength outside the trajectory")
     if s_end == 0.0:
         return JacobiValue(initial.value, initial.derivative)
-    value, derivative = jacobi_values(surface, trajectory, initial, [s_end], tol)
+    value, derivative = jacobi_values(surface, trajectory, initial, [s_end])
     return JacobiValue(float(value[0]), float(derivative[0]))
 
 
-def jacobi_values(surface, trajectory: Trajectory, initial: JacobiValue, s_grid,
-                  tol=1e-12):
+def jacobi_values(surface, trajectory: Trajectory, initial: JacobiValue, s_grid):
     """Jacobi field values on a grid of arclengths (one integration pass)."""
     from scipy.integrate import solve_ivp
 
@@ -427,8 +428,8 @@ def jacobi_values(surface, trajectory: Trajectory, initial: JacobiValue, s_grid,
         (0.0, float(s_grid[-1])),
         [initial.value, initial.derivative],
         method="DOP853",
-        rtol=tol,
-        atol=tol,
+        rtol=_JACOBI_TOL,
+        atol=_JACOBI_TOL,
         dense_output=True,
     )
     if not sol.success:

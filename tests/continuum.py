@@ -10,7 +10,7 @@ from __future__ import annotations
 import math
 
 import numpy as np
-from scipy.special import jnp_zeros, jv
+from scipy.special import eval_legendre, jnp_zeros, jv
 
 TAIL = 1e-17
 
@@ -36,6 +36,21 @@ def disk_diagonal(t, r):
             / (math.pi * (1.0 - (n / j) ** 2) * values[-1] ** 2)
         out += values[:-1] ** 2 @ weight
     return out
+
+
+def hemisphere_diagonal(t, r):
+    """``h_t(x, x)`` at polar radii ``r`` of the unit hemisphere (curvature 1,
+    geodesic radius ``pi/2`` about the pole).
+
+    Reflection in the equator gives the Neumann kernel from the sphere's,
+    ``h^S_t = sum_l (2l+1)/(4 pi) exp(-l(l+1) t) P_l(cos d)``: ``h_t(x, x) =
+    h^S_t(x, x) + h^S_t(x, x*)``, where the mirror point ``x*`` lies at
+    ``d = pi - 2r``.  It tends to ``1/(2 pi)``, one over the area, at large ``t``.
+    """
+    r = np.asarray(r, dtype=float)
+    l = np.arange(int(math.sqrt(-math.log(TAIL) / t)) + 2)
+    weight = (2 * l + 1) / (4.0 * math.pi) * np.exp(-l * (l + 1) * t)
+    return (1.0 + eval_legendre(l, -np.cos(2.0 * r)[..., None])) @ weight
 
 
 def interval_diagonal(t, x, L):

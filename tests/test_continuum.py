@@ -28,25 +28,38 @@ def test_series_match_the_free_kernel(t):
                  for m in range(-5, 6))
     np.testing.assert_allclose(C.interval_diagonal(t, x, 1.0), images, rtol=1e-14)
     np.testing.assert_allclose(C.disk_diagonal(20.0, x), 1.0 / math.pi, rtol=1e-15)
+    np.testing.assert_allclose(C.hemisphere_diagonal(20.0, x), 0.5 / math.pi, rtol=1e-15)
 
 
 def _orders(errors):
     return [math.log2(a / b) for a, b in zip(errors, errors[1:])]
 
 
-@pytest.mark.parametrize("t", [0.05, 0.145])
-def test_disk_kernel_converges_at_second_order(flat, t):
-    """``h_t(x, x)`` at one node per ring of the flat unit disk: the worst relative
-    error falls at order 2 from n = 64 to 128 (32 to 64 is pre-asymptotic at t = 0.05)."""
-    disk = DomainSpec(flat, GeodesicDisk((0.0, 0.0), 1.0))
+def _assert_pole_disk_order(spec, diagonal, t):
+    """``h_t(x, x)`` at one node per ring of a pole disk against the continuum
+    ``diagonal(t, r)``: the worst relative error falls at order 2 from n = 64 to 128."""
     errors = []
     for n in _SIZES:
-        dom = H.DiscreteDomain.disk_like(disk, n, n)
+        dom = H.DiscreteDomain.disk_like(spec, n, n)
         idx = np.arange(n) * n
-        exact = C.disk_diagonal(t, dom.nodes[idx, 0])
+        exact = diagonal(t, dom.nodes[idx, 0])
         errors.append(np.max(np.abs(H.assemble(dom).heat_diag(t, idx) / exact - 1.0)))
     assert errors[0] > errors[1] > errors[2]
     assert 1.8 <= _orders(errors)[1] <= 2.2
+
+
+@pytest.mark.parametrize("t", [0.05, 0.145])
+def test_disk_kernel_converges_at_second_order(flat, t):
+    """The flat unit disk (32 to 64 is pre-asymptotic at t = 0.05)."""
+    _assert_pole_disk_order(DomainSpec(flat, GeodesicDisk((0.0, 0.0), 1.0)),
+                            C.disk_diagonal, t)
+
+
+@pytest.mark.parametrize("t", [0.05, 0.145])
+def test_hemisphere_kernel_converges_at_second_order(sphere, t):
+    """The hemisphere, whose rim is the equator."""
+    _assert_pole_disk_order(DomainSpec(sphere, GeodesicDisk((0.0, 0.0), math.pi / 2.0)),
+                            C.hemisphere_diagonal, t)
 
 
 @pytest.mark.parametrize("t", [0.005, 0.02])

@@ -115,7 +115,7 @@ def test_c1_matching(chart_name, request, rng):
     chart = request.getfixturevalue(chart_name)
     cut = E.smoothstep_cutoff(3.0)
     for fld in E.random_smooth_fields(rng, 4):
-        assert E.c1_matching_error(chart, fld, cut, n_probes=128) < 1e-5
+        assert E.c1_matching_error(chart, fld, cut) < 1e-5
 
 
 def test_h1_norm_closed_forms(disk_chart):

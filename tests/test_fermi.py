@@ -121,7 +121,7 @@ def test_fermi_invert_blob_newton(flat):
     chart = FermiChart(blob, 0.25)
     theta0 = math.pi / 4.0
     target = chart.fermi_map(0.11, theta0)
-    s, th = chart.fermi_invert(target, tol=1e-11)
+    s, th = chart.fermi_invert(target)
     again = chart.fermi_map(s, th)
     err = np.linalg.norm(
         np.array([again[0] * math.cos(again[1]), again[0] * math.sin(again[1])])
