@@ -76,6 +76,14 @@ _GN_RANDOM_FIELDS, _GN_SEED = 12, 7  # gn_check's smoothed random fields and the
 _VEV_TIMES = 10  # times per condition in vev_finiteness_sweep
 
 
+def _check_times(t):
+    """Raise :class:`ParameterError` unless every time in ``t`` is positive
+    and finite (nan is neither)."""
+    t = np.asarray(t, dtype=float)
+    if not np.all((0.0 < t) & (t < math.inf)):
+        raise ParameterError("time must be positive and finite")
+
+
 def _outside_stacklevel():
     """``warnings.warn`` stack level, for its caller, of the first frame outside sobex."""
     frame, level = sys._getframe(1), 1
@@ -262,26 +270,40 @@ class DiscreteDomain:
             )
         from scipy.sparse.csgraph import dijkstra
 
-        return dijkstra(self._graph, directed=False, indices=idx)
+        # the graph is stored symmetric, so no undirected copy is needed
+        return dijkstra(self._graph, directed=True, indices=idx)
 
     def ball_sums(self, idx, radii, values=None):
         """Sums of ``values`` (default: the node weights) over the balls
         ``d(x, y) < r`` for ``x`` in ``idx`` and ``r`` in ``radii``, shape
         ``(len(idx), len(radii))``.  Each distance row bins its nodes once
         against the sorted radii (bin ``b``: ``r_(b-1) <= d < r_b``); the
-        cumulative bin sums then give every radius."""
+        cumulative bin sums then give every radius.
+
+        On a pole disk the grid, the node weights and the distance are
+        invariant under rotation by ``dtheta``.  So when ``values`` are
+        constant on every ring, as the weights are, a ball sum depends on
+        the ring alone: the first node of ``idx`` on each ring gives its
+        row of sums to every node of ``idx`` on that ring."""
         idx = np.atleast_1d(np.asarray(idx, dtype=int))
         radii = np.asarray(radii, dtype=float)
         values = self.weights if values is None else np.asarray(values, dtype=float)
+        rows, back = idx, slice(None)
+        if self.kind == "pole_disk":
+            by_ring = values.reshape(self.n_r, self.n_theta)
+            if np.all(by_ring == by_ring[:, :1]):
+                _, first, back = np.unique(self.ring[idx], return_index=True,
+                                           return_inverse=True)
+                rows = idx[first]
         order = np.argsort(radii)
         sorted_radii = radii[order]
-        out = np.empty((idx.shape[0], radii.shape[0]))
-        for start in range(0, idx.shape[0], _BALL_BLOCK):
-            for k, row in enumerate(self.distance_rows(idx[start:start + _BALL_BLOCK])):
+        out = np.empty((rows.shape[0], radii.shape[0]))
+        for start in range(0, rows.shape[0], _BALL_BLOCK):
+            for k, row in enumerate(self.distance_rows(rows[start:start + _BALL_BLOCK])):
                 bins = np.searchsorted(sorted_radii, row, side="right")
                 out[start + k, order] = np.cumsum(
                     np.bincount(bins, weights=values, minlength=radii.shape[0] + 1))[:-1]
-        return out
+        return out[back]
 
     @cached_property
     def _graph(self):
@@ -299,8 +321,10 @@ class DiscreteDomain:
         a warp, over pairs more than 0.2 apart in the unit disk, the largest
         ratio to the Euclidean distance is 1.25 at ``n_r = n_theta = 32``
         and 1.26 at 128.  The grid is invariant under rotations by
-        ``dtheta``, so distances from node sources do not depend on where
-        the angles start.
+        ``dtheta``, so a node's row of distances is the row of its ring's
+        first node rotated: :meth:`ball_sums` computes one row per ring on
+        that ground, and ``test_warped_rows_rotate_with_their_source`` in
+        ``tests/test_distance.py`` checks it bit for bit.
         """
         n_t, dr, dt = self.n_theta, self.dr, self.dtheta
         r = self.nodes[::n_t, 0]
@@ -861,8 +885,7 @@ class NeumannSystem:
         such level.  Every kernel sum passes its time here: one that is not
         positive and finite raises :class:`ParameterError`.
         """
-        if not 0.0 < t_min < math.inf:
-            raise ParameterError("time must be positive and finite")
+        _check_times(t_min)
         target = _LOG_TRUNC / float(t_min)
         cap = int(min(self._max_modes, self.mode_cap))
         # solved at the full cap, so a later eigenpairs(cap) reads this spectrum
@@ -1124,8 +1147,7 @@ def vev_finiteness_sweep(system: NeumannSystem, domain: DiscreteDomain, t0):
     function at scale ``sqrt(t)``.  Returns the four sups and their
     finiteness flags, which the theory requires to agree.
     """
-    if not 0.0 < t0 < math.inf:
-        raise ParameterError("t0 must be positive and finite")
+    _check_times(t0)
     specs = {
         "vEv_inf_inf_half": (math.inf, math.inf, 0.5, t0),
         "vEv_1_inf_half": (1.0, math.inf, 0.5, t0),
@@ -1223,12 +1245,14 @@ def li_yau_check(system: NeumannSystem, domain: DiscreteDomain, u0, t_grid) -> L
     For each time the quantity ``|grad ln u|^2 - d/dt ln u`` is
     maximized over interior nodes; the profile is then covered by a
     fitted envelope ``a + b/t``.  Non-positive solution values (a
-    discretization artifact) are clipped with a warning.
+    discretization artifact) are clipped with a warning.  A grid time
+    that is not positive and finite raises :class:`ParameterError`.
     """
     u0 = np.asarray(u0, dtype=float)
     if np.any(u0 <= 0.0):
         raise ParameterError("initial data must be positive")
     t_grid = np.asarray(t_grid, dtype=float)
+    _check_times(t_grid)  # the flow is projected at the smallest time only
     flow = system.semigroup(u0, float(np.min(t_grid)))
     interior = domain.interior_mask()
     clipped = False

@@ -1,5 +1,6 @@
-"""The distance layer: graph metric on warped grids, flat pairwise kernels, and
-each chart engine's distance to its boundary."""
+"""The distance layer: graph metric on warped grids, flat pairwise kernels, the
+pole disks' one distance row per ring, and each chart engine's distance to its
+boundary."""
 
 import gc
 import json
@@ -47,6 +48,84 @@ def test_warped_graph_does_not_keep_its_surface_alive():
     del dom, surf
     gc.collect()
     assert ref() is None
+
+
+# every pole-disk surface kind, each with a radius inside its chart
+_POLE_SURFACES = {
+    "flat": (ModelSurface.constant_curvature(0.0), 1.0),
+    "sphere": (ModelSurface.constant_curvature(1.0), 1.2),
+    "hyperbolic": (ModelSurface.constant_curvature(-1.0), 1.0),
+    "warped": (ModelSurface.warped(poly_cosh_mix_profile([1.0, 0.12, -0.05])), 0.8),
+}
+_RING_GRIDS = [(16, 24), (24, 32)]
+
+
+def _pole_disk(kind, n_r, n_theta):
+    surf, a = _POLE_SURFACES[kind]
+    return H.DiscreteDomain.disk_like(DomainSpec(surf, GeodesicDisk((0.0, 0.0), a)),
+                                      n_r, n_theta)
+
+
+@pytest.mark.parametrize("n_r, n_theta", _RING_GRIDS)
+@pytest.mark.parametrize("kind", list(_POLE_SURFACES))
+def test_pole_disk_ball_sums_are_ring_sums(kind, n_r, n_theta, rng):
+    """All-node ball sums read one distance row per ring, yet match each node's
+    own row bit for bit: the node weights against ``ball_sums`` of one node at a
+    time, and integer values (ring-constant, or not and so summed per node)
+    against the mask, whose sums are exact in any order.  The radii are the heat
+    grid's ``sqrt(t)`` and the doubling grid, none of which ties a grid distance.
+    At a radius that does (``k dr``, the gap between nodes on one ray), two nodes
+    of a ring may round a closed-form distance to opposite sides of it; their
+    ball volumes still agree, since both take the ring's one row."""
+    dom = _pole_disk(kind, n_r, n_theta)
+    radii = np.concatenate([np.sqrt(np.geomspace(1e-3, 4.0, 16)),
+                            np.geomspace(2.0 * dom.mesh_width, dom.diameter(), 24)])
+    every = np.arange(dom.size)
+    rows_read = []
+    distance_rows = dom.distance_rows
+
+    def counting(idx):
+        rows_read.append(len(idx))
+        return distance_rows(idx)
+
+    dom.distance_rows = counting
+    got = dom.ball_sums(every, radii)
+    assert sum(rows_read) == n_r
+    per_node = np.concatenate([dom.ball_sums([i], radii) for i in every])
+    assert np.array_equal(got, per_node)
+
+    dist = distance_rows(every)
+    ring_values = np.repeat(rng.integers(-8, 9, n_r), n_theta).astype(float)
+    node_values = rng.integers(-8, 9, dom.size).astype(float)
+    for values in (ring_values, node_values):
+        want = np.stack([(dist < r) @ values for r in radii], axis=-1)
+        assert np.array_equal(dom.ball_sums(every, radii, values), want)
+
+    tied = dom.ball_sums(every, dom.dr * np.arange(1, n_r)).reshape(n_r, n_theta, -1)
+    assert np.array_equal(tied, np.broadcast_to(tied[:, :1], tied.shape))
+
+
+@pytest.mark.parametrize("n_r, n_theta", _RING_GRIDS)
+def test_warped_rows_rotate_with_their_source(n_r, n_theta):
+    """The warped grid graph is invariant under rotation by ``dtheta``: the
+    Dijkstra row of node ``(i, j)`` is the row of ``(i, 0)`` rotated by ``j``,
+    bit for bit, which the ring rule of ``ball_sums`` rests on."""
+    dom = _pole_disk("warped", n_r, n_theta)
+    dist = dom.distance_rows(np.arange(dom.size)).reshape(n_r, n_theta, n_r, n_theta)
+    for j in range(n_theta):
+        assert np.array_equal(dist[:, j], np.roll(dist[:, 0], j, axis=-1))
+
+
+@pytest.mark.parametrize("n_r, n_theta", _RING_GRIDS)
+def test_directed_dijkstra_matches_undirected(n_r, n_theta):
+    """The graph is stored with both directions of each edge, so the directed
+    Dijkstra of ``distance_rows`` equals scipy's undirected one."""
+    from scipy.sparse.csgraph import dijkstra
+
+    dom = _pole_disk("warped", n_r, n_theta)
+    assert (dom._graph != dom._graph.T).nnz == 0
+    assert np.array_equal(dom.distance_rows(np.arange(dom.size)),
+                          dijkstra(dom._graph, directed=False))
 
 
 def _largest_chord(domain):

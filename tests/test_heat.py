@@ -375,6 +375,10 @@ def test_kato_quantity(unit_interval):
                                                     [0.0, 0.1]), id="li_yau-zero"),
     pytest.param(lambda dom, system: H.li_yau_check(system, dom, np.ones(dom.size),
                                                     [-0.1, 0.1]), id="li_yau-negative"),
+    pytest.param(lambda dom, system: H.li_yau_check(system, dom, np.ones(dom.size),
+                                                    [0.1, math.inf]), id="li_yau-inf"),
+    pytest.param(lambda dom, system: H.li_yau_check(system, dom, np.ones(dom.size),
+                                                    [math.inf]), id="li_yau-only-inf"),
     pytest.param(lambda dom, system: H.kato_quantity(system, np.ones(dom.size), 1e-320),
                  id="kato-underflow"),
     pytest.param(lambda dom, system: system.heat_diag(math.nan, [0]), id="heat_diag-nan"),
@@ -386,7 +390,8 @@ def test_kato_quantity(unit_interval):
 ])
 def test_times_must_be_positive_and_finite(unit_interval, call):
     """Unchecked, these divide by zero (a 0 in a Li-Yau grid, Kato's ``T / 1e4``
-    underflowed to 0), pass vacuously (a negative time) or sum to nan (nan, inf)."""
+    underflowed to 0), pass vacuously (a negative time) or sum to nan (nan, inf;
+    an inf in a Li-Yau grid above its smallest time)."""
     with pytest.raises(ParameterError, match="time must be positive and finite"):
         call(*unit_interval)
 
