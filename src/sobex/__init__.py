@@ -38,8 +38,6 @@ from .extension import (
     Trace1D,
     c1_matching_error,
     constant_field,
-    cutoff_value,
-    extend_1d,
     h1_norm,
     operator_norm_estimate,
     polynomial_field,
@@ -83,7 +81,6 @@ from .surfaces import (
     ModelSurface,
     Trajectory,
     WarpProfile,
-    cosh_profile,
     integrate_geodesic,
     jacobi_transport,
     poly_cosh_mix_profile,
@@ -97,17 +94,15 @@ __all__ = [
     "mean_curvature_bound", "round_ball_norm_bound", "volume_ratio_bounds",
     # surfaces
     "GeodesicState", "JacobiValue", "ModelSurface", "Trajectory",
-    "WarpProfile", "cosh_profile", "integrate_geodesic", "jacobi_transport",
-    "poly_cosh_mix_profile",
+    "WarpProfile", "integrate_geodesic", "jacobi_transport", "poly_cosh_mix_profile",
     # fermi
     "BoundarySample", "DomainSpec", "FermiChart", "GeodesicDisk",
     "RadialProfile", "RegularityReport", "check_regularity",
     # extension
     "CutoffFamily", "ExtendedField", "ScalarField", "Trace1D",
-    "c1_matching_error", "constant_field", "cutoff_value", "extend_1d",
-    "h1_norm", "operator_norm_estimate", "polynomial_field",
-    "random_fourier_trace", "random_smooth_fields", "smoothstep_cutoff",
-    "trig_field", "verify_1d_inequality",
+    "c1_matching_error", "constant_field", "h1_norm", "operator_norm_estimate",
+    "polynomial_field", "random_fourier_trace", "random_smooth_fields",
+    "smoothstep_cutoff", "trig_field", "verify_1d_inequality",
     # heat
     "CurvatureField", "DiscreteDomain", "NeumannSystem", "assemble",
     "curvature_field", "diagonal_bound_check", "doubling_comparability",

@@ -37,7 +37,7 @@ from .errors import (
 )
 from .fermi import FermiChart
 from .quadrature import composite_gauss, gauss_legendre, periodic_nodes
-from .surfaces import constant_curvature_distance, polar_to_cartesian
+from .surfaces import polar_to_cartesian
 
 __all__ = [
     "ScalarField",
@@ -47,10 +47,8 @@ __all__ = [
     "random_smooth_fields",
     "CutoffFamily",
     "smoothstep_cutoff",
-    "cutoff_value",
     "Trace1D",
     "random_fourier_trace",
-    "extend_1d",
     "ExtendedField",
     "h1_norm",
     "verify_1d_inequality",
@@ -231,20 +229,6 @@ def smoothstep_cutoff(G=3.0):
     return CutoffFamily(eta=eta, eta_prime=eta_prime, G=float(G), t_end=t_end)
 
 
-def cutoff_value(family: CutoffFamily, surface, center, r, points):
-    """Ambient-ball cutoff ``eta(d(center, point) / r)``.
-
-    Needs a computable distance, i.e. a constant-curvature surface.
-    """
-    if surface.kind != "constant":
-        raise ParameterError("ambient-ball cutoffs need a closed-form distance")
-    pts = np.atleast_2d(np.asarray(points, dtype=float))
-    d = constant_curvature_distance(surface.kappa, pts,
-                                    np.asarray(center, dtype=float))
-    out = family.eta(d / float(r))
-    return float(out[0]) if np.ndim(points) == 1 else out
-
-
 # ---------------------------------------------------------------------------
 # one-dimensional extension
 # ---------------------------------------------------------------------------
@@ -278,24 +262,6 @@ def random_fourier_trace(rng, modes=5, scale=1.0):
         return out
 
     return Trace1D(value, derivative)
-
-
-def extend_1d(trace, cutoff_profile, s):
-    """Reflected extension of a one-sided trace along one geodesic.
-
-    ``trace`` is defined on ``(-r, 0]``; for ``s > 0`` the value is
-    ``(-3 trace(-s) + 4 trace(-s/2)) * cutoff_profile(s)``.
-    Reproduces constant and affine traces where the cutoff equals 1.
-    """
-    s = np.asarray(s, dtype=float)
-    neg = np.minimum(s, 0.0)
-    pos = np.maximum(s, 0.0)
-    inside_vals = np.asarray(trace(neg), dtype=float)
-    reflected = _reflect(np.asarray(trace(-pos), dtype=float),
-                         np.asarray(trace(-0.5 * pos), dtype=float))
-    out = np.where(s <= 0.0, inside_vals,
-                   reflected * np.asarray(cutoff_profile(pos), dtype=float))
-    return float(out) if out.ndim == 0 else out
 
 
 def _reflect(far, near):
@@ -373,12 +339,6 @@ class ExtendedField:
         return float(vals[0]) if np.ndim(points) == 1 else vals
 
     # -- analytic tube partials ------------------------------------------------
-
-    def fermi_partials(self, s, theta):
-        """Analytic (d/ds, d/dtheta) of the extension in tube coordinates."""
-        s, theta = np.broadcast_arrays(np.asarray(s, dtype=float),
-                                       np.asarray(theta, dtype=float))
-        return self.jet(s, *_reflection_sources(self.chart, s, theta))[1:]
 
     def jet(self, s, sources, s_jac, theta_jac):
         """Values and analytic ``(d/ds, d/dtheta)`` of the extension at depths ``s``.
@@ -469,7 +429,7 @@ def _tube_rule(chart: FermiChart, quad: int, cutoff: CutoffFamily):
     n_t = max(2 * quad, 64)
     theta, w_t = periodic_nodes(n_t)
     S, T = np.meshgrid(s_nodes, theta, indexing="ij")
-    speed = chart.boundary_point(theta).speed
+    speed = chart.domain.boundary_point(theta).speed
     ratio = chart.engine.ratio(theta, S)
     sources, s_jac, theta_jac = _reflection_sources(chart, S, theta)
     rule = dict(s=S, theta=T, metric=speed[None, :] * ratio,

@@ -43,7 +43,6 @@ from scipy.spatial.distance import pdist
 from . import comparison
 from .errors import (
     FocalPointError,
-    FootAmbiguityError,
     InvalidDomainError,
     OutOfTubeError,
     ParameterError,
@@ -112,11 +111,6 @@ class RadialProfile:
                 bk = b[k - 1]
                 rho, d1, d2 = rho + bk * sk, d1 + k * bk * ck, d2 - k * k * bk * sk
         return rho, d1, d2
-
-    def squared_integral(self):
-        """Exact value of ``int_0^{2pi} rho(theta)^2 dtheta``."""
-        a, b = self._modes()
-        return _TWO_PI * (a[0] ** 2 + 0.5 * (np.sum(a[1:] ** 2) + np.sum(b**2)))
 
 
 @dataclass(frozen=True)
@@ -247,11 +241,6 @@ class _PoleDiskEngine:
         s = np.asarray(s, dtype=float)
         return np.asarray(self.surface.warp(self.a + s), dtype=float) / self.f_a
 
-    def log_ratio_slope(self, theta, s):
-        s = np.asarray(s, dtype=float)
-        f = np.asarray(self.surface.warp(self.a + s), dtype=float)
-        return np.asarray(self.surface.warp_prime(self.a + s), dtype=float) / f
-
     def _radial_frame(self, s, theta):
         """Radius ``a + s`` of the mapped points and their radial unit vector."""
         rho, th = np.moveaxis(self.map(s, theta), -1, 0)
@@ -370,10 +359,6 @@ class _FlatCurveEngine:
     def ratio(self, theta, s):
         sigma = self._frame(np.asarray(theta, dtype=float)).spread
         return 1.0 + sigma * np.asarray(s, dtype=float)
-
-    def log_ratio_slope(self, theta, s):
-        sigma = self._frame(np.asarray(theta, dtype=float)).spread
-        return sigma / (1.0 + sigma * np.asarray(s, dtype=float))
 
     @cached_property
     def _dense_tree(self):
@@ -573,9 +558,6 @@ class FermiChart:
     def surface(self):
         return self.domain.surface
 
-    def boundary_point(self, theta):
-        return self.engine.boundary(np.mod(np.asarray(theta, dtype=float), _TWO_PI))
-
     def fermi_map(self, s, theta):
         """Chart point at signed depth ``s`` along the normal from ``theta``.
 
@@ -591,29 +573,14 @@ class FermiChart:
         """Like :meth:`fermi_map` without the tube-radius guard (internal uses)."""
         return self.engine.map(np.asarray(s, dtype=float), np.asarray(theta, dtype=float))
 
-    def fermi_invert(self, points):
-        """Signed distance and foot parameter of tube points.
-
-        Raises :class:`ParameterError` for non-finite points,
-        :class:`OutOfTubeError` for points outside the open tube and
-        :class:`FootAmbiguityError` when two boundary feet are within
-        tolerance of being equally close (a regularity violation).
-        """
-        s, theta, ok, amb = self.invert_soft(points)
-        if np.any(amb):
-            raise FootAmbiguityError("two boundary feet are equally close")
-        if np.any(~ok):
-            raise OutOfTubeError("foot-point iteration failed to converge")
-        if np.any(np.abs(s) >= self.r):
-            raise OutOfTubeError("point outside the tubular neighborhood")
-        if np.ndim(points) == 1:
-            return float(s[0]), float(theta[0])
-        return s, theta
-
     def invert_soft(self, points):
-        """Batch inversion returning masks instead of raising (internal).
+        """Signed distance ``s``, foot parameter ``theta`` and the masks ``ok``
+        and ``amb`` of chart points, as arrays.
 
-        Only a non-finite point raises (:class:`ParameterError`).
+        ``ok`` marks a converged foot and ``amb`` a point with two boundary
+        feet within tolerance of equally near (a regularity violation); a
+        foot is usable where ``ok & ~amb``, and in the tube where also
+        ``|s| < r``.  Only a non-finite point raises (:class:`ParameterError`).
         """
         if not np.all(np.isfinite(points)):
             raise ParameterError("chart points must be finite")
@@ -633,11 +600,6 @@ class FermiChart:
         if np.any(np.asarray(out) <= 0.0):
             raise FocalPointError("normal Jacobi field vanished inside the tube")
         return float(out) if np.ndim(out) == 0 else out
-
-    def log_ratio_slope(self, theta, s):
-        """d/ds log(volume ratio): mean curvature of the distance hypersurface."""
-        return self.engine.log_ratio_slope(np.asarray(theta, dtype=float),
-                                           np.asarray(s, dtype=float))
 
     # -- derived data ----------------------------------------------------------
 

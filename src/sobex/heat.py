@@ -77,9 +77,11 @@ _VEV_TIMES = 10  # times per condition in vev_finiteness_sweep
 
 
 def _check_times(t):
-    """Raise :class:`ParameterError` unless every time in ``t`` is positive
-    and finite (nan is neither)."""
+    """Raise :class:`ParameterError` unless ``t`` holds a time and every time
+    in it is positive and finite (nan is neither)."""
     t = np.asarray(t, dtype=float)
+    if t.size == 0:
+        raise ParameterError("time grid is empty")
     if not np.all((0.0 < t) & (t < math.inf)):
         raise ParameterError("time must be positive and finite")
 
@@ -1018,11 +1020,13 @@ def diagonal_bound_check(domain: DiscreteDomain, system: NeumannSystem,
 
     The observed constant certifies the diagonal kernel bound shape;
     finiteness and refinement stability are the acceptance checks, the
-    constant itself is a measured diagnostic.
+    constant itself is a measured diagnostic.  An empty grid, or a grid
+    time that is not positive and finite, raises :class:`ParameterError`.
     """
     t_grid = np.asarray(t_grid, dtype=float)
+    _check_times(t_grid)  # before the square roots
     idx = domain.sample_indices(96) if x_samples is None else np.asarray(x_samples, int)
-    diags = np.array([system.heat_diag(t, idx) for t in t_grid])  # t <= 0 raises before sqrt
+    diags = np.array([system.heat_diag(t, idx) for t in t_grid])
     prods = diags * domain.ball_sums(idx, np.sqrt(t_grid)).T
     at = np.argmax(prods, axis=1)
     table = np.stack([t_grid, prods[np.arange(t_grid.shape[0]), at]], axis=-1)
@@ -1245,8 +1249,9 @@ def li_yau_check(system: NeumannSystem, domain: DiscreteDomain, u0, t_grid) -> L
     For each time the quantity ``|grad ln u|^2 - d/dt ln u`` is
     maximized over interior nodes; the profile is then covered by a
     fitted envelope ``a + b/t``.  Non-positive solution values (a
-    discretization artifact) are clipped with a warning.  A grid time
-    that is not positive and finite raises :class:`ParameterError`.
+    discretization artifact) are clipped with a warning.  An empty grid,
+    or a grid time that is not positive and finite, raises
+    :class:`ParameterError`.
     """
     u0 = np.asarray(u0, dtype=float)
     if np.any(u0 <= 0.0):

@@ -38,7 +38,6 @@ from .errors import (
 
 __all__ = [
     "WarpProfile",
-    "cosh_profile",
     "poly_cosh_mix_profile",
     "ModelSurface",
     "GeodesicState",
@@ -88,26 +87,16 @@ def sn_prime(kappa, r):
 class WarpProfile:
     """Warp factor ``f`` with first and second derivatives.
 
-    ``r_min``/``r_max`` delimit the radial chart domain on which
-    ``f > 0``.  ``has_pole`` declares that ``f(0) = 0, f'(0) = 1`` so
-    that the chart closes up smoothly at ``r = 0`` and pole-centred
-    disks make sense.
+    ``(0, r_max)`` is the radial chart domain, on which ``f > 0``.
+    ``has_pole`` declares that ``f(0) = 0, f'(0) = 1`` so that the chart
+    closes up smoothly at ``r = 0`` and pole-centred disks make sense.
     """
 
     f: Callable = dc_field(repr=False)
     df: Callable = dc_field(repr=False)
     d2f: Callable = dc_field(repr=False)
-    r_min: float = 0.0
     r_max: float = math.inf
     has_pole: bool = True
-
-
-def cosh_profile():
-    """Hyperbolic-cylinder warp ``f(r) = cosh r`` (curvature -1, no pole)."""
-    return WarpProfile(
-        f=np.cosh, df=np.sinh, d2f=np.cosh,
-        r_min=-math.inf, r_max=math.inf, has_pole=False,
-    )
 
 
 def poly_cosh_mix_profile(coeffs):
@@ -142,8 +131,7 @@ def poly_cosh_mix_profile(coeffs):
     bad = np.nonzero(f(grid) <= 0.0)[0]
     if bad.size:
         r_max = float(grid[bad[0] - 1]) if bad[0] else 0.0
-    return WarpProfile(f=f, df=df, d2f=d2f, r_min=0.0, r_max=r_max,
-                       has_pole=(c0 > 0.0))
+    return WarpProfile(f=f, df=df, d2f=d2f, r_max=r_max, has_pole=(c0 > 0.0))
 
 
 @dataclass(frozen=True)
@@ -183,8 +171,7 @@ class ModelSurface:
         if self.kind == "constant":
             hi = math.pi / math.sqrt(self.kappa) if self.kappa > 0.0 else math.inf
             return (0.0, hi)
-        lo = max(self.profile.r_min, 0.0 if self.profile.has_pole else self.profile.r_min)
-        return (lo, self.profile.r_max)
+        return (0.0, self.profile.r_max)
 
     @property
     def has_pole(self):
@@ -210,19 +197,6 @@ class ModelSurface:
         if self.kind == "constant":
             return sn_prime(self.kappa, r)
         return self.profile.df(r)
-
-    def metric_at(self, point):
-        """Metric components ``diag(1, f(r)^2)`` at a chart point.
-
-        Raises :class:`ChartDomainError` outside the chart and
-        :class:`InvalidSurfaceError` if the warp factor is not positive.
-        """
-        r, _ = point
-        self._require_in_chart(r)
-        f = float(self.warp(r))
-        if f <= 0.0:
-            raise InvalidSurfaceError("warp factor must be positive inside the chart")
-        return np.array([[1.0, 0.0], [0.0, f * f]])
 
     def gauss_curvature(self, r):
         """Gauss curvature at radii ``r``: ``kappa`` or ``-f''/f``."""

@@ -30,6 +30,7 @@ _DISK = '{"type": "disk", "radius": 1.0}'
 # path of a file holding the text
 WARPED_CONFIG = "<warped config>"
 CAP_CONFIG = "<cap config>"
+HYPERBOLIC_CONFIG = "<hyperbolic config>"
 SWEEP_CONFIG = "<sweep config>"
 CONFIGS = {
     # the CLI defaults' warped disk
@@ -38,6 +39,9 @@ CONFIGS = {
     # the spherical cap of radius pi/4 about the pole
     CAP_CONFIG: ('{"surface": {"kind": "constant", "kappa": 1.0}, '
                  '"domain": {"type": "disk", "radius": 0.7853981633974483}}'),
+    # the README config's disk: radius 0.8 about the pole of curvature -1
+    HYPERBOLIC_CONFIG: ('{"surface": {"kind": "constant", "kappa": -1.0}, '
+                        '"domain": {"type": "disk", "center": [0, 0], "radius": 0.8}}'),
     # the README's config example, which its ``sweep`` command reads
     SWEEP_CONFIG: ('{"surface": {"kind": "constant", "kappa": -1.0}, '
                    '"domain": {"type": "disk", "center": [0, 0], "radius": 0.8}, "r": 0.3, '
@@ -69,6 +73,8 @@ RUNS = {
     "heat-disk": (["heat", "--domain", '{"type": "disk", "radius": 1.0}',
                    "--resolution", "24"], None),
     "heat-warped": (["heat", "--config", WARPED_CONFIG, "--resolution", "24"], None),
+    "heat-cap": (["heat", "--config", CAP_CONFIG, "--resolution", "24"], None),
+    "heat-hyperbolic": (["heat", "--config", HYPERBOLIC_CONFIG, "--resolution", "24"], None),
     "heat-blob": (["heat", "--domain", _BLOB, "--resolution", "20"], None),
     "heat-blob-sparse": (["heat", "--domain", _BLOB, "--resolution", "16"], 100),
     # the README's five commands, without their output flags

@@ -33,7 +33,7 @@ def test_field_partials_match_finite_differences(rng):
             assert np.max(np.abs(fd - grad[:, axis]) / scale) < 1e-5
 
 
-def test_cutoff_values(disk_chart, flat):
+def test_cutoff_values():
     cut = E.smoothstep_cutoff(3.0)
     assert cut.eta(0.2) == 1.0
     assert cut.eta(1.1) == 0.0
@@ -45,22 +45,23 @@ def test_cutoff_values(disk_chart, flat):
     assert cut8.eta(cut8.t_end + 1e-9) == 0.0
     with pytest.raises(ParameterError):
         E.smoothstep_cutoff(2.0)
-    # ambient-ball version
-    v = E.cutoff_value(cut, flat, (0.0, 0.0), 1.0, np.array([[0.2, 0.3]]))
-    assert v[0] == 1.0
-    v = E.cutoff_value(cut, flat, (0.0, 0.0), 1.0, np.array([[1.1, 0.3]]))
-    assert v[0] == 0.0
 
 
 def test_extend_1d_examples():
-    ones = lambda s: np.ones_like(np.asarray(s, dtype=float))
-    ident = lambda s: np.asarray(s, dtype=float)
-    square = lambda s: np.asarray(s, dtype=float) ** 2
-    assert E.extend_1d(ones, ones, 0.3) == pytest.approx(1.0, abs=1e-15)
-    assert E.extend_1d(ident, ones, 0.4) == pytest.approx(0.4, abs=1e-14)
-    assert E.extend_1d(square, ones, 0.4) == pytest.approx(-0.32, abs=1e-14)
-    # inside branch reproduces the trace
-    assert E.extend_1d(square, ones, -0.25) == pytest.approx(0.0625, abs=1e-15)
+    # the reflection rule from u(-s) and u(-s/2) at s = 0.4: a constant and the
+    # affine trace u(t) = t are reproduced, and u(t) = t^2 gives -3 s^2 + s^2
+    s = 0.4
+    assert E._reflect(1.0, 1.0) == pytest.approx(1.0, abs=1e-15)
+    assert E._reflect(-s, -s / 2) == pytest.approx(0.4, abs=1e-14)
+    assert E._reflect(s**2, (s / 2) ** 2) == pytest.approx(-0.32, abs=1e-14)
+    # the cut-off jet reads u'(-s) and u'(-s/2): d/ds (-2 s^2) = -4 s for u(t) = t^2,
+    # and cutoff 0.5 with slope 2 takes the affine trace to 0.5 s and 0.5 + 2 s
+    value, d_s = E._reflection_jet((s**2, (s / 2) ** 2), (-2 * s, -s), 1.0, 0.0)
+    assert value == pytest.approx(-0.32, abs=1e-14)
+    assert d_s == pytest.approx(-1.6, abs=1e-14)
+    value, d_s = E._reflection_jet((-s, -s / 2), (1.0, 1.0), 0.5, 2.0)
+    assert value == pytest.approx(0.2, abs=1e-15)
+    assert d_s == pytest.approx(1.3, abs=1e-14)
 
 
 def test_extend_branches(disk_chart):
@@ -249,7 +250,7 @@ def test_fermi_partials_cross_check(blob_chart, rng):
     r = blob_chart.r
     s = rng.uniform(0.05 * r, 0.9 * r, 20)
     th = rng.uniform(0.0, 2.0 * math.pi, 20)
-    d_s, d_t = ext.fermi_partials(s, th)
+    d_s, d_t = ext.jet(s, *E._reflection_sources(blob_chart, s, th))[1:]
     h = 1e-6
     ds_fd = (ext.tube_profile(s + h, th) - ext.tube_profile(s - h, th)) / (2 * h)
     dt_fd = (ext.tube_profile(s, th + h) - ext.tube_profile(s, th - h)) / (2 * h)
@@ -421,7 +422,7 @@ def test_non_finite_chart_points_rejected(any_flat_chart, point):
     # disk by NaN
     ext = E.ExtendedField(any_flat_chart, x_field(), E.smoothstep_cutoff(3.0))
     p = np.array(point)
-    for call in (any_flat_chart.fermi_invert, any_flat_chart.invert_soft, ext):
+    for call in (any_flat_chart.invert_soft, ext):
         with pytest.raises(ParameterError):
             call(p)
         with pytest.raises(ParameterError):

@@ -41,7 +41,9 @@ def test_weights_sum_to_volume(interval, disk_system, blob_system, fourier_blob)
     dom, _ = disk_system
     assert dom.volume == pytest.approx(math.pi, rel=1e-12)
     dom, _ = blob_system
-    exact = 0.5 * fourier_blob.boundary.squared_integral()
+    a, b = (np.asarray(c) for c in (fourier_blob.boundary.cos_coeffs,
+                                    fourier_blob.boundary.sin_coeffs))
+    exact = math.pi * (a[0] ** 2 + 0.5 * np.sum(a[1:] ** 2) + 0.5 * np.sum(b**2))
     assert dom.volume == pytest.approx(exact, rel=1e-12)
 
 
@@ -394,6 +396,19 @@ def test_times_must_be_positive_and_finite(unit_interval, call):
     an inf in a Li-Yau grid above its smallest time)."""
     with pytest.raises(ParameterError, match="time must be positive and finite"):
         call(*unit_interval)
+
+
+@pytest.mark.parametrize("call", [
+    pytest.param(lambda dom, system: H.diagonal_bound_check(dom, system, []), id="diagonal"),
+    pytest.param(lambda dom, system: H.li_yau_check(system, dom, np.ones(dom.size), []),
+                 id="li_yau"),
+])
+def test_empty_time_grids_rejected(call):
+    """Unchecked, an empty grid ends in numpy's ``ValueError``: operands that do
+    not broadcast (diagonal bound) or a minimum over no times (Li-Yau)."""
+    dom = H.DiscreteDomain.interval(1.0, 64)
+    with pytest.raises(ParameterError, match="time grid is empty"):
+        call(dom, H.assemble(dom))
 
 
 @pytest.mark.parametrize("call", [

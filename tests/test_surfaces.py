@@ -9,9 +9,9 @@ from sobex.surfaces import (
     GeodesicState,
     JacobiValue,
     ModelSurface,
+    WarpProfile,
     constant_curvature_distance,
     constant_curvature_geodesic,
-    cosh_profile,
     integrate_geodesic,
     jacobi_transport,
     jacobi_values,
@@ -19,23 +19,24 @@ from sobex.surfaces import (
 )
 
 
+# the hyperbolic cylinder dr^2 + cosh(r)^2 dtheta^2: curvature -1, no pole
+_COSH = ModelSurface.warped(WarpProfile(np.cosh, np.sinh, np.cosh, r_max=math.inf,
+                                        has_pole=False))
+
+
 def test_metric_closed_forms(flat, sphere):
-    g = flat.metric_at((1.0, 0.0))
-    assert np.allclose(g, np.diag([1.0, 1.0]))
-    g = sphere.metric_at((math.pi / 2.0, 0.3))
-    assert g[1, 1] == pytest.approx(1.0, abs=1e-15)
-    warped = ModelSurface.warped(cosh_profile())
-    g = warped.metric_at((1.0, 0.0))
-    assert g[1, 1] == pytest.approx(math.cosh(1.0) ** 2, abs=1e-12)
+    # the metric is diag(1, f(r)^2)
+    assert flat.warp(1.0) == 1.0
+    assert sphere.warp(math.pi / 2.0) == pytest.approx(1.0, abs=1e-15)
+    assert _COSH.warp(1.0) ** 2 == pytest.approx(math.cosh(1.0) ** 2, abs=1e-12)
     with pytest.raises(ChartDomainError):
-        sphere.metric_at((3.2, 0.0))
+        integrate_geodesic(sphere, _radial_state(3.2), 0.1)
 
 
 def test_gauss_curvature(hyperbolic):
     assert hyperbolic.gauss_curvature(0.7) == -1.0
-    warped = ModelSurface.warped(cosh_profile())
     for r in (0.3, 1.0, 2.5):
-        assert warped.gauss_curvature(r) == pytest.approx(-1.0, abs=1e-14)
+        assert _COSH.gauss_curvature(r) == pytest.approx(-1.0, abs=1e-14)
     poly = ModelSurface.warped(poly_cosh_mix_profile([1.0, 0.1]))
     # f = r + 0.1 r^3 at r = 0.5: f'' = 0.3, f = 0.5125
     assert poly.gauss_curvature(0.5) == pytest.approx(-0.3 / 0.5125, abs=1e-12)
@@ -46,15 +47,12 @@ def test_gauss_curvature(hyperbolic):
 
 def test_nonpositive_warp_rejected():
     from sobex.errors import InvalidSurfaceError
-    from sobex.surfaces import WarpProfile
 
     bad = ModelSurface.warped(WarpProfile(
         f=lambda r: 1.0 - r, df=lambda r: -1.0 + 0.0 * r,
-        d2f=lambda r: 0.0 * r, r_min=0.0, r_max=5.0, has_pole=False))
+        d2f=lambda r: 0.0 * r, r_max=5.0, has_pole=False))
     with pytest.raises(InvalidSurfaceError):
         bad.gauss_curvature(2.0)
-    with pytest.raises(InvalidSurfaceError):
-        bad.metric_at((2.0, 0.0))
 
 
 def test_poly_cosh_mix_cap_stays_below_the_zero():
@@ -83,13 +81,13 @@ def test_curvature_finite_difference_consistency(flat, sphere, hyperbolic):
     h = 1e-4
     for surf in (flat, sphere, hyperbolic):
         for r in (0.6, 1.1):
-            f = [math.sqrt(surf.metric_at((r + d, 0.0))[1, 1]) for d in (-h, 0.0, h)]
+            f = [float(surf.warp(r + d)) for d in (-h, 0.0, h)]
             k_fd = -(f[0] - 2.0 * f[1] + f[2]) / (h * h) / f[1]
             assert k_fd == pytest.approx(surf.kappa, abs=1e-6)
 
 
-def _radial_state(r0, outward=True):
-    return GeodesicState(position=(r0, 0.0), velocity=(1.0 if outward else -1.0, 0.0))
+def _radial_state(r0):
+    return GeodesicState(position=(r0, 0.0), velocity=(1.0, 0.0))
 
 
 def test_flat_radial_geodesic(flat):
@@ -162,9 +160,9 @@ def test_jacobi_closed_forms(flat, sphere):
     traj_s = integrate_geodesic(sphere, start, 2.0, tol=1e-11)
     out = jacobi_transport(sphere, traj_s, JacobiValue(1.0, 0.0), s=1.3)
     assert out.value == pytest.approx(math.cos(1.3), abs=1e-10)
-    warped = ModelSurface.warped(cosh_profile())
-    traj_w = integrate_geodesic(warped, _radial_state(0.0, outward=True), 2.0, tol=1e-11)
-    out = jacobi_transport(warped, traj_w, JacobiValue(1.0, 0.0), s=1.5)
+    # K = -1 along the whole ray, so J = cosh(s) from any start
+    traj_w = integrate_geodesic(_COSH, _radial_state(0.5), 2.0, tol=1e-11)
+    out = jacobi_transport(_COSH, traj_w, JacobiValue(1.0, 0.0), s=1.5)
     assert out.value == pytest.approx(math.cosh(1.5), abs=1e-8)
 
 
