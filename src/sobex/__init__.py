@@ -57,11 +57,9 @@ from .fermi import (
     check_regularity,
 )
 from .heat import (
-    CurvatureField,
     DiscreteDomain,
     NeumannSystem,
     assemble,
-    curvature_field,
     diagonal_bound_check,
     doubling_comparability,
     doubling_constant,
@@ -72,6 +70,7 @@ from .heat import (
     integral_ricci,
     kato_quantity,
     li_yau_check,
+    ricci_negative_part,
     vev_finiteness_sweep,
     vev_norm,
 )
@@ -104,11 +103,11 @@ __all__ = [
     "polynomial_field", "random_fourier_trace", "random_smooth_fields",
     "smoothstep_cutoff", "trig_field", "verify_1d_inequality",
     # heat
-    "CurvatureField", "DiscreteDomain", "NeumannSystem", "assemble",
-    "curvature_field", "diagonal_bound_check", "doubling_comparability",
-    "doubling_constant", "eigenvalue_diagnostic", "fit_inverse_time_envelope",
-    "gn_check", "heat_kernel", "integral_ricci", "kato_quantity",
-    "li_yau_check", "vev_finiteness_sweep", "vev_norm",
+    "DiscreteDomain", "NeumannSystem", "assemble", "diagonal_bound_check",
+    "doubling_comparability", "doubling_constant", "eigenvalue_diagnostic",
+    "fit_inverse_time_envelope", "gn_check", "heat_kernel", "integral_ricci",
+    "kato_quantity", "li_yau_check", "ricci_negative_part", "vev_finiteness_sweep",
+    "vev_norm",
 ]
 
 __version__ = "0.1.0"

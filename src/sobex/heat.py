@@ -47,8 +47,7 @@ __all__ = [
     "TensorFactors",
     "assemble",
     "heat_kernel",
-    "CurvatureField",
-    "curvature_field",
+    "ricci_negative_part",
     "DiagonalBoundResult",
     "diagonal_bound_check",
     "doubling_constant",
@@ -937,10 +936,9 @@ class NeumannSystem:
         phi = self.spectrum.values(np.arange(self.size), e.shape[0])
         return (phi * e) @ phi.T
 
-    def heat_diag(self, t, idx=None):
-        """Diagonal values ``h_t(x, x)`` at the nodes ``idx``.  With ``idx=None``
-        it covers every node and so forms the ``N x m`` eigenvector values."""
-        nodes = np.arange(self.size) if idx is None else np.atleast_1d(idx)
+    def heat_diag(self, t, idx):
+        """Diagonal values ``h_t(x, x)`` at the nodes ``idx``."""
+        nodes = np.atleast_1d(idx)
         return self.heat_kernel(t, nodes, nodes)
 
     def semigroup(self, vec, t_min):
@@ -956,9 +954,6 @@ class NeumannSystem:
 
         return flow
 
-    def semigroup_apply(self, t, vec):
-        return self.semigroup(vec, t)(t)
-
 
 def heat_kernel(system: NeumannSystem, t, i, j):
     """Module-level convenience wrapper around the kernel evaluation."""
@@ -966,31 +961,19 @@ def heat_kernel(system: NeumannSystem, t, i, j):
 
 
 # ---------------------------------------------------------------------------
-# curvature fields
+# curvature
 # ---------------------------------------------------------------------------
 
 
-@dataclass(frozen=True)
-class CurvatureField:
-    """Lowest Ricci eigenvalue per node and its negative part."""
-
-    rho: np.ndarray
-
-    @property
-    def rho_minus(self):
-        return np.maximum(0.0, -self.rho)
-
-
-def curvature_field(domain: DiscreteDomain) -> CurvatureField:
-    """Geometric curvature field of a discrete domain.
-
-    The interval is flat; on surfaces the lowest Ricci eigenvalue is
-    ``(n - 1) K`` with the Gauss curvature ``K`` at the node.
-    """
+def ricci_negative_part(domain: DiscreteDomain):
+    """Per-node negative part ``rho_minus = max(0, -(n - 1) K)`` of the lowest
+    Ricci eigenvalue, with the Gauss curvature ``K`` at the node; the
+    interval is flat.  :func:`integral_ricci` and :func:`kato_quantity`
+    read it."""
     if domain.kind == "interval":
-        return CurvatureField(np.zeros(domain.size))
+        return np.zeros(domain.size)
     surf = domain.spec.surface
-    return CurvatureField((surf.dimension - 1) * surf.gauss_curvature(domain.nodes[:, 0]))
+    return np.maximum(0.0, -(surf.dimension - 1) * surf.gauss_curvature(domain.nodes[:, 0]))
 
 
 # ---------------------------------------------------------------------------
@@ -1015,8 +998,8 @@ class DiagonalBoundResult:
 
 
 def diagonal_bound_check(domain: DiscreteDomain, system: NeumannSystem,
-                         t_grid, x_samples=None) -> DiagonalBoundResult:
-    """Largest observed ``h_t(x,x) * Vol(B(x, sqrt(t)))`` over samples.
+                         t_grid) -> DiagonalBoundResult:
+    """Largest observed ``h_t(x,x) * Vol(B(x, sqrt(t)))`` over 96 sampled nodes.
 
     The observed constant certifies the diagonal kernel bound shape;
     finiteness and refinement stability are the acceptance checks, the
@@ -1025,7 +1008,7 @@ def diagonal_bound_check(domain: DiscreteDomain, system: NeumannSystem,
     """
     t_grid = np.asarray(t_grid, dtype=float)
     _check_times(t_grid)  # before the square roots
-    idx = domain.sample_indices(96) if x_samples is None else np.asarray(x_samples, int)
+    idx = domain.sample_indices(96)
     diags = np.array([system.heat_diag(t, idx) for t in t_grid])
     prods = diags * domain.ball_sums(idx, np.sqrt(t_grid)).T
     at = np.argmax(prods, axis=1)
@@ -1093,9 +1076,9 @@ def gn_check(domain: DiscreteDomain, system: NeumannSystem, q, r_grid) -> GNResu
     lam, phi = system.eigenpairs(min(10, system.size - 1))
     fields = [phi[:, k] for k in range(phi.shape[1])]
     fields.append(phi[:, 0] + phi[:, min(1, phi.shape[1] - 1)])
+    t = (domain.mesh_width * 4.0) ** 2  # the random fields' smoothing time
     for _ in range(_GN_RANDOM_FIELDS):
-        raw = rng.normal(size=domain.size)
-        fields.append(system.semigroup_apply((domain.mesh_width * 4.0) ** 2, raw))
+        fields.append(system.semigroup(rng.normal(size=domain.size), t)(t))
 
     w = domain.weights
     F = np.stack(fields)
@@ -1168,18 +1151,19 @@ def vev_finiteness_sweep(system: NeumannSystem, domain: DiscreteDomain, t0):
     return out
 
 
-def integral_ricci(domain: DiscreteDomain, rho_field: CurvatureField, p, R):
+def integral_ricci(domain: DiscreteDomain, rho_minus, p, R):
     """Uniform lp-mean of the negative Ricci part over R-balls.
 
     ``sup_x ( mean_{B(x,R)} rho_minus^p )^(1/p)`` with node-weight
-    quadrature; requires ``p > n/2``.
+    quadrature, for the per-node array ``rho_minus`` (as
+    :func:`ricci_negative_part` gives it); requires ``p > n/2``.
     """
     if p <= domain.n / 2.0:
         raise ParameterError("p must exceed n/2")
     if not R > 0.0:
         raise ParameterError("R must be positive")
     idx = domain.sample_indices(_RICCI_SAMPLES)
-    num = domain.ball_sums(idx, [R], domain.weights * rho_field.rho_minus**p)
+    num = domain.ball_sums(idx, [R], domain.weights * rho_minus**p)
     den = domain.ball_sums(idx, [R])
     return float(np.max((num / den) ** (1.0 / p)))
 
@@ -1249,7 +1233,7 @@ def li_yau_check(system: NeumannSystem, domain: DiscreteDomain, u0, t_grid) -> L
     For each time the quantity ``|grad ln u|^2 - d/dt ln u`` is
     maximized over interior nodes; the profile is then covered by a
     fitted envelope ``a + b/t``.  Non-positive solution values (a
-    discretization artifact) are clipped with a warning.  An empty grid,
+    discretization artifact) are clipped, and ``clipped`` says so.  An empty grid,
     or a grid time that is not positive and finite, raises
     :class:`ParameterError`.
     """
@@ -1271,8 +1255,6 @@ def li_yau_check(system: NeumannSystem, domain: DiscreteDomain, u0, t_grid) -> L
         grad = domain.node_gradient(np.log(u))
         lhs = np.sum(grad**2, axis=-1) - du / u
         profile[k] = float(np.max(lhs[interior]))
-    if clipped:
-        warnings.warn("non-positive solution values clipped", stacklevel=2)
     a, b = fit_inverse_time_envelope(t_grid, profile)
     slack = 1e-9 * (1.0 + np.abs(profile))
     violations = int(np.count_nonzero(profile > a + b / t_grid + slack))

@@ -8,6 +8,15 @@ bitwise, the largest relative move, and every move, marking those above
 ``RTOL``:
 
     PYTHONPATH=src python tests/golden_reports.py
+
+A regeneration need not match the committed files byte for byte when the
+host differs from the one that wrote them: on a 2-vCPU Xeon VM with numpy
+2.4 and OpenBLAS, ``heat-blob.json`` moves six ``diagonal.profile`` values
+by at most 3.5e-16 relative with no change to the code (well inside
+``RTOL``).  So to show that a change keeps every report byte-identical,
+regenerate on one host at the parent commit and at the change, each in
+its own checkout, and compare the two regenerations, not a regeneration
+with the committed files.
 """
 
 from __future__ import annotations

@@ -248,6 +248,48 @@ def test_heat_constant_null_fails_when_constants_carry_energy(tmp_path, monkeypa
     assert rc == 1 and json.loads(rep.read_text())["checks"]["constant_null"] is False
 
 
+def test_heat_constant_null_alone_reads_a_stiffness_the_spectrum_ignores(tmp_path, monkeypatch):
+    """A separable disk solves its spectrum from its factors, not from its
+    stiffness: one diagonal entry raised by 1e-6 of the largest leaves every
+    kernel check passing, and ``constant_null`` alone fails (exit 1)."""
+    assemble = heat.assemble
+
+    def raised(domain):
+        system = assemble(domain)
+        assert system.solver == "separable"
+        bump = np.zeros(system.size)
+        bump[0] = 1e-6 * np.max(np.abs(system.stiffness.diagonal()))
+        system.stiffness = (system.stiffness + sps.diags(bump)).tocsr()
+        return system
+
+    monkeypatch.setattr(heat, "assemble", raised)
+    rep = tmp_path / "heat.json"
+    rc = cli.main(["heat", "--domain", '{"type": "disk", "radius": 1.0}',
+                   "--resolution", "16", "--report", str(rep)])
+    checks = json.loads(rep.read_text())["checks"]
+    assert rc == 1 and checks.pop("constant_null") is False
+    assert checks and all(checks.values()), checks
+
+
+def test_heat_modes_only_sizes_the_eigenvalue_list(tmp_path):
+    """``--modes`` sets how many eigenvalues the report lists and nothing else:
+    the kernel sums, the checks and the eigensolver block run at the
+    solver's own mode cap with or without it."""
+    reports = []
+    for flags in ([], ["--modes", "4"]):
+        rep = tmp_path / "heat.json"
+        with warnings.catch_warnings():
+            warnings.simplefilter("ignore", UserWarning)  # the capped sums warn
+            assert cli.main(["heat", "--domain", '{"type": "disk", "radius": 1.0}',
+                             "--resolution", "48", *flags, "--report", str(rep)]) == 0
+        reports.append(json.loads(rep.read_text()))
+    default, four = reports
+    for block in ("diagonal", "checks", "eigensolver"):
+        assert four[block] == default[block], block
+    assert len(default["eigenvalues"]) == 16 and len(four["eigenvalues"]) == 4
+    assert four["eigenvalues"] == default["eigenvalues"][:4]
+
+
 def test_heat_default_resolution_disk(tmp_path, unit_disk):
     """The unit disk at the default resolution 256 (65 536 nodes) passes every
     check, and its allocations peak below 64 MiB (19 MiB measured): the
@@ -293,7 +335,7 @@ def test_heat_rejects_bad_input(tmp_path, capsys, flags, config):
 
 @pytest.mark.parametrize("domain, flags, n_eigs, path", [
     ('{"type": "fourier", "coeffs_cos": [1.0, 0.0, 0.15]}', [], 16, "sparse"),
-    # two modes split the disk's first cos/sin pair, so the sums keep one
+    # two reported eigenvalues; the sums run at the separable solver's cap
     ('{"type": "disk", "radius": 1.0}', ["--modes", "2"], 2, "separable"),
 ])
 def test_heat_solves_once(tmp_path, monkeypatch, domain, flags, n_eigs, path):

@@ -8,7 +8,7 @@ from hypothesis import given, settings, strategies as st
 from scipy.integrate import dblquad
 
 from sobex import extension as E
-from sobex.errors import ParameterError, RegularityError
+from sobex.errors import FootAmbiguityError, OutOfTubeError, ParameterError, RegularityError
 from sobex.fermi import DomainSpec, FermiChart, GeodesicDisk, RadialProfile
 from sobex.surfaces import polar_to_cartesian
 
@@ -73,6 +73,20 @@ def test_extend_branches(disk_chart):
     extx = E.ExtendedField(disk_chart, x_field(), cut)
     s = 0.2  # below r/2 so the cutoff equals 1
     assert extx(np.array([1.0 + s, 0.0])) == pytest.approx(1.0 + s, abs=1e-12)
+
+
+@pytest.mark.parametrize("ok, amb, error", [(True, True, FootAmbiguityError),
+                                             (False, False, OutOfTubeError)])
+def test_unusable_foot_inside_the_tube_raises(disk_chart, monkeypatch, ok, amb, error):
+    """An exterior point whose inversion reports two feet, or no converged
+    foot, at a depth inside the tube raises rather than extending."""
+    r = disk_chart.r
+    monkeypatch.setattr(disk_chart, "invert_soft", lambda points: (
+        np.full(len(points), 0.2 * r), np.zeros(len(points)),
+        np.full(len(points), ok), np.full(len(points), amb)))
+    ext = E.ExtendedField(disk_chart, x_field(), E.smoothstep_cutoff(3.0))
+    with pytest.raises(error):
+        ext(np.array([1.0 + 0.2 * r, 0.0]))
 
 
 def test_restriction_identity_bitwise(disk_chart, rng):

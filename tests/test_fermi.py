@@ -194,6 +194,13 @@ def test_volume_element_ratio_examples(disk_chart, cap_chart):
             math.sin(a + s) / math.sin(a), abs=1e-14)
 
 
+@pytest.mark.parametrize("s", [0.45, -0.45, 0.6, [0.1, 0.45]])
+def test_volume_element_ratio_outside_the_tube_raises(disk_chart, s):
+    """Depths with ``|s| >= r`` (``r = 0.45``) lie outside the tube."""
+    with pytest.raises(OutOfTubeError, match="depth outside the tube"):
+        disk_chart.volume_element_ratio(np.zeros(np.shape(s)), s)
+
+
 @pytest.mark.parametrize("chart_name", ["disk_chart", "cap_chart", "blob_chart"])
 def test_comparison_sandwich(chart_name, request):
     chart = request.getfixturevalue(chart_name)

@@ -1,4 +1,5 @@
 import math
+import warnings
 
 import numpy as np
 import pytest
@@ -228,7 +229,7 @@ def test_kernel_stochastic_symmetric_conserving(unit_interval):
     assert np.max(np.abs(Hm - Hm.T)) < 1e-12
     rng = np.random.default_rng(0)
     u = rng.normal(size=dom.size)
-    assert np.sum(dom.weights * sys_.semigroup_apply(0.37, u)) == pytest.approx(
+    assert np.sum(dom.weights * sys_.semigroup(u, 0.37)(0.37)) == pytest.approx(
         np.sum(dom.weights * u), abs=1e-10)
 
 
@@ -254,9 +255,11 @@ def test_diagonal_bound_interval(unit_interval):
     dom, sys_ = unit_interval
     sat = H.diagonal_bound_check(dom, sys_, [1.0, 2.0, 4.0])
     assert sat.c_obs == pytest.approx(1.0, rel=1e-3)
-    mid = [dom.size // 2]
-    small = H.diagonal_bound_check(dom, sys_, [1e-4], x_samples=mid)
-    assert small.c_obs == pytest.approx(2.0 / math.sqrt(4.0 * math.pi), rel=0.02)
+    # at the midpoint the short-time product is the line's 2 / sqrt(4 pi); the
+    # default samples reach nodes near the ends, where it is larger
+    mid, t = [dom.size // 2], 1e-4
+    small = sys_.heat_diag(t, mid) * dom.ball_sums(mid, [math.sqrt(t)])[:, 0]
+    assert small[0] == pytest.approx(2.0 / math.sqrt(4.0 * math.pi), rel=0.02)
 
 
 def test_diagonal_bound_disk_refinement(unit_disk):
@@ -328,30 +331,32 @@ def test_vev_norms(unit_interval):
 
 def test_integral_ricci(disk_system, hyperbolic):
     dom, _ = disk_system
-    assert H.integral_ricci(dom, H.curvature_field(dom), 2.0, 0.5) == 0.0
+    assert H.integral_ricci(dom, H.ricci_negative_part(dom), 2.0, 0.5) == 0.0
     hyp_dom = H.DiscreteDomain.disk_like(
         DomainSpec(hyperbolic, GeodesicDisk((0.0, 0.0), 0.8)), 20, 40)
-    assert H.integral_ricci(hyp_dom, H.curvature_field(hyp_dom), 3.0, 0.4) == \
+    assert H.integral_ricci(hyp_dom, H.ricci_negative_part(hyp_dom), 3.0, 0.4) == \
         pytest.approx(1.0, abs=1e-12)
     with pytest.raises(ParameterError):
-        H.integral_ricci(dom, H.curvature_field(dom), 0.9, 0.4)
+        H.integral_ricci(dom, H.ricci_negative_part(dom), 0.9, 0.4)
 
 
 def test_integral_ricci_warped_brute_force():
     surf = ModelSurface.warped(poly_cosh_mix_profile([1.0, 0.12, -0.05]))
     spec = DomainSpec(surf, GeodesicDisk((0.0, 0.0), 1.2))
     dom = H.DiscreteDomain.disk_like(spec, 32, 64)
-    rho = H.curvature_field(dom)
-    assert np.min(rho.rho) < 0.0 < np.max(rho.rho)  # genuinely sign-changing
+    K = dom.spec.surface.gauss_curvature(dom.nodes[:, 0])
+    assert np.min(K) < 0.0 < np.max(K)  # genuinely sign-changing
+    rho_minus = H.ricci_negative_part(dom)
+    np.testing.assert_array_equal(rho_minus, np.where(K < 0.0, -K, 0.0))
     p, R = 2.0, 0.5
-    val = H.integral_ricci(dom, rho, p, R)
+    val = H.integral_ricci(dom, rho_minus, p, R)
     # independent brute-force evaluation over the same samples
     idx = dom.sample_indices(64)
     worst = 0.0
     for i in idx:
         d = dom.distance_rows([i])[0]
         inside = d < R
-        mean = np.sum(dom.weights[inside] * rho.rho_minus[inside] ** p) / \
+        mean = np.sum(dom.weights[inside] * rho_minus[inside] ** p) / \
             np.sum(dom.weights[inside])
         worst = max(worst, mean ** (1.0 / p))
     assert val == pytest.approx(worst, abs=1e-6)
@@ -385,9 +390,9 @@ def test_kato_quantity(unit_interval):
                  id="kato-underflow"),
     pytest.param(lambda dom, system: system.heat_diag(math.nan, [0]), id="heat_diag-nan"),
     pytest.param(lambda dom, system: system.heat_diag(math.inf, [0]), id="heat_diag-inf"),
-    pytest.param(lambda dom, system: system.semigroup_apply(math.nan, np.ones(dom.size)),
+    pytest.param(lambda dom, system: system.semigroup(np.ones(dom.size), math.nan),
                  id="semigroup-nan"),
-    pytest.param(lambda dom, system: system.semigroup_apply(math.inf, np.ones(dom.size)),
+    pytest.param(lambda dom, system: system.semigroup(np.ones(dom.size), math.inf),
                  id="semigroup-inf"),
 ])
 def test_times_must_be_positive_and_finite(unit_interval, call):
@@ -413,7 +418,7 @@ def test_empty_time_grids_rejected(call):
 
 @pytest.mark.parametrize("call", [
     pytest.param(lambda dom, system: H.doubling_comparability(dom, 0.0), id="comparability"),
-    pytest.param(lambda dom, system: H.integral_ricci(dom, H.curvature_field(dom), 2.0, 0.0),
+    pytest.param(lambda dom, system: H.integral_ricci(dom, H.ricci_negative_part(dom), 2.0, 0.0),
                  id="integral_ricci"),
     pytest.param(lambda dom, system: H.gn_check(dom, system, math.inf, [0.2, 0.0]),
                  id="gn_check"),
@@ -556,6 +561,25 @@ def test_li_yau_on_disks_and_blobs(unit_disk, fourier_blob):
         assert np.all(fine.sup_profile <= coarse.envelope(t_grid) * 1.05 + 1e-9)
 
 
+def test_li_yau_reports_clipping_in_its_result(unit_interval, monkeypatch):
+    """A solution value at or below the floor is clipped, and the result's
+    ``clipped`` field is the one report of it: no warning is given."""
+    dom, system = unit_interval
+    flow = system.semigroup(np.ones(dom.size), 0.1)
+
+    def dipped(t, order=0):
+        u = flow(t, order)
+        if order == 0:
+            u[dom.size // 2] = 0.0
+        return u
+
+    monkeypatch.setattr(system, "semigroup", lambda vec, t_min: dipped)
+    with warnings.catch_warnings():
+        warnings.simplefilter("error")
+        res = H.li_yau_check(system, dom, np.ones(dom.size), [0.1, 0.2])
+    assert res.clipped and np.all(np.isfinite(res.sup_profile))
+
+
 @settings(max_examples=200)
 @given(data=st.lists(st.tuples(st.floats(1e-3, 10.0), st.floats(-100.0, 100.0)),
                      min_size=1, max_size=24))
@@ -620,13 +644,13 @@ def _kernel_quantities(system, t, idx, vec):
     """Every kernel sum at time ``t``: diagonal, probe block, full matrix,
     semigroup, and ``sobex heat``'s probe row sums and symmetric block."""
     return {
-        "diag": system.heat_diag(t),
+        "diag": system.heat_diag(t, np.arange(system.size)),
         "diag_idx": system.heat_diag(t, idx),
         "block": system.heat_kernel(t, idx[:, None], idx[None, :]),
         "pairs": system.heat_kernel(t, idx, idx[::-1]),
         "matrix": system.kernel_matrix(t),
-        "semigroup": system.semigroup_apply(t, vec),
-        "rowsums": system.semigroup_apply(t, np.ones(system.size))[idx],
+        "semigroup": system.semigroup(vec, t)(t),
+        "rowsums": system.semigroup(np.ones(system.size), t)(t)[idx],
     }
 
 
@@ -760,7 +784,7 @@ def test_dense_rows_are_cached_by_value(fourier_blob):
     assert np.array_equal(spectrum.values(idx, m), rows)
     assert spectrum._last_rows[1] is not kept
     assert system.heat_diag(t, np.array([], dtype=int)).shape == (0,)
-    system.heat_diag(t)  # forms D Q Z on all nodes
+    system.heat_diag(t, np.arange(system.size))  # forms D Q Z on all nodes
     assert "_factor" in vars(spectrum)
     for nodes, before in ((idx, rows), (other, shifted)):
         np.testing.assert_allclose(spectrum.values(nodes, m), before,
@@ -903,7 +927,7 @@ def test_truncation_warning_names_the_caller():
     system = H.assemble(dom)
     system.mode_cap = 20
     for call in (lambda: system.heat_diag(1e-4, np.arange(5)),
-                 lambda: H.diagonal_bound_check(dom, system, [1e-4], np.arange(5))):
+                 lambda: H.diagonal_bound_check(dom, system, [1e-4])):
         with pytest.warns(UserWarning, match="spectral truncation") as caught:
             call()
         assert [w.filename for w in caught] == [__file__]
@@ -925,5 +949,5 @@ def test_truncation_level_is_recorded():
     assert system.modes_used == 20
 
     complete = H.assemble(dom)
-    complete.heat_diag(1e-4)
+    complete.heat_diag(1e-4, np.arange(dom.size))
     assert (complete.truncation, complete.modes_used) == (0.0, 200)

@@ -31,13 +31,23 @@ from tracer import Tracer
 
 tracer = Tracer()
 tracer.install()
-from sobex import cli
+from sobex import cli, heat
 
+assemble = heat.assemble  # the traced one
+
+
+def capped(domain):
+    system = assemble(domain)
+    system.mode_cap = 40  # capped, as the refined blob of heat-refine is by the 2000-mode cap
+    return system
+
+
+heat.assemble = capped
 with warnings.catch_warnings(record=True) as caught:
     warnings.simplefilter("always")
     for domain in ('{"type": "disk", "radius": 1.0}',
                    '{"type": "fourier", "coeffs_cos": [1.0, 0.0, 0.15]}'):
-        code = cli.main(["heat", "--domain", domain, "--resolution", "16", "--modes", "40",
+        code = cli.main(["heat", "--domain", domain, "--resolution", "16",
                          "--report", sys.argv[2]])
         assert code == 0, code
 tracer.counts["heat.truncations"] = sum(
