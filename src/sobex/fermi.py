@@ -15,9 +15,10 @@ formed in one place, ``_FlatCurveEngine._frame``: one evaluation of the
 boundary curve gives the point, velocity, outward normal, spread and
 speed, and the map, both Jacobians, the volume ratio, the focal reach
 and the foot-point Newton steps read that frame.  Newton starts at the
-nearest of 2048 boundary samples, found by one KD-tree query of the 18
-nearest; a point has two feet (is ambiguous) when one of those more than
-8 samples away from the nearest is within ``1e-6`` of as near.
+nearest of 2048 boundary samples, found on the table of squared
+distances swept 64 points at a time; a point has two feet (is
+ambiguous) when the nearest sample more than 8 samples away from the
+nearest one is within ``1e-6`` of as near.
 
 The rolling-ball margins read each engine's ``boundary_distance``: exact
 on disks (``|rho - a|`` about the pole, ``| |x - c0| - a |`` off it) and
@@ -37,8 +38,6 @@ from functools import cached_property
 from typing import NamedTuple
 
 import numpy as np
-from scipy.spatial import cKDTree
-from scipy.spatial.distance import pdist
 
 from . import comparison
 from .errors import (
@@ -47,7 +46,13 @@ from .errors import (
     OutOfTubeError,
     ParameterError,
 )
-from .surfaces import ModelSurface, cartesian_to_polar, polar_to_cartesian
+from .surfaces import (
+    ModelSurface,
+    cartesian_to_polar,
+    polar_to_cartesian,
+    row_blocks,
+    squared_distances,
+)
 
 __all__ = [
     "GeodesicDisk",
@@ -361,19 +366,28 @@ class _FlatCurveEngine:
         return 1.0 + sigma * np.asarray(s, dtype=float)
 
     @cached_property
-    def _dense_tree(self):
-        """KD-tree over the boundary at angles ``k 2 pi / _N_BOUNDARY``."""
-        return cKDTree(self.curve(np.arange(_N_BOUNDARY) * (_TWO_PI / _N_BOUNDARY))[0])
+    def _samples(self):
+        """The boundary at angles ``k 2 pi / _N_BOUNDARY``, shape ``(_N_BOUNDARY, 2)``."""
+        return self.curve(np.arange(_N_BOUNDARY) * (_TWO_PI / _N_BOUNDARY))[0]
 
     def _dense_feet(self, x):
-        """Nearest dense sample of Cartesian points, its distance, and the two-feet flag."""
-        d, idx = self._dense_tree.query(x, k=2 * _SEPARATION + 2)
-        # overflowing distances find no neighbour (index n): they tie everywhere
-        idx %= _N_BOUNDARY
-        offs = (idx[:, 1:] - idx[:, :1]) % _N_BOUNDARY
-        far = (offs > _SEPARATION) & (offs < _N_BOUNDARY - _SEPARATION)
-        amb = np.any(far & (d[:, 1:] <= d[:, :1] + _FOOT_TIE), axis=1)
-        return idx[:, 0], d[:, 0], amb | np.isinf(d[:, 0])
+        """Nearest dense sample of Cartesian points (the first of a tie), its
+        distance, and the two-feet flag, one block of the squared table at a time."""
+        n = x.shape[0]
+        idx, best, runner = np.zeros(n, dtype=int), np.empty(n), np.empty(n)
+        band = np.arange(-_SEPARATION, _SEPARATION + 1)
+        for rows in row_blocks(n):
+            d2 = squared_distances(x[rows], self._samples)
+            k = np.arange(d2.shape[0])
+            i = np.argmin(d2, axis=1)
+            idx[rows], best[rows] = i, d2[k, i]
+            # the runner-up lies more than _SEPARATION samples from the nearest
+            d2[k[:, None], (i[:, None] + band) % _N_BOUNDARY] = np.inf
+            runner[rows] = np.min(d2, axis=1)
+        d_best = np.sqrt(best)
+        # overflowing distances tie everywhere at +inf
+        amb = (np.sqrt(runner) <= d_best + _FOOT_TIE) | np.isinf(d_best)
+        return idx, d_best, amb
 
     def invert(self, points):
         pts_polar = np.atleast_2d(np.asarray(points, dtype=float))
@@ -423,7 +437,10 @@ class _FlatCurveEngine:
     def boundary_distance(self, points):
         """Distance from chart points to the nearest of the 2048 dense samples."""
         x = polar_to_cartesian(np.atleast_2d(np.asarray(points, dtype=float)))
-        return self._dense_tree.query(x)[0]
+        d2 = np.empty(x.shape[0])
+        for rows in row_blocks(x.shape[0]):
+            d2[rows] = np.min(squared_distances(x[rows], self._samples), axis=1)
+        return np.sqrt(d2)
 
     def focal_reach(self):
         """``1 / max |spread|``: where ``1 + spread s`` first vanishes either way."""
@@ -506,8 +523,21 @@ class _FlatFourierEngine(_FlatCurveEngine):
 
     @cached_property
     def _diameter(self):
-        # the diameter of a compact planar set is attained on the boundary
-        return float(np.max(pdist(self._dense_tree.data)))
+        """The largest chord between dense samples: the diameter of a compact
+        planar set is attained on its boundary.
+
+        The row of the sample farthest from the centroid bounds it below by
+        ``L``.  A chord of length ``L`` or more has each end at distance
+        ``r_i >= L - r_max`` from the centroid, so only those samples (with a
+        rounding margin) enter the sweep over pairs."""
+        c = self._samples
+        r = np.sqrt(squared_distances(np.mean(c, axis=0)[None], c)[0])
+        far = int(np.argmax(r))
+        best = np.max(squared_distances(c[far:far + 1], c))
+        keep = c[(r + r[far]) * (1.0 + 1e-9) >= np.sqrt(best)]
+        for rows in row_blocks(keep.shape[0]):
+            best = max(best, np.max(squared_distances(keep[rows], keep[rows.start:])))
+        return float(np.sqrt(best))
 
 
 def _make_engine(domain: DomainSpec):

@@ -32,13 +32,19 @@ from dataclasses import dataclass, replace
 from functools import cached_property
 
 import numpy as np
+# scipy.linalg loads here, not inside the first eigensolve
+import scipy.linalg.lapack
 import scipy.sparse as sp
-from scipy.spatial.distance import cdist
 
 from .errors import AssemblyError, ParameterError
 from .fermi import DomainSpec, GeodesicDisk, RadialProfile
 from .quadrature import _reference_rule
-from .surfaces import constant_curvature_distance, polar_to_cartesian
+from .surfaces import (
+    constant_curvature_distance,
+    polar_to_cartesian,
+    row_blocks,
+    squared_distances,
+)
 
 __all__ = [
     "DiscreteDomain",
@@ -265,7 +271,10 @@ class DiscreteDomain:
         if surf.kind == "constant":
             if surf.kappa == 0.0:
                 c = self.cartesian()
-                return cdist(c[idx], c)
+                out = np.empty((idx.size, self.size))
+                for rows in row_blocks(idx.size):
+                    np.sqrt(squared_distances(c[idx[rows]], c), out=out[rows])
+                return out
             return constant_curvature_distance(
                 surf.kappa, self.nodes[idx][:, None, :], self.nodes[None, :, :]
             )

@@ -55,6 +55,7 @@ __all__ = [
 
 _CURVATURE_SAMPLES = 512  # radii of ModelSurface.curvature_range
 _JACOBI_TOL = 1e-12  # relative and absolute tolerance of the Jacobi transport
+_ROW_BLOCK = 64  # rows of a squared-distance block: 1 MB a float array at 2048 columns
 
 
 def sn(kappa, r):
@@ -426,6 +427,29 @@ def cartesian_to_polar(points):
     pts = np.asarray(points, dtype=float)
     x, y = pts[..., 0], pts[..., 1]
     return np.stack([np.hypot(x, y), np.mod(np.arctan2(y, x), 2.0 * math.pi)], axis=-1)
+
+
+def row_blocks(n):
+    """Slices of at most ``_ROW_BLOCK`` rows covering ``range(n)``: the row
+    blocks callers of :func:`squared_distances` sweep a table in."""
+    return (slice(lo, lo + _ROW_BLOCK) for lo in range(0, n, _ROW_BLOCK))
+
+
+def squared_distances(x, y):
+    """Squared plane distances ``dx*dx + dy*dy`` from each row of ``x`` to each
+    row of ``y``, shape ``(len(x), len(y))``.
+
+    Their square roots are bit for bit SciPy's ``cdist`` and ``pdist``
+    Euclidean distances, and the square root is monotone, so a nearest or
+    farthest point can be found on the squares.  A distance past the float
+    range reads ``inf`` without a warning."""
+    with np.errstate(over="ignore"):
+        d2 = x[:, None, 0] - y[None, :, 0]
+        dy = x[:, None, 1] - y[None, :, 1]
+        d2 *= d2
+        dy *= dy
+        d2 += dy
+    return d2
 
 
 def _embed(kappa, points):

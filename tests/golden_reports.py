@@ -9,6 +9,10 @@ bitwise, the largest relative move, and every move, marking those above
 
     PYTHONPATH=src python tests/golden_reports.py
 
+With ``--out DIR`` it writes the reports to ``DIR`` instead and leaves
+``tests/golden/`` as it is; it still prints the moves against the
+committed files.
+
 A regeneration need not match the committed files byte for byte when the
 host differs from the one that wrote them: on a 2-vCPU Xeon VM with numpy
 2.4 and OpenBLAS, ``heat-blob.json`` moves six ``diagonal.profile`` values
@@ -16,11 +20,16 @@ by at most 3.5e-16 relative with no change to the code (well inside
 ``RTOL``).  So to show that a change keeps every report byte-identical,
 regenerate on one host at the parent commit and at the change, each in
 its own checkout, and compare the two regenerations, not a regeneration
-with the committed files.
+with the committed files:
+
+    PYTHONPATH=src python tests/golden_reports.py --out /tmp/golden-change
+    # the same from the parent's checkout, with --out /tmp/golden-parent
+    diff -r /tmp/golden-parent /tmp/golden-change
 """
 
 from __future__ import annotations
 
+import argparse
 import json
 import math
 import pathlib
@@ -149,8 +158,12 @@ def _relative(old, new):
     return math.inf
 
 
-def main():
-    GOLDEN.mkdir(exist_ok=True)
+def main(argv=None):
+    parser = argparse.ArgumentParser(description="Regenerate the golden CLI reports.")
+    parser.add_argument("--out", type=pathlib.Path, default=GOLDEN,
+                        help="directory the reports are written to (default: tests/golden)")
+    out = parser.parse_args(argv).out
+    out.mkdir(parents=True, exist_ok=True)
     for name in RUNS:
         code, text = run(name)
         if code != 0:
@@ -165,7 +178,7 @@ def main():
             for path, old, new in moves:
                 mark = f"  (above RTOL {RTOL:g})" if moved(old, new) else ""
                 print(f"  {path}: {old!r} -> {new!r}{mark}")
-        target.write_text(text)
+        (out / target.name).write_text(text)
     return 0
 
 

@@ -5,6 +5,7 @@ import pathlib
 import subprocess
 import sys
 import tempfile
+import textwrap
 import tracemalloc
 import warnings
 
@@ -198,6 +199,14 @@ def test_heat_accepts_equal_time_bounds(tmp_path):
     assert [t for t, _ in json.loads(rep.read_text())["diagonal"]["profile"]] == [0.5] * 3
 
 
+def _fresh_interpreter(code):
+    """Stdout of ``code`` run by a fresh interpreter that imports this sobex."""
+    src = str(pathlib.Path(sobex.__file__).resolve().parents[1])
+    env = {**os.environ, "PYTHONPATH": os.pathsep.join([src, os.environ.get("PYTHONPATH", "")])}
+    return subprocess.run([sys.executable, "-c", code], env=env, capture_output=True, text=True,
+                          check=True).stdout
+
+
 def test_import_leaves_optimize_and_integrate_unloaded():
     """``scipy.optimize`` and ``scipy.integrate`` load only where they are used;
     the tube distortion is closed-form even where the exterior Jacobi factor
@@ -206,11 +215,29 @@ def test_import_leaves_optimize_and_integrate_unloaded():
             "C.distortion_factor(C.ComparisonProfile.from_curvature("
             "C.CurvatureData(1, 1, -0.5, -0.5), 0.8), 2, 0.8); "
             "print(sorted(m for m in ('scipy.optimize', 'scipy.integrate') if m in sys.modules))")
-    src = str(pathlib.Path(sobex.__file__).resolve().parents[1])
-    env = {**os.environ, "PYTHONPATH": os.pathsep.join([src, os.environ.get("PYTHONPATH", "")])}
-    out = subprocess.run([sys.executable, "-c", code], env=env, capture_output=True, text=True,
-                         check=True)
-    assert out.stdout.strip() == "[]"
+    assert _fresh_interpreter(code).strip() == "[]"
+
+
+def test_cli_runs_load_no_spatial_or_special():
+    """Distances are numpy sweeps, so neither ``scipy.spatial`` nor the
+    ``scipy.special`` it pulls in loads during a flat ``heat`` run or a blob
+    ``verify-extension`` run; ``scipy.linalg`` loads with ``sobex.heat``, not
+    inside the first eigensolve."""
+    code = textwrap.dedent("""\
+        import os, sys, sobex.heat
+        linalg = "scipy.linalg" in sys.modules
+        import sobex, sobex.cli
+        rc = [sobex.cli.main(["heat", "--domain", '{"type": "disk", "radius": 1.0}',
+                              "--resolution", "16", "--report", os.devnull]),
+              sobex.cli.main(["verify-extension", "--domain",
+                              '{"type": "fourier", "coeffs_cos": [1.0, 0.0, 0.15]}',
+                              "--r", "0.3", "--samples", "2", "--quad", "16",
+                              "--report", os.devnull])]
+        loaded = [m for m in ("scipy.spatial", "scipy.special", "scipy.optimize",
+                              "scipy.integrate") if m in sys.modules]
+        print(linalg, rc, loaded)
+        """)
+    assert _fresh_interpreter(code).splitlines()[-1] == "True [0, 0] []"
 
 
 def test_heat_cli(tmp_path):

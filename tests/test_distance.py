@@ -9,8 +9,8 @@ import weakref
 
 import numpy as np
 import pytest
-
-from scipy.spatial.distance import pdist
+from hypothesis import example, given, settings, strategies as st
+from scipy.spatial.distance import cdist, pdist
 
 from sobex import fermi, heat as H
 from sobex.fermi import DomainSpec, GeodesicDisk, RadialProfile
@@ -142,19 +142,21 @@ def test_blob_diameter_is_the_largest_boundary_chord(fourier_blob):
 
 def test_blob_diameter_is_computed_once_per_engine(flat, monkeypatch):
     calls = []
+    squared = fermi.squared_distances
 
-    def counting_pdist(*args, **kwargs):
+    def counting(*args):
         calls.append(1)
-        return pdist(*args, **kwargs)
+        return squared(*args)
 
-    monkeypatch.setattr(fermi, "pdist", counting_pdist)
+    monkeypatch.setattr(fermi, "squared_distances", counting)
     blob = DomainSpec(flat, RadialProfile(cos_coeffs=(1.0, 0.0, 0.15)))
     values = {blob.diameter() for _ in range(3)}
-    assert len(calls) == 1
+    sweep = len(calls)
+    assert sweep > 0
     assert values == {_largest_chord(blob)}
     # an equal spec shares nothing: its own engine, its own single sweep
     assert DomainSpec(flat, blob.boundary).diameter() == blob.diameter()
-    assert len(calls) == 2
+    assert len(calls) == 2 * sweep
 
 
 @pytest.mark.parametrize("name", ["unit_disk", "fourier_blob"])
@@ -164,6 +166,50 @@ def test_flat_distance_rows_match_broadcast_norm(name, request):
     c = dom.cartesian()
     brute = np.linalg.norm(c[idx][:, None, :] - c[None, :, :], axis=-1)
     assert np.array_equal(dom.distance_rows(idx), brute)
+
+
+_COEFF = st.floats(-0.15, 0.15)
+
+
+@settings(max_examples=40, deadline=None)
+@given(a=st.lists(_COEFF, max_size=3), b=st.lists(_COEFF, max_size=3))  # rho >= 1 - 6 * 0.15
+@example(a=[], b=[])
+def test_blob_diameter_matches_pdist(a, b):
+    """The pruned sweep returns the largest of all 2048 choose 2 chords bit for
+    bit; with no coefficient past the mean the blob is a circle, which prunes
+    nothing."""
+    blob = DomainSpec(ModelSurface.constant_curvature(0.0), RadialProfile((1.0, *a), tuple(b)))
+    samples = blob._engine().curve(np.arange(2048) * (2.0 * math.pi / 2048))[0]
+    assert blob.diameter() == np.max(pdist(samples))
+
+
+@settings(max_examples=30, deadline=None)
+@given(a=st.lists(_COEFF, max_size=3), n_r=st.integers(16, 24), n_theta=st.integers(16, 40),
+       step=st.integers(1, 20))
+def test_flat_distance_rows_match_cdist(a, n_r, n_theta, step):
+    """Flat distance rows, swept 64 rows at a time, are ``cdist``'s bit for bit."""
+    spec = DomainSpec(ModelSurface.constant_curvature(0.0), RadialProfile((1.0, *a)))
+    dom = H.DiscreteDomain.disk_like(spec, n_r, n_theta)
+    idx = np.arange(0, dom.size, step)
+    c = dom.cartesian()
+    assert np.array_equal(dom.distance_rows(idx), cdist(c[idx], c))
+
+
+def test_flat_distances_of_no_points_and_of_overflowing_points(fourier_blob):
+    """An empty point set gives empty arrays; distances past the float range
+    read ``inf`` and raise no warning (pytest makes one an error)."""
+    engine = fourier_blob._engine()
+    dom = H.DiscreteDomain.disk_like(fourier_blob, 16, 16)
+    assert dom.distance_rows([]).shape == (0, dom.size)
+    assert engine.boundary_distance(np.empty((0, 2))).shape == (0,)
+    idx, d_best, amb = engine._dense_feet(np.empty((0, 2)))
+    assert idx.shape == d_best.shape == amb.shape == (0,)
+    far = np.array([[1e300, 0.1], [1e300, 2.0], [-1e300, 0.0]])
+    assert np.all(engine.boundary_distance(far) == math.inf)
+    idx, d_best, amb = engine._dense_feet(polar_to_cartesian(far))
+    assert np.all(d_best == math.inf) and np.all(amb)
+    huge = DomainSpec(ModelSurface.constant_curvature(0.0), RadialProfile((1e300, 0.1)))
+    assert huge.diameter() == math.inf
 
 
 # -- the rolling-ball distances: each engine's distance to its boundary ---------
@@ -207,11 +253,11 @@ def test_off_centre_circle_distance_matches_dense_sampling(flat):
 def test_blob_distance_is_the_nearest_dense_sample(fourier_blob):
     engine = fourier_blob._engine()
     pts = _CHART_POINTS * [2.0, 1.0]
-    dense = engine._dense_tree.data
+    dense = engine._samples
     assert dense.shape == (2048, 2)
     brute = np.min(np.linalg.norm(polar_to_cartesian(pts)[:, None, :] - dense[None], axis=-1),
                    axis=1)
-    np.testing.assert_allclose(engine.boundary_distance(pts), brute, rtol=1e-15, atol=1e-15)
+    assert np.array_equal(engine.boundary_distance(pts), brute)
 
 
 def test_warped_regularity_builds_no_graph(tmp_path, monkeypatch):

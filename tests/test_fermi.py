@@ -378,7 +378,8 @@ def test_profile_derivatives_match_the_per_mode_sum(a, b, theta):
 def _dense_table_feet(eng, x, n=2048, separation=8, tie=1e-6):
     """Oracle for the flat foot search: the argmin of the full table of squared
     distances to ``n`` boundary samples, and the runner-up more than
-    ``separation`` samples away.  Also flags exact ties for the nearest sample."""
+    ``separation`` samples away.  Also flags exact ties for the nearest sample,
+    which a KD-tree may order either way."""
     c = eng.curve(np.arange(n) * (2.0 * math.pi / n))[0]
     d2 = (x[:, 0, None] - c[None, :, 0]) ** 2 + (x[:, 1, None] - c[None, :, 1]) ** 2
     rows, idx = np.arange(x.shape[0]), np.argmin(d2, axis=1)
@@ -400,16 +401,57 @@ _POINT = st.tuples(st.floats(-2.0, 2.0), st.floats(-2.0, 2.0))
        tube=st.lists(st.tuples(st.floats(-0.5, 0.5), st.floats(0.0, 2.0 * math.pi)),
                      min_size=1, max_size=20))
 def test_flat_feet_match_the_dense_table(a, b, box, tube):
-    """Nearest sample, its distance and the two-feet flag of the KD-tree
-    query equal the full table's on box points and mapped tube points."""
+    """Nearest sample (the first of a tie), its distance and the two-feet flag
+    of the blocked sweep equal the full table's on box points and mapped tube
+    points."""
     eng = DomainSpec(_FLAT, RadialProfile((1.0, *a), tuple(b)))._engine()  # rho >= 1 - 6 * 0.15
     s, t = np.array(tube).T
     x = np.concatenate([np.array(box), polar_to_cartesian(eng.map(s, t)), [[0.0, 0.0]]])
     idx, d_best, amb = eng._dense_feet(x)
-    o_idx, o_best, o_amb, ties = _dense_table_feet(eng, x)
+    o_idx, o_best, o_amb, _ = _dense_table_feet(eng, x)
+    assert np.array_equal(idx, o_idx)
+    assert np.array_equal(d_best, o_best)
+    assert np.array_equal(amb, o_amb)
+
+
+def _kd_tree_feet(eng, x, n=2048, separation=8, tie=1e-6):
+    """The KD-tree foot search the blocked sweep replaced: one query of the
+    ``2 separation + 2`` nearest samples."""
+    from scipy.spatial import cKDTree
+
+    d, idx = cKDTree(eng.curve(np.arange(n) * (2.0 * math.pi / n))[0]).query(
+        x, k=2 * separation + 2)
+    idx %= n
+    offs = (idx[:, 1:] - idx[:, :1]) % n
+    far = (offs > separation) & (offs < n - separation)
+    amb = np.any(far & (d[:, 1:] <= d[:, :1] + tie), axis=1)
+    return idx[:, 0], d[:, 0], amb | np.isinf(d[:, 0])
+
+
+@settings(max_examples=60, deadline=None)
+@given(a=st.lists(_SMALL, max_size=3), b=st.lists(_SMALL, max_size=3),
+       box=st.lists(_POINT, min_size=1, max_size=150),
+       tube=st.lists(st.tuples(st.floats(-0.5, 0.5), st.floats(0.0, 2.0 * math.pi)),
+                     max_size=20))
+def test_flat_feet_match_the_kd_tree(a, b, box, tube):
+    """The blocked sweep finds the KD-tree's nearest distance bit for bit, and
+    its nearest sample and two-feet flag wherever the nearest is no exact tie;
+    up to 170 points span three 64-row blocks, and overflowing points are
+    ambiguous in both."""
+    eng = DomainSpec(_FLAT, RadialProfile((1.0, *a), tuple(b)))._engine()
+    x = np.array(box)
+    if tube:
+        s, t = np.array(tube).T
+        x = np.concatenate([x, polar_to_cartesian(eng.map(s, t))])
+    x = np.concatenate([x, [[0.0, 0.0], [1e300, 0.1]]])
+    idx, d_best, amb = eng._dense_feet(x)
+    o_idx, o_best, o_amb = _kd_tree_feet(eng, x)
+    with np.errstate(over="ignore"):
+        ties = _dense_table_feet(eng, x)[3]
+    assert np.array_equal(d_best, o_best)
     assert np.array_equal(idx[~ties], o_idx[~ties])
-    assert np.array_equal(d_best[~ties], o_best[~ties])
     assert np.array_equal(amb[~ties], o_amb[~ties])
+    assert amb[-1] and o_amb[-1]
 
 
 def test_invert_tolerance_is_per_point(blob_chart):
@@ -447,7 +489,7 @@ def test_off_centre_circle_overflowing_point_is_outside(flat):
 
 
 def test_invert_memory_stays_small(blob_chart):
-    # 8192 tube points: the search holds 18 neighbours a point, not 2048
+    # 8192 tube points: the search holds 64 rows of the 2048-sample table at a time
     S, T = np.meshgrid(np.linspace(-0.95 * blob_chart.r, 0.95 * blob_chart.r, 8),
                        np.arange(1024) * (2.0 * math.pi / 1024), indexing="ij")
     pts = blob_chart.map_unchecked(S.ravel(), T.ravel())

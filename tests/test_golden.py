@@ -23,3 +23,13 @@ def test_moved_lists_bitwise_moves_only_at_zero_tolerance():
     assert G.moved(old, new, rtol=0.0) == [(".a[0]", 1.0, new["a"][0])]
     assert G.moved(old, new) == []
     assert G.moved(old, {"a": [1.0 + 1e-12, 2], "b": "x"}) == [(".a[0]", 1.0, 1.0 + 1e-12)]
+
+
+def test_out_writes_reports_elsewhere(tmp_path, monkeypatch, capsys):
+    """``--out DIR`` writes each report to ``DIR`` and leaves the committed file alone."""
+    monkeypatch.setattr(G, "RUNS", {"constants": G.RUNS["constants"]})
+    committed = (G.GOLDEN / "constants.json").stat()
+    assert G.main(["--out", str(tmp_path / "regen")]) == 0
+    assert (tmp_path / "regen" / "constants.json").read_text() == G.run("constants")[1]
+    assert (G.GOLDEN / "constants.json").stat().st_mtime_ns == committed.st_mtime_ns
+    assert capsys.readouterr().out == ""
