@@ -17,97 +17,15 @@ Layout:
 * :mod:`sobex.cli`        the ``sobex`` command-line front end
 """
 
-from .comparison import (
-    ComparisonProfile,
-    CurvatureData,
-    admissible_rolling_radius,
-    distortion_factor,
-    extension_norm_bound,
-    focal_radius,
-    jacobi_factor,
-    jacobi_factor_prime,
-    jacobi_factor_zero,
-    mean_curvature_bound,
-    round_ball_norm_bound,
-    volume_ratio_bounds,
-)
-from .extension import (
-    CutoffFamily,
-    ExtendedField,
-    ScalarField,
-    Trace1D,
-    c1_matching_error,
-    constant_field,
-    h1_norm,
-    operator_norm_estimate,
-    polynomial_field,
-    random_fourier_trace,
-    random_smooth_fields,
-    smoothstep_cutoff,
-    trig_field,
-    verify_1d_inequality,
-)
-from .fermi import (
-    BoundarySample,
-    DomainSpec,
-    FermiChart,
-    GeodesicDisk,
-    RadialProfile,
-    RegularityReport,
-    check_regularity,
-)
-from .heat import (
-    DiscreteDomain,
-    NeumannSystem,
-    assemble,
-    diagonal_bound_check,
-    doubling_comparability,
-    doubling_constant,
-    eigenvalue_diagnostic,
-    fit_inverse_time_envelope,
-    gn_check,
-    heat_kernel,
-    integral_ricci,
-    kato_quantity,
-    li_yau_check,
-    ricci_negative_part,
-    vev_finiteness_sweep,
-    vev_norm,
-)
-from .surfaces import (
-    GeodesicState,
-    JacobiValue,
-    ModelSurface,
-    Trajectory,
-    WarpProfile,
-    integrate_geodesic,
-    jacobi_transport,
-    poly_cosh_mix_profile,
-)
+from . import comparison, extension, fermi, heat, surfaces
+from .comparison import *
+from .extension import *
+from .fermi import *
+from .heat import *
+from .surfaces import *
 
-__all__ = [
-    # comparison
-    "ComparisonProfile", "CurvatureData", "admissible_rolling_radius",
-    "distortion_factor", "extension_norm_bound", "focal_radius",
-    "jacobi_factor", "jacobi_factor_prime", "jacobi_factor_zero",
-    "mean_curvature_bound", "round_ball_norm_bound", "volume_ratio_bounds",
-    # surfaces
-    "GeodesicState", "JacobiValue", "ModelSurface", "Trajectory",
-    "WarpProfile", "integrate_geodesic", "jacobi_transport", "poly_cosh_mix_profile",
-    # fermi
-    "BoundarySample", "DomainSpec", "FermiChart", "GeodesicDisk",
-    "RadialProfile", "RegularityReport", "check_regularity",
-    # extension
-    "CutoffFamily", "ExtendedField", "ScalarField", "Trace1D",
-    "c1_matching_error", "constant_field", "h1_norm", "operator_norm_estimate",
-    "polynomial_field", "random_fourier_trace", "random_smooth_fields",
-    "smoothstep_cutoff", "trig_field", "verify_1d_inequality",
-    # heat
-    "DiscreteDomain", "NeumannSystem", "assemble", "diagonal_bound_check",
-    "doubling_comparability", "doubling_constant", "eigenvalue_diagnostic",
-    "fit_inverse_time_envelope", "gn_check", "heat_kernel", "integral_ricci",
-    "kato_quantity", "li_yau_check", "ricci_negative_part", "vev_finiteness_sweep",
-    "vev_norm",
-]
+# each module's __all__ is the one list of its public names
+__all__ = (comparison.__all__ + surfaces.__all__ + fermi.__all__ + extension.__all__
+           + heat.__all__)
 
 __version__ = "0.1.0"

@@ -106,12 +106,6 @@ def write_csv(path, header, rows):
 # ---------------------------------------------------------------------------
 
 
-_SURFACE_KEYS = {"kind", "kappa", "profile"}
-_PROFILE_KEYS = {"type", "coeffs"}
-_DOMAIN_KEYS = {"type", "center", "radius", "coeffs_cos", "coeffs_sin", "L"}
-_SWEEP_KEYS = {"from", "to", "steps"}
-
-
 # every scalar setting: key -> (type, least value, default); type str is a
 # path, and the least value None is no bound, "positive" a strict bound of 0
 _SETTINGS = {
@@ -140,15 +134,6 @@ RunConfig = make_dataclass(
      ("sweep", dict, dc_field(default_factory=dict))]
     + [(key, kind | None, default) for key, (kind, _, default) in _SETTINGS.items()])
 RunConfig.__doc__ = "Validated run configuration: the nested sections and every _SETTINGS key."
-
-
-def _object(value, where, allowed):
-    if not isinstance(value, dict):
-        raise ConfigError(f"{where} must be a JSON object")
-    for key in value:
-        if key not in allowed:
-            raise ConfigError(f"unknown key {key!r} in {where}")
-    return value
 
 
 def _real(value, where):
@@ -186,6 +171,44 @@ def _path(value, where):
 _CHECKS = {float: _real, int: _integer, str: _path}
 
 
+def _section(value, where, table):
+    """A copy of the JSON object ``value`` with each entry checked by ``table``,
+    which maps every key it allows to its check, to the table of a nested
+    section, or to ``None``, which leaves the value to the builder."""
+    if not isinstance(value, dict):
+        raise ConfigError(f"{where} must be a JSON object")
+    out = {}
+    for key, item in value.items():
+        if key not in table:
+            raise ConfigError(f"unknown key {key!r} in {where}")
+        check = table[key]
+        if isinstance(check, dict):
+            item = _section(item, f"{where}.{key}", check)
+        elif check is not None:
+            item = check(item, f"{where}.{key}")
+        out[key] = item
+    return out
+
+
+def _range(value, where):
+    """One swept parameter: ``from``, ``to`` and a positive number of ``steps``."""
+    value = _section(value, where, {"from": _real, "to": _real, "steps": _integer})
+    if len(value) != 3:
+        raise ConfigError(f"{where} needs 'from', 'to' and 'steps'")
+    if value["steps"] < 1:
+        raise ConfigError(f"{where}.steps must be a positive integer")
+    return value
+
+
+# the nested sections' tables (see _section)
+_SECTIONS = {
+    "surface": {"kind": None, "kappa": _real, "profile": {"type": None, "coeffs": _reals}},
+    "domain": {"type": None, "center": _reals, "radius": _real, "coeffs_cos": _reals,
+               "coeffs_sin": _reals, "L": _real},
+    "sweep": dict.fromkeys(_SWEEP_PARAMS, _range),
+}
+
+
 def _decode(text, where):
     try:
         return json.loads(text)
@@ -200,43 +223,11 @@ def parse_config(text: str) -> RunConfig:
 
 def _parse(raw) -> RunConfig:
     """Validate a decoded configuration; files and command-line flags both end here."""
-    raw = _object(raw, "configuration", _TOP_KEYS)
+    raw = _section(raw, "configuration", dict.fromkeys(_TOP_KEYS))
     cfg = RunConfig()
-    if "surface" in raw:
-        cfg.surface = dict(_object(raw["surface"], "surface", _SURFACE_KEYS))
-        if "kappa" in cfg.surface:
-            cfg.surface["kappa"] = _real(cfg.surface["kappa"], "surface.kappa")
-        if "profile" in cfg.surface:
-            prof = dict(_object(cfg.surface["profile"], "surface.profile", _PROFILE_KEYS))
-            if "coeffs" in prof:
-                prof["coeffs"] = _reals(prof["coeffs"], "surface.profile.coeffs")
-            cfg.surface["profile"] = prof
-    if "domain" in raw:
-        cfg.domain = dom = dict(_object(raw["domain"], "domain", _DOMAIN_KEYS))
-        for key in ("radius", "L"):
-            if key in dom:
-                dom[key] = _real(dom[key], f"domain.{key}")
-        for key in ("center", "coeffs_cos", "coeffs_sin"):
-            if key in dom:
-                dom[key] = _reals(dom[key], f"domain.{key}")
-        if len(dom.get("center", (0.0, 0.0))) != 2:
-            raise ConfigError("domain.center must hold two chart coordinates")
-        if not dom.get("coeffs_cos", (1.0,)):
-            raise ConfigError("domain.coeffs_cos must not be empty")
-        if dom.get("type") == "interval" and dom.get("L", 1.0) <= 0.0:
-            raise ConfigError("interval length L must be positive")
-    if "sweep" in raw:
-        sweep = _object(raw["sweep"], "sweep", _SWEEP_PARAMS)
-        for param, spec in sweep.items():
-            where = f"sweep.{param}"
-            spec = _object(spec, where, _SWEEP_KEYS)
-            if set(spec) != _SWEEP_KEYS:
-                raise ConfigError(f"{where} needs 'from', 'to' and 'steps'")
-            cfg.sweep[param] = {"from": _real(spec["from"], f"{where}.from"),
-                                "to": _real(spec["to"], f"{where}.to"),
-                                "steps": _integer(spec["steps"], f"{where}.steps")}
-            if cfg.sweep[param]["steps"] < 1:
-                raise ConfigError(f"{where}.steps must be a positive integer")
+    for key, table in _SECTIONS.items():
+        if key in raw:
+            setattr(cfg, key, _section(raw[key], key, table))
     for key, (kind, least, _) in _SETTINGS.items():
         if raw.get(key) is None:
             continue
@@ -254,7 +245,7 @@ def build_surface(cfg: RunConfig) -> ModelSurface:
     spec = cfg.surface or {"kind": "constant", "kappa": 0.0}
     kind = spec.get("kind", "constant")
     if kind == "constant":
-        return ModelSurface.constant_curvature(spec.get("kappa", 0.0), cfg.n)
+        return ModelSurface.constant_curvature(spec.get("kappa", 0.0))
     if kind == "warped":
         prof = spec.get("profile", {})
         ptype = prof.get("type", "poly_cosh_mix")
@@ -486,7 +477,8 @@ def _load_config(args) -> RunConfig:
     raw = {}
     if args.config:
         with open(args.config, "r", encoding="utf-8") as fh:
-            raw = _object(_decode(fh.read(), args.config), "configuration", _TOP_KEYS)
+            raw = _section(_decode(fh.read(), args.config), "configuration",
+                           dict.fromkeys(_TOP_KEYS))
     for key, val in vars(args).items():
         if key not in ("command", "config") and val is not None:
             raw[key] = _decode(val, "--domain") if key == "domain" else val

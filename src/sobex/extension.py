@@ -52,7 +52,6 @@ __all__ = [
     "ExtendedField",
     "h1_norm",
     "verify_1d_inequality",
-    "OperatorNormResult",
     "operator_norm_estimate",
     "c1_matching_error",
 ]

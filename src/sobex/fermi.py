@@ -126,8 +126,8 @@ class DomainSpec:
     boundary: object
 
     def __post_init__(self):
-        if isinstance(self.boundary, RadialProfile):
-            if not (self.surface.kind == "constant" and self.surface.kappa == 0.0):
+        if self.kind == "blob":
+            if not self.surface.flat:
                 raise InvalidDomainError("radial profiles live in the flat chart only")
             a, b = self.boundary._modes()
             if a.size == 0 or not (np.all(np.isfinite(a)) and np.all(np.isfinite(b))):
@@ -137,28 +137,37 @@ class DomainSpec:
             theta = np.linspace(0.0, _TWO_PI, 4096, endpoint=False)
             if np.any(self.boundary.rho(theta) <= 0.0):
                 raise InvalidDomainError("radial profile must be positive")
-        elif isinstance(self.boundary, GeodesicDisk):
-            cx, cy = self.boundary.center
-            if not (math.isfinite(cx) and math.isfinite(cy)):
-                raise InvalidDomainError("disk centre must be finite")
-            off_pole = (cx != 0.0) or (cy != 0.0)
-            flat = self.surface.kind == "constant" and self.surface.kappa == 0.0
-            if off_pole and not flat:
-                raise InvalidDomainError(
-                    "geodesic disks on curved surfaces must be centred at the chart pole"
-                )
-            if not off_pole and not self.surface.has_pole:
-                raise InvalidDomainError("surface chart has no pole to centre a disk on")
-            lo, hi = self.surface.r_limits
-            if not (0.0 < self.boundary.radius < hi):
-                raise InvalidDomainError("disk radius outside the chart")
-            with np.errstate(all="ignore"):  # the overflow is the answer, not a warning
-                f = float(self.surface.warp(self.boundary.radius))
-            if not math.isfinite(f * f):
-                raise InvalidDomainError(
-                    f"disk radius {self.boundary.radius:g} overflows the metric f(radius)^2")
-        else:
-            raise InvalidDomainError(f"unknown boundary type {type(self.boundary).__name__}")
+            return
+        center = self.boundary.center
+        if len(center) != 2:
+            raise InvalidDomainError("disk centre must hold two chart coordinates")
+        if not all(math.isfinite(c) for c in center):
+            raise InvalidDomainError("disk centre must be finite")
+        if self.kind == "offcentre_disk" and not self.surface.flat:
+            raise InvalidDomainError(
+                "geodesic disks on curved surfaces must be centred at the chart pole"
+            )
+        if self.kind == "pole_disk" and not self.surface.has_pole:
+            raise InvalidDomainError("surface chart has no pole to centre a disk on")
+        lo, hi = self.surface.r_limits
+        if not (0.0 < self.boundary.radius < hi):
+            raise InvalidDomainError("disk radius outside the chart")
+        with np.errstate(all="ignore"):  # the overflow is the answer, not a warning
+            f = float(self.surface.warp(self.boundary.radius))
+        if not math.isfinite(f * f):
+            raise InvalidDomainError(
+                f"disk radius {self.boundary.radius:g} overflows the metric f(radius)^2")
+
+    @property
+    def kind(self):
+        """The geometry class: ``"blob"`` (a radial profile), ``"pole_disk"``
+        (a disk about the chart pole) or ``"offcentre_disk"`` (any other disk,
+        flat charts only)."""
+        if isinstance(self.boundary, RadialProfile):
+            return "blob"
+        if isinstance(self.boundary, GeodesicDisk):
+            return "pole_disk" if tuple(self.boundary.center) == (0.0, 0.0) else "offcentre_disk"
+        raise InvalidDomainError(f"unknown boundary type {type(self.boundary).__name__}")
 
     # -- membership, sizes ---------------------------------------------------
 
@@ -167,7 +176,7 @@ class DomainSpec:
         return self._engine().contains(points)
 
     def diameter(self):
-        if isinstance(self.boundary, GeodesicDisk):
+        if self.kind != "blob":
             # 2a without building the engine, which overflows on a huge disk
             return 2.0 * float(self.boundary.radius)
         return self._engine().diameter()
@@ -437,10 +446,7 @@ class _FlatCurveEngine:
     def boundary_distance(self, points):
         """Distance from chart points to the nearest of the 2048 dense samples."""
         x = polar_to_cartesian(np.atleast_2d(np.asarray(points, dtype=float)))
-        d2 = np.empty(x.shape[0])
-        for rows in row_blocks(x.shape[0]):
-            d2[rows] = np.min(squared_distances(x[rows], self._samples), axis=1)
-        return np.sqrt(d2)
+        return self._dense_feet(x)[1]
 
     def focal_reach(self):
         """``1 / max |spread|``: where ``1 + spread s`` first vanishes either way."""
@@ -540,17 +546,12 @@ class _FlatFourierEngine(_FlatCurveEngine):
         return float(np.sqrt(best))
 
 
+_ENGINES = {"blob": _FlatFourierEngine, "pole_disk": _PoleDiskEngine,
+            "offcentre_disk": _FlatCircleEngine}
+
+
 def _make_engine(domain: DomainSpec):
-    b = domain.boundary
-    if isinstance(b, RadialProfile):
-        return _FlatFourierEngine(domain)
-    flat = domain.surface.kind == "constant" and domain.surface.kappa == 0.0
-    if isinstance(b, GeodesicDisk):
-        cx, cy = b.center
-        if flat and (cx != 0.0 or cy != 0.0):
-            return _FlatCircleEngine(domain)
-        return _PoleDiskEngine(domain)
-    raise InvalidDomainError("unsupported boundary type")
+    return _ENGINES[domain.kind](domain)
 
 
 # ---------------------------------------------------------------------------
@@ -642,7 +643,6 @@ class FermiChart:
             K_upper=k_up,
             H_min=float(np.min(ii)),
             H_max=float(np.max(ii)),
-            n=self.surface.dimension,
         )
 
     @cached_property

@@ -37,7 +37,7 @@ import scipy.linalg.lapack
 import scipy.sparse as sp
 
 from .errors import AssemblyError, ParameterError
-from .fermi import DomainSpec, GeodesicDisk, RadialProfile
+from .fermi import DomainSpec
 from .quadrature import _reference_rule
 from .surfaces import (
     constant_curvature_distance,
@@ -49,23 +49,18 @@ from .surfaces import (
 __all__ = [
     "DiscreteDomain",
     "NeumannSystem",
-    "Spectrum",
-    "TensorFactors",
     "assemble",
     "heat_kernel",
     "ricci_negative_part",
-    "DiagonalBoundResult",
     "diagonal_bound_check",
     "doubling_constant",
     "doubling_comparability",
-    "GNResult",
     "gn_check",
     "vev_norm",
     "vev_finiteness_sweep",
     "integral_ricci",
     "kato_quantity",
     "eigenvalue_diagnostic",
-    "LiYauResult",
     "li_yau_check",
     "fit_inverse_time_envelope",
 ]
@@ -128,6 +123,8 @@ class DiscreteDomain:
 
     @classmethod
     def interval(cls, L, N):
+        if not 0.0 < L < math.inf:
+            raise AssemblyError("interval length L must be positive and finite")
         if N < 16:
             raise AssemblyError("need at least 16 cells on the interval")
         dom = cls()
@@ -151,15 +148,11 @@ class DiscreteDomain:
         dom.spec = spec
         dom.n = 2
         dom.n_r, dom.n_theta = int(n_r), int(n_theta)
-        if isinstance(spec.boundary, RadialProfile):
-            dom._build_blob(spec, dom.n_r, dom.n_theta)
-        elif isinstance(spec.boundary, GeodesicDisk):
-            cx, cy = spec.boundary.center
-            if cx != 0.0 or cy != 0.0:
-                raise AssemblyError("disk-like grids need a pole-centred disk")
-            dom._build_pole_disk(spec, dom.n_r, dom.n_theta)
-        else:
-            raise AssemblyError("unsupported boundary for disk-like grids")
+        dom.kind = spec.kind
+        if dom.kind == "offcentre_disk":
+            raise AssemblyError("disk-like grids need a pole-centred disk")
+        build = dom._build_blob if dom.kind == "blob" else dom._build_pole_disk
+        build(spec, dom.n_r, dom.n_theta)
         return dom
 
     def refine(self):
@@ -181,7 +174,6 @@ class DiscreteDomain:
 
         cell_r = _warp_integral(surf, r_edges)          # per radial cell
         R, T = np.meshgrid(r_cent, theta, indexing="ij")
-        self.kind = "pole_disk"
         self.nodes = np.stack([R.ravel(), T.ravel()], axis=-1)
         self.weights = np.repeat(cell_r * dt, n_t)
         self.ring = np.repeat(np.arange(1, n_r + 1), n_t)
@@ -205,7 +197,6 @@ class DiscreteDomain:
         ring_pts = (xi[:, None, None] * rho[None, :, None]) \
             * np.stack([np.cos(theta), np.sin(theta)], axis=-1)[None, :, :]
         cart = np.vstack([np.zeros((1, 2)), ring_pts.reshape(-1, 2)])
-        self.kind = "blob"
         self._cart = cart
         r = np.linalg.norm(cart, axis=-1)
         th = np.mod(np.arctan2(cart[:, 1], cart[:, 0]), _TWO_PI)
@@ -268,13 +259,13 @@ class DiscreteDomain:
         if self.kind == "interval":
             return np.abs(self.nodes[idx][:, None] - self.nodes[None, :])
         surf = self.spec.surface
+        if surf.flat:
+            c = self.cartesian()
+            out = np.empty((idx.size, self.size))
+            for rows in row_blocks(idx.size):
+                np.sqrt(squared_distances(c[idx[rows]], c), out=out[rows])
+            return out
         if surf.kind == "constant":
-            if surf.kappa == 0.0:
-                c = self.cartesian()
-                out = np.empty((idx.size, self.size))
-                for rows in row_blocks(idx.size):
-                    np.sqrt(squared_distances(c[idx[rows]], c), out=out[rows])
-                return out
             return constant_curvature_distance(
                 surf.kappa, self.nodes[idx][:, None, :], self.nodes[None, :, :]
             )
@@ -975,14 +966,14 @@ def heat_kernel(system: NeumannSystem, t, i, j):
 
 
 def ricci_negative_part(domain: DiscreteDomain):
-    """Per-node negative part ``rho_minus = max(0, -(n - 1) K)`` of the lowest
-    Ricci eigenvalue, with the Gauss curvature ``K`` at the node; the
-    interval is flat.  :func:`integral_ricci` and :func:`kato_quantity`
-    read it."""
+    """Per-node negative part ``rho_minus = max(0, -K)`` of the lowest Ricci
+    eigenvalue, with ``K`` the Gauss curvature of the two-dimensional chart
+    at the node; the interval is flat.  :func:`integral_ricci` and
+    :func:`kato_quantity` read it."""
     if domain.kind == "interval":
         return np.zeros(domain.size)
     surf = domain.spec.surface
-    return np.maximum(0.0, -(surf.dimension - 1) * surf.gauss_curvature(domain.nodes[:, 0]))
+    return np.maximum(0.0, -surf.gauss_curvature(domain.nodes[:, 0]))
 
 
 # ---------------------------------------------------------------------------

@@ -12,12 +12,6 @@ These surfaces provide exact ground truth (closed-form geodesics and
 distances in the constant-curvature case) against which the numerical
 integrators are checked.  The chart excludes the coordinate singularity
 at ``r = 0``; domains must fit a single chart.
-
-A ``dimension`` attribute ``n`` in ``{2, 3}`` is carried along but only
-enters downstream volume-ratio exponents ``n - 1``; the geometry itself
-is computed on the two-dimensional chart (``n = 3`` is restricted to
-constant curvature, where the normal Jacobi equation is the same scalar
-ODE with multiplicity).
 """
 
 from __future__ import annotations
@@ -45,12 +39,6 @@ __all__ = [
     "Trajectory",
     "integrate_geodesic",
     "jacobi_transport",
-    "sn",
-    "sn_prime",
-    "polar_to_cartesian",
-    "cartesian_to_polar",
-    "constant_curvature_distance",
-    "constant_curvature_geodesic",
 ]
 
 _CURVATURE_SAMPLES = 512  # radii of ModelSurface.curvature_range
@@ -142,7 +130,6 @@ class ModelSurface:
     kind: str  # "constant" or "warped"
     kappa: float = 0.0
     profile: WarpProfile | None = None
-    dimension: int = 2
 
     def __post_init__(self):
         if self.kind not in ("constant", "warped"):
@@ -151,18 +138,14 @@ class ModelSurface:
             raise InvalidSurfaceError("warped surface needs a profile")
         if not math.isfinite(self.kappa):
             raise InvalidSurfaceError("curvature kappa must be finite")
-        if self.dimension not in (2, 3):
-            raise InvalidSurfaceError("dimension must be 2 or 3")
-        if self.dimension == 3 and self.kind != "constant":
-            raise InvalidSurfaceError("n = 3 is supported for constant curvature only")
 
     @classmethod
-    def constant_curvature(cls, kappa, dimension=2):
-        return cls(kind="constant", kappa=float(kappa), dimension=dimension)
+    def constant_curvature(cls, kappa):
+        return cls(kind="constant", kappa=float(kappa))
 
     @classmethod
-    def warped(cls, profile: WarpProfile, dimension=2):
-        return cls(kind="warped", profile=profile, dimension=dimension)
+    def warped(cls, profile: WarpProfile):
+        return cls(kind="warped", profile=profile)
 
     # -- chart bookkeeping -------------------------------------------------
 
@@ -173,6 +156,11 @@ class ModelSurface:
             hi = math.pi / math.sqrt(self.kappa) if self.kappa > 0.0 else math.inf
             return (0.0, hi)
         return (0.0, self.profile.r_max)
+
+    @property
+    def flat(self):
+        """Whether the chart is the Euclidean plane in polar coordinates."""
+        return self.kind == "constant" and self.kappa == 0.0
 
     @property
     def has_pole(self):

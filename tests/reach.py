@@ -9,11 +9,20 @@ in one it lists is counted there, not listed again), and the totals:
 
     PYTHONPATH=src python tests/reach.py
 
+With ``--lines`` it traces line events too and prints, grouped by the
+function (or class or module body) that holds them, the simple statements
+that never run, each by its first line; docstrings are left out, and so is
+a compound statement's header (``if``, ``for``, ``try`` ...), whose body
+speaks for it:
+
+    PYTHONPATH=src python tests/reach.py --lines
+
 Only the tests reach what it prints; pytest does not collect this file.
 """
 
 from __future__ import annotations
 
+import argparse
 import ast
 import contextlib
 import io
@@ -30,16 +39,26 @@ PACKAGE = ROOT / "src" / "sobex"
 
 class CallTrace:
     """``sys.settrace`` hook that records ``(file, first line, name)`` of every code
-    object of ``PACKAGE`` that runs; it asks for no line events."""
+    object of ``PACKAGE`` that runs; with ``lines`` it also records ``(file, line)``
+    of every line event in them, and otherwise asks for none."""
 
-    def __init__(self):
+    def __init__(self, lines=False):
         self.prefix = str(PACKAGE) + "/"
         self.called = set()
+        self.lines = set() if lines else None
 
     def __call__(self, frame, event, arg):
         code = frame.f_code
         if code.co_filename.startswith(self.prefix):
             self.called.add((code.co_filename, code.co_firstlineno, code.co_name))
+            if self.lines is not None:
+                return self._line
+        return None
+
+    def _line(self, frame, event, arg):
+        if event == "line":
+            self.lines.add((frame.f_code.co_filename, frame.f_lineno))
+        return self._line
 
 
 def run_entries():
@@ -94,13 +113,70 @@ def unreached(called):
     return out
 
 
-def main():
-    trace = CallTrace()
+_SCOPES = (ast.Module, ast.ClassDef, ast.FunctionDef, ast.AsyncFunctionDef)
+
+
+def _simple_statements(tree):
+    """``(scope, node)`` of every statement of a module that holds no statements,
+    docstrings left out; ``scope`` is the qualname of the innermost function or
+    class around it ("" at module level)."""
+    out = []
+
+    def walk(node, scope):
+        for child in ast.iter_child_nodes(node):
+            if isinstance(child, (ast.excepthandler, ast.match_case)):
+                walk(child, scope)
+            elif not isinstance(child, ast.stmt):
+                continue
+            elif isinstance(child, _SCOPES):
+                walk(child, f"{scope}{child.name}.")
+            elif hasattr(child, "body") or hasattr(child, "cases"):
+                walk(child, scope)
+            elif not (isinstance(node, _SCOPES) and child is node.body[0]
+                      and isinstance(child, ast.Expr) and isinstance(child.value, ast.Constant)
+                      and isinstance(child.value.value, str)):
+                out.append((scope, child))
+
+    walk(tree, "")
+    return out
+
+
+def unrun(lines):
+    """``(module.qualname, [(line, text)])`` of every scope with a simple statement
+    none of whose lines had a line event."""
+    out = []
+    for path in sorted(PACKAGE.glob("*.py")):
+        source = path.read_text().splitlines()
+        ran = {line for file, line in lines if file == str(path)}
+        groups = {}
+        for scope, node in _simple_statements(ast.parse("\n".join(source))):
+            if ran.isdisjoint(range(node.lineno, node.end_lineno + 1)):
+                name = f"{path.stem}.{scope[:-1]}" if scope else path.stem
+                groups.setdefault(name, []).append((node.lineno, source[node.lineno - 1]))
+        out.extend(groups.items())
+    return out
+
+
+def main(argv=None):
+    ap = argparse.ArgumentParser(description=__doc__.splitlines()[0])
+    ap.add_argument("--lines", action="store_true",
+                    help="list the statements that never run, not the functions never called")
+    args = ap.parse_args(argv)
+    trace = CallTrace(lines=args.lines)
     sys.settrace(trace)
     try:
         run_entries()
     finally:
         sys.settrace(None)
+    if args.lines:
+        groups = unrun(trace.lines)
+        for name, rows in groups:
+            print(name)
+            for line, text in rows:
+                print(f"  {line:5d}  {text.strip()}")
+        count = sum(len(rows) for _, rows in groups)
+        print(f"{count} statements in {len(groups)} scopes never run")
+        return 0
     rows = unreached(trace.called)
     for name, size in rows:
         print(f"{name:60s} {size:4d}")

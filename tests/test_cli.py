@@ -63,6 +63,30 @@ def test_constants_cli(tmp_path, capsys):
     assert data["distortion"] == pytest.approx(3.0, abs=1e-9)
 
 
+def test_charts_are_two_dimensional(tmp_path):
+    """``n`` is the comparison dimension of ``constants`` alone: a constant-curvature
+    disk's extension check reads the same at n = 2 and n = 3."""
+    reports = []
+    for n in (2, 3):
+        cfg = tmp_path / f"n{n}.json"
+        cfg.write_text(json.dumps({"n": n, "domain": {"type": "disk", "radius": 1.0}}))
+        rep = tmp_path / f"vx{n}.json"
+        assert cli.main(["verify-extension", "--config", str(cfg), "--r", "0.3",
+                         "--samples", "2", "--quad", "16", "--report", str(rep)]) == 0
+        reports.append(rep.read_bytes())
+    assert reports[0] == reports[1]
+    const = []
+    for n in ("2", "3"):
+        rep = tmp_path / f"c{n}.json"
+        assert cli.main(["constants", "--K", "1", "--H", "1", "--n", n,
+                         "--report", str(rep)]) == 0
+        const.append(json.loads(rep.read_text()))
+    assert const[1]["n"] == 3 and const[1]["distortion"] > const[0]["distortion"]
+    # the n-dimensional profiles are the base (n = 2) profiles to the power n - 1
+    for key in ("profile_d", "profile_D"):
+        assert np.allclose(const[1][key], np.square(const[0][key]), rtol=1e-14, atol=0.0)
+
+
 @pytest.mark.filterwarnings("error")
 @pytest.mark.parametrize("K, H", [(1e300, 1), (1, 1e300), (0, 1e300), (1e300, 1e300)])
 def test_constants_extreme_curvature(capsys, K, H):
@@ -433,6 +457,16 @@ _HUGE_DISK = {"type": "disk", "radius": 800}
     ("regularity", None, {"surface": _HYPERBOLIC, "domain": _HUGE_DISK, "r": 0.3}),
     # a sweep of the focal scale R0 = 1/H through 0
     ("sweep", None, {"K": 0, "r": 0.3, "sweep": {"R0": {"from": 0.0, "to": 1.0, "steps": 3}}}),
+    # domains the library rejects: a centre of three coordinates, an empty profile,
+    # intervals of no length
+    ("regularity", ["--domain", '{"type": "disk", "center": [0, 0, 0]}', "--r", "0.3"],
+     {"domain": {"type": "disk", "center": [0, 0, 0]}, "r": 0.3}),
+    ("regularity", ["--domain", '{"type": "fourier", "coeffs_cos": []}', "--r", "0.3"],
+     {"domain": {"type": "fourier", "coeffs_cos": []}, "r": 0.3}),
+    ("heat", ["--resolution", "16", "--domain", '{"type": "interval", "L": -1}'],
+     {"resolution": 16, "domain": {"type": "interval", "L": -1}}),
+    ("heat", ["--resolution", "16", "--domain", '{"type": "interval", "L": 0}'],
+     {"resolution": 16, "domain": {"type": "interval", "L": 0}}),
 ])
 @pytest.mark.filterwarnings("error")
 def test_bad_input_exits_2(tmp_path, capsys, command, flags, config):

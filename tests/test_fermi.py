@@ -6,8 +6,10 @@ import numpy as np
 import pytest
 from hypothesis import given, settings, strategies as st
 
+from sobex import fermi
 from sobex.comparison import jacobi_factor, mean_curvature_bound
 from sobex.errors import (
+    AssemblyError,
     FocalPointError,
     InvalidDomainError,
     InvalidSurfaceError,
@@ -21,6 +23,7 @@ from sobex.fermi import (
     RadialProfile,
     check_regularity,
 )
+from sobex.heat import DiscreteDomain
 from sobex.surfaces import (
     GeodesicState,
     JacobiValue,
@@ -91,6 +94,28 @@ EPS = np.finfo(float).eps
 def test_non_finite_inputs_rejected(build, error):
     with pytest.raises(error):
         build()
+
+
+def test_disk_centre_needs_two_chart_coordinates():
+    with pytest.raises(InvalidDomainError, match="disk centre must hold two chart coordinates"):
+        DomainSpec(_FLAT, GeodesicDisk((0.0, 0.0, 0.0), 1.0))
+
+
+@pytest.mark.parametrize("boundary, kind, engine", [
+    (RadialProfile((1.0, 0.0, 0.15)), "blob", fermi._FlatFourierEngine),
+    (GeodesicDisk((0.0, 0.0), 1.0), "pole_disk", fermi._PoleDiskEngine),
+    (GeodesicDisk((0.3, 0.2), 0.6), "offcentre_disk", fermi._FlatCircleEngine),
+])
+def test_domain_kind_selects_engine_and_grid(boundary, kind, engine):
+    """One geometry class per domain: it picks the chart engine and the heat grid."""
+    spec = DomainSpec(_FLAT, boundary)
+    assert spec.kind == kind
+    assert type(spec._engine()) is engine
+    if kind == "offcentre_disk":
+        with pytest.raises(AssemblyError, match="pole-centred disk"):
+            DiscreteDomain.disk_like(spec, 16, 16)
+    else:
+        assert DiscreteDomain.disk_like(spec, 16, 16).kind == kind
 
 
 def test_fermi_map_examples(disk_chart, cap_chart):

@@ -210,6 +210,12 @@ def test_assemble_validations(unit_disk):
         H.DiscreteDomain.disk_like(unit_disk, 8, 64)
 
 
+@pytest.mark.parametrize("L", [-1.0, 0.0, math.nan, math.inf])
+def test_interval_length_must_be_positive_and_finite(L):
+    with pytest.raises(AssemblyError, match="interval length L must be positive and finite"):
+        H.DiscreteDomain.interval(L, 32)
+
+
 def test_heat_kernel_values(interval):
     dom, sys_ = interval
     i = int(np.argmin(np.abs(dom.nodes - math.pi / 2.0)))
