@@ -42,7 +42,7 @@ print("\n   s      d(s)=1/(1+s)   D(s)=1/(1-s)")
 for si, d, D in zip(s, profile.d_base(s), profile.D_base(s)):
     print(f"  {si:.2f}   {d:12.8f}   {D:12.8f}")
 
-dist = distortion_factor(profile, 2, r)
+dist = distortion_factor(profile)
 print(f"\ndistortion max D(t)/d(s) over [0, {r}]^2 = {dist}  (exactly 3)")
 
 print("\nsquared-norm bound of the extension operator:")

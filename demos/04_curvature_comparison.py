@@ -31,7 +31,7 @@ traj = integrate_geodesic(sphere, start, math.pi, tol=1e-10)
 end = traj.end
 print(f"after arclength pi the equator reaches ({end.position[0]:.8f}, "
       f"{end.position[1]:.8f})  [expected (pi/2, pi)]")
-jac = jacobi_transport(sphere, traj, JacobiValue(1.0, 0.0), s=1.0)
+jac = jacobi_transport(traj, JacobiValue(1.0, 0.0), s=1.0)
 print(f"Jacobi field J(1) = {jac.value:.10f}  (cos 1 = {math.cos(1.0):.10f})")
 
 print("\n== warped product with sign-changing curvature ==")

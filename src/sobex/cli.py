@@ -174,15 +174,25 @@ _CHECKS = {float: _real, int: _integer, str: _path}
 def _section(value, where, table):
     """A copy of the JSON object ``value`` with each entry checked by ``table``,
     which maps every key it allows to its check, to the table of a nested
-    section, or to ``None``, which leaves the value to the builder."""
+    section, or to ``None``, which leaves the value to the builder.  A table
+    ``(key, default, variants)`` first reads the variant ``value[key]`` (else
+    ``default``) and then allows that key and the keys of ``variants[variant]``."""
     if not isinstance(value, dict):
         raise ConfigError(f"{where} must be a JSON object")
+    named = ""
+    if isinstance(table, tuple):
+        selector, default, variants = table
+        variant = value.get(selector, default)
+        if not isinstance(variant, str) or variant not in variants:
+            raise ConfigError(f"unknown {where} {selector} {variant!r}")
+        table = {selector: None, **variants[variant]}
+        named = f" ({selector} {variant!r})"
     out = {}
     for key, item in value.items():
         if key not in table:
-            raise ConfigError(f"unknown key {key!r} in {where}")
+            raise ConfigError(f"unknown key {key!r} in {where}{named}")
         check = table[key]
-        if isinstance(check, dict):
+        if isinstance(check, (dict, tuple)):
             item = _section(item, f"{where}.{key}", check)
         elif check is not None:
             item = check(item, f"{where}.{key}")
@@ -200,11 +210,16 @@ def _range(value, where):
     return value
 
 
-# the nested sections' tables (see _section)
+# the nested sections' tables (see _section): each kind of surface, warp
+# profile and domain allows only the keys its builder reads
 _SECTIONS = {
-    "surface": {"kind": None, "kappa": _real, "profile": {"type": None, "coeffs": _reals}},
-    "domain": {"type": None, "center": _reals, "radius": _real, "coeffs_cos": _reals,
-               "coeffs_sin": _reals, "L": _real},
+    "surface": ("kind", "constant", {
+        "constant": {"kappa": _real},
+        "warped": {"profile": ("type", "poly_cosh_mix", {"poly_cosh_mix": {"coeffs": _reals}})},
+    }),
+    "domain": ("type", "disk", {"disk": {"center": _reals, "radius": _real},
+                                "fourier": {"coeffs_cos": _reals, "coeffs_sin": _reals},
+                                "interval": {"L": _real}}),
     "sweep": dict.fromkeys(_SWEEP_PARAMS, _range),
 }
 
@@ -242,22 +257,16 @@ def _parse(raw) -> RunConfig:
 
 
 def build_surface(cfg: RunConfig) -> ModelSurface:
-    spec = cfg.surface or {"kind": "constant", "kappa": 0.0}
-    kind = spec.get("kind", "constant")
-    if kind == "constant":
+    """The configured surface; ``_SECTIONS`` has checked its kind and profile type."""
+    spec = cfg.surface or {}
+    if spec.get("kind", "constant") == "constant":
         return ModelSurface.constant_curvature(spec.get("kappa", 0.0))
-    if kind == "warped":
-        prof = spec.get("profile", {})
-        ptype = prof.get("type", "poly_cosh_mix")
-        if ptype == "poly_cosh_mix":
-            return ModelSurface.warped(poly_cosh_mix_profile(prof.get("coeffs", [1.0])))
-        raise ConfigError(f"unknown warp profile type {ptype!r}")
-    raise ConfigError(f"unknown surface kind {kind!r}")
+    return ModelSurface.warped(poly_cosh_mix_profile(spec.get("profile", {}).get("coeffs", [1.0])))
 
 
 def build_domain(cfg: RunConfig) -> DomainSpec:
     """The configured domain; one the surface cannot carry is a :class:`ConfigError`."""
-    dom = cfg.domain or {"type": "disk", "center": [0.0, 0.0], "radius": 1.0}
+    dom = cfg.domain or {}
     dtype = dom.get("type", "disk")
     try:
         surface = build_surface(cfg)
@@ -269,7 +278,7 @@ def build_domain(cfg: RunConfig) -> DomainSpec:
                                                      tuple(dom.get("coeffs_sin", ()))))
     except (InvalidSurfaceError, InvalidDomainError, ParameterError) as exc:
         raise ConfigError(str(exc)) from exc
-    raise ConfigError(f"unknown domain type {dtype!r} (use 'disk' or 'fourier')")
+    raise ConfigError("an interval domain serves only heat (use 'disk' or 'fourier')")
 
 
 # ---------------------------------------------------------------------------
@@ -278,6 +287,7 @@ def build_domain(cfg: RunConfig) -> DomainSpec:
 
 
 def _constants_payload(K, H, n, r, G):
+    """The closed-form constants for ``(K, H)`` in dimension ``n`` and their profile."""
     if K is None or H is None:
         raise ConfigError("constants needs K and H (flags or config)")
     r0 = comparison.focal_radius(K, H)
@@ -288,10 +298,7 @@ def _constants_payload(K, H, n, r, G):
         profile = comparison.ComparisonProfile.from_curvature(data, r_use)
     except ComparisonBreakdownError as exc:  # a radius at or past r0
         raise ConfigError(str(exc)) from exc
-    dist = comparison.distortion_factor(profile, n, r_use)
-    bound = comparison.extension_norm_bound(dist, G, r_use)
-    grid = np.linspace(0.0, r_use, 33)
-    d_vals, D_vals = comparison.volume_ratio_bounds(data, grid)
+    dist = comparison.distortion_factor(profile)
     return {
         "K": K,
         "H": H,
@@ -301,25 +308,19 @@ def _constants_payload(K, H, n, r, G):
         "r0": r0,
         "r_admissible": r_adm,
         "distortion": dist,
-        "norm_bound": bound,
-        "profile_s": grid,
-        "profile_d": d_vals,
-        "profile_D": D_vals,
-    }, profile, r_use
+        "norm_bound": comparison.extension_norm_bound(dist, G, r_use),
+    }, profile
 
 
 def cmd_constants(cfg: RunConfig) -> int:
-    payload, profile, r_use = _constants_payload(cfg.K, cfg.H, cfg.n, cfg.r, cfg.G)
+    payload, profile = _constants_payload(cfg.K, cfg.H, cfg.n, cfg.r, cfg.G)
+    grid = np.linspace(0.0, profile.r, 33)
+    payload.update(profile_s=grid, profile_d=profile.d(grid), profile_D=profile.D(grid))
     write_report(cfg.report, payload)
     if cfg.csv:
-        grid = np.linspace(0.0, r_use, 129)
-        rows = np.stack([
-            grid,
-            profile.d_base(grid),
-            profile.D_base(grid),
-            profile.d(grid, cfg.n),
-            profile.D(grid, cfg.n),
-        ], axis=-1)
+        grid = np.linspace(0.0, profile.r, 129)
+        rows = np.stack([grid, profile.d_base(grid), profile.D_base(grid),
+                         profile.d(grid), profile.D(grid)], axis=-1)
         write_csv(cfg.csv, ["s", "d_base", "D_base", "d", "D"], rows)
     return 0
 
@@ -410,8 +411,9 @@ def cmd_heat(cfg: RunConfig) -> int:
     diag = heat.diagonal_bound_check(domain, system, t_grid)
     eta1, scaled = heat.eigenvalue_diagnostic(system, domain)
     # after the kernel sums, so the spectrum they solved serves these too;
-    # cfg.modes only sizes this list, every sum runs at the solver's own cap
-    lam, _ = system.eigenpairs(min(cfg.modes, system.size - 2), vectors=False)
+    # cfg.modes only sizes this list (the solver caps it), every sum runs at
+    # the solver's own cap
+    lam, _ = system.eigenpairs(cfg.modes, vectors=False)
     checks["diagonal_finite"] = bool(np.isfinite(diag.c_obs))
 
     payload = {
@@ -458,9 +460,7 @@ def cmd_sweep(cfg: RunConfig) -> int:
             kw["H"] = 1.0 / float(value)
         else:
             kw[param] = value
-        constants, _, _ = _constants_payload(kw["K"], kw["H"], kw["n"], kw["r"], kw["G"])
-        for key in ("profile_s", "profile_d", "profile_D"):
-            constants.pop(key)
+        constants, _ = _constants_payload(kw["K"], kw["H"], kw["n"], kw["r"], kw["G"])
         points.append({"index": index, "value": float(value), "constants": constants})
     payload = {"parameter": param, "points": points}
     write_report(cfg.report, payload)

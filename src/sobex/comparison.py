@@ -50,7 +50,6 @@ __all__ = [
     "admissible_rolling_radius",
     "CurvatureData",
     "ComparisonProfile",
-    "volume_ratio_bounds",
     "distortion_factor",
     "extension_norm_bound",
     "round_ball_norm_bound",
@@ -179,10 +178,11 @@ class CurvatureData:
         if self.n < 2:
             raise ParameterError("dimension must be at least 2")
 
-    @property
-    def spread_max(self):
-        """Largest outward normal spread over the boundary (= -H_min)."""
-        return -self.H_min
+
+def _power(base, n):
+    """``base`` to the dimensional power ``n - 1``; a numpy base overflows to ``inf`` silently."""
+    with np.errstate(over="ignore"):
+        return base ** (n - 1)
 
 
 def _reciprocal_jacobi(k, h, s):
@@ -212,16 +212,18 @@ class ComparisonProfile:
 
     Stored as Jacobi data: the dimension-free base ratios are
     ``d_base = 1/J(k_ext, h_ext, .)`` and ``D_base = 1/J(k_int, h_int, .)``
-    (spread convention), and the usable profiles are ``d_base**(n-1)``
-    and ``D_base**(n-1)``.  ``d`` bounds the boundary volume element from
-    below relative to the exterior distance hypersurfaces
-    (``d(s) dvol_s <= dvol_0``) and ``D`` bounds it from above relative
-    to the interior ones (``dvol_0 <= D(s) dvol_{-s}``).  The orientation
-    is anchored to the round ball, where the exact ratios are
-    ``R0/(R0+s)`` and ``R0/(R0-s)``.
+    (spread convention), and the usable profiles are ``d = d_base**(n-1)``
+    and ``D = D_base**(n-1)`` in the profile's own dimension ``n``.  ``d``
+    bounds the boundary volume element from below relative to the exterior
+    distance hypersurfaces (``d(s) dvol_s <= dvol_0``) and ``D`` bounds it
+    from above relative to the interior ones (``dvol_0 <= D(s) dvol_{-s}``).
+    The orientation is anchored to the round ball, where the exact ratios
+    are ``R0/(R0+s)`` and ``R0/(R0-s)``.
 
     ``r0`` is the first zero of either Jacobi factor and ``r`` the
-    working tube radius, which must satisfy ``0 < r < r0``.
+    working tube radius, which must satisfy ``0 < r < r0``; another radius
+    or dimension is ``dataclasses.replace(profile, r=..., n=...)``, which
+    checks the radius again.
     """
 
     k_ext: float
@@ -229,6 +231,7 @@ class ComparisonProfile:
     k_int: float
     h_int: float
     r: float
+    n: int = 2
 
     def __post_init__(self):
         if not (self.r > 0.0):
@@ -246,12 +249,12 @@ class ComparisonProfile:
 
     @classmethod
     def from_curvature(cls, data: CurvatureData, r: float) -> "ComparisonProfile":
-        """Comparison-derived profiles for the given curvature bounds."""
-        return cls(data.k_lower, data.spread_max, data.K_upper, -data.spread_max, r)
+        """Profiles in ``data.n`` driven by the largest outward spread ``-H_min``."""
+        return cls(data.k_lower, -data.H_min, data.K_upper, data.H_min, r, data.n)
 
     @classmethod
     def round_ball(cls, R0: float, r: float) -> "ComparisonProfile":
-        """Exact profiles ``R0/(R0 +- s)`` of the flat round ball of radius ``R0``."""
+        """Exact profiles ``R0/(R0 +- s)`` of the flat round disk of radius ``R0`` (n = 2)."""
         if R0 <= 0.0:
             raise ParameterError("ball radius must be positive")
         return cls(0.0, 1.0 / R0, 0.0, -1.0 / R0, r)
@@ -264,45 +267,27 @@ class ComparisonProfile:
         """Dimension-free interior ratio ``1/J(k_int, h_int, s)``."""
         return _reciprocal_jacobi(self.k_int, self.h_int, s)
 
-    def d(self, s, n):
-        """Exterior profile with the dimensional exponent applied."""
-        return self.d_base(s) ** (n - 1)
+    def d(self, s):
+        """Exterior profile: ``d_base(s)`` to the power ``n - 1``."""
+        return _power(self.d_base(s), self.n)
 
-    def D(self, s, n):
-        """Interior profile with the dimensional exponent applied."""
-        return self.D_base(s) ** (n - 1)
-
-
-def volume_ratio_bounds(data: CurvatureData, s):
-    """Volume-ratio bounds ``(d(s), D(s))`` at tube depth ``s``.
-
-    The bounds come from the curvature data via the Jacobi profiles.
-    Raises :class:`ComparisonBreakdownError` when ``s`` reaches a
-    profile degeneration.
-    """
-    s = np.asarray(s, dtype=float)
-    if np.any(s < 0.0):
-        raise ParameterError("tube depth must be nonnegative")
-    # a working radius of 0 is degenerate; the floor stands in only for all-zero depths
-    profile = ComparisonProfile.from_curvature(data, float(np.max(s)) or 1e-300)
-    d = profile.d(s, data.n)
-    D = profile.D(s, data.n)
-    return (float(d), float(D)) if np.ndim(s) == 0 else (d, D)
+    def D(self, s):
+        """Interior profile: ``D_base(s)`` to the power ``n - 1``."""
+        return _power(self.D_base(s), self.n)
 
 
-def distortion_factor(profile: ComparisonProfile, n: int, r: float):
-    """Worst ratio ``max_{s,t in [0,r]} D(t)/d(s)`` of a profile pair, exactly.
+def distortion_factor(profile: ComparisonProfile):
+    """Worst ratio ``max_{s,t in [0,r]} D(t)/d(s)`` of a profile, exactly.
 
+    Works over the profile's own radius ``r`` and in its dimension ``n``.
     ``d`` is smallest where the exterior Jacobi factor peaks and ``D``
     largest where the interior one bottoms out; each candidate set is
     the ends of ``[0, r]`` and the zero of ``J'`` between them.  Always
-    at least 1.
+    at least 1, and ``inf`` once the power overflows.
     """
-    if r > profile.r:
-        raise ParameterError("requested radius exceeds the profile's working radius")
-    d_min = np.min(profile.d_base(_extremal_depths(profile.k_ext, profile.h_ext, r)))
-    D_max = np.max(profile.D_base(_extremal_depths(profile.k_int, profile.h_int, r)))
-    return max(1.0, float((D_max / d_min) ** (n - 1)))
+    d_min = np.min(profile.d_base(_extremal_depths(profile.k_ext, profile.h_ext, profile.r)))
+    D_max = np.max(profile.D_base(_extremal_depths(profile.k_int, profile.h_int, profile.r)))
+    return max(1.0, float(_power(D_max / d_min, profile.n)))
 
 
 def extension_norm_bound(distortion: float, G: float, r: float):
@@ -329,7 +314,7 @@ def round_ball_norm_bound(n: int, r: float):
     """
     if r <= 0.0:
         raise ParameterError("need r > 0")
-    return 1.0 + 3.0 ** (n - 1) * max(164.0, 82.0 + 1312.0 / (r * r))
+    return 1.0 + _power(3.0, n) * max(164.0, 82.0 + 1312.0 / (r * r))
 
 
 def mean_curvature_bound(k: float, h: float, s, n: int = 2):

@@ -544,8 +544,7 @@ def operator_norm_estimate(chart: FermiChart, cutoff: CutoffFamily,
     reg = chart.regularity
     if not reg.admissible:
         raise RegularityError(f"chart is not admissible: {reg.notes}")
-    data = chart.curvature_data()
-    dist = distortion_factor(ComparisonProfile.from_curvature(data, chart.r), data.n, chart.r)
+    dist = distortion_factor(ComparisonProfile.from_curvature(chart.curvature_data(), chart.r))
     bound = extension_norm_bound(dist, cutoff.G, chart.r)
 
     rule = _tube_rule(chart, quad, cutoff)

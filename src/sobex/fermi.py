@@ -199,16 +199,15 @@ class BoundarySample:
 
     ``point`` are chart coordinates, ``normal`` outward-unit chart
     components, ``second_fundamental`` the scalar II in the disk-anchored
-    convention (unit disk: -1), ``spread = -II`` the outward normal
-    spread rate, and ``speed`` the length of the parameter velocity
-    (line element of the boundary measure).
+    convention (unit disk: -1; the outward normal spread is ``-II``), and
+    ``speed`` the length of the parameter velocity (line element of the
+    boundary measure).
     """
 
     theta: np.ndarray
     point: np.ndarray
     normal: np.ndarray
     second_fundamental: np.ndarray
-    spread: np.ndarray
     speed: np.ndarray
 
 
@@ -234,8 +233,7 @@ class _PoleDiskEngine:
         n = theta.shape[0]
         pts = np.stack([np.full(n, self.a), theta], axis=-1)
         normals = np.tile(np.array([1.0, 0.0]), (n, 1))
-        sig = np.full(n, self.sigma0)
-        return BoundarySample(theta, pts, normals, -sig, sig, np.full(n, self.f_a))
+        return BoundarySample(theta, pts, normals, np.full(n, -self.sigma0), np.full(n, self.f_a))
 
     def map(self, s, theta):
         s, theta = np.broadcast_arrays(
@@ -353,9 +351,7 @@ class _FlatCurveEngine:
     def boundary(self, theta):
         theta = np.atleast_1d(np.asarray(theta, dtype=float))
         f = self._frame(theta)
-        return BoundarySample(
-            theta, cartesian_to_polar(f.point), f.normal, -f.spread, f.spread, f.speed
-        )
+        return BoundarySample(theta, cartesian_to_polar(f.point), f.normal, -f.spread, f.speed)
 
     def map(self, s, theta):
         return cartesian_to_polar(self._tube(s, theta)[2])
@@ -705,8 +701,7 @@ def check_regularity(domain: DomainSpec, r: float) -> RegularityReport:
     engine = domain._engine()
     theta = np.arange(_N_THETA) * (_TWO_PI / _N_THETA)
     bnd = engine.boundary(theta)
-    sigma = bnd.spread
-    H = float(np.max(np.abs(sigma)))
+    H = float(np.max(np.abs(bnd.second_fundamental)))
     k_lo, k_up = engine.tube_curvature_range(r)
     K = float(max(abs(k_lo), abs(k_up)))
     r0 = comparison.focal_radius(K, H)

@@ -290,8 +290,9 @@ def _geodesic_rhs(surface):
     return rhs
 
 
-def _jacobi_rhs(surface, trajectory):
+def _jacobi_rhs(trajectory):
     """Right-hand side of ``J'' + K(gamma(s)) J = 0`` along ``trajectory``."""
+    surface = trajectory.surface
     if surface.kind == "constant":
         def curv(_):
             return surface.kappa
@@ -364,12 +365,12 @@ def integrate_geodesic(surface, start: GeodesicState, length, tol=1e-10):
     return Trajectory(surface, sol, length)
 
 
-def jacobi_transport(surface, trajectory: Trajectory, initial: JacobiValue, s=None):
+def jacobi_transport(trajectory: Trajectory, initial: JacobiValue, s=None):
     """Transport scalar normal Jacobi data ``J'' + K(gamma(s)) J = 0``.
 
-    ``s`` defaults to the trajectory length.  The transport is linear
-    in the initial data and is integrated numerically along the given
-    trajectory; closed-form solutions exist in constant curvature and
+    ``K`` is the Gauss curvature of the trajectory's own surface and ``s``
+    defaults to the trajectory length.  The transport is linear in the
+    initial data; closed-form solutions exist in constant curvature and
     serve as independent oracles in the test-suite.
     """
     s_end = trajectory.length if s is None else float(s)
@@ -377,17 +378,17 @@ def jacobi_transport(surface, trajectory: Trajectory, initial: JacobiValue, s=No
         raise ParameterError("requested arclength outside the trajectory")
     if s_end == 0.0:
         return JacobiValue(initial.value, initial.derivative)
-    value, derivative = jacobi_values(surface, trajectory, initial, [s_end])
+    value, derivative = jacobi_values(trajectory, initial, [s_end])
     return JacobiValue(float(value[0]), float(derivative[0]))
 
 
-def jacobi_values(surface, trajectory: Trajectory, initial: JacobiValue, s_grid):
+def jacobi_values(trajectory: Trajectory, initial: JacobiValue, s_grid):
     """Jacobi field values on a grid of arclengths (one integration pass)."""
     from scipy.integrate import solve_ivp
 
     s_grid = np.asarray(s_grid, dtype=float)
     sol = solve_ivp(
-        _jacobi_rhs(surface, trajectory),
+        _jacobi_rhs(trajectory),
         (0.0, float(s_grid[-1])),
         [initial.value, initial.derivative],
         method="DOP853",

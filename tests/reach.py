@@ -17,6 +17,9 @@ speaks for it:
 
     PYTHONPATH=src python tests/reach.py --lines
 
+Either way it ends with the non-blank line count of each ``src/sobex/*.py``
+and their total, the size of the package that the ROADMAP tracks.
+
 Only the tests reach what it prints; pytest does not collect this file.
 """
 
@@ -157,6 +160,12 @@ def unrun(lines):
     return out
 
 
+def line_counts():
+    """``(file name, non-blank lines)`` of every module of the package."""
+    return [(path.name, sum(1 for text in path.read_text().splitlines() if text.strip()))
+            for path in sorted(PACKAGE.glob("*.py"))]
+
+
 def main(argv=None):
     ap = argparse.ArgumentParser(description=__doc__.splitlines()[0])
     ap.add_argument("--lines", action="store_true",
@@ -176,11 +185,15 @@ def main(argv=None):
                 print(f"  {line:5d}  {text.strip()}")
         count = sum(len(rows) for _, rows in groups)
         print(f"{count} statements in {len(groups)} scopes never run")
-        return 0
-    rows = unreached(trace.called)
-    for name, size in rows:
+    else:
+        rows = unreached(trace.called)
+        for name, size in rows:
+            print(f"{name:60s} {size:4d}")
+        print(f"{len(rows)} functions, {sum(size for _, size in rows)} non-blank lines unreached")
+    counts = line_counts()
+    for name, size in counts:
         print(f"{name:60s} {size:4d}")
-    print(f"{len(rows)} functions, {sum(size for _, size in rows)} non-blank lines unreached")
+    print(f"{len(counts)} modules, {sum(size for _, size in counts)} non-blank lines in src/sobex")
     return 0
 
 

@@ -49,7 +49,7 @@ def test_c01_ball_constants(unit_disk):
     assert np.max(np.abs(profile.d_base(s) - R0 / (R0 + s))) < 1e-9
     assert np.max(np.abs(profile.D_base(s) - R0 / (R0 - s))) < 1e-9
 
-    dist = C.distortion_factor(profile, 2, r)
+    dist = C.distortion_factor(profile)
     assert abs(dist - 3.0) < 1e-9
 
     for rr in (0.25, 0.5):
@@ -151,7 +151,7 @@ def test_c05_comparison_sandwich(disk_chart, cap_chart, blob_chart):
         traj = integrate_geodesic(surf, start, min(r0 * 1.2, 2.5), tol=1e-12)
 
         def jac(s):
-            return jacobi_transport(surf, traj, JacobiValue(1.0, -Hh), s=s).value
+            return jacobi_transport(traj, JacobiValue(1.0, -Hh), s=s).value
 
         zero = brentq(jac, 0.5 * r0, min(1.2 * r0, traj.length), xtol=1e-12)
         worst = max(worst, abs(zero - r0))

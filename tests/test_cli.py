@@ -39,6 +39,44 @@ def test_parse_config_rejects_unknown_keys():
         cli.parse_config('{"surface": {"kind": "constant", "oops": 2}}')
 
 
+@pytest.mark.parametrize("section, message", [
+    ({"domain": {"type": "disk", "radius": 1.0, "coeffs_cos": [5.0]}},
+     "unknown key 'coeffs_cos' in domain (type 'disk')"),
+    ({"domain": {"type": "fourier", "radius": 1.0}},
+     "unknown key 'radius' in domain (type 'fourier')"),
+    ({"domain": {"type": "interval", "center": [0, 0]}},
+     "unknown key 'center' in domain (type 'interval')"),
+    ({"domain": {"L": 9.0}}, "unknown key 'L' in domain (type 'disk')"),
+    ({"domain": {"type": "square"}}, "unknown domain type 'square'"),
+    ({"domain": {"type": [1]}}, "unknown domain type [1]"),
+    ({"surface": {"kind": "warped", "kappa": 1.0}},
+     "unknown key 'kappa' in surface (kind 'warped')"),
+    ({"surface": {"profile": {"coeffs": [1.0]}}},
+     "unknown key 'profile' in surface (kind 'constant')"),
+    ({"surface": {"kind": {"a": 1}}}, "unknown surface kind {'a': 1}"),
+    ({"surface": {"kind": "warped", "profile": {"type": "cosh"}}},
+     "unknown surface.profile type 'cosh'"),
+])
+def test_sections_take_only_their_variants_keys(section, message):
+    """Each kind of surface, warp profile and domain takes only the keys it reads;
+    its selector is checked first, and one of no known kind is named as it is."""
+    with pytest.raises(ConfigError) as info:
+        cli.parse_config(json.dumps({**section, "r": -1.0}))
+    assert str(info.value) == message
+
+
+@pytest.mark.parametrize("argv", [
+    ["regularity", "--domain", '{"type": "disk", "radius": 1.0, "coeffs_cos": [5.0]}',
+     "--r", "0.3"],
+    ["heat", "--domain", '{"type": "disk", "L": 9.0}'],
+])
+def test_stray_section_keys_exit_2(capsys, argv):
+    """A key the domain's type does not read was ignored; it is bad input."""
+    assert cli.main(argv) == 2
+    err = capsys.readouterr().err
+    assert err.startswith("error: unknown key ") and err.count("\n") == 1
+
+
 def test_parse_config_sweep_enumeration(tmp_path):
     cfg = cli.parse_config(
         '{"K": 0.0, "H": 1.0,'
@@ -95,6 +133,17 @@ def test_constants_extreme_curvature(capsys, K, H):
     captured = capsys.readouterr()
     assert captured.err == ""
     assert json.loads(captured.out)["norm_bound"] == "inf"
+
+
+@pytest.mark.filterwarnings("error")
+def test_constants_large_dimension_overflows_silently(capsys):
+    """At n = 1000 the profile powers overflow: the distortion is inf, with no warning."""
+    assert cli.main(["constants", "--K", "1", "--H", "1", "--n", "1000"]) == 0
+    captured = capsys.readouterr()
+    assert captured.err == ""
+    data = json.loads(captured.out)
+    assert data["distortion"] == "inf" and data["norm_bound"] == "inf"
+    assert data["profile_D"][-1] == "inf"
 
 
 @pytest.mark.parametrize("argv", [["heat", "--resolution", "abc"], ["heat", "--bogus", "1"], []])
@@ -215,6 +264,19 @@ def test_failed_check_exits_1_with_one_line(tmp_path, capsys, monkeypatch):
     assert not rep.exists()
 
 
+def test_heat_lists_every_requested_eigenvalue(tmp_path):
+    """``modes`` up to the size of a small system lists that many eigenvalues:
+    the solver alone caps the list, at ``N`` on the 16-cell interval."""
+    rep = tmp_path / "heat.json"
+    for modes in (16, 40):
+        assert cli.main(["heat", "--domain", '{"type": "interval", "L": 1.0}',
+                         "--resolution", "16", "--modes", str(modes), "--report", str(rep)]) == 0
+        data = json.loads(rep.read_text())
+        assert data["size"] == 16 and data["eigensolver"]["path"] == "separable"
+        lam = data["eigenvalues"]
+        assert len(lam) == 16 and lam[0] == 0.0 and lam == sorted(lam)
+
+
 def test_heat_accepts_equal_time_bounds(tmp_path):
     rep = tmp_path / "heat.json"
     rc = cli.main(["heat", "--domain", '{"type": "interval", "L": 1.0}', "--resolution", "64",
@@ -237,7 +299,7 @@ def test_import_leaves_optimize_and_integrate_unloaded():
     peaks inside the tube (at atan(1/2) for this data)."""
     code = ("import sys, sobex, sobex.cli; from sobex import comparison as C; "
             "C.distortion_factor(C.ComparisonProfile.from_curvature("
-            "C.CurvatureData(1, 1, -0.5, -0.5), 0.8), 2, 0.8); "
+            "C.CurvatureData(1, 1, -0.5, -0.5), 0.8)); "
             "print(sorted(m for m in ('scipy.optimize', 'scipy.integrate') if m in sys.modules))")
     assert _fresh_interpreter(code).strip() == "[]"
 

@@ -1,4 +1,5 @@
 import math
+from dataclasses import replace
 
 import numpy as np
 import pytest
@@ -98,16 +99,19 @@ def test_admissible_rolling_radius():
 
 def test_volume_ratio_bounds_flat_ball():
     data = C.CurvatureData(0.0, 0.0, -1.0, -1.0, n=2)
-    d0, D0 = C.volume_ratio_bounds(data, 0.0)
-    assert (d0, D0) == (1.0, 1.0)
-    d, D = C.volume_ratio_bounds(data, 0.5)
+    profile = C.ComparisonProfile.from_curvature(data, 0.5)
+    assert (profile.d(0.0), profile.D(0.0)) == (1.0, 1.0)
+    d, D = profile.d(0.5), profile.D(0.5)
     # the bounds reproduce the exact unit-ball ratios and in particular
     # dominate the cruder linear profile 1 - s
     assert d == pytest.approx(2.0 / 3.0, abs=1e-15)
     assert D == pytest.approx(2.0, abs=1e-15)
     assert d >= 0.5
+    # past the degeneration radius r0 = 1, neither a profile nor a depth
     with pytest.raises(ComparisonBreakdownError):
-        C.volume_ratio_bounds(data, 1.5)
+        C.ComparisonProfile.from_curvature(data, 1.5)
+    with pytest.raises(ComparisonBreakdownError):
+        profile.D(1.5)
 
 
 def test_comparison_profile_matches_exact_ball():
@@ -122,19 +126,35 @@ def test_comparison_profile_matches_exact_ball():
 
 def test_distortion_factor():
     flat = C.ComparisonProfile(0, 0, 0, 0, r=1)
-    assert C.distortion_factor(flat, 2, 1.0) == 1.0
+    assert C.distortion_factor(flat) == 1.0
     ball = C.ComparisonProfile.round_ball(1.0, 0.5)
-    assert C.distortion_factor(ball, 2, 0.5) == pytest.approx(3.0, abs=1e-9)
-    assert C.distortion_factor(ball, 3, 0.5) == pytest.approx(9.0, abs=1e-9)
+    assert C.distortion_factor(ball) == pytest.approx(3.0, abs=1e-9)
+    assert C.distortion_factor(replace(ball, n=3)) == pytest.approx(9.0, abs=1e-9)
     third = C.ComparisonProfile.round_ball(1.0, 1.0 / 3.0)
-    assert C.distortion_factor(third, 2, 1.0 / 3.0) == pytest.approx(2.0, abs=1e-9)
+    assert C.distortion_factor(third) == pytest.approx(2.0, abs=1e-9)
 
 
-def _grid_search_distortion(profile, n, r, grid_size=1024):
+def test_profile_carries_its_dimension():
+    """A profile built from n = 3 data squares the n = 2 profile and distortion."""
+    data = C.CurvatureData(-0.5, 1.0, -0.7, 0.4)
+    planar = C.ComparisonProfile.from_curvature(data, 0.3)
+    solid = C.ComparisonProfile.from_curvature(replace(data, n=3), 0.3)
+    assert (planar.n, solid.n) == (2, 3)
+    s = np.linspace(0.0, 0.3, 17)
+    assert np.allclose(solid.d(s), planar.d(s) ** 2, rtol=1e-15, atol=0.0)
+    assert np.allclose(solid.D(s), planar.D(s) ** 2, rtol=1e-15, atol=0.0)
+    assert C.distortion_factor(solid) == pytest.approx(C.distortion_factor(planar) ** 2,
+                                                       rel=1e-15)
+    with pytest.raises(ComparisonBreakdownError):  # replace checks the radius again
+        replace(solid, r=solid.r0)
+
+
+def _grid_search_distortion(profile, grid_size=1024):
     """The former numerical distortion: a dense grid, then golden-section
     refinement around each grid extremum.  The former code refined only
     extrema inside the grid, and so missed a critical point in the first
     or last cell; here the end cells are refined too."""
+    r = profile.r
     grid = np.linspace(0.0, r, grid_size + 1)
 
     def refined_min(fn):
@@ -147,7 +167,7 @@ def _grid_search_distortion(profile, n, r, grid_size=1024):
 
     d_min = refined_min(profile.d_base)
     D_max = -refined_min(lambda s: -profile.D_base(s))
-    return max(1.0, (D_max / d_min) ** (n - 1))
+    return max(1.0, (D_max / d_min) ** (profile.n - 1))
 
 
 @st.composite
@@ -173,8 +193,8 @@ def test_distortion_closed_form_matches_grid_search(case):
     for k, h in ((profile.k_ext, profile.h_ext), (profile.k_int, profile.h_int)):
         if h != 0.0 and 0.0 < C.jacobi_factor_zero(k, -k / h) < r:
             event("interior critical point")
-    exact = C.distortion_factor(profile, data.n, r)
-    assert exact == pytest.approx(_grid_search_distortion(profile, data.n, r), rel=1e-14)
+    exact = C.distortion_factor(profile)
+    assert exact == pytest.approx(_grid_search_distortion(profile), rel=1e-14)
     grid = np.linspace(0.0, r, 4097)
     on_grid = max(1.0, (np.max(profile.D_base(grid)) / np.min(profile.d_base(grid)))
                   ** (data.n - 1))
@@ -184,7 +204,7 @@ def test_distortion_closed_form_matches_grid_search(case):
 def test_distortion_monotone_in_radius():
     ball = C.ComparisonProfile.round_ball(1.0, 0.45)
     radii = np.linspace(0.05, 0.45, 9)
-    vals = [C.distortion_factor(ball, 2, r) for r in radii]
+    vals = [C.distortion_factor(replace(ball, r=r)) for r in radii]
     assert all(b >= a - 1e-12 for a, b in zip(vals, vals[1:]))
 
 

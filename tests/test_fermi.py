@@ -50,7 +50,7 @@ def test_boundary_point_cap(spherical_cap, sphere):
     # cross-check the spread sign by shooting the normal Jacobi field
     start = GeodesicState(position=(a, 1.1), velocity=(1.0, 0.0))
     traj = integrate_geodesic(sphere, start, 0.4, tol=1e-11)
-    out = jacobi_transport(sphere, traj, JacobiValue(1.0, float(bp.spread[0])), s=0.4)
+    out = jacobi_transport(traj, JacobiValue(1.0, -float(bp.second_fundamental[0])), s=0.4)
     assert out.value == pytest.approx(math.sin(a + 0.4) / math.sin(a), abs=1e-9)
 
 
@@ -248,7 +248,7 @@ def test_mean_curvature_comparison(chart_name, request):
     chart = request.getfixturevalue(chart_name)
     data = chart.curvature_data()
     th = np.linspace(0.0, 2.0 * math.pi, 32, endpoint=False)
-    spread = chart.domain.boundary_point(th).spread
+    spread = -chart.domain.boundary_point(th).second_fundamental
     h = 1e-6
     for si in np.linspace(0.0, 0.9 * chart.r, 10):
         # central difference of the log volume ratio
@@ -369,7 +369,7 @@ def test_flat_frame_jacobians_match_differences_of_the_map(name):
 @pytest.mark.parametrize("name", sorted(_FRAME_BOUNDARIES))
 def test_flat_focal_reach_is_the_inverse_largest_spread(name):
     eng = DomainSpec(_FLAT, _FRAME_BOUNDARIES[name])._engine()
-    spread = eng.boundary(np.arange(4096) * (2.0 * math.pi / 4096)).spread
+    spread = -eng.boundary(np.arange(4096) * (2.0 * math.pi / 4096)).second_fundamental
     assert eng.focal_reach() == 1.0 / np.max(np.abs(spread))
 
 

@@ -6,7 +6,6 @@ PUBLIC = {
     "ComparisonProfile", "CurvatureData", "admissible_rolling_radius", "distortion_factor",
     "extension_norm_bound", "focal_radius", "jacobi_factor", "jacobi_factor_prime",
     "jacobi_factor_zero", "mean_curvature_bound", "round_ball_norm_bound",
-    "volume_ratio_bounds",
     "GeodesicState", "JacobiValue", "ModelSurface", "Trajectory", "WarpProfile",
     "integrate_geodesic", "jacobi_transport", "poly_cosh_mix_profile",
     "BoundarySample", "DomainSpec", "FermiChart", "GeodesicDisk", "RadialProfile",
@@ -25,7 +24,7 @@ PUBLIC = {
 
 def test_package_exports_the_module_lists():
     names = sobex.__all__
-    assert len(PUBLIC) == 57
+    assert len(PUBLIC) == 56
     assert len(names) == len(set(names)) and set(names) == PUBLIC
     assert names == (comparison.__all__ + surfaces.__all__ + fermi.__all__
                      + extension.__all__ + heat.__all__)

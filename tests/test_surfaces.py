@@ -154,25 +154,25 @@ def test_bad_start_rejected(flat):
 
 def test_jacobi_closed_forms(flat, sphere):
     traj = integrate_geodesic(flat, _radial_state(0.2), 2.0, tol=1e-11)
-    out = jacobi_transport(flat, traj, JacobiValue(0.0, 1.0), s=1.7)
+    out = jacobi_transport(traj, JacobiValue(0.0, 1.0), s=1.7)
     assert out.value == pytest.approx(1.7, abs=1e-10)
     start = GeodesicState(position=(math.pi / 2.0, 0.0), velocity=(0.0, 1.0))
     traj_s = integrate_geodesic(sphere, start, 2.0, tol=1e-11)
-    out = jacobi_transport(sphere, traj_s, JacobiValue(1.0, 0.0), s=1.3)
+    out = jacobi_transport(traj_s, JacobiValue(1.0, 0.0), s=1.3)
     assert out.value == pytest.approx(math.cos(1.3), abs=1e-10)
     # K = -1 along the whole ray, so J = cosh(s) from any start
     traj_w = integrate_geodesic(_COSH, _radial_state(0.5), 2.0, tol=1e-11)
-    out = jacobi_transport(_COSH, traj_w, JacobiValue(1.0, 0.0), s=1.5)
+    out = jacobi_transport(traj_w, JacobiValue(1.0, 0.0), s=1.5)
     assert out.value == pytest.approx(math.cosh(1.5), abs=1e-8)
 
 
 def test_jacobi_linearity(sphere):
     start = GeodesicState(position=(1.0, 0.0), velocity=(1.0, 0.0))
     traj = integrate_geodesic(sphere, start, 1.5, tol=1e-11)
-    j1 = jacobi_transport(sphere, traj, JacobiValue(1.0, 0.0))
-    j2 = jacobi_transport(sphere, traj, JacobiValue(0.0, 1.0))
+    j1 = jacobi_transport(traj, JacobiValue(1.0, 0.0))
+    j2 = jacobi_transport(traj, JacobiValue(0.0, 1.0))
     a, b = 0.7, -1.3
-    mix = jacobi_transport(sphere, traj, JacobiValue(a, b))
+    mix = jacobi_transport(traj, JacobiValue(a, b))
     assert mix.value == pytest.approx(a * j1.value + b * j2.value, abs=1e-10)
     assert mix.derivative == pytest.approx(a * j1.derivative + b * j2.derivative,
                                            abs=1e-10)
@@ -182,7 +182,7 @@ def test_jacobi_residual_dyadic():
     warped = ModelSurface.warped(poly_cosh_mix_profile([1.0, 0.08, -0.03]))
     traj = integrate_geodesic(warped, _radial_state(0.4), 1.6, tol=1e-12)
     s = np.linspace(0.0, 1.6, 513)   # dyadic refinement of the trajectory
-    vals, _ = jacobi_values(warped, traj, JacobiValue(1.0, 0.3), s)
+    vals, _ = jacobi_values(traj, JacobiValue(1.0, 0.3), s)
     h = s[1] - s[0]
     second = (vals[2:] - 2.0 * vals[1:-1] + vals[:-2]) / (h * h)
     r_mid = np.array([traj.position_at(t)[0] for t in s[1:-1]])
