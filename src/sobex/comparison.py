@@ -180,9 +180,12 @@ class CurvatureData:
 
 
 def _power(base, n):
-    """``base`` to the dimensional power ``n - 1``; a numpy base overflows to ``inf`` silently."""
+    """``base`` to the dimensional power ``n - 1``, overflowing to ``inf`` silently.
+
+    The base is made a numpy float first: a Python float's ``**`` ignores
+    ``np.errstate`` and raises ``OverflowError`` instead."""
     with np.errstate(over="ignore"):
-        return base ** (n - 1)
+        return np.asarray(base, dtype=float) ** (n - 1)
 
 
 def _reciprocal_jacobi(k, h, s):

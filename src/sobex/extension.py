@@ -370,9 +370,8 @@ def _reflection_sources(chart: FermiChart, s, theta):
     """Plane points and the engine's plane s- and theta-Jacobians at depths ``-s``
     and ``-s/2``, each stacked as ``(2,) + shape + (2,)``, first depth ``-s``."""
     depths = np.stack([-s, -0.5 * s])
-    eng = chart.engine
-    return (polar_to_cartesian(chart.map_unchecked(depths, theta)), eng.s_jacobian(depths, theta),
-            eng.theta_jacobian(depths, theta))
+    return (polar_to_cartesian(chart.map_unchecked(depths, theta)),) \
+        + chart.engine.jacobians(depths, theta)
 
 
 # ---------------------------------------------------------------------------
@@ -428,7 +427,7 @@ def _tube_rule(chart: FermiChart, quad: int, cutoff: CutoffFamily):
     n_t = max(2 * quad, 64)
     theta, w_t = periodic_nodes(n_t)
     S, T = np.meshgrid(s_nodes, theta, indexing="ij")
-    speed = chart.domain.boundary_point(theta).speed
+    speed = chart.engine.boundary(theta).speed
     ratio = chart.engine.ratio(theta, S)
     sources, s_jac, theta_jac = _reflection_sources(chart, S, theta)
     rule = dict(s=S, theta=T, metric=speed[None, :] * ratio,

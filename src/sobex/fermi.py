@@ -13,16 +13,17 @@ curvature and injectivity conditions numerically.
 On flat charts (Fourier blobs, off-centre disks) the tube geometry is
 formed in one place, ``_FlatCurveEngine._frame``: one evaluation of the
 boundary curve gives the point, velocity, outward normal, spread and
-speed, and the map, both Jacobians, the volume ratio, the focal reach
+speed, and the map, the Jacobians, the volume ratio, the focal reach
 and the foot-point Newton steps read that frame.  Newton starts at the
 nearest of 2048 boundary samples, found on the table of squared
 distances swept 64 points at a time; a point has two feet (is
 ambiguous) when the nearest sample more than 8 samples away from the
 nearest one is within ``1e-6`` of as near.
 
-The rolling-ball margins read each engine's ``boundary_distance``: exact
-on disks (``|rho - a|`` about the pole, ``| |x - c0| - a |`` off it) and
-the nearest of the 2048 samples on Fourier blobs.
+The rolling-ball margins read each engine's foot search ``invert`` as
+``|s|``: exact on disks (``|rho - a|`` about the pole, ``| |x - c0| - a |``
+off it), Newton-converged on Fourier blobs (an ambiguous centre keeps its
+nearest sample); a centre whose foot search did not converge fails its ball.
 
 Sign convention: ``second_fundamental`` (II) is reported with respect
 to the outward normal and anchored so that the unit disk carries
@@ -65,8 +66,8 @@ __all__ = [
 ]
 
 _TWO_PI = 2.0 * math.pi
-# the flat foot-point search: full Newton steps from the nearest of
-# _N_BOUNDARY boundary samples (also the blob's rolling-ball distances);
+# the flat foot-point search (also the blob's rolling-ball distances): full
+# Newton steps from the nearest of _N_BOUNDARY boundary samples;
 # feet more than _SEPARATION samples apart and within _FOOT_TIE of
 # equally near make a point ambiguous; Newton stops below _FOOT_TOL times
 # a point's size (at least 1), and a residual of 10 _FOOT_TOL is a miss
@@ -188,10 +189,6 @@ class DomainSpec:
             object.__setattr__(self, "_engine_cache", eng)
         return eng
 
-    def boundary_point(self, theta):
-        """Boundary data at parameter(s) ``theta``: see :class:`BoundarySample`."""
-        return self._engine().boundary(np.mod(np.asarray(theta, dtype=float), _TWO_PI))
-
 
 @dataclass(frozen=True)
 class BoundarySample:
@@ -253,19 +250,11 @@ class _PoleDiskEngine:
         s = np.asarray(s, dtype=float)
         return np.asarray(self.surface.warp(self.a + s), dtype=float) / self.f_a
 
-    def _radial_frame(self, s, theta):
-        """Radius ``a + s`` of the mapped points and their radial unit vector."""
+    def jacobians(self, s, theta):
+        """``(d map/ds, d map/dtheta)`` in the plane: ``(cos, sin)`` and ``(a + s)(-sin, cos)``."""
         rho, th = np.moveaxis(self.map(s, theta), -1, 0)
-        return rho, np.stack([np.cos(th), np.sin(th)], axis=-1)
-
-    def theta_jacobian(self, s, theta):
-        """d(map)/d(theta) in the plane: ``(a + s)(-sin theta, cos theta)``."""
-        rho, e = self._radial_frame(s, theta)
-        return np.stack([rho * -e[..., 1], rho * e[..., 0]], axis=-1)
-
-    def s_jacobian(self, s, theta):
-        """d(map)/ds in the plane: the radial unit vector ``(cos theta, sin theta)``."""
-        return self._radial_frame(s, theta)[1]
+        c, sn = np.cos(th), np.sin(th)
+        return np.stack([c, sn], axis=-1), np.stack([rho * -sn, rho * c], axis=-1)
 
     def radial_extent(self, theta):
         """Boundary radius about ``c0`` above each angle (for domain quadrature)."""
@@ -289,17 +278,6 @@ class _PoleDiskEngine:
 
     def tube_curvature_range(self, r):
         return self.surface.curvature_range(self.a - r, self.a + r)
-
-    def boundary_distance(self, points):
-        """Distance from chart points to the boundary circle: ``|rho - a|``.
-
-        The radial coordinate is the distance from the pole, so it is
-        1-Lipschitz (the metric ``dr^2 + f^2 dtheta^2`` is at least
-        ``dr^2``): no curve from ``rho`` to the circle ``rho = a`` is shorter
-        than ``|rho - a|``, and the radial segment has exactly that length.
-        """
-        pts = np.atleast_2d(np.asarray(points, dtype=float))
-        return np.abs(pts[:, 0] - self.a)
 
 
 class _Frame(NamedTuple):
@@ -342,29 +320,19 @@ class _FlatCurveEngine:
         sigma = cross / speed**3  # signed curvature = outward spread (circle: +1/R)
         return _Frame(c, dc, normal, sigma, speed)
 
-    def _tube(self, s, theta):
-        # the frame at the given angles only; depths broadcast against it
-        s = np.asarray(s, dtype=float)
-        f = self._frame(np.asarray(theta, dtype=float))
-        return s, f, f.at(s)
-
     def boundary(self, theta):
         theta = np.atleast_1d(np.asarray(theta, dtype=float))
         f = self._frame(theta)
         return BoundarySample(theta, cartesian_to_polar(f.point), f.normal, -f.spread, f.speed)
 
     def map(self, s, theta):
-        return cartesian_to_polar(self._tube(s, theta)[2])
+        return cartesian_to_polar(self._frame(theta).at(np.asarray(s, dtype=float)))
 
-    def theta_jacobian(self, s, theta):
-        """d(map)/d(theta) in the plane: ``c' (1 + spread s)``."""
-        s, f, _ = self._tube(s, theta)
-        return f.theta_velocity(s)
-
-    def s_jacobian(self, s, theta):
-        """d(map)/ds in the plane: the outward normal, at every depth."""
-        _, f, pos = self._tube(s, theta)
-        return np.broadcast_to(f.normal, pos.shape)
+    def jacobians(self, s, theta):
+        """``(d map/ds, d map/dtheta)`` in the plane: the normal and ``c' (1 + spread s)``."""
+        f = self._frame(theta)
+        j_theta = f.theta_velocity(np.asarray(s, dtype=float))
+        return np.broadcast_to(f.normal, j_theta.shape), j_theta
 
     def ratio(self, theta, s):
         sigma = self._frame(np.asarray(theta, dtype=float)).spread
@@ -439,11 +407,6 @@ class _FlatCurveEngine:
             ok = ok | amb
         return s, np.mod(theta, _TWO_PI), ok, amb
 
-    def boundary_distance(self, points):
-        """Distance from chart points to the nearest of the 2048 dense samples."""
-        x = polar_to_cartesian(np.atleast_2d(np.asarray(points, dtype=float)))
-        return self._dense_feet(x)[1]
-
     def focal_reach(self):
         """``1 / max |spread|``: where ``1 + spread s`` first vanishes either way."""
         sigma = self._frame(np.arange(4096) * (_TWO_PI / 4096)).spread
@@ -480,19 +443,12 @@ class _FlatCircleEngine(_FlatCurveEngine):
         return s, theta, ok, amb
 
     def contains(self, points):
-        return self._centre_distance(points) <= self.a
+        x = polar_to_cartesian(np.atleast_2d(np.asarray(points, dtype=float))) - self.c0
+        return np.hypot(x[:, 0], x[:, 1]) <= self.a
 
     def radial_extent(self, theta):
         """Boundary radius ``a`` about the centre ``c0`` above each angle."""
         return np.full(np.shape(theta), self.a)
-
-    def boundary_distance(self, points):
-        """Distance from chart points to the circle: ``| |x - c0| - a |``."""
-        return np.abs(self._centre_distance(points) - self.a)
-
-    def _centre_distance(self, points):
-        x = polar_to_cartesian(np.atleast_2d(np.asarray(points, dtype=float))) - self.c0
-        return np.hypot(x[:, 0], x[:, 1])
 
 
 class _FlatFourierEngine(_FlatCurveEngine):
@@ -657,10 +613,10 @@ class RegularityReport:
 
     Margins are the worst signed-distance violations over the ball
     centres on ``n_theta`` sampled normals: zero up to roundoff when the
-    condition holds with tangency.  Distances to the boundary are exact
-    on disks; on Fourier blobs they go to the nearest of ``n_dense``
-    (2048) boundary samples, so there the balls are certified only up to
-    that sampling.
+    condition holds with tangency.  Distances to the boundary are the foot
+    search's ``|s|``: exact on disks, on Fourier blobs Newton-converged from the
+    nearest of ``n_dense`` (2048) boundary samples, where an ambiguous centre
+    stays; an unconverged centre fails its ball with margin ``-inf``.
     """
 
     admissible: bool
@@ -723,13 +679,17 @@ def check_regularity(domain: DomainSpec, r: float) -> RegularityReport:
         centers = engine.map(np.full(theta.shape, depth, dtype=float), theta)
         inside = engine.contains(centers)
         placed = bool(np.all(inside)) if depth < 0 else bool(not np.any(inside))
-        margin = float(np.min(engine.boundary_distance(centers)) - r)
+        s, _, found, _ = engine.invert(centers)
+        margin = float(np.min(np.where(found, np.abs(s), -math.inf)) - r)
         side = "interior" if depth < 0 else "exterior"
         if not placed:
             notes.append(f"{side} ball centres at depth {depth:.6g} are not "
                          f"{'inside' if depth < 0 else 'outside'} the domain "
                          f"(margin {margin:.6g})")
-        if margin < -tol:
+        if not np.all(found):
+            notes.append(f"foot search failed at {np.count_nonzero(~found)} of "
+                         f"{found.size} {side} ball centres")
+        elif margin < -tol:
             notes.append(f"{side} balls of radius {r:.6g} cross the boundary "
                          f"(margin {margin:.6g})")
         return placed and margin >= -tol, margin

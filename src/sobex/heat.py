@@ -1021,10 +1021,11 @@ def doubling_constant(domain: DiscreteDomain, R):
     """Smallest C with ``Vol(B(x,t)) <= C (t/s)^n Vol(B(x,s))`` on samples.
 
     The radii are a geometric grid of 24 from twice the mesh width to
-    ``R``; volumes below the mesh scale are not meaningful.
+    ``R``, so ``R`` must lie above that; volumes below the mesh scale are
+    not meaningful.
     """
-    if R <= 0.0 or R > domain.diameter() + 1e-12:
-        raise ParameterError("doubling radius must lie in (0, diam]")
+    if not 2.0 * domain.mesh_width < R <= domain.diameter() + 1e-12:
+        raise ParameterError("doubling radius must lie in (2 mesh_width, diam]")
     radii = np.geomspace(2.0 * domain.mesh_width, R, 24)
     vols = domain.ball_sums(domain.sample_indices(_DOUBLING_SAMPLES), radii)
     # ratio[x, i, j] = Vol(B(x, r_j)) / Vol(B(x, r_i)) * (r_i / r_j)^n; pairs i <= j

@@ -134,6 +134,15 @@ def test_distortion_factor():
     assert C.distortion_factor(third) == pytest.approx(2.0, abs=1e-9)
 
 
+@pytest.mark.filterwarnings("error")
+def test_scalar_powers_overflow_to_inf():
+    """At a scalar depth the base of ``d``/``D`` is a Python float, whose ``**``
+    raises ``OverflowError`` where a numpy float reads ``inf``; neither warns."""
+    profile = C.ComparisonProfile.from_curvature(C.CurvatureData(-1, 1, -1, 1, n=1000), 0.46)
+    assert profile.D(0.46) == math.inf
+    assert C.round_ball_norm_bound(1000, 0.5) == math.inf
+
+
 def test_profile_carries_its_dimension():
     """A profile built from n = 3 data squares the n = 2 profile and distortion."""
     data = C.CurvatureData(-0.5, 1.0, -0.7, 0.4)

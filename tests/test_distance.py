@@ -1,6 +1,6 @@
 """The distance layer: graph metric on warped grids, flat pairwise kernels, the
-pole disks' one distance row per ring, and each chart engine's distance to its
-boundary."""
+pole disks' one distance row per ring, and each chart engine's foot-search
+distance to its boundary."""
 
 import gc
 import json
@@ -13,12 +13,14 @@ from hypothesis import example, given, settings, strategies as st
 from scipy.spatial.distance import cdist, pdist
 
 from sobex import fermi, heat as H
-from sobex.fermi import DomainSpec, GeodesicDisk, RadialProfile
+from sobex.fermi import DomainSpec, GeodesicDisk, RadialProfile, check_regularity
 from sobex.surfaces import (
     ModelSurface,
     constant_curvature_distance,
     poly_cosh_mix_profile,
     polar_to_cartesian,
+    row_blocks,
+    squared_distances,
 )
 
 
@@ -201,18 +203,18 @@ def test_flat_distances_of_no_points_and_of_overflowing_points(fourier_blob):
     engine = fourier_blob._engine()
     dom = H.DiscreteDomain.disk_like(fourier_blob, 16, 16)
     assert dom.distance_rows([]).shape == (0, dom.size)
-    assert engine.boundary_distance(np.empty((0, 2))).shape == (0,)
+    assert engine.invert(np.empty((0, 2)))[0].shape == (0,)
     idx, d_best, amb = engine._dense_feet(np.empty((0, 2)))
     assert idx.shape == d_best.shape == amb.shape == (0,)
     far = np.array([[1e300, 0.1], [1e300, 2.0], [-1e300, 0.0]])
-    assert np.all(engine.boundary_distance(far) == math.inf)
+    assert np.all(np.abs(engine.invert(far)[0]) == math.inf)
     idx, d_best, amb = engine._dense_feet(polar_to_cartesian(far))
     assert np.all(d_best == math.inf) and np.all(amb)
     huge = DomainSpec(ModelSurface.constant_curvature(0.0), RadialProfile((1e300, 0.1)))
     assert huge.diameter() == math.inf
 
 
-# -- the rolling-ball distances: each engine's distance to its boundary ---------
+# -- the rolling-ball distances: each engine's foot search, as ``|s|`` ----------
 
 _CHART_POINTS = np.random.default_rng(7).uniform([0.0, 0.0], [1.0, 2.0 * math.pi], (400, 2))
 
@@ -229,9 +231,10 @@ def test_pole_disk_distance_is_the_radial_gap(kappa, a):
     pts = _CHART_POINTS * [min(2.5 * a, 0.999 * hi), 1.0]
     # half the points sit on a sample's angle, where the foot is a sample
     pts[::2, 1] = np.round(pts[::2, 1] * (4096 / (2.0 * math.pi))) * (2.0 * math.pi / 4096)
-    samples = spec.boundary_point(np.arange(4096) * (2.0 * math.pi / 4096)).point
+    engine = spec._engine()
+    samples = engine.boundary(np.arange(4096) * (2.0 * math.pi / 4096)).point
     oracle = np.min(constant_curvature_distance(kappa, pts[:, None, :], samples[None]), axis=1)
-    got = spec._engine().boundary_distance(pts)
+    got = np.abs(engine.invert(pts)[0])
     # arccos/arccosh lose half the digits near zero distance
     assert np.all(got <= oracle + 1e-7)
     assert np.all(oracle - got <= float(surf.warp(a)) * math.pi / 4096 + 1e-7)
@@ -245,19 +248,57 @@ def test_off_centre_circle_distance_matches_dense_sampling(flat):
     samples = engine.curve(np.arange(8192) * (2.0 * math.pi / 8192))[0]
     x = polar_to_cartesian(pts)
     oracle = np.min(np.linalg.norm(x[:, None, :] - samples[None], axis=-1), axis=1)
-    got = engine.boundary_distance(pts)
+    got = np.abs(engine.invert(pts)[0])
     assert np.all(got <= oracle + 1e-14)
     assert np.all(oracle - got <= 0.8 * math.pi / 8192)
 
 
-def test_blob_distance_is_the_nearest_dense_sample(fourier_blob):
+def test_blob_distance_is_the_converged_foot_distance(fourier_blob):
+    """The foot search's ``|s|`` is never above the nearest of the 2048 dense
+    samples, where Newton starts, and matches a brute-force minimum at every
+    point with one foot: the nearest of 2^16 samples, refined on the two
+    sample intervals beside it by 1024 samples more."""
     engine = fourier_blob._engine()
     pts = _CHART_POINTS * [2.0, 1.0]
-    dense = engine._samples
-    assert dense.shape == (2048, 2)
-    brute = np.min(np.linalg.norm(polar_to_cartesian(pts)[:, None, :] - dense[None], axis=-1),
-                   axis=1)
-    assert np.array_equal(engine.boundary_distance(pts), brute)
+    s, _, ok, amb = engine.invert(pts)
+    got = np.abs(s)
+    assert np.all(ok)
+    x = polar_to_cartesian(pts)
+    dense = np.sqrt(np.min(squared_distances(x, engine._samples), axis=1))
+    assert np.all(got <= dense + 1e-14)
+    step = 2.0 * math.pi / 2**16
+    fine = engine.curve(np.arange(2**16) * step)[0]
+    nearest = np.concatenate([np.argmin(squared_distances(x[rows], fine), axis=1)
+                              for rows in row_blocks(x.shape[0])])
+    local = engine.curve(nearest[:, None] * step + np.linspace(-step, step, 1025))[0]
+    brute = np.sqrt(np.min(np.sum((local - x[:, None, :]) ** 2, axis=-1), axis=1))
+    np.testing.assert_allclose(got[~amb], brute[~amb], rtol=0, atol=1e-8)
+
+
+def test_unconverged_ball_centre_fails_its_ball(monkeypatch):
+    """A ball centre whose foot search reports no convergence certifies no
+    distance: its ball check fails with margin ``-inf`` and a note, while the
+    other ball side still passes."""
+    spec = DomainSpec(ModelSurface.constant_curvature(0.0), RadialProfile((1.0, 0.0, 0.15)))
+    assert check_regularity(spec, 0.3).admissible
+    engine = spec._engine()
+    invert, calls = engine.invert, []
+
+    def first_centre_unconverged(points):
+        s, theta, ok, amb = invert(points)
+        if not calls:  # the interior ball centres
+            ok = ok.copy()
+            ok[7] = False
+        calls.append(len(points))
+        return s, theta, ok, amb
+
+    monkeypatch.setattr(engine, "invert", first_centre_unconverged)
+    report = check_regularity(spec, 0.3)
+    assert calls[0] == report.n_theta
+    assert not report.interior_ball_ok and not report.admissible
+    assert report.interior_margin == -math.inf
+    assert report.exterior_ball_ok and report.injectivity_ok
+    assert f"foot search failed at 1 of {report.n_theta} interior ball centres" in report.notes
 
 
 def test_warped_regularity_builds_no_graph(tmp_path, monkeypatch):

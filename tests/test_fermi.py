@@ -36,7 +36,7 @@ from sobex.surfaces import (
 
 
 def test_boundary_point_disk(unit_disk):
-    bp = unit_disk.boundary_point(0.7)
+    bp = unit_disk._engine().boundary(0.7)
     assert bp.second_fundamental[0] == pytest.approx(-1.0, abs=1e-14)
     assert bp.speed[0] == pytest.approx(1.0, abs=1e-14)
     assert np.allclose(bp.normal[0], [1.0, 0.0])
@@ -44,7 +44,7 @@ def test_boundary_point_disk(unit_disk):
 
 def test_boundary_point_cap(spherical_cap, sphere):
     a = math.pi / 4.0
-    bp = spherical_cap.boundary_point(1.1)
+    bp = spherical_cap._engine().boundary(1.1)
     assert abs(bp.second_fundamental[0]) == pytest.approx(1.0 / math.tan(a), abs=1e-12)
     assert bp.speed[0] == pytest.approx(math.sin(a), abs=1e-14)
     # cross-check the spread sign by shooting the normal Jacobi field
@@ -57,8 +57,8 @@ def test_boundary_point_cap(spherical_cap, sphere):
 def test_circle_profile_matches_disk(flat, unit_disk):
     circle = DomainSpec(flat, RadialProfile(cos_coeffs=(1.0,)))
     theta = np.linspace(0.0, 2.0 * math.pi, 17, endpoint=False)
-    a = unit_disk.boundary_point(theta)
-    b = circle.boundary_point(theta)
+    a = unit_disk._engine().boundary(theta)
+    b = circle._engine().boundary(theta)
     assert np.allclose(a.second_fundamental, b.second_fundamental, atol=1e-10)
     assert np.allclose(a.speed, b.speed, atol=1e-10)
     assert np.allclose(a.point, b.point, atol=1e-10)
@@ -248,7 +248,7 @@ def test_mean_curvature_comparison(chart_name, request):
     chart = request.getfixturevalue(chart_name)
     data = chart.curvature_data()
     th = np.linspace(0.0, 2.0 * math.pi, 32, endpoint=False)
-    spread = -chart.domain.boundary_point(th).second_fundamental
+    spread = -chart.engine.boundary(th).second_fundamental
     h = 1e-6
     for si in np.linspace(0.0, 0.9 * chart.r, 10):
         # central difference of the log volume ratio
@@ -356,8 +356,9 @@ def test_flat_frame_jacobians_match_differences_of_the_map(name):
 
     d_theta = (cart(S, T + h) - cart(S, T - h)) / (2.0 * h)
     d_s = (cart(S + h, T) - cart(S - h, T)) / (2.0 * h)
-    assert np.allclose(eng.theta_jacobian(S, T), d_theta, rtol=0.0, atol=1e-8)
-    assert np.allclose(eng.s_jacobian(S, T), d_s, rtol=0.0, atol=1e-8)
+    j_s, j_theta = eng.jacobians(S, T)
+    assert np.allclose(j_theta, d_theta, rtol=0.0, atol=1e-8)
+    assert np.allclose(j_s, d_s, rtol=0.0, atol=1e-8)
     # the volume ratio (1 + sigma s on flat frames) is the stretch of the tube's
     # level curves: a plane vector at radius rho has metric length f(rho)/rho times its own
     rho = eng.map(S, T)[..., 0]

@@ -440,6 +440,17 @@ def test_diagnostics_reject_non_positive_radii_and_times(unit_interval, call):
         call(*unit_interval)
 
 
+@pytest.mark.parametrize("R", [0.0, 0.05, 0.01, "mesh", "past_diameter"])
+def test_doubling_radius_must_clear_the_mesh_scale(unit_disk, R):
+    """At or below twice the mesh width the radius grid runs backwards and its
+    pairs bound the reverse ratio (1.134 at R = 2, but 5.41 at 0.05 and 106 at
+    0.01 on this 16x32 disk); past the diameter the balls are the whole domain."""
+    dom = H.DiscreteDomain.disk_like(unit_disk, 16, 32)
+    R = {"mesh": 2.0 * dom.mesh_width, "past_diameter": 1.01 * dom.diameter()}.get(R, R)
+    with pytest.raises(ParameterError, match="doubling radius must lie in"):
+        H.doubling_constant(dom, R)
+
+
 def test_eigenvalue_diagnostic(interval, disk_system):
     dom, sys_ = interval
     eta1, scaled = H.eigenvalue_diagnostic(sys_, dom)
