@@ -492,14 +492,15 @@ class _Parser(argparse.ArgumentParser):
         raise ConfigError(message)
 
 
-# subcommand -> (help, its own flags' keys); every subcommand first takes
-# --config, --report, --csv and --seed
+# subcommand -> (help, the keys of the flags it reads); every subcommand
+# first takes --config and --report
 _FLAGS = {
-    "constants": ("closed-form tube constants", ("K", "H", "n", "r", "G")),
+    "constants": ("closed-form tube constants", ("csv", "K", "H", "n", "r", "G")),
     "regularity": ("regularity certificate", ("domain", "r")),
-    "verify-extension": ("operator-norm verification", ("domain", "r", "samples", "quad", "G")),
+    "verify-extension": ("operator-norm verification",
+                         ("csv", "seed", "domain", "r", "samples", "quad", "G")),
     "heat": ("Neumann heat diagnostics",
-             ("domain", "resolution", "modes", "t_min", "t_max", "t_steps")),
+             ("csv", "domain", "resolution", "modes", "t_min", "t_max", "t_steps")),
     "sweep": ("constants over a parameter range", ()),
 }
 _FLAG_HELP = {"config": "JSON configuration file", "domain": "domain JSON",
@@ -512,7 +513,7 @@ def build_parser():
     subs = p.add_subparsers(dest="command", required=True)
     for command, (help_text, keys) in _FLAGS.items():
         sub = subs.add_parser(command, help=help_text)
-        for key in ("config", "report", "csv", "seed") + keys:
+        for key in ("config", "report") + keys:
             kind = _SETTINGS.get(key, (str,))[0]
             sub.add_argument("--" + key.replace("_", "-"), type=None if kind is str else kind,
                              help=_FLAG_HELP.get(key))

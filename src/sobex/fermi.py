@@ -13,12 +13,16 @@ curvature and injectivity conditions numerically.
 On flat charts (Fourier blobs, off-centre disks) the tube geometry is
 formed in one place, ``_FlatCurveEngine._frame``: one evaluation of the
 boundary curve gives the point, velocity, outward normal, spread and
-speed, and the map, the Jacobians, the volume ratio, the focal reach
+speed, and the map, the Jacobians, the volume ratio, the boundary survey
 and the foot-point Newton steps read that frame.  Newton starts at the
 nearest of 2048 boundary samples, found on the table of squared
 distances swept 64 points at a time; a point has two feet (is
 ambiguous) when the nearest sample more than 8 samples away from the
 nearest one is within ``1e-6`` of as near.
+
+Each engine's ``survey`` takes ``(II_min, II_max, speed_max)`` once, at 4096
+angles on flat curves and in closed form on pole disks; the focal reach, the
+curvature data (``H = max |II|``) and the round-trip error's scale read it.
 
 The rolling-ball margins read each engine's foot search ``invert`` as
 ``|s|``: exact on disks (``|rho - a|`` about the pole, ``| |x - c0| - a |``
@@ -72,8 +76,8 @@ _TWO_PI = 2.0 * math.pi
 # equally near make a point ambiguous; Newton stops below _FOOT_TOL times
 # a point's size (at least 1), and a residual of 10 _FOOT_TOL is a miss
 _NEWTON_STEPS, _N_BOUNDARY, _SEPARATION, _FOOT_TIE, _FOOT_TOL = 60, 2048, 8, 1e-6, 1e-9
-# boundary samples of a chart
-_N_THETA = 256
+# normals of the ball and round-trip checks; angles of a flat boundary's survey
+_N_THETA, _N_SURVEY = 256, 4096
 
 
 @dataclass(frozen=True)
@@ -119,6 +123,25 @@ class RadialProfile:
         return rho, d1, d2
 
 
+def _certify_positive(profile):
+    """Raise unless ``rho > 0``.  As ``|rho'| <= L = sum_k k (|a_k| + |b_k|)``, a sample
+    ``rho(theta) > L h / 2`` certifies the arc of width ``h`` about ``theta``; an arc it
+    does not certify splits in two, from 4096 arcs down to arcs of width ``2 pi / 2^20``."""
+    a, b = profile._modes()
+    with np.errstate(all="ignore"):  # an overflow fails the certificate, it is no warning
+        lip = float(np.arange(a.size) @ np.abs(a) + np.arange(1, b.size + 1) @ np.abs(b))
+        h, theta = _TWO_PI / 4096, np.arange(4096) * (_TWO_PI / 4096)
+        while theta.size:
+            rho = profile.rho(theta)
+            if not np.all(rho > 0.0):
+                raise InvalidDomainError("radial profile must be positive")
+            theta = theta[rho <= lip * h / 2.0]
+            if theta.size and h <= _TWO_PI / 2**20:
+                raise InvalidDomainError("radial profile not certified positive on 2^20 arcs")
+            h /= 2.0
+            theta = np.concatenate([theta - h / 2.0, theta + h / 2.0])
+
+
 @dataclass(frozen=True)
 class DomainSpec:
     """A smooth bounded domain on a model surface with outward orientation."""
@@ -135,9 +158,7 @@ class DomainSpec:
                 raise InvalidDomainError(
                     "radial profile needs a constant term and finite coefficients"
                 )
-            theta = np.linspace(0.0, _TWO_PI, 4096, endpoint=False)
-            if np.any(self.boundary.rho(theta) <= 0.0):
-                raise InvalidDomainError("radial profile must be positive")
+            _certify_positive(self.boundary)
             return
         center = self.boundary.center
         if len(center) != 2:
@@ -194,16 +215,12 @@ class DomainSpec:
 class BoundarySample:
     """Boundary data on a parameter grid.
 
-    ``point`` are chart coordinates, ``normal`` outward-unit chart
-    components, ``second_fundamental`` the scalar II in the disk-anchored
-    convention (unit disk: -1; the outward normal spread is ``-II``), and
-    ``speed`` the length of the parameter velocity (line element of the
-    boundary measure).
+    ``second_fundamental`` is the scalar II, disk-anchored (unit disk: -1; the
+    outward spread is ``-II``), and ``speed`` the line element of the boundary
+    measure.  The point at ``theta`` is the engine's ``map(0, theta)``, and its
+    outward unit normal, a plane vector, ``jacobians(0, theta)[0]``.
     """
 
-    theta: np.ndarray
-    point: np.ndarray
-    normal: np.ndarray
     second_fundamental: np.ndarray
     speed: np.ndarray
 
@@ -213,7 +230,16 @@ class BoundarySample:
 # ---------------------------------------------------------------------------
 
 
-class _PoleDiskEngine:
+class _Engine:
+    """What every boundary engine shares: ``survey``, the boundary's extremes
+    ``(II_min, II_max, speed_max)``, taken once, and the tube's curvature data."""
+
+    def curvature_data(self, r) -> comparison.CurvatureData:
+        """The tube's sectional curvature range at radius ``r`` and the survey's II range."""
+        return comparison.CurvatureData(*self.tube_curvature_range(r), *self.survey[:2])
+
+
+class _PoleDiskEngine(_Engine):
     """Pole-centred geodesic disk on any model surface (radial normals)."""
 
     c0 = np.zeros(2)  # plane centre of the domain rule's polar coordinates
@@ -222,15 +248,12 @@ class _PoleDiskEngine:
         self.surface = domain.surface
         self.a = float(domain.boundary.radius)
         self.f_a = float(self.surface.warp(self.a))
-        self.df_a = float(self.surface.warp_prime(self.a))
-        self.sigma0 = self.df_a / self.f_a
+        self.sigma0 = float(self.surface.warp_prime(self.a)) / self.f_a
+        self.survey = (-self.sigma0, -self.sigma0, self.f_a)  # constant along the circle
 
     def boundary(self, theta):
-        theta = np.atleast_1d(np.asarray(theta, dtype=float))
-        n = theta.shape[0]
-        pts = np.stack([np.full(n, self.a), theta], axis=-1)
-        normals = np.tile(np.array([1.0, 0.0]), (n, 1))
-        return BoundarySample(theta, pts, normals, np.full(n, -self.sigma0), np.full(n, self.f_a))
+        shape = np.shape(np.atleast_1d(theta))
+        return BoundarySample(np.full(shape, -self.sigma0), np.full(shape, self.f_a))
 
     def map(self, s, theta):
         s, theta = np.broadcast_arrays(
@@ -302,7 +325,7 @@ class _Frame(NamedTuple):
         return self.velocity * (1.0 + self.spread * s)[..., None]
 
 
-class _FlatCurveEngine:
+class _FlatCurveEngine(_Engine):
     """Flat chart, boundary a closed Cartesian curve: subclasses define
     ``curve(theta) -> (c, c', c'')``, ``contains`` and ``radial_extent``."""
 
@@ -323,7 +346,7 @@ class _FlatCurveEngine:
     def boundary(self, theta):
         theta = np.atleast_1d(np.asarray(theta, dtype=float))
         f = self._frame(theta)
-        return BoundarySample(theta, cartesian_to_polar(f.point), f.normal, -f.spread, f.speed)
+        return BoundarySample(-f.spread, f.speed)
 
     def map(self, s, theta):
         return cartesian_to_polar(self._frame(theta).at(np.asarray(s, dtype=float)))
@@ -407,10 +430,15 @@ class _FlatCurveEngine:
             ok = ok | amb
         return s, np.mod(theta, _TWO_PI), ok, amb
 
+    @cached_property
+    def survey(self):
+        """``(II_min, II_max, speed_max)`` over the angles ``k 2 pi / _N_SURVEY``."""
+        f = self._frame(np.arange(_N_SURVEY) * (_TWO_PI / _N_SURVEY))
+        return -float(np.max(f.spread)), -float(np.min(f.spread)), float(np.max(f.speed))
+
     def focal_reach(self):
-        """``1 / max |spread|``: where ``1 + spread s`` first vanishes either way."""
-        sigma = self._frame(np.arange(4096) * (_TWO_PI / 4096)).spread
-        return 1.0 / float(np.max(np.abs(sigma)))
+        """``1 / max |II|`` over the survey: where ``1 + spread s`` first vanishes either way."""
+        return 1.0 / max(map(abs, self.survey[:2]))
 
     def tube_curvature_range(self, r):
         return (0.0, 0.0)
@@ -531,8 +559,6 @@ class FermiChart:
             raise FocalPointError(
                 f"tube radius {r} reaches a focal point (reach {reach:.6g})"
             )
-        theta = np.arange(_N_THETA) * (_TWO_PI / _N_THETA)
-        self.samples = self.engine.boundary(theta)
         self._quad_cache = {}
 
     # -- basic queries -------------------------------------------------------
@@ -587,15 +613,8 @@ class FermiChart:
     # -- derived data ----------------------------------------------------------
 
     def curvature_data(self) -> comparison.CurvatureData:
-        """Tube curvature bounds measured from the chart samples."""
-        k_lo, k_up = self.engine.tube_curvature_range(self.r)
-        ii = self.samples.second_fundamental
-        return comparison.CurvatureData(
-            k_lower=k_lo,
-            K_upper=k_up,
-            H_min=float(np.min(ii)),
-            H_max=float(np.max(ii)),
-        )
+        """The tube's curvature range and the boundary survey's II range."""
+        return self.engine.curvature_data(self.r)
 
     @cached_property
     def regularity(self):
@@ -612,8 +631,9 @@ class RegularityReport:
     """Sampled certificate of the rolling-ball and chart conditions.
 
     Margins are the worst signed-distance violations over the ball
-    centres on ``n_theta`` sampled normals: zero up to roundoff when the
-    condition holds with tangency.  Distances to the boundary are the foot
+    centres on ``n_theta`` sampled normals (every fourth seeds the round
+    trip): zero up to roundoff when the condition holds with tangency.
+    ``H`` is ``max |II|`` over the 4096-angle survey.  Distances to the boundary are the foot
     search's ``|s|``: exact on disks, on Fourier blobs Newton-converged from the
     nearest of ``n_dense`` (2048) boundary samples, where an ambiguous centre
     stays; an unconverged centre fails its ball with margin ``-inf``.
@@ -649,17 +669,16 @@ def check_regularity(domain: DomainSpec, r: float) -> RegularityReport:
     (outside) at distance at least ``r`` from the boundary, so that the
     ball touches the boundary only at the foot point; the margin
     ``min(distance) - r`` records the worst violation.  ``H`` is
-    the smallest bound with II >= -H for both normals, ``K`` the
-    largest ``|Sec|`` seen in the tube, and ``r0`` the focal radius for
-    those worst-case bounds.
+    the smallest bound with II >= -H for both normals over the boundary
+    survey, ``K`` the largest ``|Sec|`` seen in the tube, and ``r0`` the
+    focal radius for those worst-case bounds.
     """
     notes = []
     engine = domain._engine()
     theta = np.arange(_N_THETA) * (_TWO_PI / _N_THETA)
-    bnd = engine.boundary(theta)
-    H = float(np.max(np.abs(bnd.second_fundamental)))
-    k_lo, k_up = engine.tube_curvature_range(r)
-    K = float(max(abs(k_lo), abs(k_up)))
+    data = engine.curvature_data(r)
+    H = max(abs(data.H_min), abs(data.H_max))
+    K = float(max(abs(data.k_lower), abs(data.K_upper)))
     r0 = comparison.focal_radius(K, H)
     radius_ok = r <= r0 + 1e-12
     if not radius_ok:
@@ -715,7 +734,7 @@ def check_regularity(domain: DomainSpec, r: float) -> RegularityReport:
             injective = False
             notes.append("ambiguous boundary feet detected (tube self-overlap)")
         dth = np.abs(np.angle(np.exp(1j * (th_back - T.ravel()))))
-        err = np.maximum(np.abs(s_back - S.ravel()), dth * float(np.max(bnd.speed)))
+        err = np.maximum(np.abs(s_back - S.ravel()), dth * engine.survey[2])
         roundtrip = float(np.max(err[ok])) if np.any(ok) else math.inf
         if roundtrip > 1e-8 * max(1.0, r):
             injective = False

@@ -13,14 +13,17 @@ With ``--out DIR`` it writes the reports to ``DIR`` instead and leaves
 ``tests/golden/`` as it is; it still prints the moves against the
 committed files.
 
-A regeneration need not match the committed files byte for byte when the
-host differs from the one that wrote them: on a 2-vCPU Xeon VM with numpy
-2.4 and OpenBLAS, ``heat-blob.json`` moves six ``diagonal.profile`` values
-by at most 3.5e-16 relative with no change to the code (well inside
-``RTOL``).  So to show that a change keeps every report byte-identical,
-regenerate on one host at the parent commit and at the change, each in
-its own checkout, and compare the two regenerations, not a regeneration
-with the committed files:
+Both render the reports in one child interpreter whose BLAS runs on one
+thread (``THREADS``), whatever the caller's thread count.  OpenBLAS blocks
+the dense heat solve by its thread count: on a 2-vCPU Xeon VM with numpy
+2.4 and OpenBLAS 0.3.31, ``heat-blob`` rendered at 2 threads instead of 1
+moves 33 values, ``eta1`` and ``diagonal.profile[9]`` by 2.2e-13 relative,
+past ``RTOL``.  At one pinned count a regeneration can still differ from
+the committed files on another host, by roundoff in the same dense solve.
+So to show that a change keeps every report byte-identical, regenerate on
+one host at the parent commit and at the change, each in its own checkout,
+and compare the two regenerations, not a regeneration with the committed
+files:
 
     PYTHONPATH=src python tests/golden_reports.py --out /tmp/golden-change
     # the same from the parent's checkout, with --out /tmp/golden-parent
@@ -32,7 +35,9 @@ from __future__ import annotations
 import argparse
 import json
 import math
+import os
 import pathlib
+import subprocess
 import sys
 import tempfile
 
@@ -40,8 +45,14 @@ from sobex import cli, heat
 
 GOLDEN = pathlib.Path(__file__).with_name("golden")
 RTOL = 1e-13
+# the BLAS thread count the reports are rendered at, set before numpy loads
+THREADS = dict.fromkeys(("OPENBLAS_NUM_THREADS", "OMP_NUM_THREADS", "MKL_NUM_THREADS"), "1")
+_SRC = pathlib.Path(__file__).resolve().parents[1] / "src"
 
 _BLOB = '{"type": "fourier", "coeffs_cos": [1.0, 0.0, 0.15]}'
+# an asymmetric blob, whose boundary extremes lie off the 256 sampled normals
+_ASYM = ('{"type": "fourier", "coeffs_cos": [1.0, 0.0, 0.12, 0.0, 0.03], '
+         '"coeffs_sin": [0.0, 0.05, 0.02]}')
 _DISK = '{"type": "disk", "radius": 1.0}'
 
 # config files; runs name each by its key, which ``run`` replaces with the
@@ -76,6 +87,7 @@ RUNS = {
                               '[0.3, 0.2], "radius": 0.6}', "--r", "0.2"], None),
     "regularity-blob": (["regularity", "--domain", _BLOB, "--r", "0.3"], None),
     "regularity-warped": (["regularity", "--config", WARPED_CONFIG, "--r", "0.3"], None),
+    "regularity-blob-asym": (["regularity", "--domain", _ASYM, "--r", "0.2"], None),
     "verify-extension": (["verify-extension", "--domain", _BLOB, "--r", "0.3"] + _EXT, None),
     "verify-extension-disk": (["verify-extension", "--domain", _DISK, "--r", "0.45"] + _EXT,
                               None),
@@ -86,6 +98,8 @@ RUNS = {
                                    + _EXT, None),
     "verify-extension-warped": (["verify-extension", "--config", WARPED_CONFIG, "--r", "0.3"]
                                 + _EXT, None),
+    "verify-extension-blob-asym": (["verify-extension", "--domain", _ASYM, "--r", "0.2"] + _EXT,
+                                   None),
     "heat-interval": (["heat", "--domain", '{"type": "interval", "L": 1.0}',
                        "--resolution", "64"], None),
     "heat-disk": (["heat", "--domain", '{"type": "disk", "radius": 1.0}',
@@ -128,6 +142,18 @@ def run(name):
         return code, report.read_text()
 
 
+def render(names):
+    """``{name: (exit code, report text)}`` of the runs ``names``, rendered by
+    :func:`run` in one child interpreter at the ``THREADS`` count."""
+    path = os.pathsep.join(filter(None, (str(_SRC), os.environ.get("PYTHONPATH"))))
+    env = {**os.environ, **THREADS, "PYTHONPATH": path}
+    child = subprocess.run([sys.executable, "-W", "error::RuntimeWarning", __file__,
+                            "--render", *names], env=env, capture_output=True, text=True)
+    if child.returncode != 0:
+        raise RuntimeError(f"golden render failed:\n{child.stderr}")
+    return {name: tuple(result) for name, result in json.loads(child.stdout).items()}
+
+
 def _number(x):
     return isinstance(x, (int, float)) and not isinstance(x, bool)
 
@@ -162,10 +188,16 @@ def main(argv=None):
     parser = argparse.ArgumentParser(description="Regenerate the golden CLI reports.")
     parser.add_argument("--out", type=pathlib.Path, default=GOLDEN,
                         help="directory the reports are written to (default: tests/golden)")
-    out = parser.parse_args(argv).out
+    parser.add_argument("--render", nargs="+", metavar="NAME",
+                        help="print these runs' exit codes and reports as JSON, in this "
+                             "interpreter, and write no file (the child of render)")
+    args = parser.parse_args(argv)
+    if args.render:
+        print(json.dumps({name: run(name) for name in args.render}))
+        return 0
+    out = args.out
     out.mkdir(parents=True, exist_ok=True)
-    for name in RUNS:
-        code, text = run(name)
+    for name, (code, text) in render(list(RUNS)).items():
         if code != 0:
             print(f"{name}: exit {code}")
         target = GOLDEN / f"{name}.json"

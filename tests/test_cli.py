@@ -146,7 +146,14 @@ def test_constants_large_dimension_overflows_silently(capsys):
     assert data["profile_D"][-1] == "inf"
 
 
-@pytest.mark.parametrize("argv", [["heat", "--resolution", "abc"], ["heat", "--bogus", "1"], []])
+@pytest.mark.parametrize("argv", [
+    ["heat", "--resolution", "abc"], ["heat", "--bogus", "1"], [],
+    # a flag the command does not read
+    ["regularity", "--r", "0.3", "--csv", "x.csv"], ["regularity", "--r", "0.3", "--seed", "7"],
+    ["constants", "--K", "1", "--H", "1", "--seed", "3"],
+    ["heat", "--domain", '{"type": "interval", "L": 1.0}', "--seed", "3"],
+    ["sweep", "--csv", "x.csv"],
+])
 def test_usage_errors_exit_2_with_one_line(capsys, argv):
     assert cli.main(argv) == 2
     err = capsys.readouterr().err
@@ -478,6 +485,7 @@ _WARP_ZERO = {"kind": "warped", "profile": {"type": "poly_cosh_mix", "coeffs": [
 _PAST_ZERO = {"type": "disk", "radius": 1.6165}
 _HYPERBOLIC = {"kind": "constant", "kappa": -1}
 _HUGE_DISK = {"type": "disk", "radius": 800}
+_DIPS = {"type": "fourier", "coeffs_cos": [1.0], "coeffs_sin": [0.0] * 4095 + [1.5]}
 
 
 @pytest.mark.parametrize("command, flags, config", [
@@ -529,6 +537,10 @@ _HUGE_DISK = {"type": "disk", "radius": 800}
      {"resolution": 16, "domain": {"type": "interval", "L": -1}}),
     ("heat", ["--resolution", "16", "--domain", '{"type": "interval", "L": 0}'],
      {"resolution": 16, "domain": {"type": "interval", "L": 0}}),
+    # 1 + 1.5 sin(4096 theta): 1 at 4096 uniform angles, -0.5 between them
+    ("heat", ["--resolution", "16", "--domain", json.dumps(_DIPS)],
+     {"resolution": 16, "domain": _DIPS}),
+    ("regularity", ["--r", "0.1", "--domain", json.dumps(_DIPS)], {"r": 0.1, "domain": _DIPS}),
 ])
 @pytest.mark.filterwarnings("error")
 def test_bad_input_exits_2(tmp_path, capsys, command, flags, config):
@@ -635,8 +647,9 @@ def test_main_exits_0_1_or_2(command, raw, domain_flag):
     with tempfile.TemporaryDirectory() as tmp:
         out = pathlib.Path(tmp)
         (out / "cfg.json").write_text(json.dumps(raw))
-        argv = [command, "--config", str(out / "cfg.json"), "--report", str(out / "out.json"),
-                "--csv", str(out / "out.csv")]
+        argv = [command, "--config", str(out / "cfg.json"), "--report", str(out / "out.json")]
+        if "csv" in cli._FLAGS[command][1]:
+            argv += ["--csv", str(out / "out.csv")]
         if domain_flag is not None and command in ("regularity", "verify-extension", "heat"):
             argv += ["--domain", json.dumps(domain_flag)]
         with warnings.catch_warnings():
@@ -719,14 +732,16 @@ def test_flags_follow_the_settings_table():
     subs = next(a for a in parser._actions if a.dest == "command").choices
     flags = {name: [(a.option_strings[0], a.type) for a in sub._actions if a.dest != "help"]
              for name, sub in subs.items()}
-    common = [("--config", None), ("--report", None), ("--csv", None), ("--seed", int)]
+    common = [("--config", None), ("--report", None)]
+    csv = [("--csv", None)]
     assert flags == {
-        "constants": common + [("--K", float), ("--H", float), ("--n", int), ("--r", float),
-                               ("--G", float)],
+        "constants": common + csv + [("--K", float), ("--H", float), ("--n", int),
+                                     ("--r", float), ("--G", float)],
         "regularity": common + [("--domain", None), ("--r", float)],
-        "verify-extension": common + [("--domain", None), ("--r", float), ("--samples", int),
-                                      ("--quad", int), ("--G", float)],
-        "heat": common + [("--domain", None), ("--resolution", int), ("--modes", int),
-                          ("--t-min", float), ("--t-max", float), ("--t-steps", int)],
+        "verify-extension": common + csv + [("--seed", int), ("--domain", None),
+                                            ("--r", float), ("--samples", int),
+                                            ("--quad", int), ("--G", float)],
+        "heat": common + csv + [("--domain", None), ("--resolution", int), ("--modes", int),
+                                ("--t-min", float), ("--t-max", float), ("--t-steps", int)],
         "sweep": common,
     }

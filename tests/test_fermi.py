@@ -35,11 +35,16 @@ from sobex.surfaces import (
 )
 
 
-def test_boundary_point_disk(unit_disk):
+def test_boundary_point_disk(flat, unit_disk):
+    """The outward normal ``jacobians(0, theta)[0]`` of the unit disk is the
+    plane's radial unit vector, about the pole (a pole disk) and off it (a flat curve)."""
     bp = unit_disk._engine().boundary(0.7)
     assert bp.second_fundamental[0] == pytest.approx(-1.0, abs=1e-14)
     assert bp.speed[0] == pytest.approx(1.0, abs=1e-14)
-    assert np.allclose(bp.normal[0], [1.0, 0.0])
+    radial = [math.cos(0.7), math.sin(0.7)]
+    assert np.allclose(unit_disk._engine().jacobians(0.0, np.array([0.7]))[0][0], radial)
+    off = DomainSpec(flat, GeodesicDisk((0.5, 1.0), 1.0))._engine()
+    assert np.allclose(off.jacobians(0.0, np.array([0.7]))[0][0], radial)
 
 
 def test_boundary_point_cap(spherical_cap, sphere):
@@ -61,12 +66,42 @@ def test_circle_profile_matches_disk(flat, unit_disk):
     b = circle._engine().boundary(theta)
     assert np.allclose(a.second_fundamental, b.second_fundamental, atol=1e-10)
     assert np.allclose(a.speed, b.speed, atol=1e-10)
-    assert np.allclose(a.point, b.point, atol=1e-10)
+    assert np.allclose(unit_disk._engine().map(0.0, theta), circle._engine().map(0.0, theta),
+                       atol=1e-10)
 
 
 def test_rho_positive_required(flat):
     with pytest.raises(InvalidDomainError):
         DomainSpec(flat, RadialProfile(cos_coeffs=(0.5, 0.0, 0.6)))
+
+
+# 1 + 1.5 sin(4096 theta): 1 at the 4096 angles k 2 pi / 4096, -0.5 between them
+_DIPS_BETWEEN_SAMPLES = RadialProfile((1.0,), (0.0,) * 4095 + (1.5,))
+
+
+@pytest.mark.filterwarnings("error")
+@pytest.mark.parametrize("profile, message", [
+    (_DIPS_BETWEEN_SAMPLES, "radial profile must be positive"),
+    # 1 + 0.999999 sin(theta) is positive, but only by 1e-6: more than 2^20
+    # angles would certify it
+    (RadialProfile((1.0,), (0.999999,)), "not certified positive on 2\\^20 arcs"),
+])
+def test_rho_positivity_is_certified_between_samples(flat, profile, message):
+    with pytest.raises(InvalidDomainError, match=message):
+        DomainSpec(flat, profile)
+
+
+@settings(max_examples=100)
+@given(a=st.lists(st.floats(-1.0, 1.0), min_size=2, max_size=6),
+       b=st.lists(st.floats(-1.0, 1.0), max_size=6))
+def test_accepted_profiles_are_positive(a, b):
+    """A profile the domain check accepts is positive on 2^16 angles."""
+    profile = RadialProfile((1.0,) + tuple(a), tuple(b))
+    try:
+        DomainSpec(_FLAT, profile)
+    except InvalidDomainError:
+        return
+    assert np.min(profile.rho(np.arange(2**16) * (2.0 * math.pi / 2**16))) > 0.0
 
 
 _FLAT = ModelSurface.constant_curvature(0.0)
@@ -176,7 +211,8 @@ def test_roundtrip_grid(chart_name, request):
     s_back, th_back = _foot(chart, pts)
     assert np.max(np.abs(s_back - S.ravel())) < 1e-8
     dth = np.abs(np.angle(np.exp(1j * (th_back - T.ravel()))))
-    assert np.max(dth) < 1e-8 / min(float(np.min(chart.samples.speed)), 1.0)
+    speed = chart.engine.boundary(np.arange(256) * (2.0 * math.pi / 256)).speed
+    assert np.max(dth) < 1e-8 / min(float(np.min(speed)), 1.0)
 
 
 @pytest.mark.parametrize("chart_name", ["disk_chart", "cap_chart", "blob_chart"])
@@ -365,6 +401,29 @@ def test_flat_frame_jacobians_match_differences_of_the_map(name):
     stretch = np.linalg.norm(d_theta, axis=-1) * domain.surface.warp(rho) / rho
     speed = eng.boundary(th).speed[None, :]
     assert np.allclose(eng.ratio(T, S) * speed, stretch, rtol=0.0, atol=1e-8)
+
+
+# an asymmetric blob whose curvature extremes lie off the 256 sampled normals
+_ASYM_BLOB = RadialProfile((1.0, 0.0, 0.12, 0.0, 0.03), (0.0, 0.05, 0.02))
+_SURVEYED = {**_FRAME_BOUNDARIES, "asym_blob": _ASYM_BLOB}
+
+
+@pytest.mark.parametrize("name", sorted(_SURVEYED))
+def test_regularity_focal_radius_is_the_focal_reach(name):
+    """One survey serves both: on flat boundaries ``r0 = 1/H`` and the reach agree bitwise."""
+    spec = DomainSpec(_FLAT, _SURVEYED[name])
+    assert check_regularity(spec, 0.1).r0 == spec._engine().focal_reach()
+
+
+@pytest.mark.parametrize("spec", [DomainSpec(_FLAT, b) for b in _SURVEYED.values()]
+                         + [DomainSpec(ModelSurface.constant_curvature(1.0),
+                                       GeodesicDisk((0.0, 0.0), math.pi / 4.0))],
+                         ids=sorted(_SURVEYED) + ["pole_disk_sphere"])
+def test_curvature_data_is_the_survey_extremes(spec):
+    """The chart's ``H_min`` and ``H_max`` are the extremes of II over 4096 angles."""
+    ii = spec._engine().boundary(np.arange(4096) * (2.0 * math.pi / 4096)).second_fundamental
+    data = FermiChart(spec, 0.1).curvature_data()
+    assert (data.H_min, data.H_max) == (np.min(ii), np.max(ii))
 
 
 @pytest.mark.parametrize("name", sorted(_FRAME_BOUNDARIES))
