@@ -10,24 +10,29 @@ element of the distance hypersurfaces through scalar normal Jacobi
 fields, and :func:`check_regularity` certifies the rolling-ball,
 curvature and injectivity conditions numerically.
 
-On flat charts (Fourier blobs, off-centre disks) the tube geometry is
-formed in one place, ``_FlatCurveEngine._frame``: one evaluation of the
-boundary curve gives the point, velocity, outward normal, spread and
-speed, and the map, the Jacobians, the volume ratio, the boundary survey
-and the foot-point Newton steps read that frame.  Newton starts at the
-nearest of 2048 boundary samples, found on the table of squared
-distances swept 64 points at a time; a point has two feet (is
+There are two boundary engines.  Geodesic disks about the pole of any
+model surface have closed forms; a flat disk off the pole is the pole disk
+about its own centre, translated, which keeps the rolling radius, ``II``
+and the tube's curvature.  Fourier blobs form their tube geometry in one
+place, ``_FlatCurveEngine._frame``, which the map, the Jacobians, the
+volume ratio, the survey and the foot-point Newton steps read.  Newton
+starts at the nearest of 2048 boundary samples, found on the table of
+squared distances swept 64 points at a time; a point has two feet (is
 ambiguous) when the nearest sample more than 8 samples away from the
-nearest one is within ``1e-6`` of as near.
+nearest one is within ``1e-6 a_0`` of as near.  A blob needs ``a_0 >=
+1e-100`` and ``sum_k (1 + k)(|a_k| + |b_k|) <= 1e100``, so that the
+frame's cubed speed stays finite (and normal unless ``rho`` dips far
+below ``a_0``).
 
 Each engine's ``survey`` takes ``(II_min, II_max, speed_max)`` once, at 4096
-angles on flat curves and in closed form on pole disks; the focal reach, the
+angles on blobs and in closed form on disks; the focal reach, the
 curvature data (``H = max |II|``) and the round-trip error's scale read it.
 
 The rolling-ball margins read each engine's foot search ``invert`` as
-``|s|``: exact on disks (``|rho - a|`` about the pole, ``| |x - c0| - a |``
-off it), Newton-converged on Fourier blobs (an ambiguous centre keeps its
-nearest sample); a centre whose foot search did not converge fails its ball.
+``|s|``: exact on disks (``|rho - a|`` about the centre), Newton-converged
+on blobs (an ambiguous centre keeps its nearest sample); a centre whose
+foot search did not converge fails its ball.  Tolerances scale with the
+engine's ``size`` (the radius; ``a_0`` on blobs).
 
 Sign convention: ``second_fundamental`` (II) is reported with respect
 to the outward normal and anchored so that the unit disk carries
@@ -74,7 +79,8 @@ _TWO_PI = 2.0 * math.pi
 # Newton steps from the nearest of _N_BOUNDARY boundary samples;
 # feet more than _SEPARATION samples apart and within _FOOT_TIE of
 # equally near make a point ambiguous; Newton stops below _FOOT_TOL times
-# a point's size (at least 1), and a residual of 10 _FOOT_TOL is a miss
+# a point's size, and a residual of 10 _FOOT_TOL is a miss; both scales are
+# relative to the engine's ``size`` (a point's size is at least it)
 _NEWTON_STEPS, _N_BOUNDARY, _SEPARATION, _FOOT_TIE, _FOOT_TOL = 60, 2048, 8, 1e-6, 1e-9
 # normals of the ball and round-trip checks; angles of a flat boundary's survey
 _N_THETA, _N_SURVEY = 256, 4096
@@ -158,6 +164,12 @@ class DomainSpec:
                 raise InvalidDomainError(
                     "radial profile needs a constant term and finite coefficients"
                 )
+            # the flat frame cubes the speed, at most sum_k (1 + k)(|a_k| + |b_k|)
+            speed = float(np.arange(1, a.size + 1) @ np.abs(a)
+                          + np.arange(2, b.size + 2) @ np.abs(b))
+            if not (a[0] >= 1e-100 and speed <= 1e100):
+                raise InvalidDomainError(f"radial profile size outside [1e-100, 1e100]: a_0 = "
+                                         f"{a[0]:g}, sum_k (1 + k)(|a_k| + |b_k|) = {speed:g}")
             _certify_positive(self.boundary)
             return
         center = self.boundary.center
@@ -184,7 +196,8 @@ class DomainSpec:
     def kind(self):
         """The geometry class: ``"blob"`` (a radial profile), ``"pole_disk"``
         (a disk about the chart pole) or ``"offcentre_disk"`` (any other disk,
-        flat charts only)."""
+        flat charts only: the pole disk of its radius, translated, which has
+        its own chart engine and the pole disk's heat grid)."""
         if isinstance(self.boundary, RadialProfile):
             return "blob"
         if isinstance(self.boundary, GeodesicDisk):
@@ -232,7 +245,11 @@ class BoundarySample:
 
 class _Engine:
     """What every boundary engine shares: ``survey``, the boundary's extremes
-    ``(II_min, II_max, speed_max)``, taken once, and the tube's curvature data."""
+    ``(II_min, II_max, speed_max)``, taken once, the tube's curvature data, the
+    plane centre ``c0`` of the domain rule's polar coordinates and ``size``, the
+    length the tolerances scale with."""
+
+    c0 = np.zeros(2)
 
     def curvature_data(self, r) -> comparison.CurvatureData:
         """The tube's sectional curvature range at radius ``r`` and the survey's II range."""
@@ -242,11 +259,9 @@ class _Engine:
 class _PoleDiskEngine(_Engine):
     """Pole-centred geodesic disk on any model surface (radial normals)."""
 
-    c0 = np.zeros(2)  # plane centre of the domain rule's polar coordinates
-
     def __init__(self, domain):
         self.surface = domain.surface
-        self.a = float(domain.boundary.radius)
+        self.a = self.size = float(domain.boundary.radius)
         self.f_a = float(self.surface.warp(self.a))
         self.sigma0 = float(self.surface.warp_prime(self.a)) / self.f_a
         self.survey = (-self.sigma0, -self.sigma0, self.f_a)  # constant along the circle
@@ -274,15 +289,15 @@ class _PoleDiskEngine(_Engine):
         return np.asarray(self.surface.warp(self.a + s), dtype=float) / self.f_a
 
     def jacobians(self, s, theta):
-        """``(d map/ds, d map/dtheta)`` in the plane: ``(cos, sin)`` and ``(a + s)(-sin, cos)``."""
-        rho, th = np.moveaxis(self.map(s, theta), -1, 0)
+        """``(d map/ds, d map/dtheta)`` in the plane: ``(cos, sin)`` and ``(a + s)(-sin, cos)``,
+        read off the centred polar map (a translated disk's ``map`` is not centred)."""
+        rho, th = np.moveaxis(_PoleDiskEngine.map(self, s, theta), -1, 0)
         c, sn = np.cos(th), np.sin(th)
         return np.stack([c, sn], axis=-1), np.stack([rho * -sn, rho * c], axis=-1)
 
     def radial_extent(self, theta):
         """Boundary radius about ``c0`` above each angle (for domain quadrature)."""
-        theta = np.asarray(theta, dtype=float)
-        return np.full(theta.shape, self.a)
+        return np.full(np.shape(theta), self.a)
 
     def contains(self, points):
         pts = np.atleast_2d(np.asarray(points, dtype=float))
@@ -301,6 +316,28 @@ class _PoleDiskEngine(_Engine):
 
     def tube_curvature_range(self, r):
         return self.surface.curvature_range(self.a - r, self.a + r)
+
+
+class _FlatCircleEngine(_PoleDiskEngine):
+    """A flat disk about the plane point ``c0``: the pole disk of its radius,
+    translated.  Chart points move out (``map``) and back (``invert``,
+    ``contains``); the rest is the pole disk's, which a translation keeps."""
+
+    def __init__(self, domain):
+        super().__init__(domain)
+        # the centre is a chart (polar) point like everything else
+        self.c0 = polar_to_cartesian(np.asarray(domain.boundary.center, dtype=float))
+
+    def map(self, s, theta):
+        return cartesian_to_polar(polar_to_cartesian(super().map(s, theta)) + self.c0)
+
+    def invert(self, points):
+        x = polar_to_cartesian(np.atleast_2d(np.asarray(points, dtype=float))) - self.c0
+        return super().invert(cartesian_to_polar(x))
+
+    def contains(self, points):
+        x = polar_to_cartesian(np.atleast_2d(np.asarray(points, dtype=float))) - self.c0
+        return super().contains(cartesian_to_polar(x))
 
 
 class _Frame(NamedTuple):
@@ -326,13 +363,24 @@ class _Frame(NamedTuple):
 
 
 class _FlatCurveEngine(_Engine):
-    """Flat chart, boundary a closed Cartesian curve: subclasses define
-    ``curve(theta) -> (c, c', c'')``, ``contains`` and ``radial_extent``."""
-
-    c0 = np.zeros(2)  # plane centre of the domain rule's polar coordinates
+    """Flat chart, boundary the Fourier blob ``c(theta) = rho(theta) (cos theta, sin theta)``."""
 
     def __init__(self, domain):
         self.surface = domain.surface
+        self.profile = domain.boundary
+        self.size = float(self.profile.cos_coeffs[0])
+
+    def curve(self, theta):
+        """``(c, c', c'')`` at ``theta``."""
+        theta = np.asarray(theta, dtype=float)
+        rho, dr, d2r = self.profile.derivatives(theta)
+        ct, st = np.cos(theta), np.sin(theta)
+        e = np.stack([ct, st], axis=-1)
+        de = np.stack([-st, ct], axis=-1)
+        c = rho[..., None] * e
+        dc = dr[..., None] * e + rho[..., None] * de
+        d2c = (d2r - rho)[..., None] * e + 2.0 * dr[..., None] * de
+        return c, dc, d2c
 
     def _frame(self, theta):
         c, dc, d2c = self.curve(theta)
@@ -361,6 +409,13 @@ class _FlatCurveEngine(_Engine):
         sigma = self._frame(np.asarray(theta, dtype=float)).spread
         return 1.0 + sigma * np.asarray(s, dtype=float)
 
+    def contains(self, points):
+        pts = np.atleast_2d(np.asarray(points, dtype=float))
+        return pts[:, 0] <= self.profile.rho(pts[:, 1])
+
+    def radial_extent(self, theta):
+        return self.profile.rho(np.asarray(theta, dtype=float))
+
     @cached_property
     def _samples(self):
         """The boundary at angles ``k 2 pi / _N_BOUNDARY``, shape ``(_N_BOUNDARY, 2)``."""
@@ -382,7 +437,7 @@ class _FlatCurveEngine(_Engine):
             runner[rows] = np.min(d2, axis=1)
         d_best = np.sqrt(best)
         # overflowing distances tie everywhere at +inf
-        amb = (np.sqrt(runner) <= d_best + _FOOT_TIE) | np.isinf(d_best)
+        amb = (np.sqrt(runner) <= d_best + _FOOT_TIE * self.size) | np.isinf(d_best)
         return idx, d_best, amb
 
     def invert(self, points):
@@ -398,8 +453,8 @@ class _FlatCurveEngine(_Engine):
         finite = np.isfinite(d_best)
         active = finite.copy()
         # each point converges relative to its own size
-        scale = np.ones(x.shape[0])
-        scale[finite] = np.maximum(1.0, np.linalg.norm(x[finite], axis=-1))
+        scale = np.full(x.shape[0], self.size)
+        scale[finite] = np.maximum(self.size, np.linalg.norm(x[finite], axis=-1))
         for _ in range(_NEWTON_STEPS):
             if not np.any(active):
                 break
@@ -443,67 +498,6 @@ class _FlatCurveEngine(_Engine):
     def tube_curvature_range(self, r):
         return (0.0, 0.0)
 
-
-class _FlatCircleEngine(_FlatCurveEngine):
-    """Circle of radius ``a`` about an arbitrary flat-chart centre."""
-
-    def __init__(self, domain):
-        super().__init__(domain)
-        self.a = float(domain.boundary.radius)
-        # the centre is a chart (polar) point like everything else
-        self.c0 = polar_to_cartesian(np.asarray(domain.boundary.center, dtype=float))
-
-    def curve(self, theta):
-        theta = np.asarray(theta, dtype=float)
-        e = np.stack([np.cos(theta), np.sin(theta)], axis=-1)
-        de = np.stack([-np.sin(theta), np.cos(theta)], axis=-1)
-        c = self.c0 + self.a * e
-        return c, self.a * de, -self.a * e
-
-    def invert(self, points):
-        pts = np.atleast_2d(np.asarray(points, dtype=float))
-        x = polar_to_cartesian(pts) - self.c0
-        rr = np.hypot(x[:, 0], x[:, 1])
-        s = rr - self.a
-        theta = np.mod(np.arctan2(x[:, 1], x[:, 0]), _TWO_PI)
-        ok = rr > 1e-14
-        amb = ~ok
-        return s, theta, ok, amb
-
-    def contains(self, points):
-        x = polar_to_cartesian(np.atleast_2d(np.asarray(points, dtype=float))) - self.c0
-        return np.hypot(x[:, 0], x[:, 1]) <= self.a
-
-    def radial_extent(self, theta):
-        """Boundary radius ``a`` about the centre ``c0`` above each angle."""
-        return np.full(np.shape(theta), self.a)
-
-
-class _FlatFourierEngine(_FlatCurveEngine):
-    """Flat-chart boundary from a truncated Fourier radial profile."""
-
-    def __init__(self, domain):
-        super().__init__(domain)
-        self.profile = domain.boundary
-
-    def curve(self, theta):
-        theta = np.asarray(theta, dtype=float)
-        rho, dr, d2r = self.profile.derivatives(theta)
-        ct, st = np.cos(theta), np.sin(theta)
-        e = np.stack([ct, st], axis=-1)
-        de = np.stack([-st, ct], axis=-1)
-        c = rho[..., None] * e
-        dc = dr[..., None] * e + rho[..., None] * de
-        d2c = (d2r - rho)[..., None] * e + 2.0 * dr[..., None] * de
-        return c, dc, d2c
-
-    def contains(self, points):
-        pts = np.atleast_2d(np.asarray(points, dtype=float))
-        return pts[:, 0] <= self.profile.rho(pts[:, 1])
-
-    def radial_extent(self, theta):
-        return self.profile.rho(np.asarray(theta, dtype=float))
-
     def diameter(self):
         return self._diameter
 
@@ -526,7 +520,7 @@ class _FlatFourierEngine(_FlatCurveEngine):
         return float(np.sqrt(best))
 
 
-_ENGINES = {"blob": _FlatFourierEngine, "pole_disk": _PoleDiskEngine,
+_ENGINES = {"blob": _FlatCurveEngine, "pole_disk": _PoleDiskEngine,
             "offcentre_disk": _FlatCircleEngine}
 
 
@@ -689,7 +683,7 @@ def check_regularity(domain: DomainSpec, r: float) -> RegularityReport:
     if not chart_ok:
         notes.append(f"tube radius reaches a focal point (reach {reach:.6g})")
 
-    tol = 1e-9 * (1.0 + r)
+    tol = 1e-9 * (engine.size + r)
 
     def rolling_ball(depth):
         """``(ok, margin)`` of the balls of radius ``r`` centred at signed ``depth``."""
@@ -736,7 +730,7 @@ def check_regularity(domain: DomainSpec, r: float) -> RegularityReport:
         dth = np.abs(np.angle(np.exp(1j * (th_back - T.ravel()))))
         err = np.maximum(np.abs(s_back - S.ravel()), dth * engine.survey[2])
         roundtrip = float(np.max(err[ok])) if np.any(ok) else math.inf
-        if roundtrip > 1e-8 * max(1.0, r):
+        if roundtrip > 1e-8 * max(engine.size, r):
             injective = False
             notes.append("round-trip error above tolerance")
 

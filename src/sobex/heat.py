@@ -111,8 +111,9 @@ class DiscreteDomain:
     on disk-like grids ``n_r`` rings of ``n_theta`` nodes, with each
     node's ``ring`` (the boundary ring is ``n_r``, the blob's pole 0).
     Pole disks also keep ``dr``, ``dtheta`` and the warp ``f_cent`` at
-    their ring centres.
-    """
+    their ring centres.  Every disk is a ``"pole_disk"`` grid about its own
+    centre: flat distances are Cartesian, so a flat disk off the pole runs
+    as the pole disk of its radius."""
 
     kind = spec = mesh_width = factors = _cart = None  # spec: DomainSpec if disk-like
     nodes = weights = None  # nodes (N,) on the interval, (N, 2) chart coords else
@@ -148,9 +149,7 @@ class DiscreteDomain:
         dom.spec = spec
         dom.n = 2
         dom.n_r, dom.n_theta = int(n_r), int(n_theta)
-        dom.kind = spec.kind
-        if dom.kind == "offcentre_disk":
-            raise AssemblyError("disk-like grids need a pole-centred disk")
+        dom.kind = "blob" if spec.kind == "blob" else "pole_disk"
         build = dom._build_blob if dom.kind == "blob" else dom._build_pole_disk
         build(spec, dom.n_r, dom.n_theta)
         return dom
@@ -418,7 +417,7 @@ def assemble(domain: DiscreteDomain) -> "NeumannSystem":
 
     The natural (no-flux) boundary treatment makes constants exact null
     vectors: ``stiffness @ 1 == 0``.  Separable grids (the interval and
-    pole-centred disks) carry their two-point flux conductances on the
+    disks, each about its centre) carry their two-point flux conductances on the
     orthogonal grid as ``domain.factors``; flat Fourier blobs use
     cotangent edge weights on the triangulated grid (both are the same
     graph-Laplacian construction with metric-aware edge conductances).
@@ -727,7 +726,7 @@ class NeumannSystem:
     Eigenpairs are mass-orthonormal; the first eigenvalue is zero with
     the constant eigenvector.  ``solver`` names the eigensolver that
     runs: ``"separable"`` when ``factors`` (a :class:`TensorFactors`, as
-    the grids of intervals and pole-centred disks carry) describe
+    the grids of intervals and disks carry) describe
     the operator, so a Fourier transform in the angle leaves tridiagonal
     radial problems; otherwise ``"dense"`` up to ``DENSE_LIMIT`` unknowns
     and ``"sparse"`` (shift-invert Lanczos) beyond.  The dense solver is

@@ -104,6 +104,8 @@ RUNS = {
                        "--resolution", "64"], None),
     "heat-disk": (["heat", "--domain", '{"type": "disk", "radius": 1.0}',
                    "--resolution", "24"], None),
+    "heat-offcentre": (["heat", "--domain", '{"type": "disk", "center": [0.3, 0.2], '
+                        '"radius": 0.6}', "--resolution", "24"], None),
     "heat-warped": (["heat", "--config", WARPED_CONFIG, "--resolution", "24"], None),
     "heat-cap": (["heat", "--config", CAP_CONFIG, "--resolution", "24"], None),
     "heat-hyperbolic": (["heat", "--config", HYPERBOLIC_CONFIG, "--resolution", "24"], None),

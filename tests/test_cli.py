@@ -410,6 +410,29 @@ def test_heat_modes_only_sizes_the_eigenvalue_list(tmp_path):
     assert four["eigenvalues"] == default["eigenvalues"][:4]
 
 
+def test_heat_on_an_off_centre_flat_disk_is_the_pole_disk(tmp_path):
+    """A flat disk off the pole is the pole disk translated: its heat report
+    is the pole disk's of the same radius, byte for byte."""
+    reports = []
+    for domain in ('{"type": "disk", "center": [0.3, 0.2], "radius": 0.6}',
+                   '{"type": "disk", "radius": 0.6}'):
+        out = tmp_path / f"heat{len(reports)}.json"
+        assert cli.main(["heat", "--domain", domain, "--resolution", "24",
+                         "--report", str(out)]) == 0
+        reports.append(out.read_bytes())
+    assert reports[0] == reports[1]
+
+
+@pytest.mark.filterwarnings("error")
+def test_regularity_of_a_tiny_off_centre_disk(tmp_path, capsys):
+    """A disk of radius 1e-300 off the pole certifies like the pole disk, with
+    no warning (pytest makes one an error)."""
+    out = tmp_path / "regularity.json"
+    assert cli.main(["regularity", "--domain", '{"type": "disk", "center": [1e-300, 0.2], '
+                     '"radius": 1e-300}', "--r", "1e-301", "--report", str(out)]) == 0
+    assert json.loads(out.read_text())["admissible"]
+
+
 def test_heat_default_resolution_disk(tmp_path, unit_disk):
     """The unit disk at the default resolution 256 (65 536 nodes) passes every
     check, and its allocations peak below 64 MiB (19 MiB measured): the
@@ -488,6 +511,11 @@ _HUGE_DISK = {"type": "disk", "radius": 800}
 _DIPS = {"type": "fourier", "coeffs_cos": [1.0], "coeffs_sin": [0.0] * 4095 + [1.5]}
 
 
+def _scaled_blob(scale):
+    """The CLI blob ``(1, 0, 0.15)`` scaled by ``scale``."""
+    return {"type": "fourier", "coeffs_cos": [scale, 0.0, 0.15 * scale]}
+
+
 @pytest.mark.parametrize("command, flags, config", [
     ("constants", ["--K", "1", "--H", "nan"], {"K": 1, "H": math.nan}),
     ("constants", ["--K", "1", "--H", "1", "--r", "inf"], {"K": 1, "H": 1, "r": math.inf}),
@@ -503,8 +531,9 @@ _DIPS = {"type": "fourier", "coeffs_cos": [1.0], "coeffs_sin": [0.0] * 4095 + [1
     ("regularity", None, {"surface": 5, "r": 0.3}),
     ("constants", None, {"K": 1, "H": 1, "sweep": {"r": 5}}),
     ("sweep", None, {"K": 1, "H": 1, "sweep": {"r": {"to": 0.2, "steps": 3}}}),
-    ("heat", ["--domain", '{"type": "disk", "center": [0.1, 0], "radius": 0.5}'],
-     {"domain": {"type": "disk", "center": [0.1, 0], "radius": 0.5}}),
+    # a blob past the size bound, whose flat frame would overflow
+    ("heat", ["--resolution", "16", "--domain", json.dumps(_scaled_blob(1e103))],
+     {"resolution": 16, "domain": _scaled_blob(1e103)}),
     # a radius at or past the degeneration radius r0 of the profiles
     ("constants", ["--K", "1", "--H", "1", "--r", "5"], {"K": 1, "H": 1, "r": 5}),
     ("constants", ["--K", "0", "--H", "2", "--r", "0.5"], {"K": 0, "H": 2, "r": 0.5}),
@@ -541,6 +570,10 @@ _DIPS = {"type": "fourier", "coeffs_cos": [1.0], "coeffs_sin": [0.0] * 4095 + [1
     ("heat", ["--resolution", "16", "--domain", json.dumps(_DIPS)],
      {"resolution": 16, "domain": _DIPS}),
     ("regularity", ["--r", "0.1", "--domain", json.dumps(_DIPS)], {"r": 0.1, "domain": _DIPS}),
+    # blobs past the size bound, whose frame would overflow or divide by zero
+    *((command, ["--r", repr(0.3 * scale), "--domain", json.dumps(_scaled_blob(scale))],
+       {"r": 0.3 * scale, "domain": _scaled_blob(scale)})
+      for command in ("regularity", "verify-extension") for scale in (1e103, 1e-110)),
 ])
 @pytest.mark.filterwarnings("error")
 def test_bad_input_exits_2(tmp_path, capsys, command, flags, config):

@@ -13,6 +13,7 @@ from hypothesis import example, given, settings, strategies as st
 from scipy.spatial.distance import cdist, pdist
 
 from sobex import fermi, heat as H
+from sobex.errors import InvalidDomainError
 from sobex.fermi import DomainSpec, GeodesicDisk, RadialProfile, check_regularity
 from sobex.surfaces import (
     ModelSurface,
@@ -210,8 +211,9 @@ def test_flat_distances_of_no_points_and_of_overflowing_points(fourier_blob):
     assert np.all(np.abs(engine.invert(far)[0]) == math.inf)
     idx, d_best, amb = engine._dense_feet(polar_to_cartesian(far))
     assert np.all(d_best == math.inf) and np.all(amb)
-    huge = DomainSpec(ModelSurface.constant_curvature(0.0), RadialProfile((1e300, 0.1)))
-    assert huge.diameter() == math.inf
+    # a blob whose diameter would overflow is past the size bound
+    with pytest.raises(InvalidDomainError, match="radial profile size"):
+        DomainSpec(ModelSurface.constant_curvature(0.0), RadialProfile((1e300, 0.1)))
 
 
 # -- the rolling-ball distances: each engine's foot search, as ``|s|`` ----------
@@ -245,7 +247,8 @@ def test_off_centre_circle_distance_matches_dense_sampling(flat):
     spec = DomainSpec(flat, GeodesicDisk((0.5, 1.0), 0.8))
     engine = spec._engine()
     pts = _CHART_POINTS * [2.0, 1.0]
-    samples = engine.curve(np.arange(8192) * (2.0 * math.pi / 8192))[0]
+    theta = np.arange(8192) * (2.0 * math.pi / 8192)
+    samples = polar_to_cartesian((0.5, 1.0)) + 0.8 * np.stack([np.cos(theta), np.sin(theta)], -1)
     x = polar_to_cartesian(pts)
     oracle = np.min(np.linalg.norm(x[:, None, :] - samples[None], axis=-1), axis=1)
     got = np.abs(engine.invert(pts)[0])

@@ -9,7 +9,6 @@ from hypothesis import given, settings, strategies as st
 from sobex import fermi
 from sobex.comparison import jacobi_factor, mean_curvature_bound
 from sobex.errors import (
-    AssemblyError,
     FocalPointError,
     InvalidDomainError,
     InvalidSurfaceError,
@@ -37,7 +36,7 @@ from sobex.surfaces import (
 
 def test_boundary_point_disk(flat, unit_disk):
     """The outward normal ``jacobians(0, theta)[0]`` of the unit disk is the
-    plane's radial unit vector, about the pole (a pole disk) and off it (a flat curve)."""
+    plane's radial unit vector, about the pole and off it (a translated pole disk)."""
     bp = unit_disk._engine().boundary(0.7)
     assert bp.second_fundamental[0] == pytest.approx(-1.0, abs=1e-14)
     assert bp.speed[0] == pytest.approx(1.0, abs=1e-14)
@@ -136,8 +135,13 @@ def test_disk_centre_needs_two_chart_coordinates():
         DomainSpec(_FLAT, GeodesicDisk((0.0, 0.0, 0.0), 1.0))
 
 
+# the heat grid of each geometry class: an off-centre flat disk has the pole
+# disk's grid about its own centre
+_GRIDS = {"blob": "blob", "pole_disk": "pole_disk", "offcentre_disk": "pole_disk"}
+
+
 @pytest.mark.parametrize("boundary, kind, engine", [
-    (RadialProfile((1.0, 0.0, 0.15)), "blob", fermi._FlatFourierEngine),
+    (RadialProfile((1.0, 0.0, 0.15)), "blob", fermi._FlatCurveEngine),
     (GeodesicDisk((0.0, 0.0), 1.0), "pole_disk", fermi._PoleDiskEngine),
     (GeodesicDisk((0.3, 0.2), 0.6), "offcentre_disk", fermi._FlatCircleEngine),
 ])
@@ -146,11 +150,34 @@ def test_domain_kind_selects_engine_and_grid(boundary, kind, engine):
     spec = DomainSpec(_FLAT, boundary)
     assert spec.kind == kind
     assert type(spec._engine()) is engine
-    if kind == "offcentre_disk":
-        with pytest.raises(AssemblyError, match="pole-centred disk"):
-            DiscreteDomain.disk_like(spec, 16, 16)
-    else:
-        assert DiscreteDomain.disk_like(spec, 16, 16).kind == kind
+    assert DiscreteDomain.disk_like(spec, 16, 16).kind == _GRIDS[kind]
+
+
+def test_off_centre_disk_is_the_translated_pole_disk():
+    """The off-centre engine is the pole disk's, with ``invert`` in its own body
+    (the benchmark's tracer wraps it there)."""
+    engine = DomainSpec(_FLAT, GeodesicDisk((0.3, 0.2), 0.6))._engine()
+    assert type(engine) is fermi._FlatCircleEngine
+    assert isinstance(engine, fermi._PoleDiskEngine)
+    assert "invert" in vars(fermi._FlatCircleEngine)
+
+
+_SINE_BLOB = ((1.0, 0.0, 0.15), (0.0, 0.05))
+_FLAGS = ("admissible", "interior_ball_ok", "exterior_ball_ok", "injectivity_ok",
+          "radius_ok", "ambiguous_points", "notes")
+
+
+@pytest.mark.parametrize("scale", [1e-6, 1e-5, 1e-4, 1e-3, 1e-2, 1e2, 1e4, 1e6])
+def test_blob_certificate_is_free_of_the_unit_of_length(scale):
+    """The tolerances are relative to the domain's size: the blob scaled by
+    ``scale`` at the tube radius scaled alike certifies with the same flags,
+    and its ``H`` is ``H / scale``."""
+    ref = check_regularity(DomainSpec(_FLAT, RadialProfile(*_SINE_BLOB)), 0.3)
+    scaled = RadialProfile(*(tuple(scale * c for c in cs) for cs in _SINE_BLOB))
+    rep = check_regularity(DomainSpec(_FLAT, scaled), 0.3 * scale)
+    assert ref.admissible
+    assert {k: getattr(rep, k) for k in _FLAGS} == {k: getattr(ref, k) for k in _FLAGS}
+    assert rep.H * scale == pytest.approx(ref.H, rel=1e-12)
 
 
 def test_fermi_map_examples(disk_chart, cap_chart):
